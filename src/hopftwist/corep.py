@@ -80,8 +80,14 @@ def regular_corep(
         evals, evecs = np.linalg.eigh(gram)
         root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
         root_inv = np.linalg.inv(root)
-        u = np.einsum("ai,ijc,jb->abc", root, u, root_inv, optimize=True)
+        # root @ U_c @ root^-1 on every algebra leg c
+        u = (root @ u.transpose(2, 0, 1) @ root_inv).transpose(1, 2, 0)
     return UnitaryCorep(host, host.dim, u)
+
+
+def multiply_legs(host: FiniteHopfStarAlgebra, x: Array) -> Array:
+    """Host product of legs 1 and 3: (i, a, j, b) -> (i, j, c) via mul[a, b, c]."""
+    return np.tensordot(x, host.mul, axes=([1, 3], [0, 1]))
 
 
 def verify_corep(
@@ -92,9 +98,10 @@ def verify_corep(
     n_h = corep.hdim
     checks: list[tuple[str, float]] = []
 
-    law = np.einsum("ijc,cab->ijab", u, a.comul) - np.einsum(
-        "ika,kjb->ijab", u, u, optimize=True
-    )
+    # (id (x) Delta)(U) - U_12 U_13, both as (i, j, a, b)
+    law = np.tensordot(u, a.comul, axes=([2], [0])) - np.tensordot(
+        u, u, axes=([1], [0])
+    ).transpose(0, 2, 1, 3)
     checks.append(("corep-law", max_abs(law)))
 
     counit_side = np.einsum("ijc,c->ij", u, a.counit) - np.eye(n_h)
@@ -102,8 +109,8 @@ def verify_corep(
 
     ustar = corep.entry_star()
     target = np.einsum("ij,c->ijc", np.eye(n_h), a.unit)
-    row = np.einsum("ika,jkb,abc->ijc", u, ustar, a.mul, optimize=True) - target
-    col = np.einsum("kia,kjb,abc->ijc", ustar, u, a.mul, optimize=True) - target
+    row = multiply_legs(a, np.tensordot(u, ustar, axes=([1], [1]))) - target
+    col = multiply_legs(a, np.tensordot(ustar, u, axes=([0], [0]))) - target
     checks.append(("unitarity-right", max_abs(row)))
     checks.append(("unitarity-left", max_abs(col)))
 
@@ -122,19 +129,18 @@ def ad_v(corep: UnitaryCorep, t: Array) -> Array:
     Products and stars are those of the corep's host, so the same function
     serves twisted hosts.
     """
-    u = corep.u
-    ustar = corep.entry_star()
-    return np.einsum(
-        "ika,kl,jlb,abc->ijc", u, np.asarray(t, dtype=np.complex128), ustar,
-        corep.host.mul, optimize=True,
+    # u T -> (i, a, l); then (u*)^T over l -> (i, a, j, b); then the product a.b
+    ut = np.tensordot(corep.u, np.asarray(t, dtype=np.complex128), axes=([1], [0]))
+    return multiply_legs(
+        corep.host, np.tensordot(ut, corep.entry_star(), axes=([2], [1]))
     )
 
 
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
     """All-matrix-units form of ad_v: AD[i, j, k, l] = ad(E_kl)[i, j]."""
-    u = corep.u
-    ustar = corep.entry_star()
-    return np.einsum("ika,jlb,abc->ijklc", u, ustar, corep.host.mul, optimize=True)
+    # (u*)[j, l, b] mul[a, b, c] -> (j, l, a, c); then u over a -> (i, k, j, l, c)
+    star_mul = np.tensordot(corep.entry_star(), corep.host.mul, axes=([2], [1]))
+    return np.tensordot(corep.u, star_mul, axes=([2], [2])).transpose(0, 2, 1, 3, 4)
 
 
 def e_map_matrix(corep: UnitaryCorep, rho: Array, ad_tensor: Array | None = None) -> Array:
@@ -159,45 +165,6 @@ def spectral_projection(
             e_maps[s, m] = e_map_matrix(corep, b.rho[s, m], ad)
     p_map = np.einsum("ssij->ij", e_maps)
     return {"block": block, "p": p_map, "e": e_maps}
-
-
-def e_map_composition_table(
-    corep: UnitaryCorep, pw: PeterWeylData, ctx: ScalarContext = DEFAULT_CONTEXT
-) -> dict:
-    """Measure the composition law of the E-maps instead of assuming one.
-
-    Returns the observed rule as a residual against the candidate
-    E[s,m] E[i,j] = delta(m, i) E[s, j] within a block, plus the cross-block
-    annihilation residual.
-    """
-    ad = ad_v_tensor(corep)
-    projections = [spectral_projection(corep, pw, k, ad) for k in range(len(pw.blocks))]
-    same_block = 0.0
-    cross_block = 0.0
-    for bi, proj in enumerate(projections):
-        d = pw.blocks[bi].dimension
-        for s in range(d):
-            for m in range(d):
-                for i in range(d):
-                    for j in range(d):
-                        got = proj["e"][s, m] @ proj["e"][i, j]
-                        want = proj["e"][s, j] if m == i else 0.0
-                        same_block = max(same_block, max_abs(got - want))
-        for bj, other in enumerate(projections):
-            if bi == bj:
-                continue
-            for s in range(pw.blocks[bi].dimension):
-                for m in range(pw.blocks[bi].dimension):
-                    for i in range(pw.blocks[bj].dimension):
-                        for j in range(pw.blocks[bj].dimension):
-                            got = proj["e"][s, m] @ other["e"][i, j]
-                            cross_block = max(cross_block, max_abs(got))
-    return {
-        "rule": "E[s,m] E[i,j] = delta(m,i) E[s,j] within a block, 0 across blocks",
-        "same_block_residual": same_block,
-        "cross_block_residual": cross_block,
-        "passed": bool(same_block <= ctx.tolerance and cross_block <= ctx.tolerance),
-    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,7 @@ from .corep import (
     SpectralDecomposition,
     ad_v,
     ad_v_tensor,
+    multiply_legs,
     pi_u,
     spectral_projection,
     verify_corep,
@@ -129,11 +130,6 @@ class RTwistedVolume:
         return complex(np.trace(self.r @ np.asarray(x, dtype=np.complex128)))
 
 
-def tau(rv: RTwistedVolume, x: Array) -> complex:
-    """The volume functional Tr(R x)."""
-    return rv.tau(x)
-
-
 def equivariance_residual(corep: UnitaryCorep, mat: Array) -> float:
     """How far mat (x) 1 is from commuting with the corep matrix."""
     m = np.asarray(mat, dtype=np.complex128)
@@ -150,8 +146,10 @@ def check_volume_preservation(
         raise DimensionMismatch(
             f"volume matrix is {rv.hdim}x{rv.hdim}, corep acts on dimension {corep.hdim}"
         )
-    ad = ad_v_tensor(corep)
-    contracted = np.einsum("ji,ijklc->klc", rv.r, ad, optimize=True)
+    # sum_ij R_ji ad(E_kl)[i, j], contracting R into u before the host product
+    ru = np.tensordot(rv.r, corep.u, axes=([1], [0]))
+    legs = np.tensordot(ru, corep.entry_star(), axes=([0], [0]))
+    contracted = multiply_legs(corep.host, legs)
     expected = np.einsum("lk,c->klc", rv.r, corep.host.unit)
     residual = max_abs(contracted - expected)
     return {"residual": float(residual), "passed": bool(residual <= ctx.tolerance)}
@@ -190,7 +188,9 @@ def extract_block_form(
         else:
             f_mat = np.eye(d)
             m_val = float(d)
-        rblk = np.einsum("sax,xy,tby->astb", basis.conj(), rv.r, basis, optimize=True)
+        flat = basis.reshape(mult * d, -1)
+        rblk = (flat.conj() @ rv.r @ flat.T).reshape(mult, d, mult, d)
+        rblk = rblk.transpose(1, 0, 2, 3)  # (a, s, t, b)
         t_mat = np.einsum("asta->st", rblk) / m_val
         blocks.append(
             {"block": entry["block"], "multiplicity": mult, "t": t_mat}
@@ -222,9 +222,13 @@ def rho_sigma(corep: UnitaryCorep, sigma: DualCocycle, t: Array) -> Array:
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
     mat = np.asarray(t, dtype=np.complex128)
-    return np.einsum(
-        "ikc,kjq,cq->ij", ad_v(corep, mat), corep.u, sigma.sigma_inv, optimize=True
-    )
+    legs = _sigma_legs(corep, sigma)
+    return np.tensordot(ad_v(corep, mat), legs, axes=([1, 2], [0, 2]))
+
+
+def _sigma_legs(corep: UnitaryCorep, sigma: DualCocycle) -> Array:
+    """L[k, j, c] = sum_q u[k, j, q] sigma^-1[c, q], the corep's sigma^-1 legs."""
+    return np.tensordot(corep.u, sigma.sigma_inv, axes=([2], [1]))
 
 
 def twisted_operator_product(
@@ -233,13 +237,8 @@ def twisted_operator_product(
     """Deformed product a_(0) b_(0) sigma^{-1}(a_(1), b_(1)) on operators."""
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    return np.einsum(
-        "ijc,jkd,cd->ik",
-        ad_v(corep, np.asarray(a, dtype=np.complex128)),
-        ad_v(corep, np.asarray(b, dtype=np.complex128)),
-        sigma.sigma_inv,
-        optimize=True,
-    )
+    left = np.tensordot(ad_v(corep, a), sigma.sigma_inv, axes=([2], [0]))
+    return np.tensordot(left, ad_v(corep, b), axes=([1, 2], [0, 2]))
 
 
 def twisted_operator_star(
@@ -261,7 +260,7 @@ def twisted_operator_star(
     host = corep.host
     leg = w.coeffs @ host.antipode_inv
     adj = np.asarray(a, dtype=np.complex128).conj().T
-    return np.einsum("ijc,c->ij", ad_v(corep, adj), leg, optimize=True)
+    return ad_v(corep, adj) @ leg
 
 
 def _operator_span_basis(
@@ -346,8 +345,7 @@ def _commutator_identity_residual(
     """Residual of [D, rho(a)] against the leg-wise commutator expansion."""
     slices = ad_v(corep, mat).transpose(2, 0, 1)
     comm = dirac @ slices - slices @ dirac
-    legs = np.einsum("kjq,cq->ckj", corep.u, sigma.sigma_inv, optimize=True)
-    expanded = np.einsum("cik,ckj->ij", comm, legs, optimize=True)
+    expanded = np.tensordot(comm, _sigma_legs(corep, sigma), axes=([0, 2], [2, 0]))
     return max_abs((dirac @ image - image @ dirac) - expanded)
 
 

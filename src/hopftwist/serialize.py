@@ -45,7 +45,7 @@ def encode_array(arr: Array) -> list:
 
 
 def decode_array(obj) -> Array:
-    """Inverse of encode_array; raises InputError on malformed payloads."""
+    """Inverse of encode_array; raises InputError on malformed or non-finite payloads."""
 
     def build(node):
         if (
@@ -59,9 +59,12 @@ def decode_array(obj) -> Array:
         raise InputError("numeric payload must be nested [re, im] pairs")
 
     try:
-        return np.array(build(obj), dtype=np.complex128)
+        arr = np.array(build(obj), dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InputError(f"cannot decode array payload: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise InputError("numeric payload contains NaN or infinite values")
+    return arr
 
 
 def canonical_dumps(doc: dict) -> str:

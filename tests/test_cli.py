@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +80,28 @@ def test_unknown_names_and_flags_exit_2(capsys):
     _capture(capsys)
     assert run(["catalog", "emit", "c-z2", "--no-such-flag"]) == 2
     _capture(capsys)
+
+
+@pytest.mark.parametrize("value", ("NaN", "Infinity"))
+def test_non_finite_document_entries_exit_2_without_traceback(value, tmp_path, capsys):
+    code = run(["catalog", "emit", "c-z2"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    # json.loads accepts the bare NaN / Infinity tokens, so splice one in
+    text = out.replace('"antipode":[[[1.0,0.0]', f'"antipode":[[[{value},0.0]', 1)
+    assert text != out
+    path = tmp_path / "non-finite.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopftwist", "check-hopf", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_math_failure_exits_1_and_reports_on_stderr(tmp_path, capsys):
