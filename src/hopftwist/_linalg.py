@@ -17,7 +17,9 @@ def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
+    # a tall or square m has all cols right singular vectors in the thin SVD;
+    # only a wide m needs the full vh to reach its kernel
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cutoff = rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T

@@ -2,8 +2,9 @@
 
 All hosts, cocycles, morphisms, and triples are constructed deterministically
 and verified at construction.  Builders memoize their results so that a name
-always resolves to the same object; host checks elsewhere compare identity,
-not contents, and the catalog is the single source of shared instances.
+(in one context, for cocycles and scenes) always resolves to the same object;
+host checks elsewhere compare identity, not contents, and the catalog is the
+single source of shared instances.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ _HOST_TABLE = (
 
 _groups: dict[str, FiniteGroupData] = {}
 _algebras: dict[str, FiniteHopfStarAlgebra] = {}
-_cocycles: dict[str, DualCocycle] = {}
-_scenes: dict[str, dict] = {}
+# cocycles and scenes are verified against the caller's context, so they are
+# cached per (name, context); ScalarContext is a frozen, hashable dataclass
+_cocycles: dict[tuple[str, ScalarContext], DualCocycle] = {}
+_scenes: dict[tuple[str, ScalarContext], dict] = {}
 
 
 def group_data(name: str) -> FiniteGroupData:
@@ -227,9 +230,9 @@ def cocycle_host_name(name: str) -> str:
 
 
 def cocycle(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualCocycle:
-    """Memoized catalog cocycle attached to the memoized catalog host."""
-    if name in _cocycles:
-        return _cocycles[name]
+    """Catalog cocycle attached to the memoized catalog host, memoized per context."""
+    if (name, ctx) in _cocycles:
+        return _cocycles[name, ctx]
     if name == "klein-bicharacter":
         built = from_bicharacter(
             group_data("z2z2"), _klein_bicharacter_table(), ctx, host=algebra("g-z2z2")
@@ -252,7 +255,7 @@ def cocycle(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualCocycle:
         built = trivial_cocycle(algebra("c-s3"))
     else:
         raise UnknownCatalogName(f"unknown catalog cocycle {name!r}")
-    _cocycles[name] = built
+    _cocycles[name, ctx] = built
     return built
 
 
@@ -313,11 +316,11 @@ def triple_names() -> tuple[str, ...]:
 def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
     """Triple, carrier corep, cocycle, and volume matrix for a named scene.
 
-    Every scene is verified on first build: the corep passes its checks and
-    the Dirac matrix commutes with the corep.
+    Every scene is verified on its first build in a context: the corep passes
+    its checks and the Dirac matrix commutes with the corep.
     """
-    if name in _scenes:
-        return _scenes[name]
+    if (name, ctx) in _scenes:
+        return _scenes[name, ctx]
     if name not in _TRIPLE_COCYCLES:
         raise UnknownCatalogName(f"unknown catalog triple {name!r}")
     if name == "trivial-4":
@@ -383,7 +386,7 @@ def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
         "cocycle": sigma,
         "volume": RTwistedVolume(np.eye(corep.hdim, dtype=np.complex128)),
     }
-    _scenes[name] = scene
+    _scenes[name, ctx] = scene
     return scene
 
 

@@ -20,6 +20,8 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     convolution_inverse,
+    convolve_coeffs,
+    dual_star_matrix,
     freeze,
 )
 from .errors import (
@@ -35,22 +37,37 @@ Array = np.ndarray
 
 
 def convolve2(host: FiniteHopfStarAlgebra, x: Array, y: Array) -> Array:
-    """Convolution of two functionals on the tensor square."""
-    return np.einsum(
-        "iab,jcd,ac,bd->ij", host.comul, host.comul, x, y, optimize=True
-    )
+    """Convolution of two functionals on the tensor square.
+
+    out[i, j] = sum comul[i, a, b] comul[j, c, d] x[a, c] y[b, d].  One factor
+    may carry a trailing axis, such as ``mul`` read as a vector-valued
+    functional; that axis comes last in the result.
+    """
+    comul = host.comul
+    if np.ndim(x) > 2:
+        # swap the legs of both coproducts so the matrix factor goes first
+        comul, x, y = comul.transpose(0, 2, 1), y, x
+    t = np.tensordot(np.tensordot(comul, x, axes=([1], [0])), y, axes=([1], [0]))
+    # t[i, c, d, ...] against comul[j, c, d] gives [i, ..., j]
+    return np.moveaxis(np.tensordot(t, comul, axes=([1, 2], [1, 2])), -1, 1)
 
 
 def identity2(host: FiniteHopfStarAlgebra) -> Array:
     return np.outer(host.counit, host.counit)
 
 
+def convolution_matrix2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
+    """Matrix of y -> x * y on flattened tensor-square functionals."""
+    n = host.dim
+    t = np.tensordot(host.comul, x, axes=([1], [0]))  # [i, b, c]
+    t = np.tensordot(t, host.comul, axes=([2], [1]))  # [i, b, j, d]
+    return t.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def invert2(host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext) -> Array:
     """Convolution inverse on the tensor square by a flattened linear solve."""
     n = host.dim
-    lmat = np.einsum(
-        "iab,jcd,ac->ijbd", host.comul, host.comul, x, optimize=True
-    ).reshape(n * n, n * n)
+    lmat = convolution_matrix2(host, x)
     s = np.linalg.svd(lmat, compute_uv=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1.0 / ctx.tolerance:
         raise InvalidInverse("tensor-square convolution operator is singular")
@@ -67,7 +84,7 @@ def invert2(host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext) -> Array:
 def dual_star2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
     """Involution on tensor-square functionals, leg-wise consistent with
     the involution on single-leg functionals."""
-    m = host.star @ np.conj(host.antipode)
+    m = dual_star_matrix(host)
     return np.conj(m.T @ x @ m)
 
 
@@ -120,14 +137,10 @@ def verify_cocycle(
         )
     )
 
-    lhs = np.einsum(
-        "jpq,krs,pr,qst,it->ijk", host.comul, host.comul, sig, host.mul, sig,
-        optimize=True,
-    )
-    rhs = np.einsum(
-        "ipq,jrs,pr,qst,tk->ijk", host.comul, host.comul, sig, host.mul, sig,
-        optimize=True,
-    )
+    # both sides share p[j, k, t] = sigma(e_j(1), e_k(1)) (e_j(2) e_k(2))_t
+    p = convolve2(host, sig, host.mul)
+    lhs = np.tensordot(sig, p, axes=([1], [2]))
+    rhs = p @ sig
     checks.append(("cocycle-identity", max_abs(lhs - rhs)))
 
     norm = max(
@@ -212,14 +225,14 @@ def verify_morphism(
     s, t, p = mor.source, mor.target, mor.pi
     checks: list[tuple[str, float]] = []
 
-    prod = np.einsum("ijk,pk->ijp", s.mul, p) - np.einsum(
-        "pi,qj,pqr->ijr", p, p, t.mul, optimize=True
-    )
+    # pulled[i, r, j] = sum_pq p[p, i] p[q, j] t.mul[p, q, r]
+    pulled = np.tensordot(np.tensordot(p, t.mul, axes=([0], [0])), p, axes=([1], [0]))
+    prod = s.mul @ p.T - pulled.transpose(0, 2, 1)
     checks.append(("multiplicative", max_abs(prod)))
     checks.append(("unital", max_abs(p @ s.unit - t.unit)))
 
-    coprod = np.einsum("ki,kpq->ipq", p, t.comul) - np.einsum(
-        "iab,pa,qb->ipq", s.comul, p, p, optimize=True
+    coprod = (p.T @ t.comul.reshape(t.dim, -1)).reshape(s.dim, t.dim, t.dim) - (
+        p @ s.comul @ p.T
     )
     checks.append(("comultiplicative", max_abs(coprod)))
     checks.append(("counital", max_abs(t.counit @ p - s.counit)))
@@ -260,9 +273,8 @@ def w_functional(
 ) -> tuple[DualFunctional, DualFunctional]:
     """The functional a -> sigma(a_(1), antipode(a_(2))) and its inverse."""
     host = cocycle.host
-    w = np.einsum(
-        "ijk,pk,jp->i", host.comul, host.antipode, cocycle.sigma, optimize=True
-    )
+    # w[i] = sum comul[i, j, k] sigma[j, p] antipode[p, k]
+    w = host.comul.reshape(host.dim, -1) @ (cocycle.sigma @ host.antipode).reshape(-1)
     w_fn = DualFunctional(host, w)
     value_at_unit = complex(np.dot(w, host.unit))
     if abs(value_at_unit - 1.0) > 1e3 * ctx.tolerance:
@@ -276,14 +288,7 @@ def v_functional(
     """v = (w^-1 (x) w(antipode_inv .)) against the coproduct, and its inverse."""
     host = cocycle.host
     w_fn, w_inv = w_functional(cocycle, ctx)
-    v = np.einsum(
-        "ijk,j,pk,p->i",
-        host.comul,
-        w_inv.coeffs,
-        host.antipode_inv,
-        w_fn.coeffs,
-        optimize=True,
-    )
+    v = convolve_coeffs(host, w_inv.coeffs, w_fn.coeffs @ host.antipode_inv)
     v_fn = DualFunctional(host, v)
     value_at_unit = complex(np.dot(v, host.unit))
     if abs(value_at_unit - 1.0) > 1e3 * ctx.tolerance:

@@ -21,6 +21,7 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     convolution_matrix,
+    convolve_coeffs,
     dual_star_matrix_apply,
     freeze,
 )
@@ -88,9 +89,7 @@ def haar_invariance_residual(h: HaarState) -> float:
 
 def gram_matrix(algebra: FiniteHopfStarAlgebra, h: HaarState) -> Array:
     """Sesquilinear form g[i, j] = h(e_i* e_j) of the state h."""
-    return np.einsum(
-        "pi,pjw,w->ij", algebra.star, algebra.mul, h.coeffs, optimize=True
-    )
+    return algebra.star.T @ (algebra.mul @ h.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +128,6 @@ class PeterWeylData:
         return np.array(self.blocks[block].q[i, j])
 
 
-def _dual_convolve(host: FiniteHopfStarAlgebra, phi: Array, psi: Array) -> Array:
-    return np.einsum("ijk,j,k->i", host.comul, phi, psi)
-
-
 def _dual_center(host: FiniteHopfStarAlgebra) -> Array:
     n = host.dim
     m = (host.comul - host.comul.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(n * n, n)
@@ -150,7 +145,7 @@ def _random_self_adjoint(
 
 def _act(host: FiniteHopfStarAlgebra, phi: Array) -> Array:
     """Right-translation action of a dual element on the coefficient space."""
-    return np.einsum("kjm,m->jk", host.comul, phi, optimize=True)
+    return (host.comul @ phi).T
 
 
 def _gns_frame(
@@ -185,7 +180,7 @@ def _lagrange_idempotents(
         for beta, mu in enumerate(values):
             if beta == alpha:
                 continue
-            e = (_dual_convolve(host, z, e) - mu * e) / (lam - mu)
+            e = (convolve_coeffs(host, z, e) - mu * e) / (lam - mu)
         idems.append(e)
     return idems
 
@@ -228,7 +223,7 @@ def _split_center(
         idems = _lagrange_idempotents(host, z, values)
         resid = 0.0
         for e in idems:
-            resid = max(resid, max_abs(_dual_convolve(host, e, e) - e))
+            resid = max(resid, max_abs(convolve_coeffs(host, e, e) - e))
         resid = max(resid, max_abs(sum(idems) - host.counit))
         if resid > 1e3 * ctx.tolerance:
             last_error = f"central idempotent residual {resid:.3g}"
@@ -265,7 +260,7 @@ def _block_matrix_units(
         )
     last_error = "no attempt made"
     for _ in range(MAX_RETRIES):
-        y = _dual_convolve(host, e_alpha, _random_self_adjoint(host, dual_basis, rng))
+        y = convolve_coeffs(host, e_alpha, _random_self_adjoint(host, dual_basis, rng))
         y = 0.5 * (y + dual_star_matrix_apply(host, y))
         lmat = block_basis.conj().T @ (s @ _act(host, y) @ s_inv) @ block_basis
         if max_abs(lmat - lmat.conj().T) > 1e-7 * (1.0 + max_abs(lmat)):
@@ -279,7 +274,7 @@ def _block_matrix_units(
         values = [float(c) for c, _ in clusters]
         projections = _lagrange_idempotents(host, y, values)
         # lagrange starts from the counit; cut down to the block
-        projections = [_dual_convolve(host, e_alpha, p) for p in projections]
+        projections = [convolve_coeffs(host, e_alpha, p) for p in projections]
         isometries = [projections[0]]
         ok = True
         for q_idx in range(1, d):
@@ -287,8 +282,8 @@ def _block_matrix_units(
             for b in range(n):
                 probe = np.zeros(n, dtype=np.complex128)
                 probe[b] = 1.0
-                w = _dual_convolve(
-                    host, projections[0], _dual_convolve(host, probe, projections[q_idx])
+                w = convolve_coeffs(
+                    host, projections[0], convolve_coeffs(host, probe, projections[q_idx])
                 )
                 wn = float(np.linalg.norm(w))
                 if wn > best_norm:
@@ -298,7 +293,7 @@ def _block_matrix_units(
                 last_error = "no partial isometry candidate found"
                 break
             w = best
-            ww = _dual_convolve(host, w, dual_star_matrix_apply(host, w))
+            ww = convolve_coeffs(host, w, dual_star_matrix_apply(host, w))
             scale = complex(np.vdot(projections[0], ww)) / complex(
                 np.vdot(projections[0], projections[0])
             )
@@ -315,7 +310,7 @@ def _block_matrix_units(
         units = np.zeros((d, d, n), dtype=np.complex128)
         for p in range(d):
             for q in range(d):
-                units[p, q] = _dual_convolve(
+                units[p, q] = convolve_coeffs(
                     host, dual_star_matrix_apply(host, isometries[p]), isometries[q]
                 )
         resid = _matrix_unit_residual(host, units)
@@ -335,7 +330,7 @@ def _matrix_unit_residual(host: FiniteHopfStarAlgebra, units: Array) -> float:
             resid = max(resid, max_abs(star - units[q, p]))
             for r in range(d):
                 for s in range(d):
-                    prod = _dual_convolve(host, units[p, q], units[r, s])
+                    prod = convolve_coeffs(host, units[p, q], units[r, s])
                     want = units[p, s] if q == r else 0.0
                     resid = max(resid, max_abs(prod - want))
     return resid
@@ -458,17 +453,14 @@ def _rho_data(
     d = q.shape[0]
     n = algebra.dim
     x_elems = np.zeros((d, d, n), dtype=np.complex128)
-    rho = np.zeros((d, d, n), dtype=np.complex128)
     for s in range(d):
         for m in range(d):
             acc = np.zeros(n, dtype=np.complex128)
             for k in range(d):
                 acc += f_matrix[k, s] * algebra.star_of(q[k, m])
             x_elems[s, m] = m_value * acc
-            rho[s, m] = np.einsum(
-                "t,tcw,w->c", x_elems[s, m], algebra.mul, h.coeffs, optimize=True
-            )
-    return x_elems, rho
+    # rho[s, m][c] = sum_tw x_elems[s, m][t] mul[t, c, w] h[w]
+    return x_elems, x_elems @ (algebra.mul @ h.coeffs)
 
 
 def _validate(data: PeterWeylData, ctx: ScalarContext) -> None:

@@ -96,6 +96,7 @@ def _schur_residual(pw: PeterWeylData) -> float:
     host, h = pw.host, pw.haar
     worst = 0.0
     star = host.star
+    state_form = host.mul @ h.coeffs  # [x, z] = h(e_x e_z)
     for ai, ba in enumerate(pw.blocks):
         worst = max(worst, max_abs(ba.f_matrix - np.eye(ba.dimension)))
         worst = max(worst, abs(ba.m_value - ba.dimension))
@@ -103,12 +104,9 @@ def _schur_residual(pw: PeterWeylData) -> float:
             qa, qb = ba.q, bb.q
             qb_star = np.einsum("xy,kly->klx", star, np.conj(qb))
             qa_star = np.einsum("xy,ijy->ijx", star, np.conj(qa))
-            vals1 = np.einsum(
-                "ijx,klz,xzt,t->ijkl", qa, qb_star, host.mul, h.coeffs, optimize=True
-            )
-            vals2 = np.einsum(
-                "ijx,klz,xzt,t->ijkl", qa_star, qb, host.mul, h.coeffs, optimize=True
-            )
+            # vals[i, j, k, l] = h(x[i, j] y[k, l])
+            vals1 = np.tensordot(qa @ state_form, qb_star, axes=([2], [2]))
+            vals2 = np.tensordot(qa_star @ state_form, qb, axes=([2], [2]))
             if ai == bi:
                 d = ba.dimension
                 eye = np.eye(d)
@@ -168,7 +166,9 @@ def _equivariant_volume(
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         t = a @ a.conj().T + 0.25 * np.eye(m)
         chosen[entry["block"]] = t
-        r += np.einsum("st,sax,tay->xy", t, basis, np.conj(basis), optimize=True)
+        # r[x, y] += sum_sua t[s, u] basis[s, a, x] conj(basis[u, a, y])
+        weighted = np.tensordot(t, np.conj(basis), axes=([1], [0]))  # [s, a, y]
+        r += np.tensordot(basis, weighted, axes=([0, 1], [0, 1]))
     return 0.5 * (r + r.conj().T), chosen
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import max_abs, subspace_gap
-from .cocycle import DualCocycle, v_functional, verify_cocycle, w_functional
+from .cocycle import DualCocycle, convolve2, v_functional, verify_cocycle, w_functional
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -22,7 +22,6 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     dual_star,
-    iterated_coproduct,
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
@@ -54,11 +53,11 @@ def twist_algebra(
         raise HostMismatch("cocycle lives on a different host algebra")
     a = algebra
     sig, sig_inv = cocycle.sigma, cocycle.sigma_inv
-    d3 = iterated_coproduct(a, 2)
 
-    mul = np.einsum(
-        "iabc,jdef,ad,bet,cf->ijt", d3, d3, sig, a.mul, sig_inv, optimize=True
-    )
+    # m_sigma = sigma * m * sigma^-1, convolved on the tensor square: with
+    # d3 = iterated_coproduct(a, 2) this is
+    # sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f]
+    mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
 
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = v_functional(cocycle, ctx)
@@ -67,12 +66,10 @@ def twist_algebra(
     # the pairing <a^{*s}, x> = conj<a, kappa_s-dual(x)^*> forces these legs
     w_ds = dual_star(w).coeffs
     w_inv_ds = dual_star(w_inv).coeffs
-    middle = np.einsum("ipqr,p,r->qi", d3, w_inv_ds, w_ds, optimize=True)
-    star = a.star @ np.conj(middle)
+    star = a.star @ np.conj(_sandwich(a, w_inv_ds, w_ds))
 
     # a -> w(a_(1)) antipode(a_(2)) w^{-1}(a_(3))
-    wrapped = np.einsum("ipqr,p,r->qi", d3, w.coeffs, w_inv.coeffs, optimize=True)
-    antipode = a.antipode @ wrapped
+    antipode = a.antipode @ _sandwich(a, w.coeffs, w_inv.coeffs)
     antipode_inv = np.linalg.inv(antipode)
 
     twisted = FiniteHopfStarAlgebra(
@@ -101,6 +98,15 @@ def twist_algebra(
         v=v,
         v_inv=v_inv,
     )
+
+
+def _sandwich(a: FiniteHopfStarAlgebra, left: Array, right: Array) -> Array:
+    """Matrix of x -> left(x_(1)) x_(2) right(x_(3)).
+
+    Entry [q, i] is sum_pr d3[i, p, q, r] left[p] right[r]; d3[i, p, q, r]
+    is sum_s comul[i, p, s] comul[s, q, r], so d3 itself is never formed.
+    """
+    return ((left @ a.comul) @ (a.comul @ right)).T
 
 
 def roundtrip(

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from hopftwist import catalog, verify_cocycle, verify_corep, verify_hopf_axioms
-from hopftwist.errors import InvalidMorphism, UnknownCatalogName
+from hopftwist import (
+    ScalarContext,
+    catalog,
+    verify_cocycle,
+    verify_corep,
+    verify_hopf_axioms,
+)
+from hopftwist.errors import InvalidMorphism, TheoremViolation, UnknownCatalogName
 
 HOSTS = catalog.host_names()
 COCYCLES = catalog.cocycle_names()
@@ -70,6 +76,33 @@ def test_scenes_are_memoized_and_verified(ctx):
         assert scene["triple"].hdim == scene["corep"].hdim
         assert scene["volume"].hdim == scene["corep"].hdim
         assert scene["cocycle"].host is scene["host"]
+
+
+def test_cocycle_verdict_does_not_depend_on_call_order(monkeypatch):
+    # no float64 computation reaches 1e-18, so this request fails on its own
+    tiny = ScalarContext(tolerance=1e-18)
+    for warm_default_first in (False, True):
+        monkeypatch.setattr(catalog, "_cocycles", {})
+        if warm_default_first:
+            assert catalog.cocycle("klein-induced").ctx.tolerance == 1e-9
+        with pytest.raises(TheoremViolation):
+            catalog.cocycle("klein-induced", tiny)
+
+
+def test_memos_are_keyed_by_name_and_context(monkeypatch, ctx):
+    monkeypatch.setattr(catalog, "_cocycles", {})
+    monkeypatch.setattr(catalog, "_scenes", {})
+    equal = ScalarContext(tolerance=ctx.tolerance, seed=ctx.seed)
+    other = ScalarContext(tolerance=ctx.tolerance, seed=ctx.seed + 1)
+    sigma = catalog.cocycle("klein-induced", ctx)
+    assert catalog.cocycle("klein-induced", equal) is sigma
+    assert catalog.cocycle("klein-induced", other).ctx == other
+    scene = catalog.triple_scene("z2z2-torus", ctx)
+    assert catalog.triple_scene("z2z2-torus", equal) is scene
+    rebuilt = catalog.triple_scene("z2z2-torus", other)
+    assert rebuilt is not scene
+    assert rebuilt["cocycle"].ctx == other
+    assert rebuilt["host"] is scene["host"]
 
 
 def test_unknown_names_raise():

@@ -1,32 +1,48 @@
-"""The corep and deform contractions against their docstring formulas.
+"""Every pairwise contraction in the library against its formula.
 
 Each reference is the formula written as one literal ``np.einsum`` with
-``optimize=False``.  The inputs have carrier dimension N different from the
-host dimension n, so a contraction over a swapped axis cannot agree by
-accident: seeded random tensors, over random structure tensors where no
-cocycle is involved, and direct sums of a regular corep with a trivial one.
+``optimize=False``.  The inputs are chosen so that a contraction over a
+swapped axis cannot agree by accident: seeded random tensors, over random
+structure tensors where no cocycle is involved; coreps whose carrier
+dimension N differs from the host dimension n; perturbed catalog hosts; and
+random non-cocycle matrices on a commutative and a cocommutative host.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopftwist
 from hopftwist import (
     DualCocycle,
+    HaarState,
+    QuotientMorphism,
     RTwistedVolume,
     catalog,
     check_volume_preservation,
     cyclic_group,
     direct_product,
     direct_sum,
+    dual_star,
     group_algebra,
     regular_corep,
     rho_sigma,
     trivial_corep,
+    twist_algebra,
     twisted_operator_product,
+    v_functional,
+    verify_cocycle,
     verify_corep,
+    verify_hopf_axioms,
+    verify_morphism,
+    w_functional,
 )
+from hopftwist._linalg import nullspace
+from hopftwist.cocycle import convolution_matrix2, convolve2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor
+from hopftwist.peterweyl import _act, _rho_data, gram_matrix
 
 REL = 1e-12
 
@@ -193,3 +209,218 @@ def test_corep_layer_at_dimension_32(ctx):
     sigma = DualCocycle(host, beta, ctx=ctx)
     # a normalized cocycle has sigma^-1(1, .) = counit, so rho_sigma(1) = 1
     assert np.abs(rho_sigma(corep, sigma, identity) - identity).max() <= ctx.tolerance
+
+
+# ------------------------------------------------ core, cocycle, twist, peterweyl
+
+
+def _perturbed(host, rng, size=0.1):
+    """A catalog host with every tensor moved off the Hopf axioms."""
+    n = host.dim
+
+    def nudge(t):
+        return t + size * _complex(rng, *t.shape)
+
+    return FiniteHopfStarAlgebra(
+        dim=n,
+        basis_labels=host.basis_labels,
+        mul=nudge(host.mul),
+        unit=nudge(host.unit),
+        comul=nudge(host.comul),
+        counit=nudge(host.counit),
+        antipode=nudge(host.antipode),
+        antipode_inv=nudge(host.antipode_inv),
+        star=nudge(host.star),
+    )
+
+
+def _ref_axiom_residuals(a):
+    """The einsum-built axiom residuals, written as literal formulas."""
+
+    def gap(x, y):
+        return np.abs(x - y).max()
+
+    mul, comul, s, star = a.mul, a.comul, a.antipode, a.star
+    target = np.outer(a.counit, a.unit)
+    return {
+        "associativity": gap(
+            np.einsum("ijp,pkl->ijkl", mul, mul), np.einsum("jkq,iql->ijkl", mul, mul)
+        ),
+        "coassociativity": gap(
+            np.einsum("ipc,pab->iabc", comul, comul),
+            np.einsum("iap,pbc->iabc", comul, comul),
+        ),
+        "coproduct-multiplicative": gap(
+            np.einsum("ijc,cab->ijab", mul, comul),
+            np.einsum("ipq,jrs,pra,qsb->ijab", comul, comul, mul, mul, optimize=False),
+        ),
+        "coproduct-star": gap(
+            np.einsum("ji,jab->iab", star, comul),
+            np.einsum("ijk,aj,bk->iab", comul.conj(), star, star, optimize=False),
+        ),
+        "antipode-law": max(
+            gap(np.einsum("ijk,pj,pkl->il", comul, s, mul, optimize=False), target),
+            gap(np.einsum("ijk,pk,jpl->il", comul, s, mul, optimize=False), target),
+        ),
+        "antipode-antimultiplicative": gap(
+            np.einsum("ijk,lk->ijl", mul, s),
+            np.einsum("pj,qi,pql->ijl", s, s, mul, optimize=False),
+        ),
+        "star-antimultiplicative": gap(
+            np.einsum("ijk,lk->ijl", mul.conj(), star),
+            np.einsum("pj,qi,pql->ijl", star, star, mul, optimize=False),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_axiom_residuals_match_their_formulas(name, rng):
+    host = _perturbed(catalog.algebra(name), rng)
+    report = verify_hopf_axioms(host)
+    assert not report.passed
+    for check, want in _ref_axiom_residuals(host).items():
+        assert want > 1e-3
+        assert abs(report.residual(check) - want) <= REL * want, check
+
+
+def test_tensor_square_convolution_matches_its_formula(rng):
+    host = _random_host(rng, 5)
+    comul = host.comul
+    x, y = _complex(rng, 5, 5), _complex(rng, 5, 5)
+    xt, yt = _complex(rng, 5, 5, 3), _complex(rng, 5, 5, 3)
+    want = np.einsum("iab,jcd,ac,bd->ij", comul, comul, x, y, optimize=False)
+    assert _relative_error(convolve2(host, x, y), want) <= REL
+    # a trailing axis on either factor is carried to the end of the result
+    want = np.einsum("iab,jcd,act,bd->ijt", comul, comul, xt, y, optimize=False)
+    assert _relative_error(convolve2(host, xt, y), want) <= REL
+    want = np.einsum("iab,jcd,ac,bdt->ijt", comul, comul, x, yt, optimize=False)
+    assert _relative_error(convolve2(host, x, yt), want) <= REL
+    want = np.einsum("iab,jcd,ac->ijbd", comul, comul, x, optimize=False)
+    assert _relative_error(convolution_matrix2(host, x), want.reshape(25, 25)) <= REL
+    applied = convolution_matrix2(host, x) @ y.reshape(-1)
+    assert _relative_error(applied, convolve2(host, x, y).reshape(-1)) <= REL
+
+
+@pytest.mark.parametrize("name", ("c-d4", "g-d4"))
+def test_cocycle_residuals_match_their_formulas_off_a_cocycle(name, rng, ctx):
+    # c-d4 has a commutative product, g-d4 a cocommutative coproduct, so a
+    # swapped leg or input shows on one of them
+    host = catalog.algebra(name)
+    cocycle = DualCocycle(host, _complex(rng, host.dim, host.dim), ctx=ctx)
+    comul, mul, sig, inv = host.comul, host.mul, cocycle.sigma, cocycle.sigma_inv
+    report = verify_cocycle(cocycle, ctx)
+    lhs = np.einsum("jpq,krs,pr,qst,it->ijk", comul, comul, sig, mul, sig, optimize=False)
+    rhs = np.einsum("ipq,jrs,pr,qst,tk->ijk", comul, comul, sig, mul, sig, optimize=False)
+    want = np.abs(lhs - rhs).max()
+    assert want > 1e-3
+    assert abs(report.residual("cocycle-identity") - want) <= REL * want
+    eye2 = np.outer(host.counit, host.counit)
+    two_sided = max(
+        np.abs(np.einsum("iab,jcd,ac,bd->ij", comul, comul, a, b, optimize=False) - eye2).max()
+        for a, b in ((sig, inv), (inv, sig))
+    )
+    assert report.residual("inverse-two-sided") <= ctx.tolerance
+    assert abs(report.residual("inverse-two-sided") - two_sided) <= 1e-14
+
+
+def _complex_basis(host, sigma, rng):
+    """The same host and cocycle in a complex, non-unitary basis.
+
+    Catalog tensors are real and their antipodes symmetric; in this basis a
+    missing conjugate or transpose changes the result.
+    """
+    p = np.eye(host.dim) + 0.1 * _complex(rng, host.dim, host.dim)
+    rebased = _rebased(host, p)
+    return rebased, DualCocycle(rebased, p.T @ sigma @ p)
+
+
+def _ref_twist(host, cocycle, w, w_inv):
+    d3 = np.einsum("iap,pbc->iabc", host.comul, host.comul)
+    mul = np.einsum(
+        "iabc,jdef,ad,bet,cf->ijt", d3, d3, cocycle.sigma, host.mul, cocycle.sigma_inv,
+        optimize=False,
+    )
+    w_ds, w_inv_ds = dual_star(w).coeffs, dual_star(w_inv).coeffs
+    middle = np.einsum("ipqr,p,r->qi", d3, w_inv_ds, w_ds, optimize=False)
+    wrapped = np.einsum("ipqr,p,r->qi", d3, w.coeffs, w_inv.coeffs, optimize=False)
+    return mul, host.star @ middle.conj(), host.antipode @ wrapped
+
+
+@pytest.mark.parametrize(
+    "name,sigma_name", (("c-d4", "klein-induced"), ("c-z2z2", "klein-fourier"))
+)
+def test_twisted_structure_matches_its_formula(name, sigma_name, rng, ctx):
+    sigma = catalog.cocycle(sigma_name, ctx).sigma
+    host, cocycle = _complex_basis(catalog.algebra(name), sigma, rng)
+    tw = twist_algebra(host, cocycle, ctx)
+    mul, star, antipode = _ref_twist(host, cocycle, tw.w, tw.w_inv)
+    assert _relative_error(tw.twisted.mul, mul) <= REL
+    assert _relative_error(tw.twisted.star, star) <= REL
+    assert _relative_error(tw.twisted.antipode, antipode) <= REL
+
+
+def test_w_and_v_match_their_formulas(rng, ctx):
+    # any sigma with w(1) = 1 will do; w is linear in sigma
+    host, cocycle = _complex_basis(catalog.algebra("c-d4"), _complex(rng, 8, 8), rng)
+    raw = np.einsum("ijk,pk,jp->i", host.comul, host.antipode, cocycle.sigma, optimize=False)
+    cocycle = DualCocycle(host, cocycle.sigma / (raw @ host.unit))
+    w, w_inv = w_functional(cocycle, ctx)
+    want = np.einsum("ijk,pk,jp->i", host.comul, host.antipode, cocycle.sigma, optimize=False)
+    assert _relative_error(w.coeffs, want) <= REL
+    v, _ = v_functional(cocycle, ctx)
+    want = np.einsum(
+        "ijk,j,pk,p->i", host.comul, w_inv.coeffs, host.antipode_inv, w.coeffs,
+        optimize=False,
+    )
+    assert _relative_error(v.coeffs, want) <= REL
+
+
+def test_morphism_residuals_match_their_formulas(rng):
+    # a max-norm residual can land on an entry a swapped axis leaves fixed,
+    # so several draws are compared
+    for _ in range(4):
+        source, target = _random_host(rng, 7), _random_host(rng, 5)
+        p = _complex(rng, 5, 7)
+        report = verify_morphism(QuotientMorphism(source, target, p))
+        prod = np.einsum("ijk,pk->ijp", source.mul, p) - np.einsum(
+            "pi,qj,pqr->ijr", p, p, target.mul, optimize=False
+        )
+        coprod = np.einsum("ki,kpq->ipq", p, target.comul) - np.einsum(
+            "iab,pa,qb->ipq", source.comul, p, p, optimize=False
+        )
+        for check, diff in (("multiplicative", prod), ("comultiplicative", coprod)):
+            want = np.abs(diff).max()
+            assert abs(report.residual(check) - want) <= REL * want
+
+
+def test_state_form_and_translation_match_their_formulas(rng):
+    host = _random_host(rng, 6)
+    h = HaarState(host, _complex(rng, 6))
+    want = np.einsum("pi,pjw,w->ij", host.star, host.mul, h.coeffs, optimize=False)
+    assert _relative_error(gram_matrix(host, h), want) <= REL
+    phi = _complex(rng, 6)
+    assert _relative_error(_act(host, phi), np.einsum("kjm,m->jk", host.comul, phi)) <= REL
+    # a Haar state is tracial, so only a non-Hopf input tells h(x y) from h(y x)
+    q, f = _complex(rng, 2, 2, 6), _complex(rng, 2, 2)
+    x_elems, rho = _rho_data(host, h, q, f, 1.5)
+    want = 1.5 * np.einsum("ks,xy,kmy->smx", f, host.star, q.conj(), optimize=False)
+    assert _relative_error(x_elems, want) <= REL
+    want = np.einsum("smt,tcw,w->smc", want, host.mul, h.coeffs, optimize=False)
+    assert _relative_error(rho, want) <= REL
+
+
+@pytest.mark.parametrize("rows,cols,rank", ((12, 5, 3), (6, 6, 4), (3, 8, 3), (5, 4, 0)))
+def test_nullspace_keeps_every_kernel_vector(rows, cols, rank, rng):
+    m = _complex(rng, rows, rank) @ _complex(rng, rank, cols)
+    kernel = nullspace(m)
+    assert kernel.shape == (cols, cols - rank)
+    assert np.abs(m @ kernel).max() <= 1e-12 * max(1.0, np.abs(m).max())
+    assert np.abs(kernel.conj().T @ kernel - np.eye(cols - rank)).max() <= 1e-12
+
+
+def test_library_sources_fix_every_contraction_path():
+    # optimize=True searches a path per call and may pick an O(n^6) or an
+    # n^5-entry one; every contraction is written out pairwise instead
+    src = Path(hopftwist.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if "optimize=True" in p.read_text()]
+    assert offenders == []
