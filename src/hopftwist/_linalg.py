@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import numpy as np
 
 
@@ -23,6 +25,81 @@ def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     cutoff = rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
+
+
+def solve_within_condition(
+    lmat: np.ndarray,
+    rhs: np.ndarray,
+    limit: float,
+    approx_inverse: Callable[[np.ndarray], Iterable[np.ndarray]],
+) -> np.ndarray | None:
+    """Solve lmat @ y = rhs when cond2(lmat) <= limit; None when it is not.
+
+    The verdict is the exact rule s[-1] > 0 and s[0] / s[-1] <= limit on the
+    singular values s of lmat, but the SVD runs only when the certified bound
+    of condition_bound is inconclusive.  approx_inverse(y) yields, left to
+    right, the column blocks of a matrix meant to approximate lmat^-1.
+    """
+    try:
+        y = np.linalg.solve(lmat, rhs)
+    except np.linalg.LinAlgError:
+        y = None
+    if y is not None and condition_bound(lmat, approx_inverse(y)) <= limit:
+        return y
+    s = np.linalg.svd(lmat, compute_uv=False)
+    if not (s[-1] > 0 and s[0] / s[-1] <= limit):
+        return None
+    return y if y is not None else np.linalg.solve(lmat, rhs)
+
+
+def condition_bound(lmat: np.ndarray, blocks: Iterable[np.ndarray]) -> float:
+    """Upper bound on cond2(lmat) from an approximate inverse M, else inf.
+
+    M arrives as column blocks, so no second square matrix is ever alive.
+    With E = lmat M - I and ||E||_F < 1, lmat is invertible,
+    lmat^-1 = M (I + E)^-1 and cond2(lmat) <= ||lmat||_F ||M||_F / (1 - ||E||_F)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6
+    and 14).  ||E||_F is widened by the rounding bound of the product, and
+    the bound is inf unless that widened norm is below 1/2.
+
+    An operator that is real up to rounding, as for any real-valued cocycle,
+    is multiplied by its real part only, a quarter of the complex work; the
+    dropped parts add ||Li||_F ||Mr||_F + ||L||_F ||Mi||_F to ||E||_F.
+    """
+    m = lmat.shape[0]
+    l_norm = np.sqrt(_frob_sq(lmat))
+    li_norm = np.sqrt(_frob_sq(lmat.imag))
+    lreal = np.ascontiguousarray(lmat.real) if li_norm <= _REAL_RTOL * l_norm else None
+    e_sq = mr_sq = mi_sq = 0.0
+    col = 0
+    for block in blocks:
+        width = block.shape[1]
+        if lreal is None:
+            resid = lmat @ block
+        else:
+            resid = lreal @ np.ascontiguousarray(block.real)
+        resid[col + np.arange(width), np.arange(width)] -= 1.0
+        e_sq += _frob_sq(resid)
+        mr_sq += _frob_sq(block.real)
+        mi_sq += _frob_sq(block.imag)
+        col += width
+    if col != m:
+        raise ValueError(f"approximate inverse has {col} columns, expected {m}")
+    m_norm = np.sqrt(mr_sq + mi_sq)
+    dropped = 0.0 if lreal is None else li_norm * np.sqrt(mr_sq) + l_norm * np.sqrt(mi_sq)
+    slack = 4 * (m + 2) * np.finfo(float).eps
+    e_norm = np.sqrt(e_sq) + dropped + slack * l_norm * m_norm
+    if not e_norm < 0.5:
+        return float("inf")
+    return float((1.0 + slack) * l_norm * m_norm / (1.0 - e_norm))
+
+
+# relative size of an imaginary part below which an operator counts as real
+_REAL_RTOL = 2.0**-26
+
+
+def _frob_sq(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:

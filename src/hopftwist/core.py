@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs
+from ._linalg import max_abs, solve_within_condition
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -178,12 +178,14 @@ def convolution_inverse(phi: DualFunctional, ctx: ScalarContext = DEFAULT_CONTEX
     """Convolution inverse, solving (phi * x) = counit by a linear solve."""
     host = phi.host
     lmat = convolution_matrix(host, phi.coeffs)
-    s = np.linalg.svd(lmat, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > 1.0 / ctx.tolerance:
+    # with a coassociative host, psi -> phi^-1 * psi inverts lmat
+    x = solve_within_condition(
+        lmat, host.counit, 1.0 / ctx.tolerance, lambda y: [convolution_matrix(host, y)]
+    )
+    if x is None:
         raise NotConvolutionInvertible(
             f"left convolution operator has condition number above {1.0 / ctx.tolerance:.3g}"
         )
-    x = np.linalg.solve(lmat, host.counit)
     inv = DualFunctional(host, x)
     left = convolve(phi, inv).coeffs - host.counit
     right = convolve(inv, phi).coeffs - host.counit

@@ -102,12 +102,11 @@ class PeterWeylBlock:
     f_matrix: Array  # (d, d) positive
     m_value: float
     rho: Array  # (d, d, n) functional coefficients of rho[s, m]
-    x_elements: Array  # (d, d, n) algebra elements behind rho
     central_idempotent: Array  # (n,) functional coefficients
     is_trivial: bool
 
     def __post_init__(self):
-        for name in ("matrix_units", "q", "f_matrix", "rho", "x_elements", "central_idempotent"):
+        for name in ("matrix_units", "q", "f_matrix", "rho", "central_idempotent"):
             object.__setattr__(self, name, freeze(getattr(self, name)))
 
 
@@ -381,7 +380,7 @@ def decompose(
                 q[p, r] = q_cols[:, offset + p * d + r]
         offset += d * d
         f_matrix, m_value = _f_matrix(algebra, h, q, ctx)
-        x_elems, rho = _rho_data(algebra, h, q, f_matrix, m_value)
+        _, rho = _rho_data(algebra, h, q, f_matrix, m_value)
         resid = max_abs(rho - units)
         if not ctx.close(resid):
             raise DecompositionError(
@@ -397,7 +396,6 @@ def decompose(
                 f_matrix=f_matrix,
                 m_value=m_value,
                 rho=rho,
-                x_elements=x_elems,
                 central_idempotent=e_alpha,
                 is_trivial=is_trivial,
             )

@@ -23,6 +23,7 @@ from .cocycle import DualCocycle, verify_cocycle
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
+    FiniteHopfStarAlgebra,
     ScalarContext,
     convolve,
     dual_star,
@@ -63,14 +64,14 @@ class _Workspace:
 
     def __init__(self, ctx: ScalarContext):
         self.ctx = ctx
-        self._pw: dict[int, PeterWeylData] = {}
+        # hosts hash by identity and stay alive as keys, so no entry is stale
+        self._pw: dict[FiniteHopfStarAlgebra, PeterWeylData] = {}
         self._twists: dict[str, object] = {}
 
-    def peter_weyl(self, algebra) -> PeterWeylData:
-        key = id(algebra)
-        if key not in self._pw:
-            self._pw[key] = decompose(algebra, haar_state(algebra, self.ctx), self.ctx)
-        return self._pw[key]
+    def peter_weyl(self, algebra: FiniteHopfStarAlgebra) -> PeterWeylData:
+        if algebra not in self._pw:
+            self._pw[algebra] = decompose(algebra, haar_state(algebra, self.ctx), self.ctx)
+        return self._pw[algebra]
 
     def twist(self, cocycle_name: str):
         if cocycle_name not in self._twists:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import max_abs, subspace_gap
-from .cocycle import DualCocycle, convolve2, v_functional, verify_cocycle, w_functional
+from .cocycle import DualCocycle, _v_from_w, convolve2, verify_cocycle, w_functional
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -60,7 +60,7 @@ def twist_algebra(
     mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
 
     w, w_inv = w_functional(cocycle, ctx)
-    v, v_inv = v_functional(cocycle, ctx)
+    v, v_inv = _v_from_w(w, w_inv, ctx)
 
     # the involution sandwich needs the convolution-* of W, not W itself:
     # the pairing <a^{*s}, x> = conj<a, kappa_s-dual(x)^*> forces these legs

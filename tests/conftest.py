@@ -14,3 +14,17 @@ def ctx():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

@@ -4,17 +4,22 @@ import pytest
 from hopftwist import (
     DualCocycle,
     QuotientMorphism,
+    FiniteHopfStarAlgebra,
+    ScalarContext,
     catalog,
+    dihedral_group,
     from_bicharacter,
+    group_algebra,
     induce,
     klein_four_group,
     trivial_cocycle,
+    twist_algebra,
     v_functional,
     verify_cocycle,
     verify_morphism,
     w_functional,
 )
-from hopftwist.cocycle import convolve2, dual_star2, identity2, invert2
+from hopftwist.cocycle import convolution_matrix2, convolve2, dual_star2, identity2, invert2
 from hopftwist.core import DualFunctional, convolve
 from hopftwist.errors import (
     HostMismatch,
@@ -157,3 +162,140 @@ def test_v_composes_w_inverse_with_w_through_the_inverse_antipode(ctx):
     w_kappa = DualFunctional(host, host.antipode_inv.T @ w.coeffs)
     composed = convolve(w_inv, w_kappa).coeffs
     assert np.abs(v.coeffs - composed).max() <= 1e-9
+
+
+# --- the condition check of invert2 against the literal SVD rule ---------------
+
+TOLERANCES = (1e-3, 1e-9, 1e-12)
+
+
+def _svd_rule(lmat, tol):
+    s = np.linalg.svd(lmat, compute_uv=False)
+    return bool(s[-1] > 0 and s[0] / s[-1] <= 1.0 / tol)
+
+
+def _invert2_accepts(host, x, ctx):
+    """False exactly when invert2's condition check rejects the operator; a
+    later residual failure means the check itself accepted."""
+    try:
+        invert2(host, x, ctx)
+    except InvalidInverse as exc:
+        if "singular" in str(exc):
+            return False
+    return True
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the exact SVD rule ran")
+
+
+def _diagonal_operand(host, rng, smallest, complex_phases):
+    """x on a group algebra, where the operator is diag(x): all |x| = 1 but
+    one entry of modulus smallest, so cond2 = 1/smallest exactly."""
+    mod = np.ones((host.dim, host.dim))
+    mod[1, 2] = smallest
+    if not complex_phases:
+        return mod * rng.choice([-1.0, 1.0], size=mod.shape)
+    return mod * np.exp(2j * np.pi * rng.random(mod.shape))
+
+
+def _catalog_sigmas(ctx):
+    out = [(name, catalog.cocycle(name, ctx)) for name in catalog.cocycle_names()]
+    out += [(name, catalog.triple_scene(name, ctx)["cocycle"]) for name in catalog.triple_names()]
+    return out
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_invert2_certifies_catalog_cocycles_without_svd(ctx, tol, monkeypatch):
+    strict = ScalarContext(tolerance=tol, seed=ctx.seed)
+    cases = []
+    for name, sigma in _catalog_sigmas(ctx):
+        cases.append((name, sigma.host, sigma.sigma, sigma.sigma_inv))
+        # the inverse cocycle on the twisted algebra, as roundtrip builds it
+        twisted = twist_algebra(sigma.host, sigma, ctx).twisted
+        cases.append((f"{name}^-1", twisted, sigma.sigma_inv, sigma.sigma))
+    for name, host, x, _ in cases:
+        assert _svd_rule(convolution_matrix2(host, x), tol), name
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    for name, host, x, want in cases:
+        inv = invert2(host, x, strict)
+        assert np.abs(inv - want).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("complex_phases", (False, True))
+def test_invert2_falls_back_to_svd_below_the_limit(tol, complex_phases, rng, svd_calls):
+    host = group_algebra(dihedral_group(4))
+    n2 = host.dim**2
+    x = _diagonal_operand(host, rng, 2.0 * tol, complex_phases)
+    cond = 0.5 / tol
+    assert (1.0 / tol) / n2 < cond < 1.0 / tol
+    ctx = ScalarContext(tolerance=tol)
+    inv = invert2(host, x, ctx)
+    assert (n2, n2) in svd_calls
+    assert _svd_rule(convolution_matrix2(host, x), tol)
+    assert np.abs(inv * x - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("complex_phases", (False, True))
+def test_invert2_rejects_above_the_limit(tol, complex_phases, rng):
+    host = group_algebra(dihedral_group(4))
+    x = _diagonal_operand(host, rng, 0.5 * tol, complex_phases)
+    assert not _svd_rule(convolution_matrix2(host, x), tol)
+    with pytest.raises(InvalidInverse, match="singular"):
+        invert2(host, x, ScalarContext(tolerance=tol))
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_invert2_verdict_at_the_edge_of_the_limit(tol, rng):
+    host = group_algebra(dihedral_group(4))
+    x = _diagonal_operand(host, rng, 0.5 * tol, True)
+    cond = 1.0 / abs(x[1, 2])
+    for edge in (1.0 - 1e-6, 1.0 + 1e-6):
+        ctx = ScalarContext(tolerance=edge / cond)
+        lmat = convolution_matrix2(host, x)
+        assert _invert2_accepts(host, x, ctx) == _svd_rule(lmat, ctx.tolerance) == (edge < 1)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_invert2_rejects_exactly_singular_operands(tol, rng):
+    ctx = ScalarContext(tolerance=tol)
+    host = group_algebra(dihedral_group(4))
+    x = _diagonal_operand(host, rng, 0.0, True)
+    for h, operand in ((host, x), (catalog.algebra("c-s3"), np.zeros((6, 6)))):
+        assert not _svd_rule(convolution_matrix2(h, operand), tol)
+        with pytest.raises(InvalidInverse, match="singular"):
+            invert2(h, operand, ctx)
+
+
+def _random_host(rng, n):
+    """Random structure tensors: no Hopf axiom holds, not even coassociativity."""
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return FiniteHopfStarAlgebra(
+        dim=n,
+        basis_labels=tuple(str(i) for i in range(n)),
+        mul=cplx(n, n, n),
+        unit=cplx(n),
+        comul=cplx(n, n, n),
+        counit=cplx(n),
+        antipode=cplx(n, n),
+        antipode_inv=cplx(n, n),
+        star=cplx(n, n),
+    )
+
+
+def test_invert2_verdict_matches_the_svd_rule_on_random_hosts(rng):
+    for _ in range(6):
+        host = _random_host(rng, 3)
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        lmat = convolution_matrix2(host, x)
+        s = np.linalg.svd(lmat, compute_uv=False)
+        cond = s[0] / s[-1]
+        tols = TOLERANCES + ((1.0 - 1e-6) / cond, (1.0 + 1e-6) / cond)
+        for tol in tols:
+            ctx = ScalarContext(tolerance=tol)
+            assert _invert2_accepts(host, x, ctx) == _svd_rule(lmat, tol), (cond, tol)

@@ -5,16 +5,22 @@ from hypothesis import strategies as st
 
 from hopftwist import (
     DualFunctional,
+    FiniteHopfStarAlgebra,
+    catalog,
     convolution_inverse,
     convolve,
+    dihedral_group,
     dual_star,
     function_algebra,
     group_algebra,
     iterated_coproduct,
     klein_four_group,
     symmetric_group_3,
+    v_functional,
     verify_hopf_axioms,
+    w_functional,
 )
+from hopftwist._linalg import condition_bound
 from hopftwist.core import ScalarContext, convolution_matrix, freeze
 from hopftwist.errors import DimensionMismatch, NotConvolutionInvertible
 
@@ -145,3 +151,132 @@ def test_convolution_is_associative_on_basis_functionals(i, j):
     lhs = convolve(convolve(a, b), c).coeffs
     rhs = convolve(a, convolve(b, c)).coeffs
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# --- the condition check of convolution_inverse against the literal SVD rule ---
+
+TOLERANCES = (1e-3, 1e-9, 1e-12)
+
+
+def _svd_rule(lmat, tol):
+    s = np.linalg.svd(lmat, compute_uv=False)
+    return bool(s[-1] > 0 and s[0] / s[-1] <= 1.0 / tol)
+
+
+def _inverse_accepts(phi, ctx):
+    """False exactly when the condition check rejects the operator; a later
+    residual failure means the check itself accepted."""
+    try:
+        convolution_inverse(phi, ctx)
+    except NotConvolutionInvertible as exc:
+        if "condition number" in str(exc):
+            return False
+    return True
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the exact SVD rule ran")
+
+
+def _diagonal_functional(host, rng, smallest):
+    """phi on a group algebra, where the operator is diag(phi): all |phi| = 1
+    but one entry of modulus smallest, so cond2 = 1/smallest exactly."""
+    mod = np.ones(host.dim)
+    mod[3] = smallest
+    return DualFunctional(host, mod * np.exp(2j * np.pi * rng.random(host.dim)))
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_convolution_inverse_certifies_catalog_functionals_without_svd(ctx, tol, monkeypatch):
+    strict = ScalarContext(tolerance=tol, seed=ctx.seed)
+    pairs = []
+    for name in catalog.cocycle_names():
+        sigma = catalog.cocycle(name, ctx)
+        pairs += [w_functional(sigma, ctx), v_functional(sigma, ctx)]
+    for phi, _ in pairs:
+        assert _svd_rule(convolution_matrix(phi.host, phi.coeffs), tol)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    for phi, want in pairs:
+        assert np.abs(convolution_inverse(phi, strict).coeffs - want.coeffs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_convolution_inverse_falls_back_to_svd_below_the_limit(tol, rng, svd_calls):
+    host = group_algebra(dihedral_group(4))
+    phi = _diagonal_functional(host, rng, 2.0 * tol)
+    assert (1.0 / tol) / host.dim < 0.5 / tol < 1.0 / tol
+    inv = convolution_inverse(phi, ScalarContext(tolerance=tol))
+    assert (host.dim, host.dim) in svd_calls
+    assert _svd_rule(convolution_matrix(host, phi.coeffs), tol)
+    assert np.abs(inv.coeffs * phi.coeffs - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_convolution_inverse_rejects_above_the_limit(tol, rng):
+    host = group_algebra(dihedral_group(4))
+    phi = _diagonal_functional(host, rng, 0.5 * tol)
+    assert not _svd_rule(convolution_matrix(host, phi.coeffs), tol)
+    with pytest.raises(NotConvolutionInvertible, match="condition number"):
+        convolution_inverse(phi, ScalarContext(tolerance=tol))
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_convolution_inverse_rejects_exactly_singular_functionals(tol, rng):
+    ctx = ScalarContext(tolerance=tol)
+    singular = (
+        _diagonal_functional(group_algebra(dihedral_group(4)), rng, 0.0),
+        DualFunctional(function_algebra(symmetric_group_3()), np.zeros(6)),
+    )
+    for phi in singular:
+        assert not _svd_rule(convolution_matrix(phi.host, phi.coeffs), tol)
+        with pytest.raises(NotConvolutionInvertible, match="condition number"):
+            convolution_inverse(phi, ctx)
+
+
+def test_convolution_inverse_verdict_matches_the_svd_rule_on_random_hosts(rng):
+    n = 5
+    for _ in range(6):
+        comul = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+        host = FiniteHopfStarAlgebra(
+            dim=n,
+            basis_labels=tuple(str(i) for i in range(n)),
+            mul=comul.transpose(1, 2, 0),
+            unit=rng.normal(size=n),
+            comul=comul,
+            counit=rng.normal(size=n) + 1j * rng.normal(size=n),
+            antipode=np.eye(n),
+            antipode_inv=np.eye(n),
+            star=np.eye(n),
+        )
+        phi = DualFunctional(host, rng.normal(size=n) + 1j * rng.normal(size=n))
+        lmat = convolution_matrix(host, phi.coeffs)
+        s = np.linalg.svd(lmat, compute_uv=False)
+        cond = s[0] / s[-1]
+        for tol in TOLERANCES + ((1.0 - 1e-6) / cond, (1.0 + 1e-6) / cond):
+            ctx = ScalarContext(tolerance=tol)
+            assert _inverse_accepts(phi, ctx) == _svd_rule(lmat, tol), (cond, tol)
+
+
+@pytest.mark.parametrize("width", (1, 3, 16))
+@pytest.mark.parametrize("imag_scale", (1.0, 1e-17, 0.0))
+def test_condition_bound_never_undercuts_the_condition_number(rng, width, imag_scale):
+    m = 16
+    for _ in range(5):
+        lmat = rng.normal(size=(m, m)) + imag_scale * 1j * rng.normal(size=(m, m))
+        approx = np.linalg.inv(lmat) * (1.0 + 1e-6 * rng.normal(size=(m, m)))
+        blocks = [approx[:, c:c + width] for c in range(0, m, width)]
+        bound = condition_bound(lmat, blocks)
+        cond = np.linalg.cond(lmat)
+        assert cond <= bound < m * cond
+        assert np.isclose(bound, condition_bound(lmat, [approx]), rtol=1e-9)
+    assert condition_bound(lmat, [np.zeros((m, m))]) == np.inf
+    with pytest.raises(ValueError):
+        condition_bound(lmat, [approx[:, :-1]])
+
+
+def test_condition_bound_widens_by_the_residual_and_gives_up_at_one_half():
+    lmat = np.diag([1.0, 1e-3]).astype(np.complex128)
+    inv = np.diag([1.0, 1e3])
+    # M = t lmat^-1 leaves E = (t - 1) I, so ||E||_F = |t - 1| sqrt(2)
+    assert condition_bound(lmat, [0.7 * inv]) >= 1e3
+    assert condition_bound(lmat, [0.6 * inv]) == np.inf

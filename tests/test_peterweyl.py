@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopftwist import catalog, decompose, haar_state
+from hopftwist import catalog, decompose, function_algebra, haar_state, symmetric_group_3
 from hopftwist.core import DualFunctional, convolve
 from hopftwist.errors import NotErgodic
 from hopftwist.peterweyl import (
@@ -10,6 +10,7 @@ from hopftwist.peterweyl import (
     modular_operator,
     rho_functionals,
 )
+from hopftwist.suite import _Workspace
 
 HOSTS = catalog.host_names()
 
@@ -155,3 +156,15 @@ def test_haar_rejects_unitless_tensors(ctx):
     )
     with pytest.raises(NotErgodic):
         haar_state(broken, ctx)
+
+
+def test_suite_workspace_keeps_one_decomposition_per_host_object(ctx):
+    ws = _Workspace(ctx)
+    host = catalog.algebra("c-s3")
+    pw = ws.peter_weyl(host)
+    assert pw.host is host
+    assert ws.peter_weyl(host) is pw
+    # equal tensors in another object: hosts are told apart by identity
+    twin = function_algebra(symmetric_group_3())
+    assert ws.peter_weyl(twin).host is twin
+    assert ws.peter_weyl(host) is pw

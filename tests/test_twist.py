@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import hopftwist.cocycle as cocycle_module
+import hopftwist.twist as twist_module
 from hopftwist import (
     DualCocycle,
     catalog,
@@ -12,6 +14,7 @@ from hopftwist import (
     roundtrip,
     twist_algebra,
     twist_corep,
+    v_functional,
     verify_hopf_axioms,
 )
 from hopftwist.errors import HostMismatch
@@ -141,3 +144,21 @@ def test_double_twist_by_sigma_inverse_composes_to_identity(ctx):
     )
     assert np.abs(back.twisted.mul - host.mul).max() <= 1e-9
     assert np.abs(back.twisted.star - host.star).max() <= 1e-9
+
+
+def test_twist_computes_w_once_and_v_as_v_functional_does(ctx, monkeypatch):
+    sigma = catalog.cocycle("klein-induced", ctx)
+    calls = []
+    w_functional = cocycle_module.w_functional
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return w_functional(*args, **kwargs)
+
+    monkeypatch.setattr(cocycle_module, "w_functional", counting)
+    monkeypatch.setattr(twist_module, "w_functional", counting)
+    tw = twist_algebra(sigma.host, sigma, ctx)
+    assert len(calls) == 1
+    v, v_inv = v_functional(sigma, ctx)
+    assert np.array_equal(tw.v.coeffs, v.coeffs)
+    assert np.array_equal(tw.v_inv.coeffs, v_inv.coeffs)
