@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import max_abs
 from .cocycle import (
     DualCocycle,
     QuotientMorphism,
@@ -388,8 +387,3 @@ def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
     }
     _scenes[name, ctx] = scene
     return scene
-
-
-def dirac_catalog(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> SpectralTriple:
-    """The spectral triple of a named scene."""
-    return triple_scene(name, ctx)["triple"]

@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog
 from .cocycle import DualCocycle, induce, verify_cocycle
 from .core import ScalarContext
-from .corep import UnitaryCorep, regular_corep, verify_corep
+from .corep import regular_corep, verify_corep
 from .deform import check_membership, deform_triple
 from .errors import InputError, MathCheckError
 from .peterweyl import decompose, haar_invariance_residual, haar_state

@@ -136,9 +136,6 @@ class DualCocycle:
                 )
         object.__setattr__(self, "sigma_inv", freeze(inv))
 
-    def value(self, a: Array, b: Array) -> complex:
-        return complex(a @ self.sigma @ b)
-
 
 def trivial_cocycle(host: FiniteHopfStarAlgebra) -> DualCocycle:
     return DualCocycle(host, identity2(host))
@@ -239,9 +236,6 @@ class QuotientMorphism:
                 f"{(self.target.dim, self.source.dim)}"
             )
         object.__setattr__(self, "pi", p)
-
-    def apply(self, x: Array) -> Array:
-        return self.pi @ np.asarray(x, dtype=np.complex128)
 
 
 def verify_morphism(

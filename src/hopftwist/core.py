@@ -91,31 +91,11 @@ class FiniteHopfStarAlgebra:
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
 
-    def basis_vector(self, i: int) -> Array:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[i] = 1.0
-        return v
-
     def product(self, x: Array, y: Array) -> Array:
         return np.einsum("i,j,ijk->k", x, y, self.mul)
 
     def star_of(self, x: Array) -> Array:
         return self.star @ np.conj(x)
-
-    def antipode_of(self, x: Array) -> Array:
-        return self.antipode @ x
-
-    def antipode_inv_of(self, x: Array) -> Array:
-        return self.antipode_inv @ x
-
-    def counit_of(self, x: Array) -> complex:
-        return complex(np.dot(self.counit, x))
-
-    def coproduct_of(self, x: Array) -> Array:
-        return np.einsum("i,ijk->jk", x, self.comul)
-
-    def dual_identity(self) -> "DualFunctional":
-        return DualFunctional(self, self.counit)
 
 
 def iterated_coproduct(algebra: FiniteHopfStarAlgebra, k: int) -> Array:
@@ -147,9 +127,6 @@ class DualFunctional:
 
     def __call__(self, x: Array) -> complex:
         return complex(np.dot(self.coeffs, x))
-
-    def __mul__(self, other: "DualFunctional") -> "DualFunctional":
-        return convolve(self, other)
 
 
 def pair(a: Array, phi: DualFunctional) -> complex:
@@ -234,12 +211,6 @@ class AxiomReport:
 
     def failing(self) -> tuple[str, ...]:
         return tuple(name for name, r in self.checks if r > self.tolerance)
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {"check": name, "residual": r, "passed": bool(r <= self.tolerance)}
-            for name, r in self.checks
-        ]
 
 
 def _gap(fresh: Array, other) -> float:

@@ -173,12 +173,6 @@ class SpectralDecomposition:
     entries: tuple[dict, ...]  # keys: block, multiplicity, basis (m, d, N)
     residual: float
 
-    def multiplicity(self, block: int) -> int:
-        for entry in self.entries:
-            if entry["block"] == block:
-                return entry["multiplicity"]
-        return 0
-
 
 def decompose_corep(
     corep: UnitaryCorep, pw: PeterWeylData, ctx: ScalarContext = DEFAULT_CONTEXT

@@ -321,11 +321,10 @@ def _block_refined_basis(
 
 @dataclass(frozen=True, eq=False)
 class DeformedAlgebra:
-    """Images of a spectral basis under rho_sigma, with the closure flag."""
+    """Images of a spectral basis under rho_sigma."""
 
     images: tuple[Array, ...]
     labels: tuple[str, ...]
-    generated: bool
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(freeze(m) for m in self.images))
@@ -407,9 +406,7 @@ def deform_triple(
         "generated_dimension": len(closure),
         "generator_blocks": tuple(generator_blocks),
     }
-    algebra = DeformedAlgebra(
-        images=tuple(images), labels=tuple(labels), generated=True
-    )
+    algebra = DeformedAlgebra(images=tuple(images), labels=tuple(labels))
     return DeformationResult(algebra=algebra, dirac=st.dirac, transcript=transcript)
 
 

@@ -13,7 +13,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .core import FiniteHopfStarAlgebra, freeze
+from .core import FiniteHopfStarAlgebra
 from .errors import DimensionMismatch
 
 Array = np.ndarray

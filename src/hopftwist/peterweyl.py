@@ -123,9 +123,6 @@ class PeterWeylData:
     def rho_functional(self, block: int, s: int, m: int) -> DualFunctional:
         return DualFunctional(self.host, self.blocks[block].rho[s, m])
 
-    def q_element(self, block: int, i: int, j: int) -> Array:
-        return np.array(self.blocks[block].q[i, j])
-
 
 def _dual_center(host: FiniteHopfStarAlgebra) -> Array:
     n = host.dim
@@ -528,17 +525,6 @@ class ModularData:
     def __post_init__(self):
         object.__setattr__(self, "gram", freeze(self.gram))
         object.__setattr__(self, "phi", freeze(self.phi))
-
-    def theta_t(self, a: Array, t: float) -> Array:
-        """Matrix of x -> phi^{it} (a x) phi^{-it} on the state space."""
-        host = self.host
-        left = np.einsum("i,ijk->kj", np.asarray(a, dtype=np.complex128), host.mul)
-        evals, evecs = np.linalg.eig(self.phi)
-        if np.min(evals.real) <= 0:
-            raise NotFaithful("modular operator is not positive")
-        power = evecs @ np.diag(np.exp(1j * t * np.log(evals.real))) @ np.linalg.inv(evecs)
-        power_inv = evecs @ np.diag(np.exp(-1j * t * np.log(evals.real))) @ np.linalg.inv(evecs)
-        return power @ left @ power_inv
 
 
 def modular_operator(

@@ -9,7 +9,7 @@ mathematical content is byte-equal across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 from .serialize import VERIFICATION_FORMAT, canonical_dumps

@@ -30,7 +30,7 @@ from .core import (
     max_abs,
     verify_hopf_axioms,
 )
-from .corep import UnitaryCorep, decompose_corep, pi_u, regular_corep, verify_corep
+from .corep import UnitaryCorep, decompose_corep, pi_u, regular_corep
 from .deform import (
     RTwistedVolume,
     _operator_span_basis,

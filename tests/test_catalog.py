@@ -128,9 +128,3 @@ def test_fourier_matrix_is_a_scaled_unitary():
 def test_fourier_matrix_needs_cyclic_factors():
     with pytest.raises(InvalidMorphism):
         catalog.fourier_matrix(catalog.group_data("s3"))
-
-
-def test_dirac_catalog_returns_the_scene_triple(ctx):
-    st = catalog.dirac_catalog("z2z2-torus", ctx)
-    assert st is catalog.triple_scene("z2z2-torus", ctx)["triple"]
-    assert np.abs(st.dirac - st.dirac.conj().T).max() == 0.0

@@ -158,7 +158,6 @@ def test_deform_triple_keeps_the_dirac_matrix(ctx):
         assert result.transcript["spectral_dimension"] >= len(
             scene["triple"].generators
         )
-        assert result.algebra.generated
 
 
 def test_deform_triple_rejects_non_commuting_dirac(ctx):
