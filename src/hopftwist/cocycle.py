@@ -296,7 +296,7 @@ def w_functional(
     w = host.comul.reshape(host.dim, -1) @ (cocycle.sigma @ host.antipode).reshape(-1)
     w_fn = DualFunctional(host, w)
     value_at_unit = complex(np.dot(w, host.unit))
-    if abs(value_at_unit - 1.0) > 1e3 * ctx.tolerance:
+    if abs(value_at_unit - 1.0) > ctx.loose_tolerance:
         raise TheoremViolation(f"w takes value {value_at_unit:.6g} at the unit")
     return w_fn, convolution_inverse(w_fn, ctx)
 
@@ -316,6 +316,6 @@ def _v_from_w(
     v = convolve_coeffs(host, w_inv.coeffs, w_fn.coeffs @ host.antipode_inv)
     v_fn = DualFunctional(host, v)
     value_at_unit = complex(np.dot(v, host.unit))
-    if abs(value_at_unit - 1.0) > 1e3 * ctx.tolerance:
+    if abs(value_at_unit - 1.0) > ctx.loose_tolerance:
         raise TheoremViolation(f"v takes value {value_at_unit:.6g} at the unit")
     return v_fn, convolution_inverse(v_fn, ctx)

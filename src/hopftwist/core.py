@@ -51,6 +51,13 @@ class ScalarContext:
     def close(self, residual: float) -> bool:
         return residual <= self.tolerance
 
+    @property
+    def loose_tolerance(self) -> float:
+        """1e3 * tolerance: the cutoff for intermediate quantities (ranks,
+        Gram-Schmidt norms, construction residuals) that carry more rounding
+        than the final checks do."""
+        return 1e3 * self.tolerance
+
 
 DEFAULT_CONTEXT = ScalarContext()
 

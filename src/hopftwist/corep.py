@@ -75,7 +75,7 @@ def regular_corep(
     u = host.comul.transpose(1, 0, 2)
     gram = gram_matrix(host, haar_state(host, ctx))
     scale = np.trace(gram) / host.dim
-    if max_abs(gram - scale * np.eye(host.dim)) > 1e3 * ctx.tolerance:
+    if max_abs(gram - scale * np.eye(host.dim)) > ctx.loose_tolerance:
         # move to an orthonormal basis of the state space
         evals, evecs = np.linalg.eigh(gram)
         root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
@@ -190,7 +190,7 @@ def decompose_corep(
         collected: list[Array] = []
         for col in range(n_h):
             vec = slot[:, col]
-            nxt = gram_schmidt_step(vec, collected, 1e3 * ctx.tolerance)
+            nxt = gram_schmidt_step(vec, collected, ctx.loose_tolerance)
             if nxt is not None:
                 collected.append(nxt)
         mult = len(collected)

@@ -263,7 +263,7 @@ def twisted_operator_star(
     return ad_v(corep, adj) @ leg
 
 
-def _operator_span_basis(
+def operator_span_basis(
     mats: list[Array], hdim: int, tol: float
 ) -> list[Array]:
     """Orthonormal basis (Frobenius) of the *-algebra generated by mats."""
@@ -310,7 +310,7 @@ def _block_refined_basis(
         collected: list[Array] = []
         for m in span:
             comp = p_map @ m.reshape(-1)
-            nxt = gram_schmidt_step(comp, collected, 1e3 * ctx.tolerance)
+            nxt = gram_schmidt_step(comp, collected, ctx.loose_tolerance)
             if nxt is not None:
                 collected.append(nxt)
         for i, vec in enumerate(collected):
@@ -377,7 +377,7 @@ def deform_triple(
     host = corep.host
     if pw is None:
         pw = decompose(host, haar_state(host, ctx), ctx)
-    span = _operator_span_basis(list(st.generators), st.hdim, 1e3 * ctx.tolerance)
+    span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
     refined, labels = _block_refined_basis(corep, pw, span, ctx)
 
     ad = ad_v_tensor(corep)
@@ -387,7 +387,7 @@ def deform_triple(
         for k in range(len(pw.blocks)):
             p_map = spectral_projection(corep, pw, k, ad)["p"]
             weight = float(np.linalg.norm(p_map @ gen.reshape(-1)))
-            if weight > 1e3 * ctx.tolerance:
+            if weight > ctx.loose_tolerance:
                 weights.append((k, weight))
         generator_blocks.append({"generator": name, "blocks": tuple(weights)})
 
@@ -398,7 +398,7 @@ def deform_triple(
             commutator,
             _commutator_identity_residual(corep, sigma, st.dirac, mat, image),
         )
-    closure = _operator_span_basis(images, st.hdim, 1e3 * ctx.tolerance)
+    closure = operator_span_basis(images, st.hdim, ctx.loose_tolerance)
     transcript = {
         "dirac_equivariance": float(dirac_residual),
         "commutator_identity": float(commutator),
@@ -424,7 +424,7 @@ def r_sigma(
     drift = max_abs(cand - cand.conj().T)
     herm = 0.5 * (cand + cand.conj().T)
     evals = np.linalg.eigvalsh(herm)
-    if drift > 1e3 * ctx.tolerance or evals[0] <= 1e3 * ctx.tolerance:
+    if drift > ctx.loose_tolerance or evals[0] <= ctx.loose_tolerance:
         raise TheoremViolation(
             "twisted volume matrix lost positivity "
             f"(self-adjointness drift {drift:.3g}, lowest eigenvalue {evals[0]:.3g}); "

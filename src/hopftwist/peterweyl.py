@@ -156,7 +156,7 @@ def _gns_frame(
     gram = gram_matrix(algebra, h)
     gram = 0.5 * (gram + gram.conj().T)
     vals, vecs = np.linalg.eigh(gram)
-    if vals[0] <= 1e3 * ctx.tolerance:
+    if vals[0] <= ctx.loose_tolerance:
         raise NotFaithful(
             f"state gram matrix has eigenvalue {vals[0]:.3g}; need a faithful state"
         )
@@ -221,7 +221,7 @@ def _split_center(
         for e in idems:
             resid = max(resid, max_abs(convolve_coeffs(host, e, e) - e))
         resid = max(resid, max_abs(sum(idems) - host.counit))
-        if resid > 1e3 * ctx.tolerance:
+        if resid > ctx.loose_tolerance:
             last_error = f"central idempotent residual {resid:.3g}"
             continue
         return list(zip(dims, idems))
@@ -284,7 +284,7 @@ def _block_matrix_units(
                 wn = float(np.linalg.norm(w))
                 if wn > best_norm:
                     best, best_norm = w, wn
-            if best is None or best_norm <= 1e3 * ctx.tolerance:
+            if best is None or best_norm <= ctx.loose_tolerance:
                 ok = False
                 last_error = "no partial isometry candidate found"
                 break
@@ -310,7 +310,7 @@ def _block_matrix_units(
                     host, dual_star_matrix_apply(host, isometries[p]), isometries[q]
                 )
         resid = _matrix_unit_residual(host, units)
-        if resid > 1e3 * ctx.tolerance:
+        if resid > ctx.loose_tolerance:
             last_error = f"matrix-unit residual {resid:.3g}"
             continue
         return units
@@ -383,7 +383,7 @@ def decompose(
             raise DecompositionError(
                 f"rho functionals disagree with matrix units, residual {resid:.3g}"
             )
-        is_trivial = d == 1 and max_abs(q[0, 0] - algebra.unit) <= 1e3 * ctx.tolerance
+        is_trivial = d == 1 and max_abs(q[0, 0] - algebra.unit) <= ctx.loose_tolerance
         trivial_found = trivial_found or is_trivial
         blocks.append(
             PeterWeylBlock(
@@ -424,7 +424,7 @@ def _f_matrix(
                     gram[i, j, k, l] = h(prod)
     s = np.einsum("ijil->jl", gram) / d
     off = gram - np.einsum("jl,ik->ijkl", s, np.eye(d))
-    if max_abs(off) > 1e3 * ctx.tolerance:
+    if max_abs(off) > ctx.loose_tolerance:
         raise DecompositionError(
             f"orthogonality pattern violated inside a block, residual {max_abs(off):.3g}"
         )

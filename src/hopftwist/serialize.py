@@ -75,17 +75,13 @@ def document_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
-def parse_document(text: str, expected_format: str | None = None) -> dict:
+def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise InputError("document must be a JSON object with a 'format' key")
-    if expected_format is not None and doc["format"] != expected_format:
-        raise InputError(
-            f"expected a {expected_format} document, found {doc['format']!r}"
-        )
     return doc
 
 

@@ -33,11 +33,11 @@ from .core import (
 from .corep import UnitaryCorep, decompose_corep, pi_u, regular_corep
 from .deform import (
     RTwistedVolume,
-    _operator_span_basis,
     check_volume_preservation,
     deform_triple,
     extract_block_form,
     intertwine_check,
+    operator_span_basis,
     r_sigma,
     rho_sigma,
     twisted_operator_product,
@@ -46,7 +46,14 @@ from .deform import (
 from .peterweyl import PeterWeylData, decompose, haar_state
 from .report import CheckRecord, VerificationReport
 from .serialize import canonical_dumps
-from .twist import f_matrix_relation, haar_invariance, roundtrip, twist_algebra, twist_corep
+from .twist import (
+    TwistResult,
+    f_matrix_relation,
+    haar_invariance,
+    roundtrip,
+    twist_algebra,
+    twist_corep,
+)
 
 Array = np.ndarray
 
@@ -64,27 +71,20 @@ class _Workspace:
 
     def __init__(self, ctx: ScalarContext):
         self.ctx = ctx
-        # hosts hash by identity and stay alive as keys, so no entry is stale
+        # hosts and cocycles hash by identity and stay alive as keys, so no
+        # entry is stale
         self._pw: dict[FiniteHopfStarAlgebra, PeterWeylData] = {}
-        self._twists: dict[str, object] = {}
+        self._twists: dict[DualCocycle, TwistResult] = {}
 
     def peter_weyl(self, algebra: FiniteHopfStarAlgebra) -> PeterWeylData:
         if algebra not in self._pw:
             self._pw[algebra] = decompose(algebra, haar_state(algebra, self.ctx), self.ctx)
         return self._pw[algebra]
 
-    def twist(self, cocycle_name: str):
-        if cocycle_name not in self._twists:
-            host = catalog.algebra(catalog.cocycle_host_name(cocycle_name))
-            sigma = catalog.cocycle(cocycle_name, self.ctx)
-            self._twists[cocycle_name] = twist_algebra(host, sigma, self.ctx)
-        return self._twists[cocycle_name]
-
-    def scene_twist(self, scene: dict):
-        for cname, sname in catalog._TRIPLE_COCYCLES.items():
-            if cname == scene["name"] and sname is not None:
-                return self.twist(sname)
-        return twist_algebra(scene["host"], scene["cocycle"], self.ctx)
+    def twist(self, sigma: DualCocycle) -> TwistResult:
+        if sigma not in self._twists:
+            self._twists[sigma] = twist_algebra(sigma.host, sigma, self.ctx)
+        return self._twists[sigma]
 
 
 def _bool_residual(ok: bool) -> float:
@@ -199,8 +199,7 @@ def _form_r_residual(scene: dict, ws: _Workspace) -> tuple[float, str]:
 
 def _spectral_basis(scene: dict, ctx: ScalarContext) -> list[Array]:
     st = scene["triple"]
-    seeds = [np.eye(st.hdim, dtype=np.complex128)] + [np.array(g) for g in st.generators]
-    return _operator_span_basis(seeds, st.hdim, 1e3 * ctx.tolerance)
+    return operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
 
 
 def _hom_star_residual(scene: dict, ws: _Workspace) -> float:
@@ -296,7 +295,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
         )
 
     # 5: the flagship twist
-    tw_d4 = ws.twist("klein-induced")
+    tw_d4 = ws.twist(catalog.cocycle("klein-induced", ctx))
     add(
         "05.twist.c-d4.axioms",
         "twisted algebra passes all Hopf star-algebra axioms",
@@ -345,7 +344,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
 
     # 7: Haar invariance and the block-form change of F
     for hname, cname in catalog.cocycle_pairs():
-        tw = ws.twist(cname)
+        tw = ws.twist(catalog.cocycle(cname, ctx))
         drift, _ = haar_invariance(tw, ctx)
         add(
             f"07.haar.{cname}",
@@ -365,7 +364,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
 
     # 8: coreps reinterpreted over the twisted algebra
     for hname, cname in catalog.cocycle_pairs():
-        tw = ws.twist(cname)
+        tw = ws.twist(catalog.cocycle(cname, ctx))
         corep = regular_corep(catalog.algebra(hname), ctx)
         _, rep = twist_corep(corep, tw, ctx)
         add(
@@ -434,7 +433,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     for sname in catalog.triple_names():
         scene = catalog.triple_scene(sname, ctx)
         corep, sigma = scene["corep"], scene["cocycle"]
-        tw = ws.scene_twist(scene)
+        tw = ws.twist(sigma)
         basis = _spectral_basis(scene, ctx)
         add(
             f"12.intertwine.{sname}",

@@ -82,9 +82,10 @@ def test_parse_document_validates_json_and_format():
         parse_document("{not json")
     with pytest.raises(InputError):
         parse_document(json.dumps([1, 2]))
+    # the format itself is checked by the reader of each document kind
     with pytest.raises(InputError):
-        parse_document(json.dumps({"format": "corep.v1"}), expected_format=HOPF_FORMAT)
-    doc = parse_document(json.dumps({"format": HOPF_FORMAT}), HOPF_FORMAT)
+        algebra_from_doc(parse_document(json.dumps({"format": COREP_FORMAT})))
+    doc = parse_document(json.dumps({"format": HOPF_FORMAT}))
     assert doc["format"] == HOPF_FORMAT
 
 
