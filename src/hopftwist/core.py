@@ -102,7 +102,8 @@ class FiniteHopfStarAlgebra:
         return np.einsum("i,j,ijk->k", x, y, self.mul)
 
     def star_of(self, x: Array) -> Array:
-        return self.star @ np.conj(x)
+        """Coefficients of x*; x may be a stack (..., n) of elements."""
+        return np.conj(x) @ self.star.T
 
 
 def iterated_coproduct(algebra: FiniteHopfStarAlgebra, k: int) -> Array:

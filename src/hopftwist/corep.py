@@ -2,8 +2,8 @@
 
 A corep is an N x N matrix of algebra elements u[i, j] (each an n-vector).
 The module provides the dual representation pi_U, the adjoint action ad_V on
-operators, spectral projections refined to E-maps, and decomposition into
-irreducibles with adapted orthonormal bases.
+operators, spectral projections, and decomposition into irreducibles with
+adapted orthonormal bases.
 """
 
 from __future__ import annotations
@@ -153,18 +153,11 @@ def e_map_matrix(corep: UnitaryCorep, rho: Array, ad_tensor: Array | None = None
 def spectral_projection(
     corep: UnitaryCorep, pw: PeterWeylData, block: int, ad_tensor: Array | None = None
 ) -> dict:
-    """P and the refined E-maps of one block, as matrices over vec(T)."""
+    """P of one block as a matrix over vec(T): the E-map of sum_s rho[s, s]."""
     if pw.host is not corep.host:
         raise HostMismatch("Peter-Weyl data belongs to a different host")
-    b = pw.blocks[block]
-    ad = ad_v_tensor(corep) if ad_tensor is None else ad_tensor
-    d = b.dimension
-    e_maps = np.zeros((d, d, corep.hdim ** 2, corep.hdim ** 2), dtype=np.complex128)
-    for s in range(d):
-        for m in range(d):
-            e_maps[s, m] = e_map_matrix(corep, b.rho[s, m], ad)
-    p_map = np.einsum("ssij->ij", e_maps)
-    return {"block": block, "p": p_map, "e": e_maps}
+    rho_pi = np.trace(pw.blocks[block].matrix_units)
+    return {"block": block, "p": e_map_matrix(corep, rho_pi, ad_tensor)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +179,7 @@ def decompose_corep(
     worst = 0.0
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
-        slot = pi_u(corep, DualFunctional(corep.host, b.rho[0, 0]))
+        slot = pi_u(corep, b.matrix_units[0, 0])
         collected: list[Array] = []
         for col in range(n_h):
             vec = slot[:, col]
@@ -199,7 +192,7 @@ def decompose_corep(
         basis = np.zeros((mult, d, n_h), dtype=np.complex128)
         for i, f in enumerate(collected):
             for j in range(d):
-                shift = pi_u(corep, DualFunctional(corep.host, b.rho[j, 0]))
+                shift = pi_u(corep, b.matrix_units[j, 0])
                 basis[i, j] = shift @ f
         # adapted-law residual: U e[i, j] = sum_k e[i, k] (x) q[k, j]
         for i in range(mult):

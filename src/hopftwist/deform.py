@@ -294,31 +294,6 @@ def operator_span_basis(
     return [b.reshape(hdim, hdim) for b in basis]
 
 
-def _block_refined_basis(
-    corep: UnitaryCorep,
-    pw: PeterWeylData,
-    span: list[Array],
-    ctx: ScalarContext,
-) -> tuple[list[Array], list[str]]:
-    """Split a spanning family along the spectral projections of the corep."""
-    ad = ad_v_tensor(corep)
-    n_h = corep.hdim
-    refined: list[Array] = []
-    labels: list[str] = []
-    for k in range(len(pw.blocks)):
-        p_map = spectral_projection(corep, pw, k, ad)["p"]
-        collected: list[Array] = []
-        for m in span:
-            comp = p_map @ m.reshape(-1)
-            nxt = gram_schmidt_step(comp, collected, ctx.loose_tolerance)
-            if nxt is not None:
-                collected.append(nxt)
-        for i, vec in enumerate(collected):
-            refined.append(vec.reshape(n_h, n_h))
-            labels.append(f"p{k}.{i}")
-    return refined, labels
-
-
 @dataclass(frozen=True, eq=False)
 class DeformedAlgebra:
     """Images of a spectral basis under rho_sigma."""
@@ -377,19 +352,30 @@ def deform_triple(
     host = corep.host
     if pw is None:
         pw = decompose(host, haar_state(host, ctx), ctx)
-    span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
-    refined, labels = _block_refined_basis(corep, pw, span, ctx)
-
     ad = ad_v_tensor(corep)
-    generator_blocks = []
-    for name, gen in zip(st.labels, st.generators):
-        weights = []
-        for k in range(len(pw.blocks)):
-            p_map = spectral_projection(corep, pw, k, ad)["p"]
+    span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
+    refined: list[Array] = []
+    labels: list[str] = []
+    weights: list[list[tuple[int, float]]] = [[] for _ in st.generators]
+    # each N^2 x N^2 projection is built once and dropped before the next:
+    # it splits the span and weighs every generator in its block
+    for k in range(len(pw.blocks)):
+        p_map = spectral_projection(corep, pw, k, ad)["p"]
+        collected: list[Array] = []
+        for m in span:
+            nxt = gram_schmidt_step(p_map @ m.reshape(-1), collected, ctx.loose_tolerance)
+            if nxt is not None:
+                collected.append(nxt)
+        refined.extend(vec.reshape(st.hdim, st.hdim) for vec in collected)
+        labels.extend(f"p{k}.{i}" for i in range(len(collected)))
+        for gen, blocks in zip(st.generators, weights):
             weight = float(np.linalg.norm(p_map @ gen.reshape(-1)))
             if weight > ctx.loose_tolerance:
-                weights.append((k, weight))
-        generator_blocks.append({"generator": name, "blocks": tuple(weights)})
+                blocks.append((k, weight))
+    generator_blocks = [
+        {"generator": name, "blocks": tuple(blocks)}
+        for name, blocks in zip(st.labels, weights)
+    ]
 
     images = [rho_sigma(corep, sigma, m) for m in refined]
     commutator = 0.0

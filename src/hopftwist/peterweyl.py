@@ -92,21 +92,32 @@ def gram_matrix(algebra: FiniteHopfStarAlgebra, h: HaarState) -> Array:
     return algebra.star.T @ (algebra.mul @ h.coeffs)
 
 
+def haar_pairing(algebra: FiniteHopfStarAlgebra, h: HaarState, x: Array, y: Array) -> Array:
+    """h(x_I y_J) for coefficient stacks x (..., n) and y (..., n).
+
+    The result has shape x.shape[:-1] + y.shape[:-1]; pass star_of(y) for
+    the inner products h(x_I y_J*).
+    """
+    form = algebra.mul @ h.coeffs  # form[a, b] = h(e_a e_b)
+    return np.tensordot(x @ form, y, axes=([-1], [-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class PeterWeylBlock:
     """One matrix block of the dual: matrix units, coefficients, F-matrix."""
 
     dimension: int
-    matrix_units: Array  # (d, d, n) functional coefficients m[p, q]
+    # (d, d, n) functional coefficients of the matrix units, held as the
+    # values rho[s, m](x) = h(x_elem[s, m] x) of the rho functionals
+    matrix_units: Array
     q: Array  # (d, d, n) algebra elements, dual basis to the matrix units
     f_matrix: Array  # (d, d) positive
     m_value: float
-    rho: Array  # (d, d, n) functional coefficients of rho[s, m]
     central_idempotent: Array  # (n,) functional coefficients
     is_trivial: bool
 
     def __post_init__(self):
-        for name in ("matrix_units", "q", "f_matrix", "rho", "central_idempotent"):
+        for name in ("matrix_units", "q", "f_matrix", "central_idempotent"):
             object.__setattr__(self, name, freeze(getattr(self, name)))
 
 
@@ -121,7 +132,7 @@ class PeterWeylData:
         return tuple(b.dimension for b in self.blocks)
 
     def rho_functional(self, block: int, s: int, m: int) -> DualFunctional:
-        return DualFunctional(self.host, self.blocks[block].rho[s, m])
+        return DualFunctional(self.host, self.blocks[block].matrix_units[s, m])
 
 
 def _dual_center(host: FiniteHopfStarAlgebra) -> Array:
@@ -388,11 +399,10 @@ def decompose(
         blocks.append(
             PeterWeylBlock(
                 dimension=d,
-                matrix_units=units,
+                matrix_units=rho,
                 q=q,
                 f_matrix=f_matrix,
                 m_value=m_value,
-                rho=rho,
                 central_idempotent=e_alpha,
                 is_trivial=is_trivial,
             )
@@ -415,13 +425,7 @@ def _f_matrix(
 ) -> tuple[Array, float]:
     """F and its trace from the invariant h(q_ij q_kl*) = (1/M) delta_ik F[j, l]."""
     d = q.shape[0]
-    gram = np.zeros((d, d, d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    prod = algebra.product(q[i, j], algebra.star_of(q[k, l]))
-                    gram[i, j, k, l] = h(prod)
+    gram = haar_pairing(algebra, h, q, algebra.star_of(q))
     s = np.einsum("ijil->jl", gram) / d
     off = gram - np.einsum("jl,ik->ijkl", s, np.eye(d))
     if max_abs(off) > ctx.loose_tolerance:
@@ -445,15 +449,8 @@ def _rho_data(
     m_value: float,
 ) -> tuple[Array, Array]:
     """x elements and the functionals rho[s, m](x) = h(x_elem[s, m] x)."""
-    d = q.shape[0]
-    n = algebra.dim
-    x_elems = np.zeros((d, d, n), dtype=np.complex128)
-    for s in range(d):
-        for m in range(d):
-            acc = np.zeros(n, dtype=np.complex128)
-            for k in range(d):
-                acc += f_matrix[k, s] * algebra.star_of(q[k, m])
-            x_elems[s, m] = m_value * acc
+    # x_elems[s, m] = M sum_k F[k, s] q[k, m]*
+    x_elems = m_value * np.tensordot(f_matrix, algebra.star_of(q), axes=([0], [0]))
     # rho[s, m][c] = sum_tw x_elems[s, m][t] mul[t, c, w] h[w]
     return x_elems, x_elems @ (algebra.mul @ h.coeffs)
 
@@ -469,18 +466,9 @@ def _validate(data: PeterWeylData, ctx: ScalarContext) -> None:
     # cross-block orthogonality of coefficients under h( . (.)* )
     for a_idx, ba in enumerate(data.blocks):
         for b_idx, bb in enumerate(data.blocks):
-            if a_idx == b_idx:
-                continue
-            for i in range(ba.dimension):
-                for j in range(ba.dimension):
-                    for k in range(bb.dimension):
-                        for l in range(bb.dimension):
-                            val = h(
-                                algebra.product(
-                                    ba.q[i, j], algebra.star_of(bb.q[k, l])
-                                )
-                            )
-                            resid = max(resid, abs(val))
+            if a_idx != b_idx:
+                pairing = haar_pairing(algebra, h, ba.q, algebra.star_of(bb.q))
+                resid = max(resid, max_abs(pairing))
     if not ctx.close(resid):
         raise DecompositionError(f"orthogonality validation failed, residual {resid:.3g}")
 
@@ -489,24 +477,24 @@ def rho_functionals(
     data: PeterWeylData, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> list[dict]:
     """Per-block rho families with the biorthogonality residual recorded."""
+    n = data.host.dim
+    # rows: every q[i, j] of every block, in block order
+    q_all = np.vstack([b.q.reshape(-1, n) for b in data.blocks])
     out = []
+    offset = 0
     for idx, b in enumerate(data.blocks):
         d = b.dimension
-        resid = 0.0
-        for p in range(d):
-            for r in range(d):
-                for q_idx, qb in enumerate(data.blocks):
-                    for i in range(qb.dimension):
-                        for j in range(qb.dimension):
-                            val = complex(np.dot(b.rho[p, r], qb.q[i, j]))
-                            want = 1.0 if (q_idx == idx and i == p and j == r) else 0.0
-                            resid = max(resid, abs(val - want))
-        sum_diag = np.sum(b.rho[np.arange(d), np.arange(d)], axis=0)
+        # rho[p, r](q[i, j]) is 1 exactly at the block's own (p, r) = (i, j)
+        want = np.zeros((d * d, n))
+        want[:, offset:offset + d * d] = np.eye(d * d)
+        offset += d * d
+        resid = max_abs(b.matrix_units.reshape(d * d, n) @ q_all.T - want)
+        sum_diag = np.trace(b.matrix_units)
         out.append(
             {
                 "block": idx,
                 "dimension": d,
-                "rho": np.array(b.rho),
+                "rho": np.array(b.matrix_units),
                 "rho_pi": DualFunctional(data.host, sum_diag),
                 "biorthogonality_residual": resid,
                 "passed": bool(resid <= ctx.tolerance),

@@ -43,7 +43,7 @@ from .deform import (
     twisted_operator_product,
     twisted_operator_star,
 )
-from .peterweyl import PeterWeylData, decompose, haar_state
+from .peterweyl import PeterWeylData, decompose, haar_pairing, haar_state
 from .report import CheckRecord, VerificationReport
 from .serialize import canonical_dumps
 from .twist import (
@@ -96,18 +96,13 @@ def _schur_residual(pw: PeterWeylData) -> float:
     identity-F, M = d pattern, across and inside blocks."""
     host, h = pw.host, pw.haar
     worst = 0.0
-    star = host.star
-    state_form = host.mul @ h.coeffs  # [x, z] = h(e_x e_z)
     for ai, ba in enumerate(pw.blocks):
         worst = max(worst, max_abs(ba.f_matrix - np.eye(ba.dimension)))
         worst = max(worst, abs(ba.m_value - ba.dimension))
         for bi, bb in enumerate(pw.blocks):
             qa, qb = ba.q, bb.q
-            qb_star = np.einsum("xy,kly->klx", star, np.conj(qb))
-            qa_star = np.einsum("xy,ijy->ijx", star, np.conj(qa))
-            # vals[i, j, k, l] = h(x[i, j] y[k, l])
-            vals1 = np.tensordot(qa @ state_form, qb_star, axes=([2], [2]))
-            vals2 = np.tensordot(qa_star @ state_form, qb, axes=([2], [2]))
+            vals1 = haar_pairing(host, h, qa, host.star_of(qb))
+            vals2 = haar_pairing(host, h, host.star_of(qa), qb)
             if ai == bi:
                 d = ba.dimension
                 eye = np.eye(d)

@@ -42,7 +42,7 @@ from hopftwist._linalg import nullspace
 from hopftwist.cocycle import convolution_matrix2, convolve2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor
-from hopftwist.peterweyl import _act, _rho_data, gram_matrix
+from hopftwist.peterweyl import _act, _rho_data, gram_matrix, haar_pairing, haar_state
 
 REL = 1e-12
 
@@ -407,6 +407,30 @@ def test_state_form_and_translation_match_their_formulas(rng):
     assert _relative_error(x_elems, want) <= REL
     want = np.einsum("smt,tcw,w->smc", want, host.mul, h.coeffs, optimize=False)
     assert _relative_error(rho, want) <= REL
+
+
+@pytest.mark.parametrize(
+    "name,cocycle", [(name, None) for name in HOSTS + ("random",)] + [("c-d4", "klein-induced")]
+)
+def test_haar_pairing_matches_the_pairwise_loop(name, cocycle, ctx, rng):
+    if name == "random":
+        # Haar states of the catalog are tracial; a random state is not, so
+        # h(x y) and h(y x) differ here
+        host = _random_host(rng, 6)
+        h = HaarState(host, _complex(rng, 6))
+    else:
+        host = catalog.algebra(name)
+        if cocycle is not None:
+            host = twist_algebra(host, catalog.cocycle(cocycle, ctx), ctx).twisted
+        h = haar_state(host, ctx)
+    x, y = _complex(rng, 2, 3, host.dim), _complex(rng, 4, host.dim)
+    got = haar_pairing(host, h, x, host.star_of(y))
+    want = np.zeros((2, 3, 4), dtype=np.complex128)
+    for i in range(2):
+        for j in range(3):
+            for k in range(4):
+                want[i, j, k] = h(host.product(x[i, j], host.star_of(y[k])))
+    assert _relative_error(got, want) <= REL
 
 
 @pytest.mark.parametrize("rows,cols,rank", ((12, 5, 3), (6, 6, 4), (3, 8, 3), (5, 4, 0)))

@@ -117,6 +117,22 @@ def test_spectral_projections_are_complete_and_idempotent(ctx):
     assert np.abs(total - np.eye(n2)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("name", catalog.triple_names())
+def test_spectral_projection_is_the_sum_of_the_diagonal_e_maps(name, ctx):
+    # P is one contraction against sum_s rho[s, s]; the sum of the d maps
+    # E(rho[s, s]) is the same map by linearity
+    scene = catalog.triple_scene(name, ctx)
+    host, corep = scene["host"], scene["corep"]
+    pw = decompose(host, haar_state(host, ctx), ctx)
+    ad = ad_v_tensor(corep)
+    for k, b in enumerate(pw.blocks):
+        p = spectral_projection(corep, pw, k, ad_tensor=ad)["p"]
+        want = sum(
+            e_map_matrix(corep, b.matrix_units[s, s], ad) for s in range(b.dimension)
+        )
+        assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_e_map_of_haar_state_projects_onto_invariants(ctx):
     host = catalog.algebra("g-d4")
     corep = regular_corep(host, ctx)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hopftwist.deform as deform_module
 from hopftwist import (
     RTwistedVolume,
     SpectralTriple,
@@ -16,10 +17,12 @@ from hopftwist import (
     intertwine_check,
     r_sigma,
     rho_sigma,
+    spectral_projection,
     twist_algebra,
     twisted_operator_product,
     twisted_operator_star,
 )
+from hopftwist.deform import operator_span_basis
 from hopftwist.errors import (
     DimensionMismatch,
     HostMismatch,
@@ -158,6 +161,41 @@ def test_deform_triple_keeps_the_dirac_matrix(ctx):
         assert result.transcript["spectral_dimension"] >= len(
             scene["triple"].generators
         )
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_deform_triple_splits_and_weighs_along_the_spectral_projections(name, ctx):
+    scene = catalog.triple_scene(name, ctx)
+    pw = _scene_pw(scene, ctx)
+    st, corep = scene["triple"], scene["corep"]
+    result = deform_triple(st, corep, scene["cocycle"], ctx, pw=pw)
+    projections = [spectral_projection(corep, pw, k)["p"] for k in range(len(pw.blocks))]
+    span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
+    stack = np.stack([m.reshape(-1) for m in span], axis=1)
+    want = sum(np.linalg.matrix_rank(p @ stack, tol=ctx.loose_tolerance) for p in projections)
+    assert result.transcript["spectral_dimension"] == want
+    # the projections are orthogonal and sum to the identity, so the block
+    # weights of a generator add up to its Frobenius norm in squares
+    for entry, gen in zip(result.transcript["generator_blocks"], st.generators):
+        total = sum(w * w for _, w in entry["blocks"])
+        assert abs(total - np.linalg.norm(gen) ** 2) <= 1e-9 * np.linalg.norm(gen) ** 2
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_deform_triple_builds_ad_v_and_each_projection_once(name, ctx, monkeypatch):
+    scene = catalog.triple_scene(name, ctx)
+    pw = _scene_pw(scene, ctx)
+    calls = {"ad_v_tensor": 0, "spectral_projection": 0}
+    for fname in calls:
+        original = getattr(deform_module, fname)
+
+        def counting(*args, _original=original, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(deform_module, fname, counting)
+    deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=pw)
+    assert calls == {"ad_v_tensor": 1, "spectral_projection": len(pw.blocks)}
 
 
 def test_deform_triple_rejects_non_commuting_dirac(ctx):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hopftwist import catalog, decompose, function_algebra, haar_state, symmetric_group_3
 from hopftwist.core import DualFunctional, convolve
-from hopftwist.errors import NotErgodic
+from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
+    PeterWeylData,
+    _validate,
     gram_matrix,
     haar_invariance_residual,
     modular_operator,
@@ -115,6 +119,18 @@ def test_kac_orthogonality_pattern(name, ctx):
                         val = h(host.product(b.q[i, j], host.star_of(b.q[k, l])))
                         want = (1.0 if (i == k and j == l) else 0.0) / d
                         assert abs(val - want) <= 1e-9
+
+
+def test_validation_rejects_coefficients_shared_across_blocks(ctx):
+    host = catalog.algebra("c-s3")
+    pw = decompose(host, haar_state(host, ctx), ctx)
+    _validate(pw, ctx)
+    # leak a little of the last block's first coefficient into the first block
+    first, last = pw.blocks[0], pw.blocks[-1]
+    leaked = dataclasses.replace(first, q=first.q + 1e-6 * last.q[0, 0])
+    bad = PeterWeylData(host=host, haar=pw.haar, blocks=(leaked,) + pw.blocks[1:])
+    with pytest.raises(DecompositionError, match="orthogonality validation"):
+        _validate(bad, ctx)
 
 
 @pytest.mark.parametrize("name", ("c-s3", "g-d4"))
