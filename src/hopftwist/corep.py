@@ -118,22 +118,27 @@ def verify_corep(
 
 
 def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
-    """The dual acting on the carrier space: (id (x) omega)(U)."""
+    """The dual acting on the carrier space: (id (x) omega)(U).
+
+    omega is a functional or coefficients of shape (..., n); the result has
+    shape (..., N, N).
+    """
     coeffs = omega.coeffs if isinstance(omega, DualFunctional) else np.asarray(omega)
-    return np.einsum("ijc,c->ij", corep.u, coeffs)
+    return np.einsum("ijc,...c->...ij", corep.u, coeffs)
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:
-    """Adjoint action on an operator: ad(T)[i, j] = sum_kl v_ik T_kl (v_jl)*.
+    """Adjoint action on operators: ad(T)[i, j] = sum_kl v_ik T_kl (v_jl)*.
 
-    Products and stars are those of the corep's host, so the same function
-    serves twisted hosts.
+    t has shape (..., N, N) and the result (..., N, N, n).  Products and
+    stars are those of the corep's host, so the same function serves
+    twisted hosts.
     """
-    # u T -> (i, a, l); then (u*)^T over l -> (i, a, j, b); then the product a.b
-    ut = np.tensordot(corep.u, np.asarray(t, dtype=np.complex128), axes=([1], [0]))
-    return multiply_legs(
-        corep.host, np.tensordot(ut, corep.entry_star(), axes=([2], [1]))
-    )
+    # (u*)[j, l, b] mul[a, b, c] -> (j, l, a, c), shared by the whole stack;
+    # T u -> (..., l, i, a); then contract (a, l) -> (..., i, j, c)
+    star_mul = np.tensordot(corep.entry_star(), corep.host.mul, axes=([2], [1]))
+    tu = np.tensordot(np.asarray(t, dtype=np.complex128), corep.u, axes=([-2], [1]))
+    return np.tensordot(tu, star_mul, axes=([-3, -1], [1, 2]))
 
 
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
@@ -179,21 +184,17 @@ def decompose_corep(
     worst = 0.0
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
-        slot = pi_u(corep, b.matrix_units[0, 0])
+        shifts = pi_u(corep, b.matrix_units[:, 0])  # Pi_U(e_j0), (d, N, N)
         collected: list[Array] = []
         for col in range(n_h):
-            vec = slot[:, col]
-            nxt = gram_schmidt_step(vec, collected, ctx.loose_tolerance)
+            nxt = gram_schmidt_step(shifts[0][:, col], collected, ctx.loose_tolerance)
             if nxt is not None:
                 collected.append(nxt)
         mult = len(collected)
         if mult == 0:
             continue
-        basis = np.zeros((mult, d, n_h), dtype=np.complex128)
-        for i, f in enumerate(collected):
-            for j in range(d):
-                shift = pi_u(corep, b.matrix_units[j, 0])
-                basis[i, j] = shift @ f
+        # basis[i, j] = Pi_U(e_j0) f_i
+        basis = np.tensordot(np.array(collected), shifts, axes=([1], [2]))
         # adapted-law residual: U e[i, j] = sum_k e[i, k] (x) q[k, j]
         for i in range(mult):
             for j in range(d):

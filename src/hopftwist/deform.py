@@ -218,17 +218,15 @@ def extract_block_form(
 
 
 def rho_sigma(corep: UnitaryCorep, sigma: DualCocycle, t: Array) -> Array:
-    """Deformed image of an operator: sum of T_(0) Pi_V(sigma^{-1}(T_(1), .))."""
+    """Deformed image of operators: sum of T_(0) Pi_V(sigma^{-1}(T_(1), .)).
+
+    t has shape (..., N, N), and so has the result.
+    """
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    mat = np.asarray(t, dtype=np.complex128)
-    legs = _sigma_legs(corep, sigma)
-    return np.tensordot(ad_v(corep, mat), legs, axes=([1, 2], [0, 2]))
-
-
-def _sigma_legs(corep: UnitaryCorep, sigma: DualCocycle) -> Array:
-    """L[k, j, c] = sum_q u[k, j, q] sigma^-1[c, q], the corep's sigma^-1 legs."""
-    return np.tensordot(corep.u, sigma.sigma_inv, axes=([2], [1]))
+    # legs[c] = Pi_V(sigma^{-1}(e_c, .)), contracted with the coaction leg c
+    legs = pi_u(corep, sigma.sigma_inv)
+    return np.tensordot(ad_v(corep, t), legs, axes=([-2, -1], [1, 0]))
 
 
 def twisted_operator_product(
@@ -246,20 +244,18 @@ def twisted_operator_star(
     sigma: DualCocycle,
     a: Array,
     ctx: ScalarContext = DEFAULT_CONTEXT,
-    w: DualFunctional | None = None,
 ) -> Array:
     """Deformed involution on operators: contract ad(a+) against w o antipode^{-1}.
 
     The functional leg makes rho_sigma star-preserving: the deformed image of
-    the twisted adjoint is the operator adjoint of the deformed image.
+    the twisted adjoint is the operator adjoint of the deformed image.  a has
+    shape (..., N, N), and so has the result.
     """
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    if w is None:
-        w, _ = w_functional(sigma, ctx)
-    host = corep.host
-    leg = w.coeffs @ host.antipode_inv
-    adj = np.asarray(a, dtype=np.complex128).conj().T
+    w, _ = w_functional(sigma, ctx)
+    leg = w.coeffs @ corep.host.antipode_inv
+    adj = np.conj(np.swapaxes(np.asarray(a, dtype=np.complex128), -1, -2))
     return ad_v(corep, adj) @ leg
 
 
@@ -313,16 +309,6 @@ class DeformationResult:
     transcript: dict = field(repr=False)
 
 
-def _commutator_identity_residual(
-    corep: UnitaryCorep, sigma: DualCocycle, dirac: Array, mat: Array, image: Array
-) -> float:
-    """Residual of [D, rho(a)] against the leg-wise commutator expansion."""
-    slices = ad_v(corep, mat).transpose(2, 0, 1)
-    comm = dirac @ slices - slices @ dirac
-    expanded = np.tensordot(comm, _sigma_legs(corep, sigma), axes=([0, 2], [2, 0]))
-    return max_abs((dirac @ image - image @ dirac) - expanded)
-
-
 def deform_triple(
     st: SpectralTriple,
     corep: UnitaryCorep,
@@ -372,19 +358,21 @@ def deform_triple(
             weight = float(np.linalg.norm(p_map @ gen.reshape(-1)))
             if weight > ctx.loose_tolerance:
                 blocks.append((k, weight))
+    # free the N^4 n tensor (16 MB at N = n = 16) before the stacked images
+    del ad
     generator_blocks = [
         {"generator": name, "blocks": tuple(blocks)}
         for name, blocks in zip(st.labels, weights)
     ]
 
-    images = [rho_sigma(corep, sigma, m) for m in refined]
-    commutator = 0.0
-    for mat, image in zip(refined, images):
-        commutator = max(
-            commutator,
-            _commutator_identity_residual(corep, sigma, st.dirac, mat, image),
-        )
-    closure = operator_span_basis(images, st.hdim, ctx.loose_tolerance)
+    mats = np.stack(refined)
+    images = rho_sigma(corep, sigma, mats)
+    # [D, rho(a)] against the leg-wise expansion of the commutator
+    slices = np.moveaxis(ad_v(corep, mats), -1, -3)  # (m, c, i, k)
+    comm = st.dirac @ slices - slices @ st.dirac
+    expanded = np.tensordot(comm, pi_u(corep, sigma.sigma_inv), axes=([-3, -1], [0, 1]))
+    commutator = max_abs((st.dirac @ images - images @ st.dirac) - expanded)
+    closure = operator_span_basis(list(images), st.hdim, ctx.loose_tolerance)
     transcript = {
         "dirac_equivariance": float(dirac_residual),
         "commutator_identity": float(commutator),
@@ -429,12 +417,10 @@ def intertwine_check(
     if tw.original is not corep.host:
         raise HostMismatch("twist transcript belongs to a different host")
     corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
-    image = rho_sigma(corep, tw.cocycle, t)
-    lhs = ad_v(corep_sigma, image)
-    legs = ad_v(corep, np.asarray(t, dtype=np.complex128))
-    rhs = np.empty_like(lhs)
-    for c in range(corep.host.dim):
-        rhs[:, :, c] = rho_sigma(corep, tw.cocycle, legs[:, :, c])
+    lhs = ad_v(corep_sigma, rho_sigma(corep, tw.cocycle, t))
+    # the coaction legs go through rho_sigma as one stack along c
+    legs = np.moveaxis(ad_v(corep, t), -1, -3)
+    rhs = np.moveaxis(rho_sigma(corep, tw.cocycle, legs), -3, -1)
     return max_abs(lhs - rhs)
 
 

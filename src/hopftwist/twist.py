@@ -109,21 +109,27 @@ def _sandwich(a: FiniteHopfStarAlgebra, left: Array, right: Array) -> Array:
     return ((left @ a.comul) @ (a.comul @ right)).T
 
 
-def roundtrip(
-    algebra: FiniteHopfStarAlgebra,
-    cocycle: DualCocycle,
-    ctx: ScalarContext = DEFAULT_CONTEXT,
-) -> dict:
-    """Twist by sigma, re-validate sigma^{-1} on the result, twist back."""
-    forward = twist_algebra(algebra, cocycle, ctx)
-    inverse_cocycle = DualCocycle(forward.twisted, cocycle.sigma_inv, ctx=ctx)
+def _twist_back(
+    tw: TwistResult, ctx: ScalarContext = DEFAULT_CONTEXT
+) -> tuple[TwistResult, AxiomReport]:
+    """Twist the twisted algebra by sigma^{-1}, once that passes as a cocycle there."""
+    inverse_cocycle = DualCocycle(tw.twisted, tw.cocycle.sigma_inv, ctx=ctx)
     inverse_report = verify_cocycle(inverse_cocycle, ctx, subject="inverse-cocycle")
     if not inverse_report.passed:
         raise TheoremViolation(
             f"inverse fails cocycle checks on the twisted algebra: "
             f"{', '.join(inverse_report.failing())}"
         )
-    back = twist_algebra(forward.twisted, inverse_cocycle, ctx)
+    return twist_algebra(tw.twisted, inverse_cocycle, ctx), inverse_report
+
+
+def roundtrip(
+    algebra: FiniteHopfStarAlgebra,
+    cocycle: DualCocycle,
+    ctx: ScalarContext = DEFAULT_CONTEXT,
+) -> dict:
+    """Twist by sigma, re-validate sigma^{-1} on the result, twist back."""
+    back, inverse_report = _twist_back(twist_algebra(algebra, cocycle, ctx), ctx)
     b = back.twisted
     residual = max(
         max_abs(b.mul - algebra.mul),
@@ -184,7 +190,6 @@ def f_matrix_relation(
     """
     if pw.host is not tw.original or pw_sigma.host is not tw.twisted:
         raise BlockMismatch("Peter-Weyl data does not match the twist endpoints")
-    h_twisted = haar_state(tw.twisted, ctx)
     out = []
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
@@ -201,7 +206,7 @@ def f_matrix_relation(
             raise BlockMismatch(
                 f"no twisted block matches the coefficient subspace of block {bi}"
             )
-        f_twisted, m_twisted = _f_matrix(tw.twisted, h_twisted, b.q, ctx)
+        f_twisted, m_twisted = _f_matrix(tw.twisted, pw_sigma.haar, b.q, ctx)
         a_mat = np.einsum("ijc,c->ij", b.q, tw.v.coeffs)
         target = a_mat.conj().T @ b.f_matrix @ a_mat
         num = complex(np.vdot(target, f_twisted))

@@ -26,11 +26,13 @@ from hopftwist import (
     direct_sum,
     dual_star,
     group_algebra,
+    pi_u,
     regular_corep,
     rho_sigma,
     trivial_corep,
     twist_algebra,
     twisted_operator_product,
+    twisted_operator_star,
     v_functional,
     verify_cocycle,
     verify_corep,
@@ -49,6 +51,8 @@ REL = 1e-12
 # (host, cocycle): c-d4 carries a nontrivial cocycle, c-s3 only the trivial one
 PAIRS = (("c-d4", "klein-induced"), ("c-s3", "trivial-s3"))
 HOSTS = ("c-d4", "c-s3", "g-d4")
+# the coreps of the four triple scenes, and d4-regular's read over its twisted host
+SCENE_COREPS = catalog.triple_names() + ("d4-regular^sigma",)
 
 
 def _relative_error(got, want):
@@ -108,28 +112,74 @@ def _coreps(name, rng):
     return _random_corep(_random_host(rng, host.dim), rng), summed
 
 
-@pytest.mark.parametrize("name", HOSTS)
-def test_adjoint_action_matches_its_formula(name, rng):
-    for corep in _coreps(name, rng):
-        assert corep.hdim != corep.host.dim
-        t = _complex(rng, corep.hdim, corep.hdim)
-        assert _relative_error(ad_v(corep, t), _ref_ad(corep, t)) <= REL
-        assert _relative_error(ad_v_tensor(corep), _ref_ad_tensor(corep)) <= REL
+def _scene_corep(name, ctx):
+    """A scene's corep and cocycle.  The ^sigma form reads the corep over the
+    twisted host, where sigma^-1 is the cocycle."""
+    scene = catalog.triple_scene(name.removesuffix("^sigma"), ctx)
+    corep, sigma = scene["corep"], scene["cocycle"]
+    if name.endswith("^sigma"):
+        tw = twist_algebra(sigma.host, sigma, ctx)
+        corep = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+        sigma = DualCocycle(tw.twisted, sigma.sigma_inv, ctx=ctx)
+    return corep, sigma
 
 
-@pytest.mark.parametrize("name,sigma_name", PAIRS)
-def test_deformed_image_and_product_match_their_formulas(name, sigma_name, rng):
-    sigma = catalog.cocycle(sigma_name)
-    host = catalog.algebra(name)
-    summed = direct_sum(regular_corep(host), trivial_corep(host, 2))
-    for corep in (_random_corep(host, rng), summed):
-        a = _complex(rng, corep.hdim, corep.hdim)
-        b = _complex(rng, corep.hdim, corep.hdim)
-        ad_a, ad_b = _ref_ad(corep, a), _ref_ad(corep, b)
-        want = np.einsum("ikc,kjq,cq->ij", ad_a, corep.u, sigma.sigma_inv, optimize=False)
-        assert _relative_error(rho_sigma(corep, sigma, a), want) <= REL
-        want = np.einsum("ijc,jkd,cd->ik", ad_a, ad_b, sigma.sigma_inv, optimize=False)
-        assert _relative_error(twisted_operator_product(corep, sigma, a, b), want) <= REL
+def _assert_stack_matches_elements(fn, stack):
+    """fn of a (2, 3, ...) stack is fn of each element, stacked."""
+    got = fn(stack)
+    for idx in np.ndindex(2, 3):
+        assert _relative_error(got[idx], fn(stack[idx])) <= REL
+
+
+# the scene coreps are checked on stacks only: the literal einsum takes
+# seconds at N = n = 16
+@pytest.mark.parametrize("name", HOSTS + SCENE_COREPS)
+def test_adjoint_action_matches_its_formula(name, rng, ctx):
+    if name in HOSTS:
+        coreps = _coreps(name, rng)
+        for corep in coreps:
+            assert corep.hdim != corep.host.dim
+            t = _complex(rng, corep.hdim, corep.hdim)
+            assert _relative_error(ad_v(corep, t), _ref_ad(corep, t)) <= REL
+            assert _relative_error(ad_v_tensor(corep), _ref_ad_tensor(corep)) <= REL
+            omega = _complex(rng, corep.host.dim)
+            want = np.einsum("ijc,c->ij", corep.u, omega, optimize=False)
+            assert _relative_error(pi_u(corep, omega), want) <= REL
+    else:
+        coreps = _scene_corep(name, ctx)[:1]
+    for corep in coreps:
+        stack = _complex(rng, 2, 3, corep.hdim, corep.hdim)
+        _assert_stack_matches_elements(lambda x: ad_v(corep, x), stack)
+        stack = _complex(rng, 2, 3, corep.host.dim)
+        _assert_stack_matches_elements(lambda x: pi_u(corep, x), stack)
+
+
+@pytest.mark.parametrize(
+    "name,sigma_name", PAIRS + tuple((name, None) for name in SCENE_COREPS)
+)
+def test_deformed_image_and_product_match_their_formulas(name, sigma_name, rng, ctx):
+    if sigma_name is None:
+        corep, sigma = _scene_corep(name, ctx)
+        coreps = (corep,)
+    else:
+        sigma = catalog.cocycle(sigma_name)
+        host = catalog.algebra(name)
+        summed = direct_sum(regular_corep(host), trivial_corep(host, 2))
+        coreps = (_random_corep(host, rng), summed)
+        for corep in coreps:
+            a = _complex(rng, corep.hdim, corep.hdim)
+            b = _complex(rng, corep.hdim, corep.hdim)
+            ad_a, ad_b = _ref_ad(corep, a), _ref_ad(corep, b)
+            want = np.einsum("ikc,kjq,cq->ij", ad_a, corep.u, sigma.sigma_inv, optimize=False)
+            assert _relative_error(rho_sigma(corep, sigma, a), want) <= REL
+            want = np.einsum("ijc,jkd,cd->ik", ad_a, ad_b, sigma.sigma_inv, optimize=False)
+            assert _relative_error(twisted_operator_product(corep, sigma, a, b), want) <= REL
+    for corep in coreps:
+        stack = _complex(rng, 2, 3, corep.hdim, corep.hdim)
+        _assert_stack_matches_elements(lambda x: rho_sigma(corep, sigma, x), stack)
+        _assert_stack_matches_elements(
+            lambda x: twisted_operator_star(corep, sigma, x, ctx), stack
+        )
 
 
 @pytest.mark.parametrize("name", HOSTS)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from hopftwist import (
     twist_algebra,
     twisted_operator_product,
     twisted_operator_star,
+    trivial_cocycle,
 )
 from hopftwist.deform import operator_span_basis
 from hopftwist.errors import (
@@ -226,6 +229,18 @@ def test_intertwine_residual_is_small_on_generators(ctx):
     tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
     for gen in scene["triple"].generators:
         assert intertwine_check(scene["corep"], tw, gen, ctx) <= 1e-9
+
+
+def test_intertwine_check_sees_a_wrong_cocycle(ctx):
+    # on the two torus scenes the same swap still reads 0.0, so the guard
+    # runs on the dihedral scene
+    scene = catalog.triple_scene("d4-regular", ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    wrong = dataclasses.replace(tw, cocycle=trivial_cocycle(scene["host"]))
+    st = scene["triple"]
+    basis = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
+    assert max(intertwine_check(scene["corep"], tw, t, ctx) for t in basis) <= 1e-9
+    assert max(intertwine_check(scene["corep"], wrong, t, ctx) for t in basis) > 0.1
 
 
 def test_intertwine_requires_the_same_host(ctx):
