@@ -146,7 +146,7 @@ def test_adjoint_action_matches_its_formula(name, rng, ctx):
             want = np.einsum("ijc,c->ij", corep.u, omega, optimize=False)
             assert _relative_error(pi_u(corep, omega), want) <= REL
     else:
-        coreps = _scene_corep(name, ctx)[:1]
+        coreps = (_scene_corep(name, ctx)[0],)
     for corep in coreps:
         stack = _complex(rng, 2, 3, corep.hdim, corep.hdim)
         _assert_stack_matches_elements(lambda x: ad_v(corep, x), stack)
