@@ -152,7 +152,10 @@ def e_map_matrix(corep: UnitaryCorep, rho: Array, ad_tensor: Array | None = None
     """The map (id (x) rho) ad_v as an N^2 x N^2 matrix over vectorized operators."""
     ad = ad_v_tensor(corep) if ad_tensor is None else ad_tensor
     n_h = corep.hdim
-    return np.einsum("ijklc,c->ijkl", ad, rho).reshape(n_h * n_h, n_h * n_h)
+    # ad_v_tensor stores (i, k, j, l, c): read it as an (N^4, n) matrix, no copy
+    stored = ad.transpose(0, 2, 1, 3, 4).reshape(-1, ad.shape[-1])
+    emap = (stored @ rho).reshape(n_h, n_h, n_h, n_h).transpose(0, 2, 1, 3)
+    return emap.reshape(n_h * n_h, n_h * n_h)
 
 
 def spectral_projection(

@@ -217,26 +217,54 @@ def extract_block_form(
     }
 
 
+def _rho_matrix(corep: UnitaryCorep, sigma: DualCocycle) -> Array:
+    """rho_sigma as an N^2 x N^2 matrix R with vec(rho_sigma(T)) = R vec(T)."""
+    if sigma.host is not corep.host:
+        raise HostMismatch("cocycle and corep live on different hosts")
+    n_h = corep.hdim
+    # mul[a, b, c] legs[c, j, m] -> (a, b, j, m); u*[j, l, b] over (j, b)
+    # -> (l, a, m); u[i, k, a] over a, batched over (i, m) -> (i, m, k, l)
+    legs = pi_u(corep, sigma.sigma_inv)
+    mul_legs = np.tensordot(corep.host.mul, legs, axes=([2], [0]))
+    star_legs = np.tensordot(corep.entry_star(), mul_legs, axes=([0, 2], [2, 1]))
+    del mul_legs
+    r = corep.u[:, None] @ star_legs.transpose(2, 1, 0)[None]
+    return r.reshape(n_h * n_h, n_h * n_h)
+
+
+def _apply_rho(rho: Array, t: Array) -> Array:
+    """R of _rho_matrix on a stack t of shape (..., N, N)."""
+    t = np.asarray(t, dtype=np.complex128)
+    return (t.reshape(t.shape[:-2] + (-1,)) @ rho.T).reshape(t.shape)
+
+
 def rho_sigma(corep: UnitaryCorep, sigma: DualCocycle, t: Array) -> Array:
     """Deformed image of operators: sum of T_(0) Pi_V(sigma^{-1}(T_(1), .)).
 
     t has shape (..., N, N), and so has the result.
     """
-    if sigma.host is not corep.host:
-        raise HostMismatch("cocycle and corep live on different hosts")
-    # legs[c] = Pi_V(sigma^{-1}(e_c, .)), contracted with the coaction leg c
-    legs = pi_u(corep, sigma.sigma_inv)
-    return np.tensordot(ad_v(corep, t), legs, axes=([-2, -1], [1, 0]))
+    return _apply_rho(_rho_matrix(corep, sigma), t)
 
 
 def twisted_operator_product(
     corep: UnitaryCorep, sigma: DualCocycle, a: Array, b: Array
 ) -> Array:
-    """Deformed product a_(0) b_(0) sigma^{-1}(a_(1), b_(1)) on operators."""
+    """Deformed product a_(0) b_(0) sigma^{-1}(a_(1), b_(1)) on operators.
+
+    a and b have shapes (..., N, N) that broadcast against each other, and
+    the result has the broadcast shape: (S, 1, N, N) against (1, S, N, N)
+    gives all S^2 products.
+    """
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    left = np.tensordot(ad_v(corep, a), sigma.sigma_inv, axes=([2], [0]))
-    return np.tensordot(left, ad_v(corep, b), axes=([1, 2], [0, 2]))
+    n_h = corep.hdim
+    # (..., i, j, c) sigma^{-1}[c, d] -> (..., i, j, d), then one batched
+    # matmul over (j, d) against ad(b) read as (..., j, d, m)
+    left = ad_v(corep, a) @ sigma.sigma_inv
+    right = np.swapaxes(ad_v(corep, b), -1, -2)
+    return left.reshape(left.shape[:-2] + (-1,)) @ right.reshape(
+        right.shape[:-3] + (-1, n_h)
+    )
 
 
 def twisted_operator_star(
@@ -272,21 +300,27 @@ def operator_span_basis(
         basis.append(nxt)
         return True
 
+    def absorb_screened(cands: Array) -> bool:
+        # a larger basis only shrinks a residual, so a candidate whose
+        # residual against the current basis is below tol is never absorbed
+        q = np.array(basis)
+        w = cands.reshape(len(cands), -1)
+        for _ in range(2):
+            w = w - (w @ q.conj().T) @ q
+        keep = np.linalg.norm(w, axis=1) > tol
+        absorbed = [absorb(m) for m in cands[keep]]
+        return any(absorbed)
+
     absorb(np.eye(hdim, dtype=np.complex128))
     for m in mats:
         absorb(np.asarray(m, dtype=np.complex128))
         absorb(np.asarray(m, dtype=np.complex128).conj().T)
     changed = True
     while changed:
-        changed = False
-        current = [b.reshape(hdim, hdim) for b in basis]
+        current = np.array(basis).reshape(-1, hdim, hdim)
+        changed = absorb_screened(np.conj(np.swapaxes(current, -1, -2)))
         for x in current:
-            if absorb(x.conj().T):
-                changed = True
-        for x in current:
-            for y in current:
-                if absorb(x @ y):
-                    changed = True
+            changed = absorb_screened(x @ current) or changed
     return [b.reshape(hdim, hdim) for b in basis]
 
 
@@ -338,8 +372,9 @@ def deform_triple(
     host = corep.host
     if pw is None:
         pw = decompose(host, haar_state(host, ctx), ctx)
-    ad = ad_v_tensor(corep)
+    # close the span before the N^4 n tensor (16 MB at N = n = 16) exists
     span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
+    ad = ad_v_tensor(corep)
     refined: list[Array] = []
     labels: list[str] = []
     weights: list[list[tuple[int, float]]] = [[] for _ in st.generators]
@@ -358,7 +393,7 @@ def deform_triple(
             weight = float(np.linalg.norm(p_map @ gen.reshape(-1)))
             if weight > ctx.loose_tolerance:
                 blocks.append((k, weight))
-    # free the N^4 n tensor (16 MB at N = n = 16) before the stacked images
+    # free it before the stacked images
     del ad
     generator_blocks = [
         {"generator": name, "blocks": tuple(blocks)}
@@ -413,15 +448,20 @@ def intertwine_check(
     t: Array,
     ctx: ScalarContext = DEFAULT_CONTEXT,
 ) -> float:
-    """Residual of ad over the twisted corep against rho_sigma on coaction legs."""
+    """Residual of ad over the twisted corep against rho_sigma on coaction legs.
+
+    t has shape (..., N, N); the residual is the worst over the stack.
+    """
     if tw.original is not corep.host:
         raise HostMismatch("twist transcript belongs to a different host")
-    corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
-    lhs = ad_v(corep_sigma, rho_sigma(corep, tw.cocycle, t))
-    # the coaction legs go through rho_sigma as one stack along c
-    legs = np.moveaxis(ad_v(corep, t), -1, -3)
-    rhs = np.moveaxis(rho_sigma(corep, tw.cocycle, legs), -3, -1)
-    return max_abs(lhs - rhs)
+    n_h = corep.hdim
+    rho = _rho_matrix(corep, tw.cocycle)
+    corep_sigma = UnitaryCorep(tw.twisted, n_h, corep.u)
+    lhs = ad_v(corep_sigma, _apply_rho(rho, t))
+    # R acts on every coaction leg c of ad(t) at once: (..., N^2, n)
+    legs = ad_v(corep, t)
+    rhs = rho @ legs.reshape(legs.shape[:-3] + (n_h * n_h, -1))
+    return max_abs(lhs - rhs.reshape(lhs.shape))
 
 
 @dataclass(frozen=True, eq=False)

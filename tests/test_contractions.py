@@ -26,6 +26,7 @@ from hopftwist import (
     direct_sum,
     dual_star,
     group_algebra,
+    intertwine_check,
     pi_u,
     regular_corep,
     rho_sigma,
@@ -43,7 +44,7 @@ from hopftwist import (
 from hopftwist._linalg import nullspace
 from hopftwist.cocycle import convolution_matrix2, convolve2
 from hopftwist.core import FiniteHopfStarAlgebra
-from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor
+from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
 from hopftwist.peterweyl import _act, _rho_data, gram_matrix, haar_pairing, haar_state
 
 REL = 1e-12
@@ -180,6 +181,57 @@ def test_deformed_image_and_product_match_their_formulas(name, sigma_name, rng, 
         _assert_stack_matches_elements(
             lambda x: twisted_operator_star(corep, sigma, x, ctx), stack
         )
+
+
+@pytest.mark.parametrize(
+    "name,sigma_name", PAIRS + tuple((name, None) for name in SCENE_COREPS)
+)
+def test_stacked_twisted_products_match_the_pairwise_ones(name, sigma_name, rng, ctx):
+    if sigma_name is None:
+        corep, sigma = _scene_corep(name, ctx)
+    else:
+        corep, sigma = _random_corep(catalog.algebra(name), rng), catalog.cocycle(sigma_name)
+    stack = _complex(rng, 3, corep.hdim, corep.hdim)
+    got = twisted_operator_product(corep, sigma, stack[:, None], stack[None])
+    assert got.shape == (3, 3, corep.hdim, corep.hdim)
+    for i, j in np.ndindex(3, 3):
+        want = twisted_operator_product(corep, sigma, stack[i], stack[j])
+        assert _relative_error(got[i, j], want) <= REL
+
+
+@pytest.mark.parametrize("name,sigma_name", PAIRS)
+def test_intertwine_residual_matches_its_formula(name, sigma_name, rng, ctx):
+    host, sigma = catalog.algebra(name), catalog.cocycle(sigma_name)
+    tw = twist_algebra(host, sigma, ctx)
+    corep = _random_corep(host, rng)
+    corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+
+    def rho(t):
+        return np.einsum(
+            "ikc,kjq,cq->ij", _ref_ad(corep, t), corep.u, sigma.sigma_inv, optimize=False
+        )
+
+    stack = _complex(rng, 2, corep.hdim, corep.hdim)
+    want = 0.0
+    for t in stack:
+        lhs = _ref_ad(corep_sigma, rho(t))
+        legs = _ref_ad(corep, t)
+        rhs = np.stack([rho(legs[:, :, c]) for c in range(host.dim)], axis=-1)
+        want = max(want, np.abs(lhs - rhs).max())
+    assert abs(intertwine_check(corep, tw, stack, ctx) - want) <= REL * want
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_e_map_matrix_matches_its_formula(name, rng):
+    for corep in _coreps(name, rng):
+        n_h = corep.hdim
+        rho = _complex(rng, corep.host.dim)
+        want = np.einsum("ijklc,c->ijkl", _ref_ad_tensor(corep), rho, optimize=False)
+        want = want.reshape(n_h * n_h, n_h * n_h)
+        assert _relative_error(e_map_matrix(corep, rho), want) <= REL
+        # a caller's tensor in plain (i, j, k, l, c) order reads the same
+        plain = np.ascontiguousarray(ad_v_tensor(corep))
+        assert _relative_error(e_map_matrix(corep, rho, plain), want) <= REL
 
 
 @pytest.mark.parametrize("name", HOSTS)

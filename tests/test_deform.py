@@ -25,6 +25,7 @@ from hopftwist import (
     twisted_operator_star,
     trivial_cocycle,
 )
+from hopftwist._linalg import gram_schmidt_step
 from hopftwist.deform import operator_span_basis
 from hopftwist.errors import (
     DimensionMismatch,
@@ -243,6 +244,32 @@ def test_intertwine_check_sees_a_wrong_cocycle(ctx):
     assert max(intertwine_check(scene["corep"], wrong, t, ctx) for t in basis) > 0.1
 
 
+@pytest.mark.parametrize("name", SCENES)
+def test_stacked_intertwine_check_is_the_worst_element(name, ctx):
+    scene = catalog.triple_scene(name, ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    st = scene["triple"]
+    basis = np.stack(operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance))
+    per_element = max(intertwine_check(scene["corep"], tw, t, ctx) for t in basis)
+    stacked = intertwine_check(scene["corep"], tw, basis, ctx)
+    assert abs(stacked - per_element) <= 1e-14
+    two_axes = basis[: 2 * (len(basis) // 2)].reshape(2, -1, st.hdim, st.hdim)
+    assert intertwine_check(scene["corep"], tw, two_axes, ctx) <= per_element + 1e-14
+
+
+def test_stacked_intertwine_check_sees_a_wrong_cocycle(ctx):
+    scene = catalog.triple_scene("d4-regular", ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    wrong = dataclasses.replace(tw, cocycle=trivial_cocycle(scene["host"]))
+    st = scene["triple"]
+    basis = np.stack(operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance))
+    assert intertwine_check(scene["corep"], tw, basis, ctx) <= 1e-9
+    worst = intertwine_check(scene["corep"], wrong, basis, ctx)
+    assert worst > 0.1
+    per_element = max(intertwine_check(scene["corep"], wrong, t, ctx) for t in basis)
+    assert abs(worst - per_element) <= 1e-12 * per_element
+
+
 def test_intertwine_requires_the_same_host(ctx):
     scene = catalog.triple_scene("z2z2-torus", ctx)
     other = catalog.algebra("c-s3")
@@ -300,3 +327,80 @@ def test_double_deformation_returns_every_operator(ctx, rng):
         once = rho_sigma(corep, sigma, a)
         back = rho_sigma(corep_sigma, sigma_inv, once)
         assert np.abs(back - a).max() <= 1e-9
+
+
+def _unscreened_span_basis(mats, hdim, tol):
+    """The closure loop with every candidate going through gram_schmidt_step alone."""
+    basis = []
+
+    def absorb(m):
+        nxt = gram_schmidt_step(m.reshape(-1), basis, tol)
+        if nxt is None:
+            return False
+        basis.append(nxt)
+        return True
+
+    absorb(np.eye(hdim, dtype=np.complex128))
+    for m in mats:
+        absorb(np.asarray(m, dtype=np.complex128))
+        absorb(np.asarray(m, dtype=np.complex128).conj().T)
+    changed = True
+    while changed:
+        changed = False
+        current = [b.reshape(hdim, hdim) for b in basis]
+        for x in current:
+            if absorb(x.conj().T):
+                changed = True
+        for x in current:
+            for y in current:
+                if absorb(x @ y):
+                    changed = True
+    return [b.reshape(hdim, hdim) for b in basis]
+
+
+def _assert_same_span_basis(mats, hdim, tol):
+    got = operator_span_basis(mats, hdim, tol)
+    want = _unscreened_span_basis(mats, hdim, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12
+    return len(got)
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_screened_closure_matches_the_unscreened_loop_on_scenes(name, ctx):
+    scene = catalog.triple_scene(name, ctx)
+    st = scene["triple"]
+    _assert_same_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
+    # the image closure of deform_triple, over the deformed operators
+    span = np.stack(operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance))
+    images = rho_sigma(scene["corep"], scene["cocycle"], span)
+    _assert_same_span_basis(list(images), st.hdim, ctx.loose_tolerance)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_screened_closure_matches_the_unscreened_loop_on_matrix_algebras(n, ctx):
+    diag = np.diag(np.arange(1.0, n + 1)).astype(np.complex128)
+    shift = np.roll(np.eye(n, dtype=np.complex128), 1, axis=0)
+    tol = ctx.loose_tolerance
+    assert _assert_same_span_basis([diag], n, tol) == n
+    assert _assert_same_span_basis([shift], n, tol) == n
+    # diagonal plus shift generate all of M_n, with real or complex entries
+    assert _assert_same_span_basis([diag, shift], n, tol) == n * n
+    assert _assert_same_span_basis([diag, np.exp(0.3j) * shift], n, tol) == n * n
+
+
+def test_screened_closure_sends_few_candidates_to_the_sequential_step(ctx, monkeypatch):
+    calls = [0]
+
+    def counting(*args, _original=deform_module.gram_schmidt_step, **kwargs):
+        calls[0] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(deform_module, "gram_schmidt_step", counting)
+    n = 6
+    diag = np.diag(np.arange(1.0, n + 1)).astype(np.complex128)
+    shift = np.exp(0.3j) * np.roll(np.eye(n, dtype=np.complex128), 1, axis=0)
+    assert len(operator_span_basis([diag, shift], n, ctx.loose_tolerance)) == n * n
+    # the unscreened loop sends every one of the thousands of products
+    assert calls[0] <= 2 * n * n
