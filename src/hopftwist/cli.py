@@ -384,12 +384,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
-        return 2
-    ctx = ScalarContext(tolerance=args.tolerance, seed=args.seed)
     try:
-        return args.fn(args, ctx)
+        return args.fn(args, ScalarContext(tolerance=args.tolerance, seed=args.seed))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

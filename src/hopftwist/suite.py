@@ -322,8 +322,9 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     )
 
     # 6: twisting back with the inverse cocycle
-    for hname, cname in catalog.cocycle_pairs():
-        rt = roundtrip(catalog.algebra(hname), catalog.cocycle(cname, ctx), ctx)
+    for _, cname in catalog.cocycle_pairs():
+        sigma = catalog.cocycle(cname, ctx)
+        rt = roundtrip(sigma.host, sigma, ctx, tw=ws.twist(sigma))
         residual = max(rt["residual"], rt["inverse_cocycle_residual"])
         if not rt["coalgebra_identical"]:
             residual = max(residual, 1.0)

@@ -127,9 +127,18 @@ def roundtrip(
     algebra: FiniteHopfStarAlgebra,
     cocycle: DualCocycle,
     ctx: ScalarContext = DEFAULT_CONTEXT,
+    tw: TwistResult | None = None,
 ) -> dict:
-    """Twist by sigma, re-validate sigma^{-1} on the result, twist back."""
-    back, inverse_report = _twist_back(twist_algebra(algebra, cocycle, ctx), ctx)
+    """Twist by sigma, re-validate sigma^{-1} on the result, twist back.
+
+    ``tw``, when given, is the forward twist of algebra by cocycle, and is
+    used instead of twisting again.
+    """
+    if tw is None:
+        tw = twist_algebra(algebra, cocycle, ctx)
+    elif tw.original is not algebra or tw.cocycle is not cocycle:
+        raise HostMismatch("tw is not the twist of this algebra by this cocycle")
+    back, inverse_report = _twist_back(tw, ctx)
     b = back.twisted
     residual = max(
         max_abs(b.mul - algebra.mul),

@@ -76,6 +76,12 @@ def test_unknown_names_and_flags_exit_2(capsys):
     _capture(capsys)
     assert run(["--tolerance", "-1", "catalog", "list"]) == 2
     _capture(capsys)
+    # nan <= 0 is false, and inf would pass every check
+    for tolerance in ("nan", "inf"):
+        assert run(["--tolerance", tolerance, "check-hopf", "c-s3"]) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
     assert run(["no-such-command"]) == 2
     _capture(capsys)
     assert run(["catalog", "emit", "c-z2", "--no-such-flag"]) == 2

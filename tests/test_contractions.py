@@ -8,6 +8,7 @@ dimension N differs from the host dimension n; perturbed catalog hosts; and
 random non-cocycle matrices on a commutative and a cocommutative host.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,13 @@ from hopftwist import (
     catalog,
     check_volume_preservation,
     cyclic_group,
+    dihedral_group,
     direct_product,
     direct_sum,
     dual_star,
+    function_algebra,
     group_algebra,
+    induce,
     intertwine_check,
     pi_u,
     regular_corep,
@@ -337,7 +341,11 @@ def _perturbed(host, rng, size=0.1):
 
 
 def _ref_axiom_residuals(a):
-    """The einsum-built axiom residuals, written as literal formulas."""
+    """The einsum-built axiom residuals, written as literal formulas.
+
+    The four-operand formula follows numpy's own contraction path: summed
+    term by term it takes about 50 s at n = 16.
+    """
 
     def gap(x, y):
         return np.abs(x - y).max()
@@ -354,7 +362,7 @@ def _ref_axiom_residuals(a):
         ),
         "coproduct-multiplicative": gap(
             np.einsum("ijc,cab->ijab", mul, comul),
-            np.einsum("ipq,jrs,pra,qsb->ijab", comul, comul, mul, mul, optimize=False),
+            np.einsum("ipq,jrs,pra,qsb->ijab", comul, comul, mul, mul, optimize=True),
         ),
         "coproduct-star": gap(
             np.einsum("ji,jab->iab", star, comul),
@@ -375,14 +383,69 @@ def _ref_axiom_residuals(a):
     }
 
 
-@pytest.mark.parametrize("name", HOSTS)
-def test_axiom_residuals_match_their_formulas(name, rng):
-    host = _perturbed(catalog.algebra(name), rng)
+def _one_entry_off(host, tensor, rng):
+    """host with 1 + 0.5i added to one entry of mul or comul, at a position
+    where that tensor is zero when it has one.
+
+    verify_hopf_axioms sums each e_i slice only over the nonzero support of
+    the e_i factor; the new entry gives one basis element a support its
+    neighbours lack.
+    """
+    t = np.array(getattr(host, tensor))
+    zeros = np.argwhere(t == 0)
+    pos = zeros[rng.integers(len(zeros))] if len(zeros) else rng.integers(host.dim, size=3)
+    t[tuple(pos)] += 1.0 + 0.5j
+    return dataclasses.replace(host, **{tensor: t})
+
+
+def _c_d8_klein_twist(host, ctx):
+    """C(D8) twisted by the cocycle induced from the Klein subgroup {e, r4, s, r4 s}."""
+    mor = catalog.restriction_morphism(
+        dihedral_group(8), (0, 4, 8, 12), ctx, source=host, target=catalog.algebra("c-z2z2")
+    )
+    return twist_algebra(host, induce(catalog.cocycle("klein-fourier", ctx), mor, ctx), ctx).twisted
+
+
+def _axiom_case(name, rng, ctx):
+    """A catalog name gives that host perturbed everywhere.  Otherwise the
+    name is host+tensor: one entry of mul or comul set off C(D8) (n = 16),
+    its Klein-induced twist, or C(D8) in a random dense basis."""
+    if "+" not in name:
+        return _perturbed(catalog.algebra(name), rng)
+    host_name, tensor = name.split("+")
+    host = function_algebra(dihedral_group(8))
+    if host_name == "c-d8^klein":
+        host = _c_d8_klein_twist(host, ctx)
+    elif host_name == "c-d8-dense":
+        host = _rebased(host, np.eye(host.dim) + 0.1 * _complex(rng, host.dim, host.dim))
+        assert np.count_nonzero(host.mul) == host.mul.size
+    return _one_entry_off(host, tensor, rng)
+
+
+# the rewritten n^4-entry checks each case must move
+_MOVED = {
+    "mul": ("associativity", "coproduct-multiplicative"),
+    "comul": ("coassociativity", "coproduct-multiplicative"),
+}
+SUPPORT_CASES = tuple(
+    f"{host}+{tensor}" for host in ("c-d8", "c-d8^klein", "c-d8-dense") for tensor in _MOVED
+)
+
+
+@pytest.mark.parametrize("name", HOSTS + SUPPORT_CASES)
+def test_axiom_residuals_match_their_formulas(name, rng, ctx):
+    host = _axiom_case(name, rng, ctx)
     report = verify_hopf_axioms(host)
     assert not report.passed
+    moved = _MOVED[name.split("+")[1]] if "+" in name else None
     for check, want in _ref_axiom_residuals(host).items():
-        assert want > 1e-3
-        assert abs(report.residual(check) - want) <= REL * want, check
+        if moved is None or check in moved:
+            assert want > 1e-3, check
+        if want > 1e-3:
+            assert abs(report.residual(check) - want) <= REL * want, check
+        else:
+            # an identity the one entry leaves intact: both read rounding
+            assert abs(report.residual(check) - want) <= REL, check
 
 
 def test_tensor_square_convolution_matches_its_formula(rng):

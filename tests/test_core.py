@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,30 @@ def test_axiom_report_names_are_unique(ctx):
     assert len(names) == len(set(names))
     assert "associativity" in names
     assert "antipode-law" in names
+
+
+def test_axiom_check_at_dimension_32_holds_under_two_n4_arrays(ctx):
+    host = function_algebra(dihedral_group(16))
+    n = host.dim
+    assert n == 32
+    tracemalloc.start()
+    try:
+        report = verify_hopf_axioms(host, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * n**4 * 16  # 32 MB of complex128
+
+
+def test_axiom_residuals_keep_a_nan_on_the_last_basis_element(ctx):
+    host = function_algebra(dihedral_group(4))
+    mul, comul = np.array(host.mul), np.array(host.comul)
+    mul[-1, 0, 1] = comul[-1, 0, 1] = np.nan
+    report = verify_hopf_axioms(dataclasses.replace(host, mul=mul, comul=comul), ctx)
+    assert not report.passed
+    for check in ("associativity", "coassociativity", "coproduct-multiplicative"):
+        assert np.isnan(report.residual(check)), check
 
 
 def test_tensors_are_frozen():
@@ -132,8 +160,9 @@ def test_convolution_matrix_agrees_with_convolve(rng):
 
 
 def test_scalar_context_validation():
-    with pytest.raises(DimensionMismatch):
-        ScalarContext(tolerance=0.0)
+    for tolerance in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(DimensionMismatch):
+            ScalarContext(tolerance=tolerance)
     ctx = ScalarContext(tolerance=1e-9, seed=3)
     r1 = ctx.rng().normal(size=4)
     r2 = ctx.rng().normal(size=4)

@@ -53,10 +53,21 @@ def test_twist_keeps_the_coalgebra_bit_identical(ctx, host_name, cocycle_name):
 @pytest.mark.parametrize("host_name,cocycle_name", PAIRS)
 def test_roundtrip_returns_to_the_original(ctx, host_name, cocycle_name):
     host = catalog.algebra(host_name)
-    result = roundtrip(host, catalog.cocycle(cocycle_name, ctx), ctx)
+    sigma = catalog.cocycle(cocycle_name, ctx)
+    result = roundtrip(host, sigma, ctx)
     assert result["passed"]
     assert result["residual"] <= 1e-9
     assert result["coalgebra_identical"]
+    # a forward twist the caller already holds gives the same result
+    assert roundtrip(host, sigma, ctx, tw=twist_algebra(host, sigma, ctx)) == result
+
+
+def test_roundtrip_rejects_the_twist_of_another_pair(ctx):
+    (host_name, cocycle_name), (_, other_name) = PAIRS[0], PAIRS[1]
+    host, sigma = catalog.algebra(host_name), catalog.cocycle(cocycle_name, ctx)
+    other = catalog.cocycle(other_name, ctx)
+    with pytest.raises(HostMismatch):
+        roundtrip(host, sigma, ctx, tw=twist_algebra(other.host, other, ctx))
 
 
 @pytest.mark.parametrize("host_name,cocycle_name", PAIRS)
