@@ -220,7 +220,8 @@ class AxiomReport:
         raise KeyError(name)
 
     def failing(self) -> tuple[str, ...]:
-        return tuple(name for name, r in self.checks if r > self.tolerance)
+        """The checks that keep the report from passing, a NaN residual included."""
+        return tuple(name for name, r in self.checks if not r <= self.tolerance)
 
 
 def _gap(fresh: Array, other) -> float:

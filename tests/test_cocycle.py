@@ -7,8 +7,11 @@ from hopftwist import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     catalog,
+    cyclic_group,
     dihedral_group,
+    direct_product,
     from_bicharacter,
+    function_algebra,
     group_algebra,
     induce,
     klein_four_group,
@@ -19,6 +22,7 @@ from hopftwist import (
     verify_morphism,
     w_functional,
 )
+from hopftwist._linalg import square_components
 from hopftwist.cocycle import convolution_matrix2, convolve2, dual_star2, identity2, invert2
 from hopftwist.core import DualFunctional, convolve
 from hopftwist.errors import (
@@ -62,6 +66,34 @@ def test_from_bicharacter_rejects_nonbicharacter(ctx):
     beta[1, 2] = 3.0
     with pytest.raises(InvalidBicharacter):
         from_bicharacter(klein_four_group(), beta, ctx)
+
+
+def _first_nonmultiplicative(group, beta, tol):
+    """The rejection message of the triple loop that from_bicharacter ran
+    before it compared whole tables, or None for a bicharacter."""
+    t, n = group.table, group.order
+    for g in range(n):
+        for h in range(n):
+            for k in range(n):
+                if abs(beta[g, t[h, k]] - beta[g, h] * beta[g, k]) > tol:
+                    return f"not multiplicative in the second slot at ({g},{h},{k})"
+                if abs(beta[t[g, h], k] - beta[g, k] * beta[h, k]) > tol:
+                    return f"not multiplicative in the first slot at ({g},{h},{k})"
+    return None
+
+
+@pytest.mark.parametrize("broken", ((1, 2), (0, 3), (3, 0), (2, 2), (5, 6)))
+def test_from_bicharacter_names_the_first_nonmultiplicative_triple(ctx, broken):
+    group = direct_product(cyclic_group(2), cyclic_group(4))
+    pairs = [(a, b) for a in range(2) for b in range(4)]
+    beta = np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in pairs] for g in pairs])
+    assert _first_nonmultiplicative(group, beta, ctx.tolerance) is None
+    beta[broken] *= 1j
+    want = _first_nonmultiplicative(group, beta, ctx.tolerance)
+    assert want is not None
+    with pytest.raises(InvalidBicharacter) as exc:
+        from_bicharacter(group, beta, ctx)
+    assert str(exc.value) == want
 
 
 def test_from_bicharacter_rejects_wrong_host(ctx):
@@ -222,6 +254,19 @@ def test_invert2_certifies_catalog_cocycles_without_svd(ctx, tol, monkeypatch):
         assert np.abs(inv - want).max() <= 1e-12, name
 
 
+def _one_component_operand(host, cond, phase):
+    """x on C(D4) with the operator I + b P + c J: P is translation by the
+    central (r^2, e) and J the all-ones matrix, so the pattern is one dense
+    component and the operator is normal with eigenvalues 1 + b, 1 - b and
+    1 (on constants), which make cond2 = cond."""
+    n = host.dim
+    b = (cond - 1.0) / (cond + 1.0)
+    x = np.full((n, n), -b / n**2, dtype=np.complex128)
+    x[0, 0] += 1.0
+    x[2, 0] += b  # r^2 is basis element 2 of dihedral_group(4)
+    return phase * x
+
+
 @pytest.mark.parametrize("tol", TOLERANCES)
 @pytest.mark.parametrize("complex_phases", (False, True))
 def test_invert2_falls_back_to_svd_below_the_limit(tol, complex_phases, rng, svd_calls):
@@ -231,10 +276,22 @@ def test_invert2_falls_back_to_svd_below_the_limit(tol, complex_phases, rng, svd
     cond = 0.5 / tol
     assert (1.0 / tol) / n2 < cond < 1.0 / tol
     ctx = ScalarContext(tolerance=tol)
+    # the operator is diagonal, so its 1x1 blocks certify it without an SVD
     inv = invert2(host, x, ctx)
-    assert (n2, n2) in svd_calls
+    assert svd_calls == []
     assert _svd_rule(convolution_matrix2(host, x), tol)
     assert np.abs(inv * x - 1.0).max() <= 1e-12
+    # one dense component: the whole-operator bound cannot decide
+    dense_host = function_algebra(dihedral_group(4))
+    phase = np.exp(2j * np.pi * rng.random()) if complex_phases else -1.0
+    x = _one_component_operand(dense_host, cond, phase)
+    lmat = convolution_matrix2(dense_host, x)
+    assert len(square_components(lmat)) == 1
+    assert np.isclose(np.linalg.cond(lmat), cond, rtol=1e-3)
+    del svd_calls[:]
+    assert _invert2_accepts(dense_host, x, ctx)
+    assert (n2, n2) in svd_calls
+    assert _svd_rule(lmat, tol)
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -267,6 +324,70 @@ def test_invert2_rejects_exactly_singular_operands(tol, rng):
         assert not _svd_rule(convolution_matrix2(h, operand), tol)
         with pytest.raises(InvalidInverse, match="singular"):
             invert2(h, operand, ctx)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_invert2_sends_a_non_square_component_to_the_svd(tol, rng, svd_calls):
+    host = group_algebra(dihedral_group(4))
+    x = _diagonal_operand(host, rng, 1.0, True)
+    x[3, 5] = 0.0
+    lmat = convolution_matrix2(host, x)
+    # row (3, 5) is all zero: a component with one row and no column
+    assert not lmat[3 * host.dim + 5].any()
+    assert square_components(lmat) is None
+    with pytest.raises(InvalidInverse, match="singular"):
+        invert2(host, x, ScalarContext(tolerance=tol))
+    assert (host.dim**2, host.dim**2) in svd_calls
+
+
+def _bicharacter_z4z4():
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    return np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
+
+
+def _ladder_cocycles(ctx):
+    """The twist ladder's five hosts and cocycles, up to C(D16) at n = 32."""
+    klein = klein_four_group()
+    c_klein = function_algebra(klein)
+    klein_fourier = catalog.fourier_transport(klein, _klein_beta(), c_klein, ctx)
+    for m in (4, 8, 16):
+        group = dihedral_group(m)
+        # the Klein subgroup {e, r^(m/2), s, r^(m/2) s}; index k + m*f is r^k s^f
+        mor = catalog.restriction_morphism(
+            group, (0, m // 2, m, m + m // 2), ctx, target=c_klein
+        )
+        yield f"C(D{m})", induce(klein_fourier, mor, ctx)
+    z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
+    yield "G(Z4xZ4)", from_bicharacter(z4z4, _bicharacter_z4z4(), ctx)
+    yield "C(Z4xZ4)", catalog.fourier_transport(
+        z4z4, _bicharacter_z4z4(), function_algebra(z4z4), ctx
+    )
+
+
+def test_invert2_matches_a_dense_solve_on_the_twist_ladder(ctx):
+    for name, sigma in _ladder_cocycles(ctx):
+        host = sigma.host
+        twisted = twist_algebra(host, sigma, ctx).twisted
+        for label, h, x in ((name, host, sigma.sigma), (f"{name}^-1", twisted, sigma.sigma_inv)):
+            n = h.dim
+            dense = np.linalg.solve(convolution_matrix2(h, x), identity2(h).reshape(-1))
+            assert np.abs(invert2(h, x, ctx) - dense.reshape(n, n)).max() <= 1e-12, label
+
+
+def test_invert2_on_c_d16_solves_and_decomposes_only_small_blocks(ctx, svd_calls, monkeypatch):
+    sigma = dict(_ladder_cocycles(ctx))["C(D16)"]
+    n2 = sigma.host.dim ** 2
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    invert2(sigma.host, sigma.sigma, ctx)
+    assert solves and all(shape[-1] < n2 for shape in solves)
+    assert all(shape[-1] < n2 for shape in svd_calls)
 
 
 def _random_host(rng, n):

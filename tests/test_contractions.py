@@ -466,6 +466,26 @@ def test_tensor_square_convolution_matches_its_formula(rng):
     assert _relative_error(applied, convolve2(host, x, y).reshape(-1)) <= REL
 
 
+def test_tensor_square_convolution_skips_zero_rows_and_columns(rng):
+    host = _random_host(rng, 6)
+    comul = host.comul
+    for rows, cols in (((1, 4), (0, 2, 5)), ((), (3,)), ((0, 1, 2, 3, 4), ())):
+        x, xt = _complex(rng, 6, 6), _complex(rng, 6, 6, 3)
+        y, yt = _complex(rng, 6, 6), _complex(rng, 6, 6, 3)
+        for f in (x, xt):
+            f[list(rows)] = 0.0
+            f[:, list(cols)] = 0.0
+        y[list(cols)] = yt[:, list(rows)] = 0.0
+        want = np.einsum("iab,jcd,ac,bd->ij", comul, comul, x, y, optimize=False)
+        assert _relative_error(convolve2(host, x, y), want) <= REL
+        want = np.einsum("iab,jcd,act,bd->ijt", comul, comul, xt, y, optimize=False)
+        assert _relative_error(convolve2(host, xt, y), want) <= REL
+        want = np.einsum("iab,jcd,ac,bdt->ijt", comul, comul, x, yt, optimize=False)
+        assert _relative_error(convolve2(host, x, yt), want) <= REL
+        want = np.einsum("iab,jcd,ac->ijbd", comul, comul, x, optimize=False)
+        assert _relative_error(convolution_matrix2(host, x), want.reshape(36, 36)) <= REL
+
+
 @pytest.mark.parametrize("name", ("c-d4", "g-d4"))
 def test_cocycle_residuals_match_their_formulas_off_a_cocycle(name, rng, ctx):
     # c-d4 has a commutative product, g-d4 a cocommutative coproduct, so a

@@ -13,6 +13,7 @@ from hopftwist import (
     catalog,
     convolution_inverse,
     convolve,
+    cyclic_group,
     dihedral_group,
     dual_star,
     function_algebra,
@@ -24,7 +25,12 @@ from hopftwist import (
     verify_hopf_axioms,
     w_functional,
 )
-from hopftwist._linalg import condition_bound
+from hopftwist._linalg import (
+    block_condition_bound,
+    condition_bound,
+    solve_within_condition,
+    square_components,
+)
 from hopftwist.core import ScalarContext, convolution_matrix, freeze
 from hopftwist.errors import DimensionMismatch, NotConvolutionInvertible
 
@@ -72,6 +78,18 @@ def test_axiom_residuals_keep_a_nan_on_the_last_basis_element(ctx):
     assert not report.passed
     for check in ("associativity", "coassociativity", "coproduct-multiplicative"):
         assert np.isnan(report.residual(check)), check
+
+
+def test_failing_names_the_checks_a_nan_keeps_from_passing(ctx):
+    host = group_algebra(cyclic_group(4))
+    mul = np.array(host.mul)
+    mul[1, 0, 0] = np.nan
+    report = verify_hopf_axioms(dataclasses.replace(host, mul=mul), ctx)
+    assert not report.passed
+    failing = report.failing()
+    assert "associativity" in failing
+    for name, residual in report.checks:
+        assert (name in failing) == (not residual <= report.tolerance), name
 
 
 def test_tensors_are_frozen():
@@ -309,3 +327,74 @@ def test_condition_bound_widens_by_the_residual_and_gives_up_at_one_half():
     # M = t lmat^-1 leaves E = (t - 1) I, so ||E||_F = |t - 1| sqrt(2)
     assert condition_bound(lmat, [0.7 * inv]) >= 1e3
     assert condition_bound(lmat, [0.6 * inv]) == np.inf
+
+
+def _permuted_blocks(rng, sizes, scale=1.0):
+    """A random operator that is a row and column permutation of a
+    block-diagonal matrix with complex blocks of the given sizes; the last
+    block is scaled by scale."""
+    m = sum(sizes)
+    dense = np.zeros((m, m), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        dense[block, block] = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        start += size
+    dense[block, block] *= scale
+    return dense[rng.permutation(m)][:, rng.permutation(m)]
+
+
+def test_square_components_recover_a_permuted_block_diagonal(rng):
+    sizes = (1, 3, 3, 5, 1, 3)
+    lmat = _permuted_blocks(rng, sizes)
+    groups = square_components(lmat)
+    assert [(rows.shape, cols.shape) for rows, cols in groups] == [
+        ((2, 1), (2, 1)), ((3, 3), (3, 3)), ((1, 5), (1, 5))
+    ]
+    seen_rows = np.concatenate([rows.ravel() for rows, _ in groups])
+    seen_cols = np.concatenate([cols.ravel() for _, cols in groups])
+    assert sorted(seen_rows) == sorted(seen_cols) == list(range(lmat.shape[0]))
+    for rows, cols in groups:
+        for r, c in zip(rows, cols):
+            inside = lmat[np.ix_(r, c)]
+            assert np.all(inside != 0)
+            assert not np.delete(lmat[r], c, axis=1).any()
+    # a dense matrix is one component; a zero row or a 2x1 component is not square
+    assert len(square_components(np.ones((4, 4)))) == 1
+    assert square_components(np.diag([1.0, 0.0, 2.0])) is None
+    assert square_components(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 1.0]])) is None
+
+
+def test_block_condition_bound_never_undercuts_the_condition_number(rng):
+    for scale in (1.0, 1e-4):
+        lmat = _permuted_blocks(rng, (2, 2, 4, 1), scale)
+        m = lmat.shape[0]
+        blocks = [(r, c, lmat[r[:, :, None], c[:, None, :]]) for r, c in square_components(lmat)]
+        approx = np.linalg.inv(lmat) * (1.0 + 1e-6 * rng.normal(size=(m, m)))
+        bound = block_condition_bound(blocks, [approx[:, c:c + 3] for c in range(0, m, 3)])
+        cond = np.linalg.cond(lmat)
+        assert cond <= bound < m * cond
+    assert block_condition_bound(blocks, [np.zeros((m, m))]) == np.inf
+    with pytest.raises(ValueError):
+        block_condition_bound(blocks, [approx[:, :-1]])
+
+
+def test_split_solve_verdict_matches_the_svd_rule(rng, svd_calls):
+    for _ in range(4):
+        lmat = _permuted_blocks(rng, (3, 1, 3, 2), 1e-3)
+        m = lmat.shape[0]
+        rhs = np.zeros(m, dtype=np.complex128)
+        rhs[rng.integers(m)] = 1.0
+        s = np.linalg.svd(lmat, compute_uv=False)
+        cond = s[0] / s[-1]
+        # an exact inverse, as the convolution of the solution is on a coassociative host
+        inverse = np.linalg.inv(lmat)
+        for limit in (10.0 * cond, (1.0 + 1e-6) * cond, (1.0 - 1e-6) * cond, 0.1 * cond):
+            del svd_calls[:]
+            y = solve_within_condition(lmat, rhs, limit, lambda y: [inverse], split=True)
+            assert (y is not None) == (cond <= limit), (cond, limit)
+            if y is not None:
+                assert np.abs(lmat @ y - rhs).max() <= 1e-9
+            if limit == 10.0 * cond:
+                # blocks of size <= 3 keep the bound within 3 cond: no SVD
+                assert svd_calls == []
