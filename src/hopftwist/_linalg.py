@@ -7,11 +7,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 
-def max_abs(x) -> float:
-    a = np.asarray(x)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:
+    """max |x| as a float; with a leading stack shape lead, an array of that
+    shape holding the max over the remaining axes."""
+    a = np.abs(x)
+    if not lead:
+        return float(a.max(initial=0.0))
+    return a.max(axis=tuple(range(len(lead), a.ndim)), initial=0.0)
 
 
 def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

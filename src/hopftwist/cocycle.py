@@ -219,14 +219,15 @@ def from_bicharacter(
     beta = np.asarray(beta, dtype=np.complex128)
     if beta.shape != (n, n):
         raise InvalidBicharacter(f"table shape {beta.shape} for group of order {n}")
-    if max_abs(np.abs(beta) - 1.0) > ctx.tolerance:
+    # every test reads "not ... <= tol", so a NaN entry fails it
+    if not max_abs(np.abs(beta) - 1.0) <= ctx.tolerance:
         raise InvalidBicharacter("table values must be unimodular")
     t = group.table
     # [g, h, k]: beta(g, hk) against beta(g, h) beta(g, k), then beta(gh, k)
     # against beta(g, k) beta(h, k); the first bad triple in (g, h, k) order
     # is reported, its second slot before its first
-    second = np.abs(beta[:, t] - beta[:, :, None] * beta[:, None, :]) > ctx.tolerance
-    first = np.abs(beta[t, :] - beta[:, None, :] * beta[None, :, :]) > ctx.tolerance
+    second = ~(np.abs(beta[:, t] - beta[:, :, None] * beta[:, None, :]) <= ctx.tolerance)
+    first = ~(np.abs(beta[t, :] - beta[:, None, :] * beta[None, :, :]) <= ctx.tolerance)
     bad = second | first
     if bad.any():
         g, h, k = np.unravel_index(np.argmax(bad), bad.shape)

@@ -46,6 +46,10 @@ class UnitaryCorep:
         """Entrywise star: (u*)[i, j] = u[i, j]*."""
         return np.einsum("cb,ijb->ijc", self.host.star, np.conj(self.u))
 
+    def star_mul(self) -> Array:
+        """(u*)[j, l, b] mul[a, b, c] as (j, l, a, c): u* as a right factor."""
+        return np.tensordot(self.entry_star(), self.host.mul, axes=([2], [1]))
+
     def apply(self, vec: Array) -> Array:
         """Image of a vector under the corep, as an (N, n) tensor leg pair."""
         return np.einsum("ijc,j->ic", self.u, vec)
@@ -134,18 +138,16 @@ def ad_v(corep: UnitaryCorep, t: Array) -> Array:
     stars are those of the corep's host, so the same function serves
     twisted hosts.
     """
-    # (u*)[j, l, b] mul[a, b, c] -> (j, l, a, c), shared by the whole stack;
-    # T u -> (..., l, i, a); then contract (a, l) -> (..., i, j, c)
-    star_mul = np.tensordot(corep.entry_star(), corep.host.mul, axes=([2], [1]))
+    # star_mul is shared by the whole stack; T u -> (..., l, i, a); then
+    # contract (a, l) -> (..., i, j, c)
     tu = np.tensordot(np.asarray(t, dtype=np.complex128), corep.u, axes=([-2], [1]))
-    return np.tensordot(tu, star_mul, axes=([-3, -1], [1, 2]))
+    return np.tensordot(tu, corep.star_mul(), axes=([-3, -1], [1, 2]))
 
 
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
     """All-matrix-units form of ad_v: AD[i, j, k, l] = ad(E_kl)[i, j]."""
-    # (u*)[j, l, b] mul[a, b, c] -> (j, l, a, c); then u over a -> (i, k, j, l, c)
-    star_mul = np.tensordot(corep.entry_star(), corep.host.mul, axes=([2], [1]))
-    return np.tensordot(corep.u, star_mul, axes=([2], [2])).transpose(0, 2, 1, 3, 4)
+    # star_mul (j, l, a, c), then u over a -> (i, k, j, l, c)
+    return np.tensordot(corep.u, corep.star_mul(), axes=([2], [2])).transpose(0, 2, 1, 3, 4)
 
 
 def e_map_matrix(corep: UnitaryCorep, rho: Array, ad_tensor: Array | None = None) -> Array:
@@ -198,12 +200,10 @@ def decompose_corep(
             continue
         # basis[i, j] = Pi_U(e_j0) f_i
         basis = np.tensordot(np.array(collected), shifts, axes=([1], [2]))
-        # adapted-law residual: U e[i, j] = sum_k e[i, k] (x) q[k, j]
-        for i in range(mult):
-            for j in range(d):
-                got = corep.apply(basis[i, j])
-                want = np.einsum("kx,kc->xc", basis[i], b.q[:, j])
-                worst = max(worst, max_abs(got - want))
+        # adapted-law residual: U e[i, j] = sum_k e[i, k] (x) q[k, j], as (i, j, x, c)
+        got = np.tensordot(basis, corep.u, axes=([2], [1]))
+        want = np.tensordot(basis, b.q, axes=([1], [0])).transpose(0, 2, 1, 3)
+        worst = max(worst, max_abs(got - want))
         # orthonormality across the block
         flat = basis.reshape(mult * d, n_h)
         worst = max(worst, max_abs(flat.conj() @ flat.T - np.eye(mult * d)))

@@ -131,9 +131,6 @@ class PeterWeylData:
     def dimensions(self) -> tuple[int, ...]:
         return tuple(b.dimension for b in self.blocks)
 
-    def rho_functional(self, block: int, s: int, m: int) -> DualFunctional:
-        return DualFunctional(self.host, self.blocks[block].matrix_units[s, m])
-
 
 def _dual_center(host: FiniteHopfStarAlgebra) -> Array:
     n = host.dim
@@ -463,12 +460,12 @@ def _validate(data: PeterWeylData, ctx: ScalarContext) -> None:
         f_inv = np.linalg.inv(f)
         resid = max(resid, abs(np.trace(f).real - np.trace(f_inv).real))
         resid = max(resid, abs(np.trace(f).real - b.m_value))
-    # cross-block orthogonality of coefficients under h( . (.)* )
-    for a_idx, ba in enumerate(data.blocks):
-        for b_idx, bb in enumerate(data.blocks):
-            if a_idx != b_idx:
-                pairing = haar_pairing(algebra, h, ba.q, algebra.star_of(bb.q))
-                resid = max(resid, max_abs(pairing))
+    # cross-block orthogonality of coefficients under h( . (.)* ), every
+    # block's q as rows (block, i, j) of one pairing
+    q = np.concatenate([b.q.reshape(-1, algebra.dim) for b in data.blocks])
+    label = np.repeat(np.arange(len(data.blocks)), [b.dimension**2 for b in data.blocks])
+    pairing = haar_pairing(algebra, h, q, algebra.star_of(q))
+    resid = max(resid, max_abs(pairing[label[:, None] != label[None, :]]))
     if not ctx.close(resid):
         raise DecompositionError(f"orthogonality validation failed, residual {resid:.3g}")
 

@@ -68,6 +68,24 @@ def test_from_bicharacter_rejects_nonbicharacter(ctx):
         from_bicharacter(klein_four_group(), beta, ctx)
 
 
+def test_from_bicharacter_rejects_a_nan_entry(ctx):
+    # every comparison with a NaN is False, so the table must fail a
+    # "not <= tol" test rather than slip through to invert2's SVD
+    beta = _klein_beta().astype(np.complex128)
+    beta[1, 2] = np.nan
+    with pytest.raises(InvalidBicharacter, match="unimodular"):
+        from_bicharacter(klein_four_group(), beta, ctx)
+
+
+@pytest.mark.parametrize("value", (-1.0, 1j))
+def test_from_bicharacter_names_a_finite_break_as_before(ctx, value):
+    beta = _klein_beta().astype(np.complex128)
+    beta[1, 2] = value * beta[1, 2]
+    with pytest.raises(InvalidBicharacter) as exc:
+        from_bicharacter(klein_four_group(), beta, ctx)
+    assert str(exc.value) == "not multiplicative in the second slot at (1,1,2)"
+
+
 def _first_nonmultiplicative(group, beta, tol):
     """The rejection message of the triple loop that from_bicharacter ran
     before it compared whole tables, or None for a bicharacter."""

@@ -129,6 +129,118 @@ def test_non_equivariant_volume_is_rejected(ctx):
         extract_block_form(corep, bad, sd, ctx)
 
 
+def test_volume_matrix_rejects_non_finite_entries():
+    for bad in (
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.diag([np.inf, 1.0]),
+        # one-sided: the self-adjointness drift is inf, not NaN
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+    ):
+        with pytest.raises(InputError, match="^volume matrix has a non-finite entry$"):
+            RTwistedVolume(bad)
+    stack = np.stack([np.diag([1.0 + k, 2.0]) for k in range(5)]).astype(np.complex128)
+    RTwistedVolume(stack)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(InputError, match=r"^volume matrix\[2\] has a non-finite entry$"):
+        RTwistedVolume(stack)
+
+
+def test_volume_matrix_validates_every_member_of_a_stack():
+    good = np.stack([np.diag([1.0 + k, 2.0]) for k in range(4)]).astype(np.complex128)
+    good = good.reshape(2, 2, 2, 2)
+    rv = RTwistedVolume(good)
+    assert rv.hdim == 2
+    x = np.array([[1.0, 5.0], [7.0, 1.0]])
+    want = [[RTwistedVolume(r).tau(x) for r in row] for row in good]
+    assert np.abs(rv.tau(x) - np.array(want)).max() <= 1e-12
+    skew = good.copy()
+    skew[1, 0, 0, 1] = 1.0
+    with pytest.raises(InputError, match=r"^volume matrix\[1\]\[0\] must be self-adjoint$"):
+        RTwistedVolume(skew)
+    negative = good.copy()
+    negative[0, 1] = np.diag([1.0, -2.0])
+    with pytest.raises(InputError, match=r"^volume matrix\[0\]\[1\] must be positive invertible"):
+        RTwistedVolume(negative)
+    for shape in ((4, 2, 3), (3,)):
+        with pytest.raises(DimensionMismatch):
+            RTwistedVolume(np.ones(shape))
+
+
+def _equivariant_stack(sd, rng, draws):
+    """draws random positive matrices commuting with the corep of sd."""
+    hdim = sd.entries[0]["basis"].shape[2]
+    r = np.zeros((draws, hdim, hdim), dtype=np.complex128)
+    for entry in sd.entries:
+        m = entry["multiplicity"]
+        a = rng.normal(size=(draws, m, m)) + 1j * rng.normal(size=(draws, m, m))
+        t = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.25 * np.eye(m)
+        r += np.einsum("dst,sax,tay->dxy", t, entry["basis"], entry["basis"].conj())
+    return 0.5 * (r + np.conj(np.swapaxes(r, -1, -2)))
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_stacked_volume_functions_equal_per_matrix_calls(name, ctx, rng):
+    scene = catalog.triple_scene(name, ctx)
+    corep = scene["corep"]
+    n_h = corep.hdim
+    pw = _scene_pw(scene, ctx)
+    sd = decompose_corep(corep, pw, ctx)
+    equivariant = _equivariant_stack(sd, rng, 6).reshape(2, 3, n_h, n_h)
+    # positive but not equivariant, so the residuals are far from rounding
+    a = rng.normal(size=(4, n_h, n_h)) + 1j * rng.normal(size=(4, n_h, n_h))
+    generic = a @ np.conj(np.swapaxes(a, -1, -2)) + np.eye(n_h)
+    for stack in (equivariant, generic):
+        lead = stack.shape[:-2]
+        singles = [RTwistedVolume(r) for r in stack.reshape(-1, n_h, n_h)]
+        got = equivariance_residual(corep, stack)
+        want = [equivariance_residual(corep, rv.r) for rv in singles]
+        assert got.shape == lead
+        assert np.abs(got.reshape(-1) - want).max() <= 1e-12
+        got = check_volume_preservation(corep, RTwistedVolume(stack), ctx)
+        want = [check_volume_preservation(corep, rv, ctx) for rv in singles]
+        assert got["residual"].shape == got["passed"].shape == lead
+        assert np.abs(got["residual"].reshape(-1) - [w["residual"] for w in want]).max() <= 1e-12
+        assert got["passed"].reshape(-1).tolist() == [w["passed"] for w in want]
+    assert not any(w["passed"] for w in want)
+
+    form = extract_block_form(corep, RTwistedVolume(equivariant), sd, ctx, pw=pw)
+    assert form["passed"].shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        one = extract_block_form(corep, RTwistedVolume(equivariant[index]), sd, ctx, pw=pw)
+        assert one["passed"] is True and one["preserved"] is True
+        for key in ("preservation_residual", "equivariance", "reconstruction_residual"):
+            assert isinstance(one[key], float)
+            assert abs(form[key][index] - one[key]) <= 1e-12
+        for key in ("preserved", "passed"):
+            assert form[key][index] == one[key]
+        for blk, single in zip(form["blocks"], one["blocks"]):
+            assert blk["block"] == single["block"]
+            assert blk["multiplicity"] == single["multiplicity"]
+            assert blk["t"].shape == (2, 3) + single["t"].shape
+            assert np.abs(blk["t"][index] - single["t"]).max() <= 1e-12
+
+
+def test_stacked_block_form_names_the_first_non_equivariant_draw(ctx, rng):
+    scene = catalog.triple_scene("d4-regular", ctx)
+    corep = scene["corep"]
+    sd = decompose_corep(corep, _scene_pw(scene, ctx), ctx)
+    stack = _equivariant_stack(sd, rng, 6)
+    # each draw is at least 0.25 * identity, so these bumps keep it positive
+    bump = np.zeros((corep.hdim, corep.hdim))
+    bump[0, 1] = bump[1, 0] = 0.1
+    stack[3] += bump
+    stack[5] += 2.0 * bump
+    residuals = equivariance_residual(corep, stack)
+    assert residuals[3] > ctx.tolerance and residuals[5] > residuals[3]
+    assert (residuals[[0, 1, 2, 4]] <= ctx.tolerance).all()
+    with pytest.raises(NotEquivariant) as exc:
+        extract_block_form(corep, RTwistedVolume(stack), sd, ctx)
+    assert str(exc.value) == (
+        "volume matrix[3] does not commute with the corep "
+        f"(residual {residuals[3]:.3g})"
+    )
+
+
 def test_commuting_translations_deform_to_an_anticommuting_pair(ctx):
     scene = catalog.triple_scene("z2z2-torus", ctx)
     t_op, s_op = scene["triple"].generators[0], scene["triple"].generators[1]
