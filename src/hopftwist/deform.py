@@ -76,6 +76,9 @@ class SpectralTriple:
                 raise DimensionMismatch(
                     f"generator has shape {g.shape}, expected {shape}"
                 )
+        # a NaN passes the self-adjointness test and fails inside lstsq
+        if not all(np.isfinite(x).all() for x in (dirac, *gens)):
+            raise InputError("dirac matrix and generators must have finite entries")
         scale = 1.0 + max_abs(dirac)
         if max_abs(dirac - dirac.conj().T) > _STRUCTURE_TOL * scale:
             raise InputError("dirac matrix must be self-adjoint")

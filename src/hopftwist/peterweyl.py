@@ -498,45 +498,3 @@ def rho_functionals(
             }
         )
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class ModularData:
-    host: FiniteHopfStarAlgebra
-    gram: Array
-    phi: Array
-    block_residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", freeze(self.gram))
-        object.__setattr__(self, "phi", freeze(self.phi))
-
-
-def modular_operator(
-    algebra: FiniteHopfStarAlgebra,
-    h: HaarState,
-    pw: PeterWeylData,
-    ctx: ScalarContext = DEFAULT_CONTEXT,
-) -> ModularData:
-    """Modular operator of the state space: phi = s* s for s(a) = a*."""
-    gram = gram_matrix(algebra, h)
-    herm = max_abs(gram - gram.conj().T)
-    if not ctx.close(herm):
-        raise NotFaithful(f"state form is not hermitian, residual {herm:.3g}")
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if eigs[0] <= ctx.tolerance:
-        raise NotFaithful(f"state form has smallest eigenvalue {eigs[0]:.3g}")
-    gram_inv = np.linalg.inv(gram)
-    phi = gram_inv @ algebra.star.T @ np.conj(gram) @ np.conj(algebra.star)
-
-    # phi must act on each row span{q[i, :]} as the block's F-matrix
-    resid = 0.0
-    for b in pw.blocks:
-        d = b.dimension
-        for i in range(d):
-            span = b.q[i].T  # n x d, columns are q[i, j]
-            image = phi @ span
-            coeffs, res, *_ = np.linalg.lstsq(span, image, rcond=None)
-            resid = max(resid, max_abs(span @ coeffs - image))
-            resid = max(resid, min(max_abs(coeffs - b.f_matrix), max_abs(coeffs - b.f_matrix.T)))
-    return ModularData(host=algebra, gram=gram, phi=phi, block_residual=resid)

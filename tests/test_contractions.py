@@ -387,9 +387,7 @@ def _one_entry_off(host, tensor, rng):
     """host with 1 + 0.5i added to one entry of mul or comul, at a position
     where that tensor is zero when it has one.
 
-    verify_hopf_axioms sums each e_i slice only over the nonzero support of
-    the e_i factor; the new entry gives one basis element a support its
-    neighbours lack.
+    The new entry gives one basis element a support its neighbours lack.
     """
     t = np.array(getattr(host, tensor))
     zeros = np.argwhere(t == 0)
@@ -406,14 +404,38 @@ def _c_d8_klein_twist(host, ctx):
     return twist_algebra(host, induce(catalog.cocycle("klein-fourier", ctx), mor, ctx), ctx).twisted
 
 
+def _c_z4z4_fourier_twist(ctx):
+    """C(Z4 x Z4) twisted by the Fourier transport of the bicharacter i^(g1 h0):
+    its mul is dense, its comul that of a group."""
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    beta = np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
+    host = function_algebra(group)
+    return twist_algebra(host, catalog.fourier_transport(group, beta, host, ctx), ctx).twisted
+
+
+def _random_sparse_host(rng, n=16, density=0.04):
+    """Random structure tensors with about density of their entries nonzero:
+    sparse enough for every term join, and nothing cancels by symmetry."""
+    host = _random_host(rng, n)
+    keep = {t: rng.random((n, n, n)) < density for t in ("mul", "comul")}
+    return dataclasses.replace(host, mul=host.mul * keep["mul"], comul=host.comul * keep["comul"])
+
+
 def _axiom_case(name, rng, ctx):
-    """A catalog name gives that host perturbed everywhere.  Otherwise the
-    name is host+tensor: one entry of mul or comul set off C(D8) (n = 16),
-    its Klein-induced twist, or C(D8) in a random dense basis."""
+    """A catalog name gives that host perturbed everywhere; random-sparse a
+    sparse random host.  Otherwise the name is host+tensor: one entry of mul
+    or comul set off C(D8) (n = 16), its Klein-induced twist, C(D8) in a
+    random dense basis, or the dense Fourier twist of C(Z4 x Z4)."""
+    if name == "random-sparse":
+        return _random_sparse_host(rng)
     if "+" not in name:
         return _perturbed(catalog.algebra(name), rng)
     host_name, tensor = name.split("+")
-    host = function_algebra(dihedral_group(8))
+    if host_name == "c-z4z4^fourier":
+        host = _c_z4z4_fourier_twist(ctx)
+    else:
+        host = function_algebra(dihedral_group(8))
     if host_name == "c-d8^klein":
         host = _c_d8_klein_twist(host, ctx)
     elif host_name == "c-d8-dense":
@@ -422,21 +444,41 @@ def _axiom_case(name, rng, ctx):
     return _one_entry_off(host, tensor, rng)
 
 
-# the rewritten n^4-entry checks each case must move
+# the n^4-entry checks each case must move
 _MOVED = {
     "mul": ("associativity", "coproduct-multiplicative"),
     "comul": ("coassociativity", "coproduct-multiplicative"),
 }
+# _support_product calls per basis element when an identity is compared densely
+_SLICE_PRODUCTS = {"associativity": 2, "coassociativity": 2, "coproduct-multiplicative": 3}
+# the identities each case compares densely; every other one is a term join
+_DENSE = {
+    "c-d8": (),
+    "c-d8^klein": (),
+    "c-d8-dense": tuple(_SLICE_PRODUCTS),
+    "c-z4z4^fourier": ("associativity", "coproduct-multiplicative"),
+    "random-sparse": (),
+}
 SUPPORT_CASES = tuple(
-    f"{host}+{tensor}" for host in ("c-d8", "c-d8^klein", "c-d8-dense") for tensor in _MOVED
-)
+    f"{host}+{tensor}"
+    for host in ("c-d8", "c-d8^klein", "c-d8-dense", "c-z4z4^fourier")
+    for tensor in _MOVED
+) + ("random-sparse",)
 
 
 @pytest.mark.parametrize("name", HOSTS + SUPPORT_CASES)
-def test_axiom_residuals_match_their_formulas(name, rng, ctx):
+def test_axiom_residuals_match_their_formulas(name, rng, ctx, monkeypatch):
     host = _axiom_case(name, rng, ctx)
+    slices = []
+    support_product = hopftwist.core._support_product
+    monkeypatch.setattr(
+        hopftwist.core, "_support_product", lambda x, y: slices.append(1) or support_product(x, y)
+    )
     report = verify_hopf_axioms(host)
     assert not report.passed
+    # a host perturbed everywhere is dense, so every identity takes the slices
+    dense = _DENSE.get(name.split("+")[0], tuple(_SLICE_PRODUCTS))
+    assert len(slices) == host.dim * sum(_SLICE_PRODUCTS[check] for check in dense)
     moved = _MOVED[name.split("+")[1]] if "+" in name else None
     for check, want in _ref_axiom_residuals(host).items():
         if moved is None or check in moved:

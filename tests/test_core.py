@@ -70,6 +70,21 @@ def test_axiom_check_at_dimension_32_holds_under_two_n4_arrays(ctx):
     assert peak < 2 * n**4 * 16  # 32 MB of complex128
 
 
+def test_axiom_check_at_dimension_64_holds_under_64_mib(ctx):
+    # the three n^4-entry identities are summed over nonzero terms, so no
+    # n^4-entry array (256 MiB of complex128 here) is ever formed
+    host = function_algebra(dihedral_group(32))
+    assert host.dim == 64
+    tracemalloc.start()
+    try:
+        report = verify_hopf_axioms(host, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 64 * 2**20
+
+
 def test_axiom_residuals_keep_a_nan_on_the_last_basis_element(ctx):
     host = function_algebra(dihedral_group(4))
     mul, comul = np.array(host.mul), np.array(host.comul)
@@ -78,6 +93,17 @@ def test_axiom_residuals_keep_a_nan_on_the_last_basis_element(ctx):
     assert not report.passed
     for check in ("associativity", "coassociativity", "coproduct-multiplicative"):
         assert np.isnan(report.residual(check)), check
+
+
+def test_axiom_residuals_fail_on_an_inf_on_the_last_basis_element(ctx):
+    host = function_algebra(dihedral_group(4))
+    mul, comul = np.array(host.mul), np.array(host.comul)
+    mul[-1, 0, 1] = comul[-1, 0, 1] = np.inf
+    report = verify_hopf_axioms(dataclasses.replace(host, mul=mul, comul=comul), ctx)
+    assert not report.passed
+    for check in ("associativity", "coassociativity", "coproduct-multiplicative"):
+        residual = report.residual(check)
+        assert not np.isfinite(residual) or residual > ctx.tolerance, check
 
 
 def test_failing_names_the_checks_a_nan_keeps_from_passing(ctx):

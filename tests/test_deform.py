@@ -60,6 +60,17 @@ def test_spectral_triple_validation():
     SpectralTriple(3, (shift, shift.conj().T), herm)
 
 
+@pytest.mark.parametrize("where", ("dirac", "generator"))
+def test_spectral_triple_rejects_non_finite_entries(where, capfd):
+    eye = np.eye(2, dtype=np.complex128)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    gens, dirac = ((eye,), nan) if where == "dirac" else ((nan,), eye)
+    with pytest.raises(InputError, match="finite"):
+        SpectralTriple(2, gens, dirac)
+    # rejected before LAPACK sees the NaN and writes to stderr
+    assert capfd.readouterr().err == ""
+
+
 def test_volume_matrix_validation():
     RTwistedVolume(np.diag([1.0, 2.0]).astype(np.complex128))
     with pytest.raises(InputError):

@@ -11,7 +11,6 @@ from hopftwist.peterweyl import (
     _validate,
     gram_matrix,
     haar_invariance_residual,
-    modular_operator,
     rho_functionals,
 )
 from hopftwist.suite import _Workspace
@@ -146,15 +145,6 @@ def test_exactly_one_trivial_block(ctx):
         host = catalog.algebra(name)
         pw = decompose(host, haar_state(host, ctx), ctx)
         assert sum(1 for b in pw.blocks if b.is_trivial) == 1
-
-
-def test_modular_operator_is_identity_on_tracial_hosts(ctx):
-    host = catalog.algebra("c-s3")
-    h = haar_state(host, ctx)
-    pw = decompose(host, h, ctx)
-    data = modular_operator(host, h, pw, ctx)
-    assert np.abs(data.phi - np.eye(host.dim)).max() <= 1e-9
-    assert data.block_residual <= 1e-9
 
 
 def test_haar_rejects_unitless_tensors(ctx):
