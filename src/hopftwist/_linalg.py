@@ -1,4 +1,5 @@
-"""Small dense linear-algebra helpers used across modules."""
+"""Small linear-algebra helpers used across modules: dense solves and
+bounds, and joins and sums over the nonzero entries of sparse tensors."""
 
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ def solve_within_condition(
     rhs: np.ndarray,
     limit: float,
     approx_inverse: Callable[[np.ndarray], Iterable[np.ndarray]],
-    *,
-    split: bool = False,
 ) -> np.ndarray | None:
     """Solve lmat @ y = rhs when cond2(lmat) <= limit; None when it is not.
 
@@ -43,64 +42,96 @@ def solve_within_condition(
     singular values s of lmat, but the SVD runs only when the certified bound
     is inconclusive.  approx_inverse(y) yields, left to right, the column
     blocks of a matrix meant to approximate lmat^-1.
-
-    With split, lmat is first cut into the connected components of its
-    nonzero pattern (square_components).  Given several, only the blocks
-    that rhs touches are solved, batched by size, and the bound is taken
-    block by block (block_condition_bound); one component is solved and
-    bounded whole, as without split.  A component that is not square makes
-    lmat singular, and is left to the SVD.
     """
-    parts = square_components(lmat) if split else None
-    whole = not split or parts is not None and parts[0][0].shape[1] == lmat.shape[0]
-    blocks = None
-    if not whole and parts is not None:
-        blocks = [(rows, cols, lmat[rows[:, :, None], cols[:, None, :]]) for rows, cols in parts]
-    y = None
     try:
-        if whole:
-            y = np.linalg.solve(lmat, rhs)
-        elif blocks is not None:
-            y = _solve_blocks(rhs, blocks)
+        y = np.linalg.solve(lmat, rhs)
     except np.linalg.LinAlgError:
-        pass
+        y = None
+    if y is not None and condition_bound(lmat, approx_inverse(y)) <= limit:
+        return y
+    return _svd_rule(lmat, rhs, limit, y)
+
+
+def solve_by_components(
+    entries: tuple[np.ndarray, np.ndarray],
+    rhs: np.ndarray,
+    limit: float,
+    inverse_entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    dense: Callable[[], np.ndarray],
+) -> np.ndarray | None:
+    """solve_within_condition for an m x m operator given by its nonzero entries.
+
+    entries are (keys, values): the distinct flat indices r * m + c of the
+    nonzero entries, increasing, and their values.  inverse_entries(y) gives
+    the entries of a matrix meant to approximate the inverse.  The operator
+    is cut into the connected components of its nonzero pattern
+    (square_components).  Given several, each block L_b and each certificate
+    block M_b is gathered from the entries, only the blocks that rhs touches
+    are solved, batched by size, and the bound is taken block by block
+    (block_condition_bound).  The dense operator dense() is built only where
+    the SVD rule may run: one component is solved and bounded whole by
+    solve_within_condition; a component that is not square makes the
+    operator singular; a failed solve or an inconclusive bound falls back to
+    the SVD.
+    """
+    m = rhs.size
+    rows, cols = np.divmod(entries[0], m)
+    parts = square_components(rows, cols, m)
+    if parts is None:
+        return _svd_rule(dense(), rhs, limit)
+    if parts[0][0].shape[1] == m:
+        return solve_within_condition(
+            dense(), rhs, limit, lambda y: _columns(inverse_entries(y), m)
+        )
+    blocks = [(r, c, gather(entries, r, c, m)) for r, c in parts]
+    try:
+        y = _solve_blocks(rhs, blocks)
+    except np.linalg.LinAlgError:
+        y = None
     if y is not None:
-        columns = approx_inverse(y)
-        bound = condition_bound(lmat, columns) if whole else block_condition_bound(blocks, columns)
-        if bound <= limit:
+        inv = inverse_entries(y)
+        if block_condition_bound(blocks, [gather(inv, c, r, m) for r, c, _ in blocks]) <= limit:
             return y
+    return _svd_rule(dense(), rhs, limit, y)
+
+
+def _svd_rule(lmat: np.ndarray, rhs: np.ndarray, limit: float, y=None) -> np.ndarray | None:
+    """The solution y, solved here when None, if the singular values of lmat
+    give cond2(lmat) <= limit; None otherwise."""
     s = np.linalg.svd(lmat, compute_uv=False)
     if not (s[-1] > 0 and s[0] / s[-1] <= limit):
         return None
     return y if y is not None else np.linalg.solve(lmat, rhs)
 
 
-def square_components(lmat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """lmat split into the connected components of its nonzero pattern.
+def square_components(
+    rows: np.ndarray, cols: np.ndarray, m: int
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """An m x m matrix split into the connected components of its nonzero pattern.
 
-    The pattern is read as a bipartite graph with an edge from row r to
-    column c wherever lmat[r, c] != 0, so lmat[rows][:, cols] over all the
-    components is a block-diagonal permutation of lmat (the coarse step of
-    the block triangular form: Pothen & Fan, "Computing the block triangular
-    form of a sparse matrix", ACM TOMS 16, 1990).  Components are grouped by
-    size: each (rows, cols) pair holds k components of size s as two (k, s)
-    index arrays.  None when a component has more rows than columns or the
+    The pattern is given as distinct edges (rows[e], cols[e]), one for each
+    nonzero entry; a dense matrix passes np.nonzero(lmat).  It is read as a
+    bipartite graph, so lmat[rows][:, cols] over all the components is a
+    block-diagonal permutation of lmat (the coarse step of the block
+    triangular form: Pothen & Fan, "Computing the block triangular form of a
+    sparse matrix", ACM TOMS 16, 1990).  Components are grouped by size:
+    each (rows, cols) pair holds k components of size s as two (k, s) index
+    arrays.  None when a component has more rows than columns or the
     reverse, which makes lmat singular.
 
     Labels start as row indices; each round gives every row the smallest
     label two edges away, then jumps labels to their own labels, so a
     component settles in about log of its diameter rounds.
     """
-    m = lmat.shape[0]
-    if lmat.all():
+    if rows.size == m * m:
         every = np.arange(m)[None]
         return [(every, every)]
-    pattern = lmat != 0
-    if not (pattern.any(axis=0).all() and pattern.any(axis=1).all()):
+    if not (np.bincount(rows, minlength=m).all() and np.bincount(cols, minlength=m).all()):
         return None
-    # the edges in row-major and in column-major order
-    rows_by_row, cols_by_row = np.divmod(np.flatnonzero(pattern), m)
-    cols_by_col, rows_by_col = np.divmod(np.flatnonzero(pattern.T.copy()), m)
+    # the edges grouped by row and by column
+    by_row, by_col = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    rows_by_row, cols_by_row = rows[by_row], cols[by_row]
+    cols_by_col, rows_by_col = cols[by_col], rows[by_col]
     row_starts = np.flatnonzero(np.diff(rows_by_row, prepend=-1))
     col_starts = np.flatnonzero(np.diff(cols_by_col, prepend=-1))
     label = np.arange(m)
@@ -129,6 +160,41 @@ def square_components(lmat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] |
     return out
 
 
+def gather(
+    entries: tuple[np.ndarray, np.ndarray], rows: np.ndarray, cols: np.ndarray, m: int
+) -> np.ndarray:
+    """The stack lmat[rows[..., :, None], cols[..., None, :]] of an m x m
+    matrix given by its entries (increasing keys r * m + c, and values),
+    each key looked up by binary search; a key not found is a zero."""
+    keys, values = entries
+    want = rows[..., :, None] * m + cols[..., None, :]
+    pos = np.searchsorted(keys, want)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == want[hit]
+    out = np.zeros(want.shape, dtype=np.complex128)
+    out[hit] = values[pos[hit]]
+    return out
+
+
+# entries per column block when a matrix given by entries is written out
+# densely: 2 MiB of complex128
+_COLUMN_BLOCK = 1 << 17
+
+
+def _columns(entries: tuple[np.ndarray, np.ndarray], m: int) -> Iterable[np.ndarray]:
+    """The m x m matrix with these entries, as dense column blocks, left to right."""
+    rows, cols = np.divmod(entries[0], m)
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    width = max(1, _COLUMN_BLOCK // m)
+    for start in range(0, m, width):
+        stop = min(start + width, m)
+        pick = order[np.searchsorted(sorted_cols, start) : np.searchsorted(sorted_cols, stop)]
+        block = np.zeros((m, stop - start), dtype=np.complex128)
+        block[rows[pick], cols[pick] - start] = entries[1][pick]
+        yield block
+
+
 def _solve_blocks(rhs: np.ndarray, blocks) -> np.ndarray:
     """The solution over (rows, cols, block) triples, solving only the blocks
     whose rows rhs touches; the others have a zero right-hand side."""
@@ -138,6 +204,37 @@ def _solve_blocks(rhs: np.ndarray, blocks) -> np.ndarray:
         if hit.any():
             y[cols[hit]] = np.linalg.solve(block[hit], rhs[rows[hit]][..., None])[..., 0]
     return y
+
+
+def pairs_by_key(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with kx[a] == ky[b]: the join of two entry
+    lists on a shared index.
+
+    ky is sorted once; searchsorted finds the run of equal keys for each
+    kx[a], and repeat expands the runs into pairs.
+    """
+    order = np.argsort(ky, kind="stable")
+    sorted_ky = ky[order]
+    lo = np.searchsorted(sorted_ky, kx, side="left")
+    runs = np.searchsorted(sorted_ky, kx, side="right") - lo
+    a = np.repeat(np.arange(kx.size), runs)
+    # pair t sits t - first[a] places into the run that starts at lo[a]
+    first = np.cumsum(runs) - runs
+    b = order[np.arange(a.size) + np.repeat(lo - first, runs)]
+    return a, b
+
+
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its values."""
+    # plain np.unique(keys) would import numpy.ma, about 17 ms in a fresh
+    # process; with return_inverse it does not
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    sums = np.empty(distinct.size, dtype=np.complex128)
+    # bincount sums real weights only; the parts are stored apart because
+    # re + 1j * im would turn the zero partner of an inf into a NaN
+    sums.real = np.bincount(inverse, values.real, distinct.size)
+    sums.imag = np.bincount(inverse, values.imag, distinct.size)
+    return distinct, sums
 
 
 def condition_bound(lmat: np.ndarray, blocks: Iterable[np.ndarray]) -> float:
@@ -177,29 +274,21 @@ def condition_bound(lmat: np.ndarray, blocks: Iterable[np.ndarray]) -> float:
     return _bound(l_norm, np.sqrt(mr_sq + mi_sq), np.sqrt(e_sq) + dropped, m)
 
 
-def block_condition_bound(blocks, columns: Iterable[np.ndarray]) -> float:
+def block_condition_bound(blocks, inverse_blocks: list[np.ndarray]) -> float:
     """Upper bound on cond2 of a block-diagonal permutation, else inf.
 
     blocks are (rows, cols, L_b) triples: index arrays from square_components
-    and the (k, s, s) stack lmat[rows][:, cols] they select.  columns are the
-    column blocks of an approximate inverse M, as for condition_bound.  Each M_b = M[cols_b][:, rows_b] is gathered
-    from them, and since the singular values of the operator are those of
-    its blocks, cond2 <= max_b ||L_b||_F * max_b ||M_b||_F / (1 - ||E_b||_F)
+    and the (k, s, s) stack lmat[rows][:, cols] they select.  inverse_blocks
+    holds, for each, the stack M_b = M[cols][:, rows] of a matrix M meant to
+    approximate lmat^-1.  Since the singular values of the operator are
+    those of its blocks, cond2 <= max_b ||L_b||_F * max_b ||M_b||_F / (1 - ||E_b||_F)
     with E_b = L_b M_b - I, once every widened ||E_b||_F is below 1/2.
     """
     m = sum(rows.size for rows, _, _ in blocks)
-    gathered = [np.zeros(block.shape, dtype=np.complex128) for _, _, block in blocks]
-    col = 0
-    for chunk in columns:
-        width = chunk.shape[1]
-        for (rows, cols, _), mb in zip(blocks, gathered):
-            t, u = np.nonzero((rows >= col) & (rows < col + width))
-            mb[t, :, u] = chunk[cols[t], rows[t, u, None] - col]
-        col += width
-    if col != m:
-        raise ValueError(f"approximate inverse has {col} columns, expected {m}")
     l_norm, m_norm, e_norm = [], [], []
-    for (_, _, block), mb in zip(blocks, gathered):
+    for (_, _, block), mb in zip(blocks, inverse_blocks, strict=True):
+        if mb.shape != block.shape:
+            raise ValueError(f"inverse block has shape {mb.shape}, expected {block.shape}")
         resid = block @ mb
         resid[:, np.arange(block.shape[1]), np.arange(block.shape[1])] -= 1.0
         l_norm.append(np.linalg.norm(block, axis=(1, 2)))

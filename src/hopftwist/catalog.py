@@ -9,6 +9,8 @@ single source of shared instances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cocycle import (
@@ -111,26 +113,22 @@ def algebra(name: str) -> FiniteHopfStarAlgebra:
 
 
 def fourier_matrix(group: FiniteGroupData) -> Array:
-    """Character table of a product of cyclic groups, F[g, u] = chi_u(g)."""
+    """Character table of a product of cyclic groups, F[g, u] = chi_u(g).
+
+    Each phase is an integer k over the lcm L of the cyclic orders.  Where
+    it is a quarter turn (4k divisible by L) the entry is exactly
+    1j ** (4k / L), so the tables of 2-groups hold only +-1 and +-i.
+    """
     if group.cyclic_factors is None:
         raise InvalidMorphism("fourier matrix needs a product of cyclic groups")
     factors = group.cyclic_factors
-    n = group.order
-    f = np.ones((n, n), dtype=np.complex128)
-    digits = []
-    for idx in range(n):
-        rem, ds = idx, []
-        for base in reversed(factors):
-            ds.append(rem % base)
-            rem //= base
-        digits.append(tuple(reversed(ds)))
-    for g in range(n):
-        for u in range(n):
-            phase = sum(
-                2.0 * np.pi * dg * du / base
-                for dg, du, base in zip(digits[g], digits[u], factors)
-            )
-            f[g, u] = np.exp(1j * phase)
+    n, period = group.order, math.lcm(*factors)
+    # digits[g] are the coordinates of g, the last factor varying fastest
+    digits = np.indices(factors).reshape(len(factors), n).T
+    k = digits @ (digits * (period // np.array(factors, dtype=int))).T % period
+    f = np.exp(2j * np.pi * k / period)
+    quarter = 4 * k % period == 0
+    f[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // period]
     return f
 
 
@@ -140,9 +138,13 @@ def fourier_transport(
     host: FiniteHopfStarAlgebra,
     ctx: ScalarContext = DEFAULT_CONTEXT,
 ) -> DualCocycle:
-    """Carry a bicharacter on the dual group to a cocycle on functions on G."""
+    """Carry a bicharacter on the dual group to a cocycle on functions on G.
+
+    The character table f inverts as f^-1 = f^H / n by orthogonality, so a
+    table of +-1 and +-i carries a table of +-1 and +-i exactly.
+    """
     f = fourier_matrix(group)
-    f_inv = np.linalg.inv(f)
+    f_inv = f.conj().T / group.order
     sigma = f_inv.T @ np.asarray(beta, dtype=np.complex128) @ f_inv
     cocycle = DualCocycle(host, sigma, ctx=ctx)
     report = verify_cocycle(cocycle, ctx)

@@ -6,11 +6,11 @@ on functionals of the tensor square are implemented at matrix level; the
 inverse is always recomputed from sigma, never trusted from input.
 
 A cocycle induced from a small quotient is mostly zeros, so convolutions
-sum only over the rows and columns where a factor is nonzero, and the
-inverse splits the n^2 x n^2 convolution operator into the connected
-components of its nonzero pattern: it solves only the blocks the identity
-touches and bounds the condition number block by block, with the same
-verdict as the SVD of the whole operator.
+sum only over the rows and columns where a factor is nonzero.  The inverse
+builds the n^2 x n^2 convolution operator from its nonzero entries alone
+and splits it into the connected components of their pattern: it solves
+only the blocks the identity touches and bounds the condition number block
+by block, with the same verdict as the SVD of the whole operator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, solve_within_condition
+from ._linalg import max_abs, pairs_by_key, solve_by_components, sum_by_key
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -79,46 +79,65 @@ def identity2(host: FiniteHopfStarAlgebra) -> Array:
 
 def convolution_matrix2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
     """Matrix of y -> x * y on flattened tensor-square functionals."""
-    return _convolution_columns2(host, x, slice(None))
-
-
-def _convolution_columns2(host: FiniteHopfStarAlgebra, x: Array, b: slice) -> Array:
-    """The columns (b, d) of convolution_matrix2(host, x) whose b is in the slice."""
     n = host.dim
     a, c = _support(x)
-    t = np.tensordot(host.comul[:, a, b], x[a][:, c], axes=([1], [0]))  # [i, b, c]
+    t = np.tensordot(host.comul[:, a], x[a][:, c], axes=([1], [0]))  # [i, b, c]
     t = np.tensordot(t, host.comul[:, c], axes=([2], [1]))  # [i, b, j, d]
-    return t.transpose(0, 2, 1, 3).reshape(n * n, -1)
+    return t.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-# rows b per column block of the certificate's approximate inverse: at
-# n = 32 a block holds 4n of the n^2 columns, 2 MB instead of 16 MB
-_CERTIFICATE_ROWS = 4
+def convolution_entries2(host: FiniteHopfStarAlgebra, x: Array) -> tuple[Array, Array]:
+    """The nonzero entries of convolution_matrix2(host, x) as (keys, values),
+    the key of row (i, j) and column (b, d) being (i n + j) n^2 + b n + d,
+    in increasing order.
+
+    Entry L[(i, j), (b, d)] is sum comul[i, a, b] x[a, c] comul[j, c, d].
+    The entries of comul are joined with those of x on a and the terms
+    summed per (i, b, c); those sums are joined with the entries of comul
+    on c and summed per entry of L.  The terms are counted before any is
+    formed; when a join would have more terms than L has entries, L is
+    built densely instead.
+    """
+    n = host.dim
+    ci, ca, cb = np.nonzero(host.comul)
+    cv = host.comul[ci, ca, cb]
+    xa, xc = np.nonzero(x)
+    xv = x[xa, xc]
+    deg = np.bincount(ca, minlength=n)
+    # first-join terms per c, which bound the sums per (i, b, c) at that c
+    first = np.bincount(xc, weights=deg[xa], minlength=n)
+    if max(first.sum(), first @ deg) > n**4:
+        lmat = convolution_matrix2(host, x).reshape(-1)
+        keys = np.flatnonzero(lmat)
+        return keys, lmat[keys]
+    p, q = pairs_by_key(xa, ca)  # x[a, c] comul[i, a, b]
+    ibc, t = sum_by_key((ci[q] * n + cb[q]) * n + xc[p], xv[p] * cv[q])
+    ib, c = np.divmod(ibc, n)
+    p, q = pairs_by_key(c, ca)  # t[i, b, c] comul[j, c, d]
+    i, b = np.divmod(ib[p], n)
+    keys, values = sum_by_key(((i * n + ci[q]) * n + b) * n + cb[q], t[p] * cv[q])
+    keep = values != 0
+    return keys[keep], values[keep]
 
 
 def invert2(host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext) -> Array:
     """Convolution inverse on the tensor square by a flattened linear solve.
 
-    The operator is split into the connected components of its nonzero
-    pattern and only the blocks that the identity touches are solved.  With
-    a coassociative host, convolution by the solution y inverts the
-    operator, so its matrix, built a few columns at a time, certifies the
-    condition check block by block; any other host falls back to the exact
-    SVD rule.
+    The operator is built from its nonzero entries and split into the
+    connected components of their pattern; only the blocks that the
+    identity touches are solved.  With a coassociative host, convolution by
+    the solution y inverts the operator, so the entries of its matrix
+    certify the condition check block by block.  The dense operator is built
+    only for the exact SVD rule, which decides whatever the certificate
+    cannot, on any other host included.
     """
     n = host.dim
-
-    def approx_inverse(y: Array):
-        y = y.reshape(n, n)
-        for b in range(0, n, _CERTIFICATE_ROWS):
-            yield _convolution_columns2(host, y, slice(b, b + _CERTIFICATE_ROWS))
-
-    inv = solve_within_condition(
-        convolution_matrix2(host, x),
+    inv = solve_by_components(
+        convolution_entries2(host, x),
         identity2(host).reshape(n * n),
         1.0 / ctx.tolerance,
-        approx_inverse,
-        split=True,
+        lambda y: convolution_entries2(host, y.reshape(n, n)),
+        lambda: convolution_matrix2(host, x),
     )
     if inv is None:
         raise InvalidInverse("tensor-square convolution operator is singular")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, solve_within_condition
+from ._linalg import max_abs, pairs_by_key, solve_within_condition, sum_by_key
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -270,39 +270,11 @@ def _term_count(kx: Array, ky: Array, size: int) -> int:
     return int(np.bincount(kx, minlength=size) @ np.bincount(ky, minlength=size))
 
 
-def _pairs(kx: Array, ky: Array) -> tuple[Array, Array]:
-    """Every index pair (a, b) with kx[a] == ky[b].
-
-    ky is sorted once; searchsorted finds the run of equal keys for each
-    kx[a], and repeat expands the runs into pairs.
-    """
-    order = np.argsort(ky, kind="stable")
-    sorted_ky = ky[order]
-    lo = np.searchsorted(sorted_ky, kx, side="left")
-    runs = np.searchsorted(sorted_ky, kx, side="right") - lo
-    a = np.repeat(np.arange(kx.size), runs)
-    # pair t sits t - first[a] places into the run that starts at lo[a]
-    first = np.cumsum(runs) - runs
-    b = order[np.arange(a.size) + np.repeat(lo - first, runs)]
-    return a, b
-
-
-def _sum_by_key(keys: Array, values: Array) -> tuple[Array, Array]:
-    """The distinct keys in increasing order, each with the sum of its values."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    sums = np.empty(distinct.size, dtype=np.complex128)
-    # bincount sums real weights only; the parts are stored apart because
-    # re + 1j * im would turn the zero partner of an inf into a NaN
-    sums.real = np.bincount(inverse, values.real, distinct.size)
-    sums.imag = np.bincount(inverse, values.imag, distinct.size)
-    return distinct, sums
-
-
 def _term_gap(left: tuple[Array, Array], right: tuple[Array, Array]) -> float:
     """max |L - R| for two sums of terms, each side given as (output keys, values)."""
     keys = np.concatenate((left[0], right[0]))
     values = np.concatenate((left[1], -right[1]))
-    return max_abs(_sum_by_key(keys, values)[1])
+    return max_abs(sum_by_key(keys, values)[1])
 
 
 def _associativity(mul: Array, m: tuple) -> float:
@@ -310,9 +282,9 @@ def _associativity(mul: Array, m: tuple) -> float:
     n = mul.shape[0]
     (m0, m1, m2), mv = m
     if max(_term_count(m2, m0, n), _term_count(m2, m1, n)) <= n**4:
-        a, b = _pairs(m2, m0)  # mul[i, j, p] mul[p, k, l]
+        a, b = pairs_by_key(m2, m0)  # mul[i, j, p] mul[p, k, l]
         left = _key(n, m0[a], m1[a], m1[b], m2[b]), mv[a] * mv[b]
-        a, b = _pairs(m2, m1)  # mul[j, k, q] mul[i, q, l]
+        a, b = pairs_by_key(m2, m1)  # mul[j, k, q] mul[i, q, l]
         right = _key(n, m0[b], m0[a], m1[a], m2[b]), mv[a] * mv[b]
         return _term_gap(left, right)
     # [j, (k l)] against [l, (j k)]
@@ -333,9 +305,9 @@ def _coassociativity(comul: Array, c: tuple) -> float:
     n = comul.shape[0]
     (c0, c1, c2), cv = c
     if max(_term_count(c1, c0, n), _term_count(c2, c0, n)) <= n**4:
-        a, b = _pairs(c1, c0)  # comul[i, p, c] comul[p, a, b]
+        a, b = pairs_by_key(c1, c0)  # comul[i, p, c] comul[p, a, b]
         left = _key(n, c0[a], c1[b], c2[b], c2[a]), cv[a] * cv[b]
-        a, b = _pairs(c2, c0)  # comul[i, a, p] comul[p, b, c]
+        a, b = pairs_by_key(c2, c0)  # comul[i, a, p] comul[p, b, c]
         right = _key(n, c0[a], c1[a], c1[b], c2[b]), cv[a] * cv[b]
         return _term_gap(left, right)
     # [a, (b c)] against [c, (a b)]
@@ -366,13 +338,13 @@ def _coproduct_multiplicativity(mul: Array, comul: Array, m: tuple, c: tuple) ->
     joined = int(np.sum(np.minimum(first, nn) * np.minimum(second, nn)))
     counts = (_term_count(m2, c0, n), int(first.sum()), int(second.sum()), joined)
     if max(counts) <= n**4:
-        a, b = _pairs(m2, c0)  # mul[i, j, c] comul[c, a, b]
+        a, b = pairs_by_key(m2, c0)  # mul[i, j, c] comul[c, a, b]
         left = _key(n, m0[a], m1[a], c1[b], c2[b]), mv[a] * cv[b]
-        a, b = _pairs(c1, m0)  # [q, r, i, x]
-        k1, h1 = _sum_by_key(_key(n, c2[a], m1[b], c0[a], m2[b]), cv[a] * mv[b])
-        a, b = _pairs(c2, m1)  # [q, r, j, y]
-        k2, h2 = _sum_by_key(_key(n, m0[b], c1[a], c0[a], m2[b]), cv[a] * mv[b])
-        a, b = _pairs(k1 // nn, k2 // nn)
+        a, b = pairs_by_key(c1, m0)  # [q, r, i, x]
+        k1, h1 = sum_by_key(_key(n, c2[a], m1[b], c0[a], m2[b]), cv[a] * mv[b])
+        a, b = pairs_by_key(c2, m1)  # [q, r, j, y]
+        k2, h2 = sum_by_key(_key(n, m0[b], c1[a], c0[a], m2[b]), cv[a] * mv[b])
+        a, b = pairs_by_key(k1 // nn, k2 // nn)
         ix, jy = k1[a] % nn, k2[b] % nn
         right = _key(n, ix // n, jy // n, ix % n, jy % n), h1[a] * h2[b]
         return _term_gap(left, right)

@@ -79,14 +79,15 @@ def test_scenes_are_memoized_and_verified(ctx):
 
 
 def test_cocycle_verdict_does_not_depend_on_call_order(monkeypatch):
-    # no float64 computation reaches 1e-18, so this request fails on its own
+    # the Klein tables are exact, so even a 1e-18 request passes; whichever
+    # context is built first, each request gets a cocycle checked in its own
     tiny = ScalarContext(tolerance=1e-18)
     for warm_default_first in (False, True):
         monkeypatch.setattr(catalog, "_cocycles", {})
         if warm_default_first:
             assert catalog.cocycle("klein-induced").ctx.tolerance == 1e-9
-        with pytest.raises(TheoremViolation):
-            catalog.cocycle("klein-induced", tiny)
+        assert catalog.cocycle("klein-induced", tiny).ctx == tiny
+        assert catalog.cocycle("klein-induced").ctx == ScalarContext()
 
 
 def test_memos_are_keyed_by_name_and_context(monkeypatch, ctx):
@@ -123,6 +124,18 @@ def test_fourier_matrix_is_a_scaled_unitary():
     assert np.abs(f @ f.conj().T - n * np.eye(n)).max() <= 1e-12
     # row of the identity element is the trivial character
     assert np.abs(f[0] - 1.0).max() <= 1e-12
+
+
+def test_fourier_tables_of_2_groups_are_exact():
+    for name in ("z2z2", "z4z4"):
+        group = catalog.group_data(name)
+        f = catalog.fourier_matrix(group)
+        n = group.order
+        assert np.isin(f, (1, -1, 1j, -1j)).all(), name
+        assert np.array_equal(f @ f.conj().T, n * np.eye(n)), name
+    # other phases still come from exp
+    z3 = catalog.fourier_matrix(catalog.group_data("z3"))
+    assert np.abs(z3[1, 1] - np.exp(2j * np.pi / 3)) <= 1e-15
 
 
 def test_fourier_matrix_needs_cyclic_factors():

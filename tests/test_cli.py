@@ -110,6 +110,22 @@ def test_non_finite_document_entries_exit_2_without_traceback(value, tmp_path, c
     assert proc.stdout == ""
 
 
+def test_cocycle_commands_leave_numpy_ma_unimported():
+    # numpy.ma takes about 17 ms to import, in every fresh CLI process
+    script = (
+        "import contextlib, io, sys\n"
+        "from hopftwist.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['twist', '--host', 'c-d4', '--cocycle', 'klein-induced']),\n"
+        "             run(['check-cocycle', 'klein-bicharacter'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.split() == ["[0,", "0]", "False"], proc.stderr
+
+
 def test_math_failure_exits_1_and_reports_on_stderr(tmp_path, capsys):
     from hopftwist import SpectralTriple
     from hopftwist.serialize import canonical_dumps, triple_to_doc

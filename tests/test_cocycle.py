@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from hopftwist import (
     group_algebra,
     induce,
     klein_four_group,
+    roundtrip,
     trivial_cocycle,
     twist_algebra,
     v_functional,
@@ -22,8 +26,16 @@ from hopftwist import (
     verify_morphism,
     w_functional,
 )
-from hopftwist._linalg import square_components
-from hopftwist.cocycle import convolution_matrix2, convolve2, dual_star2, identity2, invert2
+from hopftwist import cocycle as cocycle_module
+from hopftwist._linalg import gather, square_components
+from hopftwist.cocycle import (
+    convolution_entries2,
+    convolution_matrix2,
+    convolve2,
+    dual_star2,
+    identity2,
+    invert2,
+)
 from hopftwist.core import DualFunctional, convolve
 from hopftwist.errors import (
     HostMismatch,
@@ -304,7 +316,7 @@ def test_invert2_falls_back_to_svd_below_the_limit(tol, complex_phases, rng, svd
     phase = np.exp(2j * np.pi * rng.random()) if complex_phases else -1.0
     x = _one_component_operand(dense_host, cond, phase)
     lmat = convolution_matrix2(dense_host, x)
-    assert len(square_components(lmat)) == 1
+    assert len(square_components(*np.nonzero(lmat), n2)) == 1
     assert np.isclose(np.linalg.cond(lmat), cond, rtol=1e-3)
     del svd_calls[:]
     assert _invert2_accepts(dense_host, x, ctx)
@@ -352,7 +364,7 @@ def test_invert2_sends_a_non_square_component_to_the_svd(tol, rng, svd_calls):
     lmat = convolution_matrix2(host, x)
     # row (3, 5) is all zero: a component with one row and no column
     assert not lmat[3 * host.dim + 5].any()
-    assert square_components(lmat) is None
+    assert square_components(*np.nonzero(lmat), host.dim**2) is None
     with pytest.raises(InvalidInverse, match="singular"):
         invert2(host, x, ScalarContext(tolerance=tol))
     assert (host.dim**2, host.dim**2) in svd_calls
@@ -406,6 +418,139 @@ def test_invert2_on_c_d16_solves_and_decomposes_only_small_blocks(ctx, svd_calls
     invert2(sigma.host, sigma.sigma, ctx)
     assert solves and all(shape[-1] < n2 for shape in solves)
     assert all(shape[-1] < n2 for shape in svd_calls)
+
+
+def test_fourier_based_twists_carry_no_rounding_residue(ctx):
+    # every entry is a Gaussian rational with a small power-of-2
+    # denominator, computed exactly: nothing lies strictly between 0 and 1e-12
+    fourier = [(name, catalog.cocycle(name, ctx)) for name in ("klein-fourier", "klein-induced")]
+    for name, sigma in [*_ladder_cocycles(ctx), *fourier]:
+        twisted = twist_algebra(sigma.host, sigma, ctx).twisted
+        tensors = {
+            "sigma": sigma.sigma,
+            "sigma_inv": sigma.sigma_inv,
+            "mul": twisted.mul,
+            "star": twisted.star,
+            "antipode": twisted.antipode,
+        }
+        for label, t in tensors.items():
+            size = np.abs(t)
+            assert not ((size > 0) & (size < 1e-12)).any(), (name, label)
+
+
+def _assert_gathers_match(h, x, y, exact):
+    """L_b of x and M_b of y gathered from their entries against the same
+    blocks of the dense convolution matrices; exact also asks for the
+    entries of x to be those of the dense matrix, bit for bit."""
+    m = h.dim**2
+    lmat, mmat = convolution_matrix2(h, x), convolution_matrix2(h, y)
+    entries = convolution_entries2(h, x)
+    if exact:
+        assert np.array_equal(entries[0], np.flatnonzero(lmat))
+    parts = square_components(*np.divmod(entries[0], m), m)
+    assert parts is not None
+    for rows, cols in parts:
+        blocks = (
+            (gather(entries, rows, cols, m), lmat[rows[:, :, None], cols[:, None, :]]),
+            (
+                gather(convolution_entries2(h, y), cols, rows, m),
+                mmat[cols[:, :, None], rows[:, None, :]],
+            ),
+        )
+        for sparse, dense in blocks:
+            if exact:
+                assert np.array_equal(sparse, dense)
+            else:
+                assert np.abs(sparse - dense).max() <= 1e-12
+    return parts
+
+
+def test_sparse_gathered_blocks_match_the_dense_operator_on_the_ladder(ctx):
+    for name, sigma in _ladder_cocycles(ctx):
+        host = sigma.host
+        twisted = twist_algebra(host, sigma, ctx).twisted
+        operators = ((host, sigma.sigma, sigma.sigma_inv), (twisted, sigma.sigma_inv, sigma.sigma))
+        for h, x, y in operators:
+            # on C(G) and G(G) every entry is one product: the join is bit-exact
+            parts = _assert_gathers_match(h, x, y, exact=True)
+            # C(Z4 x Z4) included, every operator splits into small blocks
+            assert max(rows.shape[1] for rows, _ in parts) <= 16, name
+
+
+def test_convolution_entries_join_sparse_random_hosts(rng, monkeypatch):
+    n = 6
+    for _ in range(4):
+        host = _random_host(rng, n)
+        host = dataclasses.replace(host, comul=host.comul * (rng.random((n, n, n)) < 0.15))
+        x = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.3)
+        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        lmat = convolution_matrix2(host, x).reshape(-1)
+        with monkeypatch.context() as patch:
+            # the terms fit under n^4, so the dense matrix is never built
+            patch.setattr(cocycle_module, "convolution_matrix2", _no_dense)
+            keys, values = convolution_entries2(host, x)
+        assert np.abs(values - lmat[keys]).max() <= 1e-12
+        assert np.abs(np.delete(lmat, keys)).max(initial=0.0) <= 1e-12
+        if square_components(*np.divmod(keys, n * n), n * n) is not None:
+            _assert_gathers_match(host, x, y, exact=False)
+    # a dense host and operand would form more terms than the matrix has
+    # entries, so the matrix is built densely
+    host = _random_host(rng, 3)
+    x = rng.normal(size=(3, 3))
+    _assert_gathers_match(host, x, np.linalg.inv(x), exact=True)
+
+
+def _no_dense(*args):
+    raise AssertionError("the dense n^2 x n^2 operator was built")
+
+
+def test_invert2_on_c_d16_builds_no_dense_operator(ctx, monkeypatch):
+    sigma = dict(_ladder_cocycles(ctx))["C(D16)"]
+    twisted = twist_algebra(sigma.host, sigma, ctx).twisted
+    n = sigma.host.dim
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    monkeypatch.setattr(cocycle_module, "convolution_matrix2", _no_dense)
+    operators = (
+        (sigma.host, sigma.sigma, sigma.sigma_inv),
+        (twisted, sigma.sigma_inv, sigma.sigma),
+    )
+    for h, x, want in operators:
+        tracemalloc.start()
+        try:
+            inv = invert2(h, x, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n^2 x n^2 complex array takes 16 n^4 bytes, 16 MiB; the
+        # whole call stays under an eighth of that
+        assert peak < 16 * n**4 / 8
+        assert np.array_equal(inv, want)
+
+
+def test_twist_steps_on_c_d32_stay_under_96_mib(ctx):
+    """n = 64: one n^2 x n^2 complex operator alone would take 256 MiB."""
+    klein = klein_four_group()
+    c_klein = function_algebra(klein)
+    klein_fourier = catalog.fourier_transport(klein, _klein_beta(), c_klein, ctx)
+    group = dihedral_group(32)
+    host = function_algebra(group)
+    mor = catalog.restriction_morphism(group, (0, 16, 32, 48), ctx, source=host, target=c_klein)
+    steps = {}
+
+    def peak(step, fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            steps[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out
+
+    sigma = peak("induce", lambda: induce(klein_fourier, mor, ctx))
+    tw = peak("twist_algebra", lambda: twist_algebra(host, sigma, ctx))
+    result = peak("roundtrip", lambda: roundtrip(host, sigma, ctx, tw=tw))
+    assert result["residual"] <= ctx.tolerance
+    assert max(steps.values()) < 96 * 2**20, steps
 
 
 def _random_host(rng, n):

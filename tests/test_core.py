@@ -28,7 +28,7 @@ from hopftwist import (
 from hopftwist._linalg import (
     block_condition_bound,
     condition_bound,
-    solve_within_condition,
+    solve_by_components,
     square_components,
 )
 from hopftwist.core import ScalarContext, convolution_matrix, freeze
@@ -370,10 +370,20 @@ def _permuted_blocks(rng, sizes, scale=1.0):
     return dense[rng.permutation(m)][:, rng.permutation(m)]
 
 
+def _components(lmat):
+    return square_components(*np.nonzero(lmat), lmat.shape[0])
+
+
+def _entries(lmat):
+    """(keys, values) of the nonzero entries of a dense matrix."""
+    keys = np.flatnonzero(lmat)
+    return keys, lmat.reshape(-1)[keys]
+
+
 def test_square_components_recover_a_permuted_block_diagonal(rng):
     sizes = (1, 3, 3, 5, 1, 3)
     lmat = _permuted_blocks(rng, sizes)
-    groups = square_components(lmat)
+    groups = _components(lmat)
     assert [(rows.shape, cols.shape) for rows, cols in groups] == [
         ((2, 1), (2, 1)), ((3, 3), (3, 3)), ((1, 5), (1, 5))
     ]
@@ -386,23 +396,25 @@ def test_square_components_recover_a_permuted_block_diagonal(rng):
             assert np.all(inside != 0)
             assert not np.delete(lmat[r], c, axis=1).any()
     # a dense matrix is one component; a zero row or a 2x1 component is not square
-    assert len(square_components(np.ones((4, 4)))) == 1
-    assert square_components(np.diag([1.0, 0.0, 2.0])) is None
-    assert square_components(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 1.0]])) is None
+    assert len(_components(np.ones((4, 4)))) == 1
+    assert _components(np.diag([1.0, 0.0, 2.0])) is None
+    assert _components(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 1.0]])) is None
 
 
 def test_block_condition_bound_never_undercuts_the_condition_number(rng):
     for scale in (1.0, 1e-4):
         lmat = _permuted_blocks(rng, (2, 2, 4, 1), scale)
         m = lmat.shape[0]
-        blocks = [(r, c, lmat[r[:, :, None], c[:, None, :]]) for r, c in square_components(lmat)]
+        blocks = [(r, c, lmat[r[:, :, None], c[:, None, :]]) for r, c in _components(lmat)]
         approx = np.linalg.inv(lmat) * (1.0 + 1e-6 * rng.normal(size=(m, m)))
-        bound = block_condition_bound(blocks, [approx[:, c:c + 3] for c in range(0, m, 3)])
+        # M_b = M[cols][:, rows] for each block
+        inverse_blocks = [approx[c[:, :, None], r[:, None, :]] for r, c, _ in blocks]
+        bound = block_condition_bound(blocks, inverse_blocks)
         cond = np.linalg.cond(lmat)
         assert cond <= bound < m * cond
-    assert block_condition_bound(blocks, [np.zeros((m, m))]) == np.inf
+    assert block_condition_bound(blocks, [np.zeros_like(mb) for mb in inverse_blocks]) == np.inf
     with pytest.raises(ValueError):
-        block_condition_bound(blocks, [approx[:, :-1]])
+        block_condition_bound(blocks, [mb[:, :, :-1] for mb in inverse_blocks])
 
 
 def test_split_solve_verdict_matches_the_svd_rule(rng, svd_calls):
@@ -417,7 +429,9 @@ def test_split_solve_verdict_matches_the_svd_rule(rng, svd_calls):
         inverse = np.linalg.inv(lmat)
         for limit in (10.0 * cond, (1.0 + 1e-6) * cond, (1.0 - 1e-6) * cond, 0.1 * cond):
             del svd_calls[:]
-            y = solve_within_condition(lmat, rhs, limit, lambda y: [inverse], split=True)
+            y = solve_by_components(
+                _entries(lmat), rhs, limit, lambda y: _entries(inverse), lambda: lmat
+            )
             assert (y is not None) == (cond <= limit), (cond, limit)
             if y is not None:
                 assert np.abs(lmat @ y - rhs).max() <= 1e-9
