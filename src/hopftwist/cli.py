@@ -209,8 +209,7 @@ def _scene_inputs(args, ctx: ScalarContext):
 
 def _cmd_deform_triple(args, ctx: ScalarContext) -> int:
     st, corep, sigma, _ = _scene_inputs(args, ctx)
-    pw = decompose(corep.host, haar_state(corep.host, ctx), ctx)
-    result = deform_triple(st, corep, sigma, ctx, pw=pw)
+    result = deform_triple(st, corep, sigma, ctx)
     t = result.transcript
     doc = {
         "dirac_unchanged": bool(result.dirac is st.dirac),

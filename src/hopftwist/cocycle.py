@@ -332,17 +332,22 @@ def induce(
     return induced
 
 
+def _w_checked(cocycle: DualCocycle, ctx: ScalarContext) -> DualFunctional:
+    """The functional a -> sigma(a_(1), antipode(a_(2))), which is 1 at the unit."""
+    host = cocycle.host
+    # w[i] = sum comul[i, j, k] sigma[j, p] antipode[p, k]
+    w = host.comul.reshape(host.dim, -1) @ (cocycle.sigma @ host.antipode).reshape(-1)
+    value_at_unit = complex(np.dot(w, host.unit))
+    if abs(value_at_unit - 1.0) > ctx.loose_tolerance:
+        raise TheoremViolation(f"w takes value {value_at_unit:.6g} at the unit")
+    return DualFunctional(host, w)
+
+
 def w_functional(
     cocycle: DualCocycle, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[DualFunctional, DualFunctional]:
     """The functional a -> sigma(a_(1), antipode(a_(2))) and its inverse."""
-    host = cocycle.host
-    # w[i] = sum comul[i, j, k] sigma[j, p] antipode[p, k]
-    w = host.comul.reshape(host.dim, -1) @ (cocycle.sigma @ host.antipode).reshape(-1)
-    w_fn = DualFunctional(host, w)
-    value_at_unit = complex(np.dot(w, host.unit))
-    if abs(value_at_unit - 1.0) > ctx.loose_tolerance:
-        raise TheoremViolation(f"w takes value {value_at_unit:.6g} at the unit")
+    w_fn = _w_checked(cocycle, ctx)
     return w_fn, convolution_inverse(w_fn, ctx)
 
 

@@ -150,24 +150,21 @@ def ad_v_tensor(corep: UnitaryCorep) -> Array:
     return np.tensordot(corep.u, corep.star_mul(), axes=([2], [2])).transpose(0, 2, 1, 3, 4)
 
 
-def e_map_matrix(corep: UnitaryCorep, rho: Array, ad_tensor: Array | None = None) -> Array:
+def e_map_matrix(corep: UnitaryCorep, rho: Array) -> Array:
     """The map (id (x) rho) ad_v as an N^2 x N^2 matrix over vectorized operators."""
-    ad = ad_v_tensor(corep) if ad_tensor is None else ad_tensor
     n_h = corep.hdim
-    # ad_v_tensor stores (i, k, j, l, c): read it as an (N^4, n) matrix, no copy
-    stored = ad.transpose(0, 2, 1, 3, 4).reshape(-1, ad.shape[-1])
-    emap = (stored @ rho).reshape(n_h, n_h, n_h, n_h).transpose(0, 2, 1, 3)
-    return emap.reshape(n_h * n_h, n_h * n_h)
+    # ad(E_kl)[i, j] = u[i, k, a] (u*)[j, l, b] mul[a, b, c]: rho meets the
+    # product leg first, then u (mul rho) as ((i k), b) meets u* as ((j l), b)
+    left = (corep.u @ (corep.host.mul @ rho)).reshape(n_h * n_h, -1)
+    emap = left @ corep.entry_star().reshape(n_h * n_h, -1).T
+    return emap.reshape((n_h,) * 4).transpose(0, 2, 1, 3).reshape(n_h * n_h, n_h * n_h)
 
 
-def spectral_projection(
-    corep: UnitaryCorep, pw: PeterWeylData, block: int, ad_tensor: Array | None = None
-) -> dict:
+def spectral_projection(corep: UnitaryCorep, pw: PeterWeylData, block: int) -> dict:
     """P of one block as a matrix over vec(T): the E-map of sum_s rho[s, s]."""
     if pw.host is not corep.host:
         raise HostMismatch("Peter-Weyl data belongs to a different host")
-    rho_pi = np.trace(pw.blocks[block].matrix_units)
-    return {"block": block, "p": e_map_matrix(corep, rho_pi, ad_tensor)}
+    return {"block": block, "p": e_map_matrix(corep, np.trace(pw.blocks[block].matrix_units))}
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import gram_schmidt_step, max_abs
-from .cocycle import DualCocycle, w_functional
+from .cocycle import DualCocycle, _w_checked
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -33,9 +33,7 @@ from .corep import (
     UnitaryCorep,
     SpectralDecomposition,
     ad_v,
-    ad_v_tensor,
     pi_u,
-    spectral_projection,
     verify_corep,
 )
 from .errors import (
@@ -47,7 +45,7 @@ from .errors import (
     TheoremViolation,
 )
 from .peterweyl import PeterWeylData, decompose, haar_state
-from .twist import TwistResult
+from .twist import TwistResult, _corep_sigma
 
 Array = np.ndarray
 
@@ -324,8 +322,7 @@ def twisted_operator_star(
     """
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    w, _ = w_functional(sigma, ctx)
-    leg = w.coeffs @ corep.host.antipode_inv
+    leg = _w_checked(sigma, ctx).coeffs @ corep.host.antipode_inv
     adj = np.conj(np.swapaxes(np.asarray(a, dtype=np.complex128), -1, -2))
     return ad_v(corep, adj) @ leg
 
@@ -396,8 +393,10 @@ def deform_triple(
     """Deform the operator algebra of a triple; the Dirac matrix is untouched.
 
     The corep must commute with the Dirac matrix.  The generator span is
-    closed into a *-algebra, refined along spectral projections, and each
-    refined basis element is carried through rho_sigma.  The transcript
+    closed into a *-algebra, refined along the spectral projections of the
+    corep's blocks, and each refined basis element is carried through
+    rho_sigma.  Each projection is applied as a functional on the coaction
+    leg of ad_v, so no N^2 x N^2 projection matrix is built.  The transcript
     records the block content of every generator, the Dirac commutator
     identity residual, and the dimension of the generated image algebra.
     """
@@ -415,32 +414,29 @@ def deform_triple(
     host = corep.host
     if pw is None:
         pw = decompose(host, haar_state(host, ctx), ctx)
-    # close the span before the N^4 n tensor (16 MB at N = n = 16) exists
-    span = operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance)
-    ad = ad_v_tensor(corep)
+    tol = ctx.loose_tolerance
+    span = operator_span_basis(list(st.generators), st.hdim, tol)
+    # block k's projection is (id (x) rho_k) ad_v with rho_k the trace of its
+    # matrix units: one stacked ad_v splits the span and weighs every
+    # generator, as parts (K, span + generators, N^2)
+    rho = np.stack([np.trace(b.matrix_units) for b in pw.blocks], axis=-1)
+    parts = ad_v(corep, np.stack(span + list(st.generators))) @ rho
+    parts = np.moveaxis(parts, -1, 0).reshape(len(pw.blocks), -1, st.hdim * st.hdim)
     refined: list[Array] = []
     labels: list[str] = []
-    weights: list[list[tuple[int, float]]] = [[] for _ in st.generators]
-    # each N^2 x N^2 projection is built once and dropped before the next:
-    # it splits the span and weighs every generator in its block
-    for k in range(len(pw.blocks)):
-        p_map = spectral_projection(corep, pw, k, ad)["p"]
+    for k, part in enumerate(parts):
         collected: list[Array] = []
-        for m in span:
-            nxt = gram_schmidt_step(p_map @ m.reshape(-1), collected, ctx.loose_tolerance)
+        for vec in part[: len(span)]:
+            nxt = gram_schmidt_step(vec, collected, tol)
             if nxt is not None:
                 collected.append(nxt)
         refined.extend(vec.reshape(st.hdim, st.hdim) for vec in collected)
         labels.extend(f"p{k}.{i}" for i in range(len(collected)))
-        for gen, blocks in zip(st.generators, weights):
-            weight = float(np.linalg.norm(p_map @ gen.reshape(-1)))
-            if weight > ctx.loose_tolerance:
-                blocks.append((k, weight))
-    # free it before the stacked images
-    del ad
+    # a generator's weight in block k is the norm of its part there
+    weights = np.linalg.norm(parts[:, len(span) :], axis=-1).T
     generator_blocks = [
-        {"generator": name, "blocks": tuple(blocks)}
-        for name, blocks in zip(st.labels, weights)
+        {"generator": name, "blocks": tuple((k, float(w)) for k, w in enumerate(row) if w > tol)}
+        for name, row in zip(st.labels, weights)
     ]
 
     mats = np.stack(refined)
@@ -495,11 +491,9 @@ def intertwine_check(
 
     t has shape (..., N, N); the residual is the worst over the stack.
     """
-    if tw.original is not corep.host:
-        raise HostMismatch("twist transcript belongs to a different host")
+    corep_sigma = _corep_sigma(corep, tw)
     n_h = corep.hdim
     rho = _rho_matrix(corep, tw.cocycle)
-    corep_sigma = UnitaryCorep(tw.twisted, n_h, corep.u)
     lhs = ad_v(corep_sigma, _apply_rho(rho, t))
     # R acts on every coaction leg c of ad(t) at once: (..., N^2, n)
     legs = ad_v(corep, t)
@@ -561,9 +555,7 @@ def check_membership(
     volume_residual = check_volume_preservation(corep, rv, ctx)["residual"]
     twisted_report = None
     if tw is not None:
-        if tw.original is not corep.host:
-            raise HostMismatch("twist transcript belongs to a different host")
-        corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+        corep_sigma = _corep_sigma(corep, tw)
         rv_sigma = r_sigma(rv, corep, tw.v, ctx)
         twisted_report = check_membership(
             corep_sigma, st, rv_sigma, ctx, tw=None, subject=f"{subject}^sigma"

@@ -1,5 +1,5 @@
 """Haar state, block decomposition of the convolution dual, matrix
-coefficients, F-matrices, rho functionals, and the modular operator.
+coefficients, F-matrices, and rho functionals.
 
 The dual of a finite Hopf *-algebra is a direct sum of matrix blocks.  The
 decomposition here is numerical Artin-Wedderburn: split the center with a
@@ -326,18 +326,12 @@ def _block_matrix_units(
 
 
 def _matrix_unit_residual(host: FiniteHopfStarAlgebra, units: Array) -> float:
-    d = units.shape[0]
-    resid = 0.0
-    for p in range(d):
-        for q in range(d):
-            star = dual_star_matrix_apply(host, units[p, q])
-            resid = max(resid, max_abs(star - units[q, p]))
-            for r in range(d):
-                for s in range(d):
-                    prod = convolve_coeffs(host, units[p, q], units[r, s])
-                    want = units[p, s] if q == r else 0.0
-                    resid = max(resid, max_abs(prod - want))
-    return resid
+    # e[p, q]* = e[q, p]; e[p, q] e[r, s] = delta_qr e[p, s], all pairs as ((p q), i, (r s))
+    d, flat = len(units), units.reshape(-1, host.dim)
+    stars = dual_star_matrix_apply(host, flat.T).T.reshape(units.shape)
+    prods = np.tensordot(flat, host.comul @ flat.T, axes=([1], [1]))
+    want = np.einsum("qr,psi->pqirs", np.eye(d), units).reshape(d * d, host.dim, d * d)
+    return max(max_abs(stars - units.transpose(1, 0, 2)), max_abs(prods - want))
 
 
 def decompose(
@@ -379,10 +373,7 @@ def decompose(
     offset = 0
     trivial_found = False
     for d, e_alpha, units in staged:
-        q = np.zeros((d, d, n), dtype=np.complex128)
-        for p in range(d):
-            for r in range(d):
-                q[p, r] = q_cols[:, offset + p * d + r]
+        q = q_cols[:, offset : offset + d * d].T.reshape(d, d, n)
         offset += d * d
         f_matrix, m_value = _f_matrix(algebra, h, q, ctx)
         _, rho = _rho_data(algebra, h, q, f_matrix, m_value)

@@ -48,8 +48,8 @@ class VerificationReport:
         return tuple(r for r in self.records if not r.passed and not r.waived)
 
 
-def report_to_doc(report: VerificationReport, include_wall_time: bool = False) -> dict:
-    doc = {
+def report_to_doc(report: VerificationReport) -> dict:
+    return {
         "format": VERIFICATION_FORMAT,
         "suite": report.suite,
         "checks": [
@@ -66,9 +66,6 @@ def report_to_doc(report: VerificationReport, include_wall_time: bool = False) -
         ],
         "overall": report.passed,
     }
-    if include_wall_time:
-        doc["wall_time"] = float(report.wall_time)
-    return doc
 
 
 def report_from_doc(doc: dict) -> VerificationReport:
@@ -98,7 +95,7 @@ def report_bytes(report: VerificationReport) -> bytes:
     return canonical_dumps(report_to_doc(report)).encode("utf-8")
 
 
-def render_text(report: VerificationReport, wall_time: bool = True) -> str:
+def render_text(report: VerificationReport) -> str:
     width = max((len(r.check_id) for r in report.records), default=0)
     lines = []
     for rec in report.records:
@@ -114,8 +111,6 @@ def render_text(report: VerificationReport, wall_time: bool = True) -> str:
     waived = sum(1 for r in report.records if r.waived and not r.passed)
     if waived:
         summary += f", {waived} waived"
-    summary += ")"
-    if wall_time:
-        summary += f" in {report.wall_time:.2f}s"
+    summary += f") in {report.wall_time:.2f}s"
     lines.append(summary)
     return "\n".join(lines)

@@ -43,14 +43,14 @@ from .deform import (
     twisted_operator_product,
     twisted_operator_star,
 )
-from .peterweyl import PeterWeylData, decompose, haar_pairing, haar_state
+from .peterweyl import HaarState, PeterWeylData, decompose, haar_pairing, haar_state
+from .peterweyl import haar_invariance_residual
 from .report import CheckRecord, VerificationReport
 from .serialize import canonical_dumps
 from .twist import (
     TwistResult,
-    _twist_back,
+    _corep_sigma,
     f_matrix_relation,
-    haar_invariance,
     roundtrip,
     twist_algebra,
     twist_corep,
@@ -76,6 +76,7 @@ class _Workspace:
         # entry is stale
         self._pw: dict[FiniteHopfStarAlgebra, PeterWeylData] = {}
         self._twists: dict[DualCocycle, TwistResult] = {}
+        self._roundtrips: dict[DualCocycle, dict] = {}
 
     def peter_weyl(self, algebra: FiniteHopfStarAlgebra) -> PeterWeylData:
         if algebra not in self._pw:
@@ -86,6 +87,11 @@ class _Workspace:
         if sigma not in self._twists:
             self._twists[sigma] = twist_algebra(sigma.host, sigma, self.ctx)
         return self._twists[sigma]
+
+    def roundtrip(self, sigma: DualCocycle) -> dict:
+        if sigma not in self._roundtrips:
+            self._roundtrips[sigma] = roundtrip(sigma.host, sigma, self.ctx, tw=self.twist(sigma))
+        return self._roundtrips[sigma]
 
 
 def _bool_residual(ok: bool) -> float:
@@ -305,7 +311,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     # 6: twisting back with the inverse cocycle
     for _, cname in catalog.cocycle_pairs():
         sigma = catalog.cocycle(cname, ctx)
-        rt = roundtrip(sigma.host, sigma, ctx, tw=ws.twist(sigma))
+        rt = ws.roundtrip(sigma)
         residual = max(rt["residual"], rt["inverse_cocycle_residual"])
         if not rt["coalgebra_identical"]:
             residual = max(residual, 1.0)
@@ -318,13 +324,16 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     # 7: Haar invariance and the block-form change of F
     for hname, cname in catalog.cocycle_pairs():
         tw = ws.twist(catalog.cocycle(cname, ctx))
-        drift, _ = haar_invariance(tw, ctx)
+        pw = ws.peter_weyl(tw.original)
+        # a dual-cocycle twist keeps the coproduct and the unit, and with them
+        # the unique Haar state: the twisted algebra takes the original's
+        pw_sigma = decompose(tw.twisted, HaarState(tw.twisted, pw.haar.coeffs), ctx)
         add(
             f"07.haar.{cname}",
             "Haar functional has the same coefficients after twisting",
-            drift,
+            haar_invariance_residual(pw_sigma.haar),
         )
-        rows = f_matrix_relation(tw, ws.peter_weyl(tw.original), ws.peter_weyl(tw.twisted), ctx)
+        rows = f_matrix_relation(tw, pw, pw_sigma, ctx)
         residual = max(row["residual"] for row in rows)
         if not all(row["c"] > 0 for row in rows):
             residual = max(residual, 1.0)
@@ -413,7 +422,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
             intertwine_check(corep, tw, basis, ctx),
         )
         rv_sigma = r_sigma(scene["volume"], corep, tw.v, ctx)
-        corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+        corep_sigma = _corep_sigma(corep, tw)
         dirac = scene["triple"].dirac
         residual = max(
             max_abs(dirac @ rv_sigma.r - rv_sigma.r @ dirac),
@@ -424,7 +433,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
             "twisted volume is positive, Dirac-compatible, and preserved",
             residual,
         )
-        back, _ = _twist_back(tw, ctx)
+        back = ws.roundtrip(sigma)["back"]
         rv_back = r_sigma(rv_sigma, corep_sigma, back.v, ctx)
         forward = rho_sigma(corep, sigma, basis)
         residual = max(

@@ -27,6 +27,7 @@ from .core import (
 from .corep import UnitaryCorep, verify_corep
 from .errors import BlockMismatch, HostMismatch, TheoremViolation
 from .peterweyl import HaarState, PeterWeylData, _f_matrix, haar_state
+from .peterweyl import haar_invariance_residual
 
 Array = np.ndarray
 
@@ -131,8 +132,9 @@ def roundtrip(
 ) -> dict:
     """Twist by sigma, re-validate sigma^{-1} on the result, twist back.
 
-    ``tw``, when given, is the forward twist of algebra by cocycle, and is
-    used instead of twisting again.
+    The result holds the residuals, the verdict and, under "back", the back
+    twist itself.  ``tw``, when given, is the forward twist of algebra by
+    cocycle, and is used instead of twisting again.
     """
     if tw is None:
         tw = twist_algebra(algebra, cocycle, ctx)
@@ -156,14 +158,22 @@ def roundtrip(
         "coalgebra_identical": coalgebra_identical,
         "inverse_cocycle_residual": inverse_report.max_residual,
         "passed": bool(residual <= ctx.tolerance and coalgebra_identical),
+        "back": back,
     }
+
+
+def _corep_sigma(corep: UnitaryCorep, tw: TwistResult) -> UnitaryCorep:
+    """The same matrix of elements read over the twisted algebra."""
+    if tw.original is not corep.host:
+        raise HostMismatch("twist transcript belongs to a different host")
+    return UnitaryCorep(tw.twisted, corep.hdim, corep.u)
 
 
 def twist_corep(
     corep: UnitaryCorep, tw: TwistResult, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[UnitaryCorep, AxiomReport]:
     """Reinterpret the same matrix of elements over the twisted algebra."""
-    twisted_corep = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+    twisted_corep = _corep_sigma(corep, tw)
     base = verify_corep(twisted_corep, ctx, subject="twisted-corep")
     # twisted antipode of u[i, j] must be the twisted star of u[j, i]
     lhs = np.einsum("li,xyi->xyl", tw.twisted.antipode, corep.u)
@@ -178,10 +188,12 @@ def twist_corep(
 def haar_invariance(
     tw: TwistResult, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[float, HaarState]:
-    """Distance between the original and twisted Haar coefficient vectors."""
-    h_original = haar_state(tw.original, ctx)
-    h_twisted = haar_state(tw.twisted, ctx)
-    return max_abs(h_twisted.coeffs - h_original.coeffs), h_twisted
+    """Invariance residual of the original Haar coefficients on the twisted
+    algebra, and that twisted Haar state: a dual-cocycle twist keeps the
+    coproduct and the unit, which determine the unique Haar state.
+    """
+    h_twisted = HaarState(tw.twisted, haar_state(tw.original, ctx).coeffs)
+    return haar_invariance_residual(h_twisted), h_twisted
 
 
 def f_matrix_relation(

@@ -108,10 +108,9 @@ def test_spectral_projections_are_complete_and_idempotent(ctx):
     pw = decompose(host, haar_state(host, ctx), ctx)
     corep = regular_corep(host, ctx)
     n2 = corep.hdim * corep.hdim
-    ad = ad_v_tensor(corep)
     total = np.zeros((n2, n2), dtype=np.complex128)
     for k in range(len(pw.blocks)):
-        p = spectral_projection(corep, pw, k, ad_tensor=ad)["p"]
+        p = spectral_projection(corep, pw, k)["p"]
         assert np.abs(p @ p - p).max() <= 1e-9
         total += p
     assert np.abs(total - np.eye(n2)).max() <= 1e-9
@@ -124,12 +123,9 @@ def test_spectral_projection_is_the_sum_of_the_diagonal_e_maps(name, ctx):
     scene = catalog.triple_scene(name, ctx)
     host, corep = scene["host"], scene["corep"]
     pw = decompose(host, haar_state(host, ctx), ctx)
-    ad = ad_v_tensor(corep)
     for k, b in enumerate(pw.blocks):
-        p = spectral_projection(corep, pw, k, ad_tensor=ad)["p"]
-        want = sum(
-            e_map_matrix(corep, b.matrix_units[s, s], ad) for s in range(b.dimension)
-        )
+        p = spectral_projection(corep, pw, k)["p"]
+        want = sum(e_map_matrix(corep, b.matrix_units[s, s]) for s in range(b.dimension))
         assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,21 +309,18 @@ def test_deform_triple_splits_and_weighs_along_the_spectral_projections(name, ct
         assert abs(total - np.linalg.norm(gen) ** 2) <= 1e-9 * np.linalg.norm(gen) ** 2
 
 
-@pytest.mark.parametrize("name", SCENES)
-def test_deform_triple_builds_ad_v_and_each_projection_once(name, ctx, monkeypatch):
-    scene = catalog.triple_scene(name, ctx)
+def test_deform_triple_on_z4z4_torus_peaks_under_8_mib(ctx):
+    """The projections act on ad_v's coaction leg: neither the N^4 n tensor
+    (16 MiB at N = n = 16) nor any N^2 x N^2 projection is built."""
+    scene = catalog.triple_scene("z4z4-torus", ctx)
     pw = _scene_pw(scene, ctx)
-    calls = {"ad_v_tensor": 0, "spectral_projection": 0}
-    for fname in calls:
-        original = getattr(deform_module, fname)
-
-        def counting(*args, _original=original, _name=fname, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(deform_module, fname, counting)
-    deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=pw)
-    assert calls == {"ad_v_tensor": 1, "spectral_projection": len(pw.blocks)}
+    tracemalloc.start()
+    try:
+        deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=pw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_deform_triple_rejects_non_commuting_dirac(ctx):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hopftwist import catalog, decompose, function_algebra, haar_state, symmetric_group_3
-from hopftwist.core import DualFunctional, convolve
+from hopftwist.core import DualFunctional, convolve, convolve_coeffs, dual_star_matrix_apply
 from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
     PeterWeylData,
+    _matrix_unit_residual,
     _validate,
     gram_matrix,
     haar_invariance_residual,
@@ -174,3 +175,28 @@ def test_suite_workspace_keeps_one_decomposition_per_host_object(ctx):
     twin = function_algebra(symmetric_group_3())
     assert ws.peter_weyl(twin).host is twin
     assert ws.peter_weyl(host) is pw
+
+
+def _reference_matrix_unit_residual(host, units):
+    d = units.shape[0]
+    resid = 0.0
+    for p in range(d):
+        for q in range(d):
+            star = dual_star_matrix_apply(host, units[p, q])
+            resid = max(resid, np.abs(star - units[q, p]).max())
+            for r in range(d):
+                for s in range(d):
+                    prod = convolve_coeffs(host, units[p, q], units[r, s])
+                    want = units[p, s] if q == r else 0.0
+                    resid = max(resid, np.abs(prod - want).max())
+    return resid
+
+
+@pytest.mark.parametrize("name", ("c-s3", "c-d4"))
+def test_stacked_matrix_unit_residual_equals_the_pairwise_loop(name, ctx, rng):
+    host = catalog.algebra(name)
+    for b in decompose(host, haar_state(host, ctx), ctx).blocks:
+        noisy = b.matrix_units + 1e-3 * rng.normal(size=b.matrix_units.shape)
+        for units in (b.matrix_units, noisy):
+            want = _reference_matrix_unit_residual(host, units)
+            assert abs(_matrix_unit_residual(host, units) - want) <= 1e-15 + 1e-12 * want

@@ -6,6 +6,8 @@ and the commutator witness of check 05 takes all basis pairs at once.  The
 references below are the loops they replaced, kept verbatim.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from hopftwist import deform as deform_module
 from hopftwist import suite as suite_module
 from hopftwist._linalg import max_abs
 from hopftwist.corep import decompose_corep
-from hopftwist.peterweyl import haar_pairing
+from hopftwist.peterweyl import haar_pairing, haar_state
 from hopftwist.suite import (
     _RANDOM_DRAWS,
     _form_r_residual,
@@ -22,6 +24,7 @@ from hopftwist.suite import (
     _schur_residual,
     _Workspace,
 )
+from hopftwist.twist import twist_algebra
 
 
 def _reference_equivariant_volume(sd, rng):
@@ -134,3 +137,32 @@ def test_noncommutativity_witness_equals_the_pairwise_loop(ctx):
     for algebra in hosts:
         want = _reference_noncommutativity_witness(algebra)
         assert abs(_noncommutativity_witness(algebra) - want) <= 1e-15 * max(1.0, want)
+
+
+def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
+    """A twisted host reuses the Haar state of its original, and check 12
+    reuses the back twists of check 06's roundtrips."""
+    ctx = ScalarContext(seed=7)
+    for name in catalog.host_names():
+        catalog.algebra(name)
+    for name in catalog.cocycle_names():
+        catalog.cocycle(name, ctx)
+    for name in catalog.triple_names():
+        catalog.triple_scene(name, ctx)
+    originals = {"haar_state": haar_state, "twist_algebra": twist_algebra}
+    calls = dict.fromkeys(originals, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("hopftwist.")]
+    for fname, original in originals.items():
+
+        def counting(*args, _original=original, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counting)
+    suite_module.run_paper_suite(ctx)
+    # Haar: 11 hosts in check 02, two fresh workspaces in check 13 and seven
+    # regular coreps; twists: six cocycles (the five catalog ones and the
+    # trivial-4 scene's), each twisted forward and back once
+    assert calls == {"haar_state": 20, "twist_algebra": 12}

@@ -58,8 +58,12 @@ def test_roundtrip_returns_to_the_original(ctx, host_name, cocycle_name):
     assert result["passed"]
     assert result["residual"] <= 1e-9
     assert result["coalgebra_identical"]
+    # the back twist it returns is the twist by sigma^{-1}
+    assert np.array_equal(result["back"].cocycle.sigma, sigma.sigma_inv)
     # a forward twist the caller already holds gives the same result
-    assert roundtrip(host, sigma, ctx, tw=twist_algebra(host, sigma, ctx)) == result
+    again = roundtrip(host, sigma, ctx, tw=twist_algebra(host, sigma, ctx))
+    fields = ("residual", "coalgebra_identical", "inverse_cocycle_residual", "passed")
+    assert all(again[k] == result[k] for k in fields)
 
 
 def test_roundtrip_rejects_the_twist_of_another_pair(ctx):
@@ -77,6 +81,8 @@ def test_haar_state_survives_the_twist(ctx, host_name, cocycle_name):
     drift, h_twisted = haar_invariance(tw, ctx)
     assert drift <= 1e-9
     assert h_twisted.host is tw.twisted
+    # the solved twisted Haar state has the original coefficients
+    assert np.abs(haar_state(tw.twisted, ctx).coeffs - h_twisted.coeffs).max() <= 1e-12
 
 
 @pytest.mark.parametrize("host_name,cocycle_name", PAIRS)
@@ -104,6 +110,14 @@ def test_regular_corep_stays_unitary_after_twisting(ctx, host_name, cocycle_name
     assert report.passed, report.failing()
     assert report.max_residual <= 1e-9
     assert u_sigma.host is tw.twisted
+
+
+def test_twist_corep_rejects_a_corep_of_another_host(ctx):
+    # both hosts have dimension 4, so the corep's shape fits the twisted host
+    corep = regular_corep(catalog.algebra("g-z2z2"), ctx)
+    tw = twist_algebra(catalog.algebra("c-z2z2"), catalog.cocycle("klein-fourier", ctx), ctx)
+    with pytest.raises(HostMismatch):
+        twist_corep(corep, tw, ctx)
 
 
 def test_group_algebra_twists_leave_the_tensors_unchanged(ctx):
