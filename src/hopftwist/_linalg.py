@@ -315,22 +315,6 @@ def _frob_sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
-    """Group real values into clusters whose spread stays below tol.
-
-    Returns (mean, index array) pairs sorted by mean.
-    """
-    vals = np.asarray(values, dtype=float)
-    order = np.argsort(vals)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and vals[idx] - vals[clusters[-1][-1]] <= tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [(float(np.mean(vals[c])), np.asarray(c, dtype=int)) for c in clusters]
-
-
 def orthonormal_columns(b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis for the column span of b."""
     b = np.atleast_2d(np.asarray(b, dtype=np.complex128))

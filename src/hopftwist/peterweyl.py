@@ -2,25 +2,30 @@
 coefficients, F-matrices, and rho functionals.
 
 The dual of a finite Hopf *-algebra is a direct sum of matrix blocks.  The
-decomposition here is numerical Artin-Wedderburn: split the center with a
-random self-adjoint central element, then refine each block to matrix units
-with a second random element and partial isometries.  Randomness comes only
-from the seeded context, so results are reproducible.
+decomposition is numerical Artin-Wedderburn by eigenvectors (Murota, Kanno,
+Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): in the frame where
+the Haar state's Gram matrix is the identity, a random self-adjoint central
+element is a Hermitian matrix whose eigenspaces are the isotypic components,
+and a random self-adjoint element cut down to one component has eigenspaces
+that give its minimal projections.  Each projection is read back as a dual
+element by the counit law, so no solve or polynomial in the random element
+enters.  Randomness comes only from the seeded context, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cluster_values, max_abs, nullspace, orthonormal_columns
+from ._linalg import max_abs, nullspace
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
-    convolution_matrix,
     convolve_coeffs,
     dual_star_matrix_apply,
     freeze,
@@ -29,8 +34,9 @@ from .errors import DecompositionError, NotErgodic, NotFaithful
 
 Array = np.ndarray
 
-# eigenvalues closer than this are treated as one cluster
-CLUSTER_TOL = 1e-6
+# a cut between two eigenvalue groups must be this many times wider than
+# the widest group
+SPLIT_MARGIN = 1e6
 MAX_RETRIES = 5
 
 
@@ -56,13 +62,12 @@ def haar_state(algebra: FiniteHopfStarAlgebra, ctx: ScalarContext = DEFAULT_CONT
     a = algebra
     n = a.dim
     # (id (x) h) Delta = h(.) 1  and  (h (x) id) Delta = h(.) 1
-    m1 = a.comul.reshape(n * n, n).copy()
-    m2 = a.comul.transpose(0, 2, 1).reshape(n * n, n).copy()
-    for i in range(n):
-        for j in range(n):
-            m1[i * n + j, i] -= a.unit[j]
-            m2[i * n + j, i] -= a.unit[j]
-    kernel = nullspace(np.vstack([m1, m2]))
+    m1 = a.comul.copy()
+    m2 = a.comul.transpose(0, 2, 1).copy()
+    diag = np.arange(n)
+    m1[diag, :, diag] -= a.unit
+    m2[diag, :, diag] -= a.unit
+    kernel = nullspace(np.vstack([m1.reshape(n * n, n), m2.reshape(n * n, n)]))
     if kernel.shape[1] != 1:
         raise NotErgodic(
             f"invariance system has a {kernel.shape[1]}-dimensional solution space"
@@ -174,19 +179,51 @@ def _gns_frame(
     return s, s_inv
 
 
-def _lagrange_idempotents(
-    host: FiniteHopfStarAlgebra, z: Array, values: list[float]
-) -> list[Array]:
-    """Spectral idempotents of a dual element with known distinct eigenvalues."""
-    idems = []
-    for alpha, lam in enumerate(values):
-        e = host.counit.astype(np.complex128)
-        for beta, mu in enumerate(values):
-            if beta == alpha:
-                continue
-            e = (convolve_coeffs(host, z, e) - mu * e) / (lam - mu)
-        idems.append(e)
-    return idems
+def _eigen_split(m: Array, parts: int, size: int = 0) -> list[Array]:
+    """Eigenvector groups of the Hermitian matrix m, each a run of its sorted spectrum.
+
+    The spectrum is cut at its parts - 1 widest gaps or, given size, into
+    parts runs of size eigenvalues each.  The split is rejected unless the
+    narrowest cut is SPLIT_MARGIN times wider than the widest run, counted
+    at least rounding wide.  This is the eigenvalue step of Murota, Kanno,
+    Kojima & Kojima, "A numerical algorithm for block-diagonal decomposition
+    of matrix *-algebras", Japan J. Indust. Appl. Math. 27 (2010).
+    """
+    if max_abs(m - m.conj().T) > 1e-7 * (1.0 + max_abs(m)):
+        raise DecompositionError("element not Hermitian in the state frame")
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    gaps = np.diff(vals)
+    if size:
+        cuts = np.arange(size, vals.size, size)
+    else:
+        cuts = np.sort(np.argsort(gaps)[::-1][: parts - 1]) + 1
+    bounds = list(zip([0, *cuts], [*cuts, vals.size]))
+    spread = max(vals[hi - 1] - vals[lo] for lo, hi in bounds)
+    spread = max(spread, vals.size * np.finfo(float).eps * np.abs(vals).max())
+    if cuts.size and gaps[cuts - 1].min() <= SPLIT_MARGIN * spread:
+        raise DecompositionError(
+            f"spectrum does not split into {parts} groups: narrowest cut "
+            f"{gaps[cuts - 1].min():.3g}, widest group {spread:.3g}"
+        )
+    return [vecs[:, lo:hi] for lo, hi in bounds]
+
+
+def _projection_element(host: FiniteHopfStarAlgebra, frame: tuple[Array, Array], v: Array) -> Array:
+    """The dual element e whose action is the orthogonal projection v v^H in
+    the state frame, for orthonormal columns v: e = counit act(e) by the
+    counit law, so no solve enters."""
+    s, s_inv = frame
+    return (host.counit @ s_inv @ v) @ (v.conj().T @ s)
+
+
+def _retrying(what: str, attempt):
+    """attempt(), repeated up to MAX_RETRIES times while it raises DecompositionError."""
+    for _ in range(MAX_RETRIES):
+        try:
+            return attempt()
+        except DecompositionError as exc:
+            last_error = exc
+    raise DecompositionError(f"{what} failed: {last_error}")
 
 
 def _split_center(
@@ -194,135 +231,74 @@ def _split_center(
     frame: tuple[Array, Array],
     ctx: ScalarContext,
     rng: np.random.Generator,
-) -> list[tuple[int, Array]]:
-    """Central idempotents with block dimensions, via a random central element."""
-    n = host.dim
+) -> list[tuple[int, Array, Array]]:
+    """(block dimension, central idempotent, isotypic basis in the state
+    frame) per block, from the eigenvectors of a random central element."""
     s, s_inv = frame
     center = _dual_center(host)
-    num_blocks = center.shape[1]
-    last_error = "no attempt made"
-    for _ in range(MAX_RETRIES):
+
+    def attempt():
         z = _random_self_adjoint(host, center, rng)
-        m = s @ _act(host, z) @ s_inv
-        if max_abs(m - m.conj().T) > 1e-7 * (1.0 + max_abs(m)):
-            last_error = "central element not Hermitian in the state frame"
-            continue
-        eigvals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        clusters = cluster_values(eigvals, CLUSTER_TOL)
-        if len(clusters) != num_blocks:
-            last_error = f"{len(clusters)} clusters for {num_blocks} central dimensions"
-            continue
-        dims = []
-        ok = True
-        for _, members in clusters:
-            d = np.sqrt(len(members))
-            if abs(d - round(d)) > 1e-9:
-                ok = False
-                break
-            dims.append(int(round(d)))
-        if not ok or sum(d * d for d in dims) != n:
-            last_error = "eigenvalue multiplicities are not perfect squares summing to dim"
-            continue
-        values = [float(c) for c, _ in clusters]
-        idems = _lagrange_idempotents(host, z, values)
-        resid = 0.0
-        for e in idems:
-            resid = max(resid, max_abs(convolve_coeffs(host, e, e) - e))
+        groups = _eigen_split(s @ _act(host, z) @ s_inv, center.shape[1])
+        dims = [math.isqrt(g.shape[1]) for g in groups]
+        if any(d * d != g.shape[1] for d, g in zip(dims, groups)):
+            raise DecompositionError("eigenvalue multiplicities are not perfect squares")
+        idems = [_projection_element(host, frame, g) for g in groups]
+        resid = max(max_abs(convolve_coeffs(host, e, e) - e) for e in idems)
         resid = max(resid, max_abs(sum(idems) - host.counit))
         if resid > ctx.loose_tolerance:
-            last_error = f"central idempotent residual {resid:.3g}"
-            continue
-        return list(zip(dims, idems))
-    raise DecompositionError(f"central splitting failed: {last_error}")
+            raise DecompositionError(f"central idempotent residual {resid:.3g}")
+        return list(zip(dims, idems, groups))
+
+    return _retrying("central splitting", attempt)
 
 
 def _block_matrix_units(
     host: FiniteHopfStarAlgebra,
     frame: tuple[Array, Array],
     e_alpha: Array,
-    d: int,
+    basis: Array,
     ctx: ScalarContext,
     rng: np.random.Generator,
 ) -> Array:
-    """Matrix units (d, d, n) of the block cut out by a central idempotent."""
-    n = host.dim
+    """Matrix units (d, d, n) of the block with central idempotent e_alpha,
+    whose d^2-dimensional isotypic component has basis in the state frame.
+
+    A random element r has self-adjoint part z; z cut down to the block has
+    d eigenvalues, each d times over, whose eigenvector groups give the
+    minimal projections p_0, ..., p_{d-1}.  The partial isometry from p_q to
+    p_0 is p_0 r p_q, normalized.
+    """
+    n, d = host.dim, math.isqrt(basis.shape[1])
     if d == 1:
         return e_alpha.reshape(1, 1, n)
     s, s_inv = frame
-    # the idempotent acts as an orthogonal projection in the state frame;
-    # its column space is the d^2-dimensional isotypic component
-    dual_basis = orthonormal_columns(convolution_matrix(host, e_alpha))
-    if dual_basis.shape[1] != d * d:
-        raise DecompositionError(
-            f"block rank {dual_basis.shape[1]} differs from {d * d}"
-        )
-    proj = s @ _act(host, e_alpha) @ s_inv
-    block_basis = orthonormal_columns(proj)
-    if block_basis.shape[1] != d * d:
-        raise DecompositionError(
-            f"isotypic rank {block_basis.shape[1]} differs from {d * d}"
-        )
-    last_error = "no attempt made"
-    for _ in range(MAX_RETRIES):
-        y = convolve_coeffs(host, e_alpha, _random_self_adjoint(host, dual_basis, rng))
-        y = 0.5 * (y + dual_star_matrix_apply(host, y))
-        lmat = block_basis.conj().T @ (s @ _act(host, y) @ s_inv) @ block_basis
-        if max_abs(lmat - lmat.conj().T) > 1e-7 * (1.0 + max_abs(lmat)):
-            last_error = "block element not Hermitian in the state frame"
-            continue
-        eigvals = np.linalg.eigvalsh(0.5 * (lmat + lmat.conj().T))
-        clusters = cluster_values(eigvals, CLUSTER_TOL)
-        if len(clusters) != d or any(len(m) != d for _, m in clusters):
-            last_error = f"block spectrum does not split into {d} simple eigenvalues"
-            continue
-        values = [float(c) for c, _ in clusters]
-        projections = _lagrange_idempotents(host, y, values)
-        # lagrange starts from the counit; cut down to the block
-        projections = [convolve_coeffs(host, e_alpha, p) for p in projections]
-        isometries = [projections[0]]
-        ok = True
-        for q_idx in range(1, d):
-            best, best_norm = None, 0.0
-            for b in range(n):
-                probe = np.zeros(n, dtype=np.complex128)
-                probe[b] = 1.0
-                w = convolve_coeffs(
-                    host, projections[0], convolve_coeffs(host, probe, projections[q_idx])
-                )
-                wn = float(np.linalg.norm(w))
-                if wn > best_norm:
-                    best, best_norm = w, wn
-            if best is None or best_norm <= ctx.loose_tolerance:
-                ok = False
-                last_error = "no partial isometry candidate found"
-                break
-            w = best
+
+    def attempt():
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = 0.5 * (r + dual_star_matrix_apply(host, r))
+        groups = _eigen_split(basis.conj().T @ (s @ _act(host, z) @ s_inv) @ basis, d, d)
+        projections = [_projection_element(host, frame, basis @ g) for g in groups]
+        p0 = projections[0]
+        isometries = [p0]
+        for p in projections[1:]:
+            w = convolve_coeffs(host, p0, convolve_coeffs(host, r, p))
             ww = convolve_coeffs(host, w, dual_star_matrix_apply(host, w))
-            scale = complex(np.vdot(projections[0], ww)) / complex(
-                np.vdot(projections[0], projections[0])
-            )
+            scale = complex(np.vdot(p0, ww)) / complex(np.vdot(p0, p0))
             if scale.real <= 0 or abs(scale.imag) > 1e-6 * abs(scale.real):
-                ok = False
-                last_error = f"isometry normalizer {scale:.3g} not positive"
-                break
+                raise DecompositionError(f"isometry normalizer {scale:.3g} not positive")
             v = w / np.sqrt(scale.real)
             pivot = int(np.argmax(np.abs(v)))
             phase = v[pivot] / abs(v[pivot])
             isometries.append(v / phase)
-        if not ok:
-            continue
-        units = np.zeros((d, d, n), dtype=np.complex128)
-        for p in range(d):
-            for q in range(d):
-                units[p, q] = convolve_coeffs(
-                    host, dual_star_matrix_apply(host, isometries[p]), isometries[q]
-                )
+        stars = [dual_star_matrix_apply(host, v) for v in isometries]
+        units = np.array([[convolve_coeffs(host, a, b) for b in isometries] for a in stars])
         resid = _matrix_unit_residual(host, units)
         if resid > ctx.loose_tolerance:
-            last_error = f"matrix-unit residual {resid:.3g}"
-            continue
+            raise DecompositionError(f"matrix-unit residual {resid:.3g}")
         return units
-    raise DecompositionError(f"block refinement failed: {last_error}")
+
+    return _retrying("block refinement", attempt)
 
 
 def _matrix_unit_residual(host: FiniteHopfStarAlgebra, units: Array) -> float:
@@ -343,14 +319,10 @@ def decompose(
     n = algebra.dim
     rng = ctx.rng()
     frame = _gns_frame(algebra, h, ctx)
-    raw_blocks = _split_center(algebra, frame, ctx, rng)
-    if sum(d * d for d, _ in raw_blocks) != n:
-        raise DecompositionError("block dimensions do not account for the algebra")
-
-    staged = []
-    for d, e_alpha in raw_blocks:
-        units = _block_matrix_units(algebra, frame, e_alpha, d, ctx, rng)
-        staged.append((d, e_alpha, units))
+    staged = [
+        (d, e_alpha, _block_matrix_units(algebra, frame, e_alpha, basis, ctx, rng))
+        for d, e_alpha, basis in _split_center(algebra, frame, ctx, rng)
+    ]
 
     # deterministic order: by dimension, then by the idempotent's rounded vector
     def sort_key(item):

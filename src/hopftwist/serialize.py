@@ -38,10 +38,7 @@ VERIFICATION_FORMAT = "verification-report.v1"
 def encode_array(arr: Array) -> list:
     """Nested row-major lists with complex entries as [re, im]."""
     a = np.asarray(arr, dtype=np.complex128)
-    if a.ndim == 0:
-        z = complex(a)
-        return [z.real, z.imag]
-    return [encode_array(part) for part in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def decode_array(obj) -> Array:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, subspace_gap
+from ._linalg import max_abs, orthonormal_columns, subspace_gap
 from .cocycle import DualCocycle, _v_from_w, convolve2, verify_cocycle, w_functional
 from .core import (
     DEFAULT_CONTEXT,
@@ -211,19 +211,20 @@ def f_matrix_relation(
     """
     if pw.host is not tw.original or pw_sigma.host is not tw.twisted:
         raise BlockMismatch("Peter-Weyl data does not match the twist endpoints")
+    spans = [c.q.reshape(c.dimension**2, -1).T for c in pw_sigma.blocks]
+    bases = [orthonormal_columns(span) for span in spans]
     out = []
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
         span = b.q.reshape(d * d, tw.original.dim).T
-        partner = None
-        for cj, c in enumerate(pw_sigma.blocks):
-            if c.dimension != d:
-                continue
-            gap = subspace_gap(span, c.q.reshape(d * d, tw.twisted.dim).T)
-            if gap < 1e-6:
-                partner = cj
-                break
-        if partner is None:
+        # the candidate of equal dimension whose subspace overlaps most
+        qa = orthonormal_columns(span)
+        overlap = [
+            np.linalg.norm(qa.conj().T @ qb) if c.dimension == d else -1.0
+            for c, qb in zip(pw_sigma.blocks, bases)
+        ]
+        partner = int(np.argmax(overlap))
+        if overlap[partner] < 0 or subspace_gap(span, spans[partner]) >= 1e-6:
             raise BlockMismatch(
                 f"no twisted block matches the coefficient subspace of block {bi}"
             )

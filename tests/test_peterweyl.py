@@ -3,11 +3,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hopftwist import catalog, decompose, function_algebra, haar_state, symmetric_group_3
+from hopftwist import (
+    ScalarContext,
+    catalog,
+    cyclic_group,
+    decompose,
+    dihedral_group,
+    direct_product,
+    from_bicharacter,
+    function_algebra,
+    group_algebra,
+    haar_state,
+    induce,
+    klein_four_group,
+    symmetric_group_3,
+    twist_algebra,
+)
+from hopftwist._linalg import nullspace
 from hopftwist.core import DualFunctional, convolve, convolve_coeffs, dual_star_matrix_apply
 from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
     PeterWeylData,
+    _eigen_split,
     _matrix_unit_residual,
     _validate,
     gram_matrix,
@@ -54,6 +71,44 @@ def test_haar_absorbs_any_functional(name, ctx, rng):
     right = convolve(h, phi).coeffs
     assert np.abs(left - scale * h.coeffs).max() <= 1e-9
     assert np.abs(right - scale * h.coeffs).max() <= 1e-9
+
+
+def _reference_haar_coeffs(a):
+    """haar_state's solve with the invariance system built entry by entry."""
+    n = a.dim
+    m1 = a.comul.reshape(n * n, n).copy()
+    m2 = a.comul.transpose(0, 2, 1).reshape(n * n, n).copy()
+    for i in range(n):
+        for j in range(n):
+            m1[i * n + j, i] -= a.unit[j]
+            m2[i * n + j, i] -= a.unit[j]
+    h = nullspace(np.vstack([m1, m2]))[:, 0]
+    return h / complex(np.dot(h, a.unit))
+
+
+@pytest.mark.parametrize("name", ("c-s3", "c-d4", "g-d4", "g-z4z4"))
+def test_haar_state_equals_the_entrywise_system_solve(name, ctx):
+    host = catalog.algebra(name)
+    assert np.array_equal(haar_state(host, ctx).coeffs, _reference_haar_coeffs(host))
+
+
+def test_eigen_split_cuts_at_the_widest_gaps_or_into_equal_runs():
+    m = np.diag([3.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 3.0, 3.0]).astype(complex)
+    assert [g.shape[1] for g in _eigen_split(m, 3)] == [2, 4, 3]
+    assert [g.shape[1] for g in _eigen_split(np.diag([2.0, 0.0, 0.0, 2.0]), 2, 2)] == [2, 2]
+    groups = _eigen_split(m, 3)
+    assert np.allclose(sum(g @ g.conj().T for g in groups), np.eye(9))
+
+
+def test_eigen_split_rejects_a_cut_not_clear_of_the_groups():
+    # a cut inside rounding of the spectrum
+    with pytest.raises(DecompositionError, match="does not split"):
+        _eigen_split(np.diag([0.0, 1e-12, 1.0, 2.0]), 4)
+    # runs of two whose spread is not small against the cut between them
+    with pytest.raises(DecompositionError, match="does not split"):
+        _eigen_split(np.diag([0.0, 1e-3, 1.0, 1.0]), 2, 2)
+    with pytest.raises(DecompositionError, match="not Hermitian"):
+        _eigen_split(np.array([[0.0, 1.0], [0.0, 1.0]]), 2)
 
 
 def test_s3_function_algebra_block_pattern(ctx):
@@ -200,3 +255,89 @@ def test_stacked_matrix_unit_residual_equals_the_pairwise_loop(name, ctx, rng):
         for units in (b.matrix_units, noisy):
             want = _reference_matrix_unit_residual(host, units)
             assert abs(_matrix_unit_residual(host, units) - want) <= 1e-15 + 1e-12 * want
+
+
+# ------------------------------------------------------------- seed sweep
+# Block dimensions from the group alone: the irreducible dimensions of G for
+# C(G), all ones for G(G), and for a dual-cocycle twist those of the
+# untwisted host, since the twist keeps the coproduct.
+
+
+def _z2_power(k):
+    group = cyclic_group(2)
+    for _ in range(k - 1):
+        group = direct_product(group, cyclic_group(2))
+    return group
+
+
+def _dihedral_irrep_dims(m):
+    ones = 4 if m % 2 == 0 else 2
+    return [1] * ones + [2] * ((2 * m - ones) // 4)
+
+
+def _klein_induced(m):
+    """C(D_m) twisted by the Klein bicharacter pulled back along the
+    restriction to {e, r^(m/2), s, r^(m/2) s}."""
+    group, klein = dihedral_group(m), klein_four_group()
+    host, c_klein = function_algebra(group), function_algebra(klein)
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+    table = np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in bits] for g in bits])
+    sigma = catalog.fourier_transport(klein, table, c_klein)
+    mor = catalog.restriction_morphism(
+        group, (0, m // 2, m, m + m // 2), source=host, target=c_klein
+    )
+    return twist_algebra(host, induce(sigma, mor)).twisted
+
+
+def _z4z4_twisted(kind):
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    table = np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
+    if kind == "function":
+        host = function_algebra(group)
+        sigma = catalog.fourier_transport(group, table, host)
+    else:
+        host = group_algebra(group)
+        sigma = from_bicharacter(group, table, host=host)
+    return twist_algebra(host, sigma).twisted
+
+
+def _sweep_hosts():
+    z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
+    hosts = {}
+    for n in (4, 8, 16, 32):
+        hosts[f"C(Z{n})"] = (lambda n=n: function_algebra(cyclic_group(n)), [1] * n)
+        hosts[f"G(Z{n})"] = (lambda n=n: group_algebra(cyclic_group(n)), [1] * n)
+    hosts["C(Z2^5)"] = (lambda: function_algebra(_z2_power(5)), [1] * 32)
+    hosts["C(Z4xZ4)"] = (lambda: function_algebra(z4z4), [1] * 16)
+    hosts["G(Z4xZ4)"] = (lambda: group_algebra(z4z4), [1] * 16)
+    for m in (3, 4, 5, 6, 8, 12, 16):
+        group = dihedral_group(m)
+        hosts[f"C(D{m})"] = (lambda g=group: function_algebra(g), _dihedral_irrep_dims(m))
+        hosts[f"G(D{m})"] = (lambda g=group: group_algebra(g), [1] * (2 * m))
+    for m in (4, 8, 16):
+        hosts[f"C(D{m}) twisted"] = (lambda m=m: _klein_induced(m), _dihedral_irrep_dims(m))
+    hosts["C(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("function"), [1] * 16)
+    hosts["G(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("group"), [1] * 16)
+    return hosts
+
+
+SWEEP_HOSTS = _sweep_hosts()
+SWEEP_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("name", SWEEP_HOSTS)
+def test_every_host_decomposes_on_every_seed_into_its_group_blocks(name):
+    build, want = SWEEP_HOSTS[name]
+    host = build()
+    h = haar_state(host)
+    for seed in SWEEP_SEEDS:
+        pw = decompose(host, h, ScalarContext(seed=seed))
+        assert sorted(pw.dimensions) == sorted(want), (name, seed)
+
+
+def test_dimension_64_host_decomposes():
+    group = dihedral_group(32)
+    host = function_algebra(group)
+    pw = decompose(host, haar_state(host), ScalarContext(seed=3))
+    assert sorted(pw.dimensions) == _dihedral_irrep_dims(32)

@@ -43,6 +43,27 @@ def test_array_codec_roundtrips_bit_exact(rng):
         assert np.array_equal(back, arr)
 
 
+def _encode_entrywise(arr):
+    """encode_array's definition: one [re, im] pair per entry, one list per axis."""
+    a = np.asarray(arr, dtype=np.complex128)
+    if a.ndim == 0:
+        z = complex(a)
+        return [z.real, z.imag]
+    return [_encode_entrywise(part) for part in a]
+
+
+def test_encode_array_matches_the_entrywise_definition(rng):
+    for shape in ((), (1,), (3,), (2, 4), (2, 3, 2), (0,), (2, 0, 3)):
+        arr = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        arr[arr.real > 1.0] = complex(-0.0, 0.0)
+        arr[arr.imag > 1.0] = complex(0.5, -0.0)
+        for value in (arr, arr.real):
+            got, want = encode_array(value), _encode_entrywise(value)
+            # json text tells -0.0 from 0.0 and every float type apart
+            assert json.dumps(got) == json.dumps(want)
+    assert json.dumps(encode_array(-0.0)) == "[-0.0, 0.0]"
+
+
 def test_array_codec_rejects_malformed_entries():
     with pytest.raises(InputError):
         decode_array([[1.0, 2.0, 3.0]])
