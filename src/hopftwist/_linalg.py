@@ -315,40 +315,26 @@ def _frob_sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def orthonormal_columns(b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis for the column span of b."""
-    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    if s.size == 0:
-        return u[:, :0]
-    rank = int(np.sum(s > rtol * s[0]))
-    return u[:, :rank]
+def extend_rows(basis: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows that the rows of cands add to the span of the
+    orthonormal rows of basis, as a (k, D) array.
 
-
-def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal-angle sine between the column spans of a and b.
-
-    Returns 1.0 when the dimensions differ.
+    Each candidate is projected off basis twice; candidates whose residual
+    norm is at most tol are dropped, and the rest keep the singular
+    directions of singular value above tol.  tol is absolute.  The new rows
+    are combinations of the residual rows, so an entry that is zero in every
+    candidate and every basis row stays exactly zero; a second projection
+    and combination restore the orthonormality that cancellation costs.
     """
-    qa = orthonormal_columns(a)
-    qb = orthonormal_columns(b)
-    if qa.shape[1] != qb.shape[1]:
-        return 1.0
-    if qa.shape[1] == 0:
-        return 0.0
-    s = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - float(np.min(s)) ** 2)))
-
-
-def gram_schmidt_step(v: np.ndarray, basis: list[np.ndarray], tol: float) -> np.ndarray | None:
-    """Orthonormalize v against basis; None when the residual is negligible."""
-    w = np.asarray(v, dtype=np.complex128).copy()
-    for b in basis:
-        w -= b * np.vdot(b, w)
-    # second pass for numerical stability
-    for b in basis:
-        w -= b * np.vdot(b, w)
-    norm = float(np.linalg.norm(w))
-    if norm <= tol:
-        return None
-    return w / norm
+    w = np.asarray(cands, dtype=np.complex128).reshape(len(cands), -1)
+    bh = basis.conj().T
+    for _ in range(2):
+        w = w - (w @ bh) @ basis
+    w = w[np.linalg.norm(w, axis=1) > tol]
+    if not len(w):
+        return w
+    for _ in range(2):
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
+        w = (u[:, s > tol].conj().T @ w) / s[s > tol, None]
+        w = w - (w @ bh) @ basis
+    return w

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gram_schmidt_step, max_abs
+from ._linalg import extend_rows, max_abs
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -187,34 +187,26 @@ def decompose_corep(
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
         shifts = pi_u(corep, b.matrix_units[:, 0])  # Pi_U(e_j0), (d, N, N)
-        collected: list[Array] = []
-        for col in range(n_h):
-            nxt = gram_schmidt_step(shifts[0][:, col], collected, ctx.loose_tolerance)
-            if nxt is not None:
-                collected.append(nxt)
+        # orthonormal f_i spanning the columns of Pi_U(e_00)
+        collected = extend_rows(shifts[0][:0], shifts[0].T, ctx.loose_tolerance)
         mult = len(collected)
         if mult == 0:
             continue
         # basis[i, j] = Pi_U(e_j0) f_i
-        basis = np.tensordot(np.array(collected), shifts, axes=([1], [2]))
+        basis = np.tensordot(collected, shifts, axes=([1], [2]))
         # adapted-law residual: U e[i, j] = sum_k e[i, k] (x) q[k, j], as (i, j, x, c)
         got = np.tensordot(basis, corep.u, axes=([2], [1]))
         want = np.tensordot(basis, b.q, axes=([1], [0])).transpose(0, 2, 1, 3)
         worst = max(worst, max_abs(got - want))
-        # orthonormality across the block
-        flat = basis.reshape(mult * d, n_h)
-        worst = max(worst, max_abs(flat.conj() @ flat.T - np.eye(mult * d)))
         total += mult * d
         entries.append({"block": bi, "multiplicity": mult, "basis": basis})
     if total != n_h:
         raise DecompositionError(
             f"adapted bases span {total} of {n_h} dimensions"
         )
-    # cross-block orthogonality
-    flats = [e["basis"].reshape(-1, n_h) for e in entries]
-    for a_idx in range(len(flats)):
-        for b_idx in range(a_idx + 1, len(flats)):
-            worst = max(worst, max_abs(flats[a_idx].conj() @ flats[b_idx].T))
+    # orthonormality within and across blocks: the n_h adapted vectors
+    flat = np.concatenate([e["basis"].reshape(-1, n_h) for e in entries])
+    worst = max(worst, max_abs(flat.conj() @ flat.T - np.eye(n_h)))
     if not ctx.close(worst):
         raise DecompositionError(f"adapted basis residual {worst:.3g}")
     return SpectralDecomposition(corep=corep, entries=tuple(entries), residual=worst)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gram_schmidt_step, max_abs
+from ._linalg import extend_rows, max_abs
 from .cocycle import DualCocycle, _w_checked
 from .core import (
     DEFAULT_CONTEXT,
@@ -93,13 +93,13 @@ class SpectralTriple:
 
 
 def _adjoint_closed(gens: tuple[Array, ...]) -> bool:
-    stack = np.stack([g.reshape(-1) for g in gens], axis=1)
-    for g in gens:
-        target = g.conj().T.reshape(-1)
-        coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-        if max_abs(stack @ coeffs - target) > _STRUCTURE_TOL * (1.0 + max_abs(g)):
-            return False
-    return True
+    # one least-squares solve with every adjoint as a right-hand side
+    stack = np.stack(gens)
+    flat = stack.reshape(len(gens), -1)
+    adj = stack.conj().swapaxes(-1, -2).reshape(len(gens), -1)
+    coeffs, *_ = np.linalg.lstsq(flat.T, adj.T, rcond=None)
+    miss = max_abs(coeffs.T @ flat - adj, lead=(len(gens),))
+    return not np.any(miss > _STRUCTURE_TOL * (1.0 + max_abs(flat, lead=(len(gens),))))
 
 
 def _require(ok, error: type, message: str, values=None) -> None:
@@ -330,38 +330,28 @@ def twisted_operator_star(
 def operator_span_basis(
     mats: list[Array], hdim: int, tol: float
 ) -> list[Array]:
-    """Orthonormal basis (Frobenius) of the *-algebra generated by mats."""
-    basis: list[Array] = []
+    """Orthonormal basis (Frobenius) of the unital *-algebra generated by mats.
 
-    def absorb(m: Array) -> bool:
-        nxt = gram_schmidt_step(m.reshape(-1), basis, tol)
-        if nxt is None:
-            return False
-        basis.append(nxt)
-        return True
-
-    def absorb_screened(cands: Array) -> bool:
-        # a larger basis only shrinks a residual, so a candidate whose
-        # residual against the current basis is below tol is never absorbed
-        q = np.array(basis)
-        w = cands.reshape(len(cands), -1)
-        for _ in range(2):
-            w = w - (w @ q.conj().T) @ q
-        keep = np.linalg.norm(w, axis=1) > tol
-        absorbed = [absorb(m) for m in cands[keep]]
-        return any(absorbed)
-
-    absorb(np.eye(hdim, dtype=np.complex128))
-    for m in mats:
-        absorb(np.asarray(m, dtype=np.complex128))
-        absorb(np.asarray(m, dtype=np.complex128).conj().T)
-    changed = True
-    while changed:
-        current = np.array(basis).reshape(-1, hdim, hdim)
-        changed = absorb_screened(np.conj(np.swapaxes(current, -1, -2)))
-        for x in current:
-            changed = absorb_screened(x @ current) or changed
-    return [b.reshape(hdim, hdim) for b in basis]
+    Words in the letters mats and their adjoints span that algebra, and a
+    span that holds the identity and is closed under right multiplication by
+    each letter holds every word.  The letters become an orthonormal basis
+    of their span; the basis starts as the identity plus the letters, and
+    each round multiplies only the directions the last round added by each
+    letter, one letter at a time.  The closure stops when a round adds
+    nothing or the basis holds hdim^2 elements.
+    """
+    gens = np.asarray(mats, dtype=np.complex128).reshape(-1, hdim, hdim)
+    eye = np.eye(hdim, dtype=np.complex128).reshape(1, -1) / np.sqrt(hdim)
+    letters = extend_rows(eye[:0], np.concatenate([gens, gens.conj().swapaxes(-1, -2)]), tol)
+    frontier = extend_rows(eye, letters, tol)
+    basis = np.concatenate([eye, frontier])
+    while len(frontier) and len(basis) < hdim * hdim:
+        start = len(basis)
+        for letter in letters.reshape(-1, hdim, hdim):
+            added = extend_rows(basis, frontier.reshape(-1, hdim, hdim) @ letter, tol)
+            basis = np.concatenate([basis, added])
+        frontier = basis[start:]
+    return list(basis.reshape(-1, hdim, hdim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +415,8 @@ def deform_triple(
     refined: list[Array] = []
     labels: list[str] = []
     for k, part in enumerate(parts):
-        collected: list[Array] = []
-        for vec in part[: len(span)]:
-            nxt = gram_schmidt_step(vec, collected, tol)
-            if nxt is not None:
-                collected.append(nxt)
-        refined.extend(vec.reshape(st.hdim, st.hdim) for vec in collected)
+        collected = extend_rows(part[:0], part[: len(span)], tol)
+        refined.extend(collected.reshape(-1, st.hdim, st.hdim))
         labels.extend(f"p{k}.{i}" for i in range(len(collected)))
     # a generator's weight in block k is the norm of its part there
     weights = np.linalg.norm(parts[:, len(span) :], axis=-1).T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, orthonormal_columns, subspace_gap
+from ._linalg import extend_rows, max_abs
 from .cocycle import DualCocycle, _v_from_w, convolve2, verify_cocycle, w_functional
 from .core import (
     DEFAULT_CONTEXT,
@@ -211,20 +211,27 @@ def f_matrix_relation(
     """
     if pw.host is not tw.original or pw_sigma.host is not tw.twisted:
         raise BlockMismatch("Peter-Weyl data does not match the twist endpoints")
-    spans = [c.q.reshape(c.dimension**2, -1).T for c in pw_sigma.blocks]
-    bases = [orthonormal_columns(span) for span in spans]
+    def rows(c) -> Array:
+        # orthonormal rows spanning the coefficients of block c
+        flat = c.q.reshape(c.dimension**2, -1)
+        return extend_rows(flat[:0], flat, ctx.loose_tolerance)
+
+    bases = [rows(c) for c in pw_sigma.blocks]
     out = []
     for bi, b in enumerate(pw.blocks):
         d = b.dimension
-        span = b.q.reshape(d * d, tw.original.dim).T
         # the candidate of equal dimension whose subspace overlaps most
-        qa = orthonormal_columns(span)
+        qa = rows(b)
         overlap = [
-            np.linalg.norm(qa.conj().T @ qb) if c.dimension == d else -1.0
+            np.linalg.norm(qa.conj() @ qb.T) if c.dimension == d else -1.0
             for c, qb in zip(pw_sigma.blocks, bases)
         ]
         partner = int(np.argmax(overlap))
-        if overlap[partner] < 0 or subspace_gap(span, spans[partner]) >= 1e-6:
+        qb = bases[partner]
+        # sine of the largest principal angle between the two spans
+        cosines = np.linalg.svd(qa.conj() @ qb.T, compute_uv=False)
+        gap = np.sqrt(max(0.0, 1.0 - float(np.min(cosines, initial=1.0)) ** 2))
+        if overlap[partner] < 0 or len(qa) != len(qb) or gap >= 1e-6:
             raise BlockMismatch(
                 f"no twisted block matches the coefficient subspace of block {bi}"
             )

@@ -26,7 +26,7 @@ from hopftwist import (
     twisted_operator_star,
     trivial_cocycle,
 )
-from hopftwist._linalg import gram_schmidt_step
+from hopftwist._linalg import extend_rows
 from hopftwist.deform import operator_span_basis
 from hopftwist.errors import (
     DimensionMismatch,
@@ -323,6 +323,20 @@ def test_deform_triple_on_z4z4_torus_peaks_under_8_mib(ctx):
     assert peak < 8 * 2**20
 
 
+def test_deform_triple_on_a_noncommutative_z4z4_scene(ctx):
+    """The translations of z4z4-torus with the clock operators diag(i^a) and
+    diag(i^b) generate all of M_16, and so do their deformed images."""
+    scene = catalog.triple_scene("z4z4-torus", ctx)
+    a, b = np.divmod(np.arange(16), 4)
+    clocks = [np.diag(1j**a), np.diag(1j**b)]
+    gens = scene["triple"].generators + tuple(clocks) + tuple(c.conj().T for c in clocks)
+    st = SpectralTriple(16, gens, np.zeros((16, 16), dtype=np.complex128))
+    result = deform_triple(st, scene["corep"], scene["cocycle"], ctx, pw=_scene_pw(scene, ctx))
+    assert result.transcript["spectral_dimension"] == 256
+    assert result.transcript["generated_dimension"] == 256
+    assert result.transcript["commutator_identity"] <= ctx.tolerance
+
+
 def test_deform_triple_rejects_non_commuting_dirac(ctx):
     scene = catalog.triple_scene("z2z2-torus", ctx)
     bad_dirac = np.diag([0.0, 1.0, 2.0, 3.0]).astype(np.complex128)
@@ -450,12 +464,25 @@ def test_double_deformation_returns_every_operator(ctx, rng):
         assert np.abs(back - a).max() <= 1e-9
 
 
+def _gram_schmidt_step(v, basis, tol):
+    """Orthonormalize v against basis; None when the residual is negligible."""
+    w = np.asarray(v, dtype=np.complex128).copy()
+    for _ in range(2):
+        for b in basis:
+            w -= b * np.vdot(b, w)
+    norm = float(np.linalg.norm(w))
+    if norm <= tol:
+        return None
+    return w / norm
+
+
 def _unscreened_span_basis(mats, hdim, tol):
-    """The closure loop with every candidate going through gram_schmidt_step alone."""
+    """The closure loop with every product of two basis elements going
+    through one Gram-Schmidt step at a time."""
     basis = []
 
     def absorb(m):
-        nxt = gram_schmidt_step(m.reshape(-1), basis, tol)
+        nxt = _gram_schmidt_step(m.reshape(-1), basis, tol)
         if nxt is None:
             return False
         basis.append(nxt)
@@ -479,13 +506,47 @@ def _unscreened_span_basis(mats, hdim, tol):
     return [b.reshape(hdim, hdim) for b in basis]
 
 
+def _assert_orthonormal_span(got, projector):
+    """got is an orthonormal basis of the span whose orthogonal projector
+    (over vectorized operators) is given, both within 1e-12."""
+    rows = np.stack(got).reshape(len(got), -1)
+    assert np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max() <= 1e-12
+    assert np.abs(rows.T @ rows.conj() - projector).max() <= 1e-12
+
+
 def _assert_same_span_basis(mats, hdim, tol):
     got = operator_span_basis(mats, hdim, tol)
-    want = _unscreened_span_basis(mats, hdim, tol)
+    want = np.stack(_unscreened_span_basis(mats, hdim, tol)).reshape(-1, hdim * hdim)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-12
+    _assert_orthonormal_span(got, want.T @ want.conj())
     return len(got)
+
+
+def test_extend_rows_on_nearly_dependent_candidates(rng):
+    # rows live in the first 12 of 16 coordinates; two candidates differ by 1e-5
+    def rand(k):
+        x = np.zeros((k, 16), dtype=np.complex128)
+        x[:, :12] = rng.normal(size=(k, 12)) + 1j * rng.normal(size=(k, 12))
+        return x
+
+    basis = np.linalg.qr(rand(3).T)[0].T
+    v, u, w = rand(3)
+    cands = np.stack([v, v + 1e-5 * u, w, v + w])
+    got = extend_rows(basis, cands, 1e-6)
+    want = list(basis)
+    for c in cands:
+        nxt = _gram_schmidt_step(c, want, 1e-6)
+        if nxt is not None:
+            want.append(nxt)
+    assert len(got) == len(want) - len(basis) == 3
+    both = np.concatenate([basis, got])
+    assert np.abs(both.conj() @ both.T - np.eye(6)).max() <= 1e-14
+    # a coordinate that is zero in every input stays exactly zero
+    assert not got[:, 12:].any()
+    # the direction of u is fixed only to about eps / 1e-5
+    ref = np.stack(want)
+    assert np.abs(both.T @ both.conj() - ref.T @ ref.conj()).max() <= 1e-9
+    assert len(extend_rows(both, cands, 1e-6)) == 0
 
 
 @pytest.mark.parametrize("name", SCENES)
@@ -511,17 +572,38 @@ def test_screened_closure_matches_the_unscreened_loop_on_matrix_algebras(n, ctx)
     assert _assert_same_span_basis([diag, np.exp(0.3j) * shift], n, tol) == n * n
 
 
-def test_screened_closure_sends_few_candidates_to_the_sequential_step(ctx, monkeypatch):
-    calls = [0]
+def test_frontier_closure_of_a_block_diagonal_algebra(ctx):
+    # distinct diagonal entries and a cyclic shift inside each block generate
+    # M_4 + M_4 + M_8 inside M_16, of dimension 16 + 16 + 64
+    sizes = (4, 4, 8)
+    diag = np.diag(np.arange(1.0, 17.0)).astype(np.complex128)
+    shift = np.zeros((16, 16), dtype=np.complex128)
+    mask = np.zeros((16, 16))
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        shift[block, block] = np.exp(0.3j) * np.roll(np.eye(size), 1, axis=0)
+        mask[block, block] = 1.0
+        start += size
+    got = operator_span_basis([diag, shift], 16, ctx.loose_tolerance)
+    assert len(got) == 96
+    _assert_orthonormal_span(got, np.diag(mask.reshape(-1)))
 
-    def counting(*args, _original=deform_module.gram_schmidt_step, **kwargs):
-        calls[0] += 1
-        return _original(*args, **kwargs)
 
-    monkeypatch.setattr(deform_module, "gram_schmidt_step", counting)
+def test_frontier_closure_multiplies_each_direction_once_per_letter(ctx, monkeypatch):
+    rows = [0]
+
+    def counting(basis, cands, tol, _original=deform_module.extend_rows):
+        rows[0] += len(cands)
+        return _original(basis, cands, tol)
+
+    monkeypatch.setattr(deform_module, "extend_rows", counting)
     n = 6
     diag = np.diag(np.arange(1.0, n + 1)).astype(np.complex128)
     shift = np.exp(0.3j) * np.roll(np.eye(n, dtype=np.complex128), 1, axis=0)
+    seeds = np.stack([diag, shift, diag.conj().T, shift.conj().T])
+    letters = np.linalg.matrix_rank(seeds.reshape(4, -1))
     assert len(operator_span_basis([diag, shift], n, ctx.loose_tolerance)) == n * n
-    # the unscreened loop sends every one of the thousands of products
-    assert calls[0] <= 2 * n * n
+    # the seed rows go in twice (as candidates for the letters, then against
+    # the identity); after that, one product per direction and letter
+    assert rows[0] <= len(seeds) + letters + n * n * letters
