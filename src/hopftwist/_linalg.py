@@ -206,6 +206,13 @@ def _solve_blocks(rhs: np.ndarray, blocks) -> np.ndarray:
     return y
 
 
+def nonzero_entries(t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Coordinates (one index array per axis) and values of the nonzero
+    entries of t.  NaN and inf are nonzero, so they are kept."""
+    coords = np.nonzero(t)
+    return coords, t[coords]
+
+
 def pairs_by_key(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (a, b) with kx[a] == ky[b]: the join of two entry
     lists on a shared index.
@@ -235,6 +242,19 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     sums.real = np.bincount(inverse, values.real, distinct.size)
     sums.imag = np.bincount(inverse, values.imag, distinct.size)
     return distinct, sums
+
+
+def term_count(kx: np.ndarray, ky: np.ndarray, size: int) -> int:
+    """The number of pairs (a, b) with kx[a] == ky[b], keys below size: the
+    sum over keys of the product of their degrees, without forming a pair."""
+    return int(np.bincount(kx, minlength=size) @ np.bincount(ky, minlength=size))
+
+
+def term_gap(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]) -> float:
+    """max |L - R| for two sums of terms, each side given as (output keys, values)."""
+    keys = np.concatenate((left[0], right[0]))
+    values = np.concatenate((left[1], -right[1]))
+    return max_abs(sum_by_key(keys, values)[1])
 
 
 def condition_bound(lmat: np.ndarray, blocks: Iterable[np.ndarray]) -> float:
@@ -319,22 +339,29 @@ def extend_rows(basis: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal rows that the rows of cands add to the span of the
     orthonormal rows of basis, as a (k, D) array.
 
-    Each candidate is projected off basis twice; candidates whose residual
-    norm is at most tol are dropped, and the rest keep the singular
-    directions of singular value above tol.  tol is absolute.  The new rows
-    are combinations of the residual rows, so an entry that is zero in every
-    candidate and every basis row stays exactly zero; a second projection
-    and combination restore the orthonormality that cancellation costs.
+    Each candidate is projected off basis; candidates whose residual norm is
+    at most tol are dropped, and the rest are projected again and keep the
+    singular directions of singular value above tol.  tol is absolute.  The
+    new rows are combinations of the residual rows, so an entry that is zero
+    in every candidate and every basis row stays exactly zero; a second
+    projection and combination restore the orthonormality that cancellation
+    costs.
     """
-    w = np.asarray(cands, dtype=np.complex128).reshape(len(cands), -1)
-    bh = basis.conj().T
-    for _ in range(2):
-        w = w - (w @ bh) @ basis
-    w = w[np.linalg.norm(w, axis=1) > tol]
+    w = _project_off(np.asarray(cands, dtype=np.complex128).reshape(len(cands), -1), basis)
+    w = _project_off(w[np.linalg.norm(w, axis=1) > tol], basis)
     if not len(w):
         return w
     for _ in range(2):
         u, s, _ = np.linalg.svd(w, full_matrices=False)
         w = (u[:, s > tol].conj().T @ w) / s[s > tol, None]
-        w = w - (w @ bh) @ basis
+        w = _project_off(w, basis)
     return w
+
+
+def _project_off(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """w less its projection on the orthonormal rows of basis.  The
+    coefficients w basis^H are read as (basis w^H)^H, so that the candidates
+    are conjugated and never the basis."""
+    if not (len(w) and len(basis)):
+        return w
+    return w - (basis @ w.conj().T).conj().T @ basis

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, pairs_by_key, solve_within_condition, sum_by_key
+from ._linalg import (
+    max_abs,
+    nonzero_entries,
+    pairs_by_key,
+    solve_within_condition,
+    sum_by_key,
+    term_count,
+    term_gap,
+)
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -252,41 +260,21 @@ def _worst(residuals) -> float:
     return float(np.max(list(residuals)))
 
 
-def _entries(t: Array) -> tuple[tuple[Array, ...], Array]:
-    """Coordinates (one index array per axis) and values of the nonzero
-    entries of t.  NaN and inf are nonzero, so they are kept."""
-    coords = np.nonzero(t)
-    return coords, t[coords]
-
-
 def _key(n: int, i: Array, j: Array, k: Array, l: Array) -> Array:
     """The flat index of [i, j, k, l] in an n^4-entry array, as one int64."""
     return ((i * n + j) * n + k) * n + l
-
-
-def _term_count(kx: Array, ky: Array, size: int) -> int:
-    """The number of pairs (a, b) with kx[a] == ky[b], keys below size: the
-    sum over keys of the product of their degrees, without forming a pair."""
-    return int(np.bincount(kx, minlength=size) @ np.bincount(ky, minlength=size))
-
-
-def _term_gap(left: tuple[Array, Array], right: tuple[Array, Array]) -> float:
-    """max |L - R| for two sums of terms, each side given as (output keys, values)."""
-    keys = np.concatenate((left[0], right[0]))
-    values = np.concatenate((left[1], -right[1]))
-    return max_abs(sum_by_key(keys, values)[1])
 
 
 def _associativity(mul: Array, m: tuple) -> float:
     """max |(e_i e_j) e_k - e_i (e_j e_k)|; m holds the entries of mul."""
     n = mul.shape[0]
     (m0, m1, m2), mv = m
-    if max(_term_count(m2, m0, n), _term_count(m2, m1, n)) <= n**4:
+    if max(term_count(m2, m0, n), term_count(m2, m1, n)) <= n**4:
         a, b = pairs_by_key(m2, m0)  # mul[i, j, p] mul[p, k, l]
         left = _key(n, m0[a], m1[a], m1[b], m2[b]), mv[a] * mv[b]
         a, b = pairs_by_key(m2, m1)  # mul[j, k, q] mul[i, q, l]
         right = _key(n, m0[b], m0[a], m1[a], m2[b]), mv[a] * mv[b]
-        return _term_gap(left, right)
+        return term_gap(left, right)
     # [j, (k l)] against [l, (j k)]
     mul_rows = mul.reshape(n, n * n)
     mul_by_output = mul.transpose(2, 0, 1).reshape(n, n * n)
@@ -304,12 +292,12 @@ def _coassociativity(comul: Array, c: tuple) -> float:
     the entries of comul."""
     n = comul.shape[0]
     (c0, c1, c2), cv = c
-    if max(_term_count(c1, c0, n), _term_count(c2, c0, n)) <= n**4:
+    if max(term_count(c1, c0, n), term_count(c2, c0, n)) <= n**4:
         a, b = pairs_by_key(c1, c0)  # comul[i, p, c] comul[p, a, b]
         left = _key(n, c0[a], c1[b], c2[b], c2[a]), cv[a] * cv[b]
         a, b = pairs_by_key(c2, c0)  # comul[i, a, p] comul[p, b, c]
         right = _key(n, c0[a], c1[a], c1[b], c2[b]), cv[a] * cv[b]
-        return _term_gap(left, right)
+        return term_gap(left, right)
     # [a, (b c)] against [c, (a b)]
     comul_rows = comul.reshape(n, n * n)
     return _worst(
@@ -336,7 +324,7 @@ def _coproduct_multiplicativity(mul: Array, comul: Array, m: tuple, c: tuple) ->
     mul_deg = np.bincount(m0 * n + m1, minlength=nn).reshape(n, n)
     first, second = comul_deg.T @ mul_deg, mul_deg @ comul_deg.T
     joined = int(np.sum(np.minimum(first, nn) * np.minimum(second, nn)))
-    counts = (_term_count(m2, c0, n), int(first.sum()), int(second.sum()), joined)
+    counts = (term_count(m2, c0, n), int(first.sum()), int(second.sum()), joined)
     if max(counts) <= n**4:
         a, b = pairs_by_key(m2, c0)  # mul[i, j, c] comul[c, a, b]
         left = _key(n, m0[a], m1[a], c1[b], c2[b]), mv[a] * cv[b]
@@ -347,7 +335,7 @@ def _coproduct_multiplicativity(mul: Array, comul: Array, m: tuple, c: tuple) ->
         a, b = pairs_by_key(k1 // nn, k2 // nn)
         ix, jy = k1[a] % nn, k2[b] % nn
         right = _key(n, ix // n, jy // n, ix % n, jy % n), h1[a] * h2[b]
-        return _term_gap(left, right)
+        return term_gap(left, right)
     # the half sum_s comul[j, r, s] mul[q, s, y] is laid out as [(q r), (j y)]
     right = (comul.transpose(1, 0, 2).reshape(nn, n) @ mul).reshape(nn, nn)
     # [(q r), x]: sum_p comul[i, p, q] mul[p, r, x]
@@ -386,7 +374,7 @@ def verify_hopf_axioms(
     n = a.dim
     nn = n * n
     mul, comul = a.mul, a.comul
-    m, c = _entries(mul), _entries(comul)
+    m, c = nonzero_entries(mul), nonzero_entries(comul)
     eye = np.eye(n, dtype=np.complex128)
     checks: list[tuple[str, float]] = []
 

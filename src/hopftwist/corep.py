@@ -4,15 +4,32 @@ A corep is an N x N matrix of algebra elements u[i, j] (each an n-vector).
 The module provides the dual representation pi_U, the adjoint action ad_V on
 operators, spectral projections, and decomposition into irreducibles with
 adapted orthonormal bases.
+
+The adjoint action and every map built from it are contracted over the
+nonzero entries of u, its entrywise star and the host product: a regular
+corep has n of its N^2 n entries nonzero on a group algebra and n^2 on a
+function algebra.  A functional is fused into the action,
+(id (x) rho) ad_u(T) = sum_ab (mul rho)[a, b] u_a T u*_b^T, so the
+coaction leg is formed only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._linalg import extend_rows, max_abs
+from ._linalg import (
+    extend_rows,
+    max_abs,
+    nonzero_entries,
+    pairs_by_key,
+    sum_by_key,
+    term_count,
+    term_gap,
+)
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -22,7 +39,7 @@ from .core import (
     freeze,
 )
 from .errors import DecompositionError, DimensionMismatch, HostMismatch
-from .peterweyl import PeterWeylData, gram_matrix, haar_state
+from .peterweyl import HaarState, PeterWeylData, gram_matrix, haar_state
 
 Array = np.ndarray
 
@@ -44,15 +61,160 @@ class UnitaryCorep:
 
     def entry_star(self) -> Array:
         """Entrywise star: (u*)[i, j] = u[i, j]*."""
-        return np.einsum("cb,ijb->ijc", self.host.star, np.conj(self.u))
-
-    def star_mul(self) -> Array:
-        """(u*)[j, l, b] mul[a, b, c] as (j, l, a, c): u* as a right factor."""
-        return np.tensordot(self.entry_star(), self.host.mul, axes=([2], [1]))
+        return np.conj(self.u) @ self.host.star.T
 
     def apply(self, vec: Array) -> Array:
         """Image of a vector under the corep, as an (N, n) tensor leg pair."""
         return np.einsum("ijc,j->ic", self.u, vec)
+
+
+def _operators(corep: UnitaryCorep, t) -> Array:
+    """t as a complex stack (..., N, N) of operators on the carrier space."""
+    t = np.asarray(t, dtype=np.complex128)
+    if t.shape[-2:] != (corep.hdim, corep.hdim):
+        raise DimensionMismatch(
+            f"operator stack has shape {t.shape}, expected (..., {corep.hdim}, {corep.hdim})"
+        )
+    return t
+
+
+def _gather_sum(x: Array, cols: Array, rows: Array, values: Array, size: int) -> Array:
+    """out[..., r] = sum of values[e] x[..., cols[e]] over the e with rows[e] = r,
+    for rows in nondecreasing order; out has size entries on its last axis."""
+    out = np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
+    if rows.size:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[..., rows[starts]] = np.add.reduceat(x[..., cols] * values, starts, axis=-1)
+    return out
+
+
+def _apply_entries(keys: Array, values: Array, shape: tuple[int, ...], t: Array) -> Array:
+    """A stack t (..., N, N) through the map with these entries, each key
+    out * N^2 + in, increasing; each image has shape shape."""
+    n2 = t.shape[-2] * t.shape[-1]
+    rows, cols = np.divmod(keys, n2)
+    flat = t.reshape(t.shape[:-2] + (n2,))
+    return _gather_sum(flat, cols, rows, values, math.prod(shape)).reshape(t.shape[:-2] + shape)
+
+
+def _slices(left: Array, mr: Array) -> Array:
+    """The a for which left_a and mr[a] are both nonzero."""
+    return np.flatnonzero(left.any(axis=(0, 1)) & mr.any(axis=(1, 2)))
+
+
+def _adjoint_entries(left: Array, right: Array, mr: Array) -> tuple[Array, Array] | None:
+    """The nonzero entries of T -> sum_ab mr[a, b, f] left_a T right_b^T, as
+    (keys, values) with key ((f N + i) N + j) N^2 + k N + l for the entry
+    left[i, k, a] right[j, l, b] mr[a, b, f]; None when a join would have
+    more than N^2 n terms, as many as ad_u has entries at one operator, so
+    that no array of terms nears the N^2 n^2 entries of an (N, N, n, n) one.
+
+    The entries of left are joined with those of mr on a and summed per
+    (f, i, k, b); those sums are joined with the entries of right on b and
+    summed per entry of the map.  The terms are counted before any is formed.
+    """
+    n_h, n = left.shape[0], left.shape[2]
+    (li, lk, la), lv = nonzero_entries(left)
+    (rj, rl, rb), rv = nonzero_entries(right)
+    (qa, qb, qf), qv = nonzero_entries(mr)
+    # first-join terms per b, which bound the sums per (f, i, k, b) at that b
+    first = np.bincount(qb, weights=np.bincount(la, minlength=n)[qa], minlength=n)
+    if max(term_count(la, qa, n), first @ np.bincount(rb, minlength=n)) > n_h * n_h * n:
+        return None
+    p, q = pairs_by_key(la, qa)  # left[i, k, a] mr[a, b, f]
+    fikb, v = sum_by_key(((qf[q] * n_h + li[p]) * n_h + lk[p]) * n + qb[q], lv[p] * qv[q])
+    fik, b = np.divmod(fikb, n)
+    p, q = pairs_by_key(b, rb)  # [f, i, k, b] right[j, l, b]
+    fi, k = np.divmod(fik[p], n_h)
+    return sum_by_key(((fi * n_h + rj[q]) * n_h + k) * n_h + rl[q], v[p] * rv[q])
+
+
+def _adjoint_dense(left: Array, right: Array, mr: Array, t: Array) -> Array:
+    """The map of _adjoint_entries, one slice a at a time: (left_a T) z_a^T
+    with z_a[f] = sum_b mr[a, b, f] right_b, as (..., F, N, N)."""
+    out = np.zeros(t.shape[:-2] + (mr.shape[2],) + t.shape[-2:], dtype=np.complex128)
+    for a in _slices(left, mr):
+        z = np.tensordot(mr[a], right, axes=([0], [2]))  # (f, j, l)
+        out += (left[:, :, a] @ t)[..., None, :, :] @ np.swapaxes(z, -1, -2)
+    return out
+
+
+def _along_dense(left: Array, right: Array, mr: Array, ops: Array, t: Array) -> Array:
+    """sum_f (image f of t) ops[f], one slice a at a time: (left_a T) y_a with
+    y_a = sum_bj right[j, :, b] (sum_f mr[a, b, f] ops[f])[j]."""
+    out = np.zeros(t.shape, dtype=np.complex128)
+    for a in _slices(left, mr):
+        q = np.tensordot(mr[a], ops, axes=([1], [0]))  # (b, j, m)
+        out += (left[:, :, a] @ t) @ np.tensordot(right, q, axes=([0, 2], [1, 0]))
+    return out
+
+
+class _FusedAdjoint:
+    """T -> sum_ab mr[a, b, f] left_a T right_b^T on stacks of N x N operators,
+    with left_a = left[:, :, a], one image per functional f.
+
+    With left = u, right = u* (entrywise) and mr = mul rho this is
+    (id (x) rho_f) ad_u(T); the transposed factors give the transposed map.
+    The map is held by its nonzero entries when the joins that build them
+    are small enough (_adjoint_entries), and applied one slice a at a time
+    otherwise; either way no (N^2, N^2) or (N, N, n, n) array is formed.
+    """
+
+    def __init__(self, left: Array, right: Array, mr: Array):
+        self.left, self.right, self.mr = left, right, mr
+        self.entries = _adjoint_entries(left, right, mr)
+
+    def __call__(self, t: Array, legs: slice = slice(None)) -> Array:
+        """Images (..., F, N, N) of t (..., N, N) under the functionals mr[:, :, legs]."""
+        if self.entries is None:
+            return _adjoint_dense(self.left, self.right, self.mr[:, :, legs], t)
+        n_h = self.left.shape[0]
+        start, stop, _ = legs.indices(self.mr.shape[2])
+        keys, values = self.entries
+        lo, hi = np.searchsorted(keys, (start * n_h**4, stop * n_h**4))
+        shape = (stop - start, n_h, n_h)
+        return _apply_entries(keys[lo:hi] - start * n_h**4, values[lo:hi], shape, t)
+
+    def along(self, ops: Array):
+        """The map t -> sum_f (image f of t) ops[f] for a functional with
+        values in operators, ops of shape (F, N, N), as a function on stacks.
+
+        Its entries join this map's entries with those of ops on (f, j); with
+        more than N^2 n terms, or no entries here, it runs slice by slice.
+        """
+        n_h, n = self.left.shape[0], self.left.shape[2]
+        if self.entries is not None:
+            keys, values = self.entries
+            fij, kl = np.divmod(keys, n_h * n_h)
+            fi, j = np.divmod(fij, n_h)
+            f, i = np.divmod(fi, n_h)
+            (of, oj, om), ov = nonzero_entries(ops)
+            here, there = f * n_h + j, of * n_h + oj
+            if term_count(here, there, len(ops) * n_h) <= n_h * n_h * n:
+                p, q = pairs_by_key(here, there)
+                keys, values = sum_by_key(
+                    (i[p] * n_h + om[q]) * n_h * n_h + kl[p], values[p] * ov[q]
+                )
+                return partial(_apply_entries, keys, values, (n_h, n_h))
+        return partial(_along_dense, self.left, self.right, self.mr, ops)
+
+
+def _adjoint(corep: UnitaryCorep, rho: Array | None = None) -> _FusedAdjoint:
+    """(id (x) rho_f) ad_u for functionals rho of shape (n, F); with rho None
+    the functionals are the n coefficients, so the images are ad_u itself."""
+    mul = corep.host.mul
+    if rho is None:
+        return _FusedAdjoint(corep.u, corep.entry_star(), mul)
+    if rho.shape[:1] != (corep.host.dim,):
+        raise DimensionMismatch(
+            f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
+        )
+    return _FusedAdjoint(corep.u, corep.entry_star(), mul @ rho)
+
+
+def _units(n_h: int) -> Array:
+    """The N^2 matrix units E_kl as a stack (N^2, N, N), in (k, l) order."""
+    return np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
 
 
 def trivial_corep(host: FiniteHopfStarAlgebra, hdim: int) -> UnitaryCorep:
@@ -73,11 +235,20 @@ def direct_sum(a: UnitaryCorep, b: UnitaryCorep) -> UnitaryCorep:
 
 
 def regular_corep(
-    host: FiniteHopfStarAlgebra, ctx: ScalarContext = DEFAULT_CONTEXT
+    host: FiniteHopfStarAlgebra,
+    ctx: ScalarContext = DEFAULT_CONTEXT,
+    haar: HaarState | None = None,
 ) -> UnitaryCorep:
-    """The coproduct viewed as a corep on the state space of the Haar state."""
+    """The coproduct viewed as a corep on the state space of the Haar state.
+
+    The Haar state is solved here unless the caller passes it.
+    """
+    if haar is None:
+        haar = haar_state(host, ctx)
+    elif haar.host is not host:
+        raise HostMismatch("Haar state belongs to a different host")
     u = host.comul.transpose(1, 0, 2)
-    gram = gram_matrix(host, haar_state(host, ctx))
+    gram = gram_matrix(host, haar)
     scale = np.trace(gram) / host.dim
     if max_abs(gram - scale * np.eye(host.dim)) > ctx.loose_tolerance:
         # move to an orthonormal basis of the state space
@@ -89,9 +260,31 @@ def regular_corep(
     return UnitaryCorep(host, host.dim, u)
 
 
-def multiply_legs(host: FiniteHopfStarAlgebra, x: Array) -> Array:
-    """Host product of legs 1 and 3: (i, a, j, b) -> (i, j, c) via mul[a, b, c]."""
-    return np.tensordot(x, host.mul, axes=([1, 3], [0, 1]))
+def _corep_law(u: Array, comul: Array) -> float:
+    """max |(id (x) Delta)(U) - U_12 U_13| over its N^2 n^2 entries [i, j, a, b].
+
+    Both sides are sums of products of nonzero entries, keyed by their output
+    entry and reduced together; when a side would have more than N^2 n
+    terms, the bound of _adjoint_entries, the sides are compared densely one
+    row i at a time.
+    """
+    n_h, n = u.shape[0], u.shape[2]
+    (ui, uj, uc), uv = nonzero_entries(u)
+    (c0, c1, c2), cv = nonzero_entries(comul)
+    if max(term_count(uc, c0, n), term_count(uj, ui, n_h)) <= n_h * n_h * n:
+        p, q = pairs_by_key(uc, c0)  # u[i, j, c] comul[c, a, b]
+        left = ((ui[p] * n_h + uj[p]) * n + c1[q]) * n + c2[q], uv[p] * cv[q]
+        p, q = pairs_by_key(uj, ui)  # u[i, k, a] u[k, j, b]
+        right = ((ui[p] * n_h + uj[q]) * n + uc[p]) * n + uc[q], uv[p] * uv[q]
+        return term_gap(left, right)
+    # [j, a, b] against [a, j, b], one row alive at a time; np.max keeps a
+    # NaN from any row
+    rows = (
+        np.tensordot(u[i], comul, axes=([1], [0]))
+        - np.tensordot(u[i], u, axes=([0], [0])).transpose(1, 0, 2)
+        for i in range(n_h)
+    )
+    return float(np.max([max_abs(row) for row in rows]))
 
 
 def verify_corep(
@@ -100,21 +293,18 @@ def verify_corep(
     a = corep.host
     u = corep.u
     n_h = corep.hdim
-    checks: list[tuple[str, float]] = []
-
-    # (id (x) Delta)(U) - U_12 U_13, both as (i, j, a, b)
-    law = np.tensordot(u, a.comul, axes=([2], [0])) - np.tensordot(
-        u, u, axes=([1], [0])
-    ).transpose(0, 2, 1, 3)
-    checks.append(("corep-law", max_abs(law)))
+    checks: list[tuple[str, float]] = [("corep-law", _corep_law(u, a.comul))]
 
     counit_side = np.einsum("ijc,c->ij", u, a.counit) - np.eye(n_h)
     checks.append(("corep-counit", max_abs(counit_side)))
 
+    # sum_k u_ik u*_jk and sum_k u*_ki u_kj, as (c, i, j): the adjoint action
+    # of the identity, the second through the transposed factors
     ustar = corep.entry_star()
-    target = np.einsum("ij,c->ijc", np.eye(n_h), a.unit)
-    row = multiply_legs(a, np.tensordot(u, ustar, axes=([1], [1]))) - target
-    col = multiply_legs(a, np.tensordot(ustar, u, axes=([0], [0]))) - target
+    eye = np.eye(n_h, dtype=np.complex128)
+    target = a.unit[:, None, None] * eye
+    row = _FusedAdjoint(u, ustar, a.mul)(eye) - target
+    col = _FusedAdjoint(ustar.transpose(1, 0, 2), u.transpose(1, 0, 2), a.mul)(eye) - target
     checks.append(("unitarity-right", max_abs(row)))
     checks.append(("unitarity-left", max_abs(col)))
 
@@ -125,10 +315,17 @@ def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
     """The dual acting on the carrier space: (id (x) omega)(U).
 
     omega is a functional or coefficients of shape (..., n); the result has
-    shape (..., N, N).
+    shape (..., N, N), summed over the nonzero entries of u.
     """
     coeffs = omega.coeffs if isinstance(omega, DualFunctional) else np.asarray(omega)
-    return np.einsum("ijc,...c->...ij", corep.u, coeffs)
+    if coeffs.shape[-1:] != (corep.host.dim,):
+        raise DimensionMismatch(
+            f"functional coefficients have shape {coeffs.shape}, expected (..., {corep.host.dim})"
+        )
+    (i, j, c), values = nonzero_entries(corep.u)
+    n_h = corep.hdim
+    out = _gather_sum(coeffs, c, i * n_h + j, values, n_h * n_h)
+    return out.reshape(coeffs.shape[:-1] + (n_h, n_h))
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:
@@ -138,26 +335,21 @@ def ad_v(corep: UnitaryCorep, t: Array) -> Array:
     stars are those of the corep's host, so the same function serves
     twisted hosts.
     """
-    # star_mul is shared by the whole stack; T u -> (..., l, i, a); then
-    # contract (a, l) -> (..., i, j, c)
-    tu = np.tensordot(np.asarray(t, dtype=np.complex128), corep.u, axes=([-2], [1]))
-    return np.tensordot(tu, corep.star_mul(), axes=([-3, -1], [1, 2]))
+    return np.moveaxis(_adjoint(corep)(_operators(corep, t)), -3, -1)
 
 
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
     """All-matrix-units form of ad_v: AD[i, j, k, l] = ad(E_kl)[i, j]."""
-    # star_mul (j, l, a, c), then u over a -> (i, k, j, l, c)
-    return np.tensordot(corep.u, corep.star_mul(), axes=([2], [2])).transpose(0, 2, 1, 3, 4)
+    n_h = corep.hdim
+    images = _adjoint(corep)(_units(n_h))  # (k l, c, i, j)
+    return images.reshape((n_h, n_h, -1, n_h, n_h)).transpose(3, 4, 0, 1, 2)
 
 
 def e_map_matrix(corep: UnitaryCorep, rho: Array) -> Array:
     """The map (id (x) rho) ad_v as an N^2 x N^2 matrix over vectorized operators."""
     n_h = corep.hdim
-    # ad(E_kl)[i, j] = u[i, k, a] (u*)[j, l, b] mul[a, b, c]: rho meets the
-    # product leg first, then u (mul rho) as ((i k), b) meets u* as ((j l), b)
-    left = (corep.u @ (corep.host.mul @ rho)).reshape(n_h * n_h, -1)
-    emap = left @ corep.entry_star().reshape(n_h * n_h, -1).T
-    return emap.reshape((n_h,) * 4).transpose(0, 2, 1, 3).reshape(n_h * n_h, n_h * n_h)
+    images = _adjoint(corep, np.reshape(rho, (-1, 1)))(_units(n_h))  # (k l, 1, i, j)
+    return images.reshape(n_h * n_h, n_h * n_h).T
 
 
 def spectral_projection(corep: UnitaryCorep, pw: PeterWeylData, block: int) -> dict:

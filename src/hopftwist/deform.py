@@ -30,9 +30,11 @@ from .core import (
     freeze,
 )
 from .corep import (
-    UnitaryCorep,
     SpectralDecomposition,
-    ad_v,
+    UnitaryCorep,
+    _adjoint,
+    _FusedAdjoint,
+    _operators,
     pi_u,
     verify_corep,
 )
@@ -172,17 +174,13 @@ def check_volume_preservation(
         raise DimensionMismatch(
             f"volume matrix is {rv.hdim}x{rv.hdim}, corep acts on dimension {corep.hdim}"
         )
-    r = rv.r
-    lead = r.shape[:-2]
-    n_h, n = corep.hdim, corep.host.dim
-    # sum_ij R_ji ad(E_kl)[i, j], contracting R into u first: R u read as
-    # (..., k, (j a)), then one matmul against star_mul read as ((j a), (l c)),
-    # so no stacked temporary has more than N^2 n entries per R
-    ru = (r @ corep.u.reshape(n_h, -1)).reshape(lead + (n_h, n_h, n))
-    ru = np.swapaxes(ru, -3, -2).reshape(lead + (n_h, n_h * n))
-    star_mul = corep.star_mul().transpose(0, 2, 1, 3).reshape(n_h * n, n_h * n)
-    contracted = (ru @ star_mul).reshape(lead + (n_h, n_h, n))
-    expected = np.swapaxes(r, -1, -2)[..., None] * corep.host.unit
+    # sum_ij R_ji ad(E_kl)[i, j] is the transposed map at R^T: the adjoint
+    # action with the factors u and u* transposed, as (..., c, k, l)
+    rt = np.swapaxes(rv.r, -1, -2)
+    lead = rt.shape[:-2]
+    u, ustar = corep.u.transpose(1, 0, 2), corep.entry_star().transpose(1, 0, 2)
+    contracted = _FusedAdjoint(u, ustar, corep.host.mul)(rt)
+    expected = corep.host.unit[:, None, None] * rt[..., None, :, :]
     residual = max_abs(contracted - expected, lead)
     return {"residual": residual, "passed": residual <= ctx.tolerance}
 
@@ -258,33 +256,17 @@ def extract_block_form(
     }
 
 
-def _rho_matrix(corep: UnitaryCorep, sigma: DualCocycle) -> Array:
-    """rho_sigma as an N^2 x N^2 matrix R with vec(rho_sigma(T)) = R vec(T)."""
-    if sigma.host is not corep.host:
-        raise HostMismatch("cocycle and corep live on different hosts")
-    n_h = corep.hdim
-    # mul[a, b, c] legs[c, j, m] -> (a, b, j, m); u*[j, l, b] over (j, b)
-    # -> (l, a, m); u[i, k, a] over a, batched over (i, m) -> (i, m, k, l)
-    legs = pi_u(corep, sigma.sigma_inv)
-    mul_legs = np.tensordot(corep.host.mul, legs, axes=([2], [0]))
-    star_legs = np.tensordot(corep.entry_star(), mul_legs, axes=([0, 2], [2, 1]))
-    del mul_legs
-    r = corep.u[:, None] @ star_legs.transpose(2, 1, 0)[None]
-    return r.reshape(n_h * n_h, n_h * n_h)
-
-
-def _apply_rho(rho: Array, t: Array) -> Array:
-    """R of _rho_matrix on a stack t of shape (..., N, N)."""
-    t = np.asarray(t, dtype=np.complex128)
-    return (t.reshape(t.shape[:-2] + (-1,)) @ rho.T).reshape(t.shape)
-
-
 def rho_sigma(corep: UnitaryCorep, sigma: DualCocycle, t: Array) -> Array:
     """Deformed image of operators: sum of T_(0) Pi_V(sigma^{-1}(T_(1), .)).
 
-    t has shape (..., N, N), and so has the result.
+    t has shape (..., N, N), and so has the result.  The adjoint action meets
+    the operator-valued functional Pi_V(sigma^{-1}(e_c, .)) leg by leg inside
+    one contraction, so no coaction leg of the stack is formed.
     """
-    return _apply_rho(_rho_matrix(corep, sigma), t)
+    if sigma.host is not corep.host:
+        raise HostMismatch("cocycle and corep live on different hosts")
+    t = _operators(corep, t)
+    return _adjoint(corep).along(pi_u(corep, sigma.sigma_inv))(t)
 
 
 def twisted_operator_product(
@@ -298,13 +280,14 @@ def twisted_operator_product(
     """
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
-    n_h = corep.hdim
-    # (..., i, j, c) sigma^{-1}[c, d] -> (..., i, j, d), then one batched
-    # matmul over (j, d) against ad(b) read as (..., j, d, m)
-    left = ad_v(corep, a) @ sigma.sigma_inv
-    right = np.swapaxes(ad_v(corep, b), -1, -2)
-    return left.reshape(left.shape[:-2] + (-1,)) @ right.reshape(
-        right.shape[:-3] + (-1, n_h)
+    a, b = _operators(corep, a), _operators(corep, b)
+    n_h, n = corep.hdim, corep.host.dim
+    # (id (x) sigma^{-1}(., e_d)) ad(a) as (..., i, (d, j)), then one batched
+    # matmul over (d, j) against ad(b) read as (..., (d, j), m)
+    left = np.swapaxes(_adjoint(corep, sigma.sigma_inv)(a), -3, -2)
+    right = _adjoint(corep)(b)
+    return left.reshape(left.shape[:-3] + (n_h, n * n_h)) @ right.reshape(
+        right.shape[:-3] + (n * n_h, n_h)
     )
 
 
@@ -323,8 +306,20 @@ def twisted_operator_star(
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
     leg = _w_checked(sigma, ctx).coeffs @ corep.host.antipode_inv
-    adj = np.conj(np.swapaxes(np.asarray(a, dtype=np.complex128), -1, -2))
-    return ad_v(corep, adj) @ leg
+    adj = np.conj(np.swapaxes(_operators(corep, a), -1, -2))
+    return _adjoint(corep, leg[:, None])(adj)[..., 0, :, :]
+
+
+# entries per chunk when a stack's images under several functionals are
+# formed together: 2^14 complex128 entries, 256 KiB
+_CHUNK = 1 << 14
+
+
+def _chunks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of range(count), each of at most _CHUNK / size
+    functionals and at least one, for images of a stack of size entries."""
+    step = max(1, _CHUNK // max(size, 1))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def operator_span_basis(
@@ -343,14 +338,25 @@ def operator_span_basis(
     gens = np.asarray(mats, dtype=np.complex128).reshape(-1, hdim, hdim)
     eye = np.eye(hdim, dtype=np.complex128).reshape(1, -1) / np.sqrt(hdim)
     letters = extend_rows(eye[:0], np.concatenate([gens, gens.conj().swapaxes(-1, -2)]), tol)
-    frontier = extend_rows(eye, letters, tol)
-    basis = np.concatenate([eye, frontier])
-    while len(frontier) and len(basis) < hdim * hdim:
-        start = len(basis)
+    basis = np.concatenate([eye, extend_rows(eye, letters, tol)])
+    # the basis rows [start, stop) are the frontier of a round and [0, count)
+    # the rows so far; the buffer doubles when full, in place where the
+    # allocator can, so no second copy of the rows is held.  No view of the
+    # buffer lives across a resize
+    start, count = 1, len(basis)
+    while start < count < hdim * hdim:
+        stop = count
         for letter in letters.reshape(-1, hdim, hdim):
-            added = extend_rows(basis, frontier.reshape(-1, hdim, hdim) @ letter, tol)
-            basis = np.concatenate([basis, added])
-        frontier = basis[start:]
+            frontier = basis[start:stop].reshape(-1, hdim, hdim)
+            added = extend_rows(basis[:count], frontier @ letter, tol)
+            del frontier
+            if count + len(added) > len(basis):
+                rows = min(max(2 * len(basis), count + len(added)), hdim * hdim)
+                basis.resize((rows, hdim * hdim), refcheck=False)
+            basis[count : count + len(added)] = added
+            count += len(added)
+        start = stop
+    basis.resize((count, hdim * hdim), refcheck=False)
     return list(basis.reshape(-1, hdim, hdim))
 
 
@@ -407,30 +413,34 @@ def deform_triple(
     tol = ctx.loose_tolerance
     span = operator_span_basis(list(st.generators), st.hdim, tol)
     # block k's projection is (id (x) rho_k) ad_v with rho_k the trace of its
-    # matrix units: one stacked ad_v splits the span and weighs every
-    # generator, as parts (K, span + generators, N^2)
+    # matrix units: it splits the span and weighs every generator, a few
+    # blocks at a time, as parts (span + generators, blocks, N^2)
     rho = np.stack([np.trace(b.matrix_units) for b in pw.blocks], axis=-1)
-    parts = ad_v(corep, np.stack(span + list(st.generators))) @ rho
-    parts = np.moveaxis(parts, -1, 0).reshape(len(pw.blocks), -1, st.hdim * st.hdim)
+    stack = np.stack(span + list(st.generators))
+    project = _adjoint(corep, rho)
     refined: list[Array] = []
     labels: list[str] = []
-    for k, part in enumerate(parts):
-        collected = extend_rows(part[:0], part[: len(span)], tol)
-        refined.extend(collected.reshape(-1, st.hdim, st.hdim))
-        labels.extend(f"p{k}.{i}" for i in range(len(collected)))
-    # a generator's weight in block k is the norm of its part there
-    weights = np.linalg.norm(parts[:, len(span) :], axis=-1).T
+    weights: list[Array] = []
+    for blocks in _chunks(len(pw.blocks), stack.size):
+        parts = project(stack, blocks).reshape(len(stack), -1, st.hdim * st.hdim)
+        for k, part in enumerate(np.moveaxis(parts, 1, 0), start=blocks.start):
+            collected = extend_rows(part[:0], part[: len(span)], tol)
+            refined.extend(collected.reshape(-1, st.hdim, st.hdim))
+            labels.extend(f"p{k}.{i}" for i in range(len(collected)))
+            # a generator's weight in block k is the norm of its part there
+            weights.append(np.linalg.norm(part[len(span) :], axis=-1))
     generator_blocks = [
         {"generator": name, "blocks": tuple((k, float(w)) for k, w in enumerate(row) if w > tol)}
-        for name, row in zip(st.labels, weights)
+        for name, row in zip(st.labels, np.transpose(weights))
     ]
 
     mats = np.stack(refined)
-    images = rho_sigma(corep, sigma, mats)
-    # [D, rho(a)] against the leg-wise expansion of the commutator
-    slices = np.moveaxis(ad_v(corep, mats), -1, -3)  # (m, c, i, k)
-    comm = st.dirac @ slices - slices @ st.dirac
-    expanded = np.tensordot(comm, pi_u(corep, sigma.sigma_inv), axes=([-3, -1], [0, 1]))
+    ad = _adjoint(corep)
+    legs = pi_u(corep, sigma.sigma_inv)
+    images = ad.along(legs)(mats)
+    # [D, rho(a)] against the leg-wise expansion sum_c [D, a_(0)^c] legs[c],
+    # which is D rho(a) less the deformation through the legs D legs[c]
+    expanded = st.dirac @ images - ad.along(st.dirac @ legs)(mats)
     commutator = max_abs((st.dirac @ images - images @ st.dirac) - expanded)
     closure = operator_span_basis(list(images), st.hdim, ctx.loose_tolerance)
     transcript = {
@@ -478,13 +488,17 @@ def intertwine_check(
     t has shape (..., N, N); the residual is the worst over the stack.
     """
     corep_sigma = _corep_sigma(corep, tw)
-    n_h = corep.hdim
-    rho = _rho_matrix(corep, tw.cocycle)
-    lhs = ad_v(corep_sigma, _apply_rho(rho, t))
-    # R acts on every coaction leg c of ad(t) at once: (..., N^2, n)
-    legs = ad_v(corep, t)
-    rhs = rho @ legs.reshape(legs.shape[:-3] + (n_h * n_h, -1))
-    return max_abs(lhs - rhs.reshape(lhs.shape))
+    t = _operators(corep, t)
+    ad_sigma, ad = _adjoint(corep_sigma), _adjoint(corep)
+    rho = ad.along(pi_u(corep, tw.cocycle.sigma_inv))
+    images = rho(t)
+    # a few coaction legs c at a time: ad over the twisted corep of rho(t)
+    # against rho of ad(t), both as (..., c, i, j)
+    worst = [
+        max_abs(ad_sigma(images, legs) - rho(ad(t, legs)))
+        for legs in _chunks(corep.host.dim, t.size)
+    ]
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True, eq=False)

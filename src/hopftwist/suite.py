@@ -250,7 +250,7 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     for name in ("c-s3", "g-d4"):
         algebra = catalog.algebra(name)
         pw = ws.peter_weyl(algebra)
-        corep = regular_corep(algebra, ctx)
+        corep = regular_corep(algebra, ctx, pw.haar)
         add(
             f"03.mult-rep.{name}.star-hom",
             "dual matrix units represent as a star-homomorphism",
@@ -347,7 +347,8 @@ def run_paper_suite(ctx: ScalarContext = DEFAULT_CONTEXT) -> VerificationReport:
     # 8: coreps reinterpreted over the twisted algebra
     for hname, cname in catalog.cocycle_pairs():
         tw = ws.twist(catalog.cocycle(cname, ctx))
-        corep = regular_corep(catalog.algebra(hname), ctx)
+        host = catalog.algebra(hname)
+        corep = regular_corep(host, ctx, ws.peter_weyl(host).haar)
         _, rep = twist_corep(corep, tw, ctx)
         add(
             f"08.twisted-corep.{cname}",

@@ -314,6 +314,142 @@ def test_corep_layer_at_dimension_32(ctx):
     assert np.abs(rho_sigma(corep, sigma, identity) - identity).max() <= ctx.tolerance
 
 
+# ------------------------------------------------ the corep layer on u's entries
+
+
+def _dense_basis(corep, rng):
+    """The same corep in a random unitary basis W of the carrier space,
+    u'_c = W u_c W^H, where no entry of u' is zero."""
+    w, _ = np.linalg.qr(_complex(rng, corep.hdim, corep.hdim))
+    u = np.einsum("ik,klc,jl->ijc", w, corep.u, w.conj(), optimize=False)
+    return UnitaryCorep(corep.host, corep.hdim, u)
+
+
+# the scene coreps, d4-regular's read over its twisted host, and the coreps
+# of d4-regular (a function algebra) and z4z4-torus (a group algebra) in a
+# random unitary basis
+ENTRY_COREPS = SCENE_COREPS + ("d4-regular~dense", "z4z4-torus~dense")
+# the contractions each case runs slice by slice; every other one is a join
+# over the nonzero entries
+_SLICED = {
+    "d4-regular^sigma": ("adjoint",),
+    "d4-regular~dense": ("adjoint", "corep-law"),
+    "z4z4-torus~dense": ("adjoint", "corep-law"),
+}
+
+
+def _entry_case(name, ctx, rng):
+    """A corep of ENTRY_COREPS and its scene's cocycle."""
+    corep, sigma = _scene_corep(name.removesuffix("~dense"), ctx)
+    if name.endswith("~dense"):
+        corep = _dense_basis(corep, rng)
+        assert np.count_nonzero(corep.u) == corep.u.size
+    return corep, sigma
+
+
+def _ref_ad_pairwise(corep):
+    """_ref_ad_tensor as two literal einsums, u* meeting mul first: the
+    three-operand one takes seconds at N = n = 16."""
+    star_mul = np.einsum("jlb,abc->jlac", _ref_star(corep), corep.host.mul, optimize=False)
+    return np.einsum("ika,jlac->ijklc", corep.u, star_mul, optimize=False)
+
+
+@pytest.mark.parametrize("name", ENTRY_COREPS)
+def test_corep_layer_matches_its_formulas_on_every_corep(name, rng, ctx):
+    corep, sigma = _entry_case(name, ctx, rng)
+    host, n_h, n = corep.host, corep.hdim, corep.host.dim
+    tensor = _ref_ad_pairwise(corep)
+    stack = _complex(rng, 3, n_h, n_h)
+    ad = np.einsum("ijklc,skl->sijc", tensor, stack, optimize=False)
+    adjoint = np.einsum("ijklc,slk->sijc", tensor, stack.conj(), optimize=False)
+    legs = np.einsum("ijq,cq->cij", corep.u, sigma.sigma_inv, optimize=False)
+    leg = w_functional(sigma, ctx)[0].coeffs @ host.antipode_inv
+    rho, omega = _complex(rng, n), _complex(rng, 2, n)
+    cases = (
+        (ad_v(corep, stack), ad),
+        (ad_v_tensor(corep), tensor),
+        (
+            e_map_matrix(corep, rho),
+            np.einsum("ijklc,c->ijkl", tensor, rho, optimize=False).reshape(n_h**2, n_h**2),
+        ),
+        (pi_u(corep, omega), np.einsum("ijc,sc->sij", corep.u, omega, optimize=False)),
+        (rho_sigma(corep, sigma, stack), np.einsum("sikc,ckj->sij", ad, legs, optimize=False)),
+        (
+            twisted_operator_product(corep, sigma, stack[:, None], stack[None]),
+            np.einsum("sijc,tjkd,cd->stik", ad, ad, sigma.sigma_inv, optimize=False),
+        ),
+        (
+            twisted_operator_star(corep, sigma, stack, ctx),
+            np.einsum("sijc,c->sij", adjoint, leg, optimize=False),
+        ),
+    )
+    for got, want in cases:
+        assert _relative_error(got, want) <= REL
+
+    # a volume that is not preserved, so the residual is far from rounding
+    root = _complex(rng, n_h, n_h)
+    rv = RTwistedVolume(root @ root.conj().T + np.eye(n_h))
+    contracted = np.einsum("ji,ijklc->klc", rv.r, tensor, optimize=False)
+    want = np.abs(contracted - np.einsum("lk,c->klc", rv.r, host.unit)).max()
+    assert want > 1e-3
+    assert abs(check_volume_preservation(corep, rv)["residual"] - want) <= REL * want
+
+    # a valid corep reads rounding on every check: the formulas agree to it
+    ustar, u = _ref_star(corep), corep.u
+    target = np.einsum("ij,c->ijc", np.eye(n_h), host.unit)
+    law = np.einsum("ijc,cab->ijab", u, host.comul) - np.einsum(
+        "ika,kjb->ijab", u, u, optimize=False
+    )
+    right = np.einsum("ika,jkb,abc->ijc", u, ustar, host.mul, optimize=False) - target
+    left = np.einsum("kia,kjb,abc->ijc", ustar, u, host.mul, optimize=False) - target
+    report = verify_corep(corep, ctx)
+    assert report.passed
+    for check, diff in (("corep-law", law), ("unitarity-right", right), ("unitarity-left", left)):
+        assert abs(report.residual(check) - np.abs(diff).max()) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ENTRY_COREPS)
+def test_intertwine_residual_matches_its_formula_on_every_corep(name, rng, ctx):
+    # a random sigma^-1 breaks the intertwining on the dihedral host, so the
+    # residual is far from rounding there; on the abelian group algebras
+    # both sides vanish for any matrix.  The formula holds for any matrix
+    corep, sigma = _entry_case(name, ctx, rng)
+    host, n = corep.host, corep.host.dim
+    tw = twist_algebra(host, sigma, ctx)
+    off = DualCocycle(host, _complex(rng, n, n), ctx=ctx)
+    tw = dataclasses.replace(tw, cocycle=off)
+    corep_sigma = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+    tensor, tensor_sigma = _ref_ad_pairwise(corep), _ref_ad_pairwise(corep_sigma)
+    legs = np.einsum("ijq,cq->cij", corep.u, off.sigma_inv, optimize=False)
+    # rho as a map (i, m) <- (k, l): sum_jd ad(E_kl)[i, j, d] legs[d, j, m]
+    rho = np.einsum("ijkld,djm->imkl", tensor, legs, optimize=False)
+    stack = _complex(rng, 2, corep.hdim, corep.hdim)
+    lhs = np.einsum("ijklc,skl->sijc", tensor_sigma, np.einsum("imkl,skl->sim", rho, stack))
+    rhs = np.einsum(
+        "imkl,sklc->simc", rho, np.einsum("ijklc,skl->sijc", tensor, stack), optimize=False
+    )
+    want = np.abs(lhs - rhs).max()
+    assert want > 1e-3 or not name.startswith("d4")
+    assert abs(intertwine_check(corep, tw, stack, ctx) - want) <= REL * max(want, 1.0)
+
+
+@pytest.mark.parametrize("name", ENTRY_COREPS)
+def test_dense_coreps_take_the_slice_loop(name, rng, ctx, monkeypatch):
+    corep, sigma = _entry_case(name, ctx, rng)
+    gaps = []
+    term_gap = hopftwist.corep.term_gap
+    monkeypatch.setattr(
+        hopftwist.corep, "term_gap", lambda left, right: gaps.append(1) or term_gap(left, right)
+    )
+    assert verify_corep(corep, ctx).passed
+    sliced = _SLICED.get(name, ())
+    assert (gaps == []) == ("corep-law" in sliced)
+    adjoint = hopftwist.corep._adjoint(corep)
+    assert (adjoint.entries is None) == ("adjoint" in sliced)
+    along = adjoint.along(pi_u(corep, sigma.sigma_inv))
+    assert (along.func is hopftwist.corep._along_dense) == ("adjoint" in sliced)
+
+
 # ------------------------------------------------ core, cocycle, twist, peterweyl
 
 

@@ -17,7 +17,7 @@ from hopftwist import (
     verify_corep,
 )
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
-from hopftwist.errors import HostMismatch
+from hopftwist.errors import DimensionMismatch, HostMismatch
 
 HOSTS = catalog.host_names()
 
@@ -170,3 +170,32 @@ def test_corep_shape_validation(ctx):
     host = catalog.algebra("c-z2")
     with pytest.raises(Exception):
         UnitaryCorep(host, 2, np.zeros((2, 3, host.dim)))
+
+
+def test_regular_corep_takes_the_haar_state(ctx):
+    host = catalog.algebra("c-d4")
+    h = haar_state(host, ctx)
+    assert np.array_equal(regular_corep(host, ctx, h).u, regular_corep(host, ctx).u)
+    other = catalog.algebra("g-d4")
+    with pytest.raises(HostMismatch):
+        regular_corep(host, ctx, haar_state(other, ctx))
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda corep, bad: pi_u(corep, np.ones(bad)),
+        lambda corep, bad: ad_v(corep, np.ones((bad, bad))),
+        lambda corep, bad: ad_v(corep, np.ones((2, corep.hdim, bad))),
+        lambda corep, bad: ad_v(corep, np.ones(corep.hdim)),
+        lambda corep, bad: e_map_matrix(corep, np.ones(bad)),
+    ),
+    ids=("pi_u", "ad_v", "ad_v-stack", "ad_v-vector", "e_map_matrix"),
+)
+def test_operands_of_the_wrong_shape_raise_dimension_mismatch(call, ctx):
+    # N = 6 and n = 6: a trailing length of 2 broadcasts against neither, and
+    # of 1 against both
+    corep = regular_corep(catalog.algebra("c-s3"), ctx)
+    for bad in (1, 2, corep.hdim + 1):
+        with pytest.raises(DimensionMismatch):
+            call(corep, bad)

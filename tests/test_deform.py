@@ -8,17 +8,23 @@ import hopftwist.deform as deform_module
 from hopftwist import (
     RTwistedVolume,
     SpectralTriple,
+    UnitaryCorep,
     catalog,
     check_membership,
     check_volume_preservation,
+    cyclic_group,
     decompose,
     decompose_corep,
     deform_triple,
+    direct_product,
     equivariance_residual,
     extract_block_form,
+    from_bicharacter,
+    group_algebra,
     haar_state,
     intertwine_check,
     r_sigma,
+    regular_corep,
     rho_sigma,
     spectral_projection,
     twist_algebra,
@@ -323,6 +329,106 @@ def test_deform_triple_on_z4z4_torus_peaks_under_8_mib(ctx):
     assert peak < 8 * 2**20
 
 
+def _peak(fn) -> int:
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deform_and_intertwine_on_z4z4_torus_peak_under_3_mib(ctx):
+    """deform_triple splits the span a few blocks at a time and
+    intertwine_check compares a few coaction legs at a time, each through
+    the nonzero entries of u: neither holds the coaction leg of its stack."""
+    scene = catalog.triple_scene("z4z4-torus", ctx)
+    pw = _scene_pw(scene, ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    st, corep = scene["triple"], scene["corep"]
+    basis = np.stack(operator_span_basis(list(st.generators), st.hdim, ctx.loose_tolerance))
+    # a first call of each builds what numpy builds once per process
+    calls = (
+        lambda: deform_triple(st, corep, scene["cocycle"], ctx, pw=pw),
+        lambda: intertwine_check(corep, tw, basis, ctx),
+    )
+    for call in calls:
+        call()
+        assert _peak(call) <= 3 * 2**20
+
+
+def _torus_scene(m, ctx):
+    """The quantum torus Z_m x Z_m, built like the catalog's z4z4-torus:
+    G(Z_m^2) with its regular corep, the four unit translations, the degree
+    Dirac matrix, and the bicharacter zeta_m^(g1 h0), read off the character
+    table so that its quarter turns are exact."""
+    group = direct_product(cyclic_group(m), cyclic_group(m))
+    host = group_algebra(group)
+    corep = regular_corep(host, ctx)
+    a, b = np.divmod(np.arange(m * m), m)
+    units = {(1, 0), (m - 1, 0), (0, 1), (0, m - 1)}
+    picked = [g for g in range(m * m) if (a[g], b[g]) in units]
+    gens = []
+    for g in picked:
+        t = np.zeros((m * m, m * m), dtype=np.complex128)
+        t[[group.multiply(g, h) for h in range(m * m)], range(m * m)] = 1.0
+        gens.append(t)
+    labels = tuple(f"t[{group.labels[g]}]" for g in picked)
+    degree = np.minimum(a, m - a) + np.minimum(b, m - b)
+    st = SpectralTriple(m * m, tuple(gens), np.diag(degree).astype(np.complex128), labels)
+    table = catalog.fourier_matrix(group)[np.ix_(b, a)]
+    sigma = from_bicharacter(group, table, ctx, host=host)
+    return st, corep, sigma, decompose(host, haar_state(host, ctx), ctx)
+
+
+def test_torus_scene_at_m_4_reproduces_z4z4_torus(ctx):
+    st, corep, sigma, pw = _torus_scene(4, ctx)
+    scene = catalog.triple_scene("z4z4-torus", ctx)
+    assert np.array_equal(corep.u, scene["corep"].u)
+    assert np.array_equal(sigma.sigma, scene["cocycle"].sigma)
+    got = deform_triple(st, corep, sigma, ctx, pw=pw)
+    scene_pw = _scene_pw(scene, ctx)
+    want = deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=scene_pw)
+    assert got.transcript == want.transcript
+
+
+def test_deform_triple_on_the_z8z8_torus_in_bounded_memory(ctx):
+    """N = n = 64: the span has 64 elements and so has the image algebra.
+    Through a dense (N, N, n, n) corep product this took 17.5 s and
+    1568 MiB."""
+    st, corep, sigma, pw = _torus_scene(8, ctx)
+    out = []
+    peak = _peak(lambda: out.append(deform_triple(st, corep, sigma, ctx, pw=pw)))
+    transcript = out[0].transcript
+    assert peak < 256 * 2**20
+    assert transcript["spectral_dimension"] == transcript["generated_dimension"] == 64
+    assert transcript["commutator_identity"] <= ctx.tolerance
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_deform_triple_does_not_depend_on_the_carrier_basis(name, ctx, rng):
+    """The scene in a random unitary basis W of the carrier space, where no
+    entry of the corep is zero: the deformed triple is W (.) W^H of the
+    original, so dimensions, block weights and identities carry over."""
+    scene = catalog.triple_scene(name, ctx)
+    corep, st = scene["corep"], scene["triple"]
+    w, _ = np.linalg.qr(rng.normal(size=(st.hdim,) * 2) + 1j * rng.normal(size=(st.hdim,) * 2))
+    moved = UnitaryCorep(corep.host, corep.hdim, np.einsum("ik,klc,jl->ijc", w, corep.u, w.conj()))
+    gens = tuple(w @ g @ w.conj().T for g in st.generators)
+    moved_st = SpectralTriple(st.hdim, gens, w @ st.dirac @ w.conj().T, st.labels)
+    pw = _scene_pw(scene, ctx)
+    want = deform_triple(st, corep, scene["cocycle"], ctx, pw=pw).transcript
+    got = deform_triple(moved_st, moved, scene["cocycle"], ctx, pw=pw).transcript
+    for key in ("spectral_dimension", "generated_dimension"):
+        assert got[key] == want[key]
+    assert got["commutator_identity"] <= ctx.tolerance
+    for mine, theirs in zip(got["generator_blocks"], want["generator_blocks"]):
+        assert [k for k, _ in mine["blocks"]] == [k for k, _ in theirs["blocks"]]
+        weights = [[weight for _, weight in entry["blocks"]] for entry in (mine, theirs)]
+        assert np.allclose(*weights, atol=1e-9)
+
+
 def test_deform_triple_on_a_noncommutative_z4z4_scene(ctx):
     """The translations of z4z4-torus with the clock operators diag(i^a) and
     diag(i^b) generate all of M_16, and so do their deformed images."""
@@ -346,6 +452,30 @@ def test_deform_triple_rejects_non_commuting_dirac(ctx):
         pytest.skip("perturbation landed inside the commutant")
     with pytest.raises(NotInCategory):
         deform_triple(triple, scene["corep"], scene["cocycle"], ctx)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda scene, tw, bad: rho_sigma(scene["corep"], scene["cocycle"], bad),
+        lambda scene, tw, bad: twisted_operator_product(
+            scene["corep"], scene["cocycle"], bad, np.eye(4)
+        ),
+        lambda scene, tw, bad: twisted_operator_product(
+            scene["corep"], scene["cocycle"], np.eye(4), bad
+        ),
+        lambda scene, tw, bad: twisted_operator_star(scene["corep"], scene["cocycle"], bad),
+        lambda scene, tw, bad: intertwine_check(scene["corep"], tw, bad),
+    ),
+    ids=("rho_sigma", "product-left", "product-right", "star", "intertwine_check"),
+)
+def test_operators_of_the_wrong_shape_raise_dimension_mismatch(call, ctx):
+    scene = catalog.triple_scene("z2z2-torus", ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    # a trailing length of 1 would broadcast against any axis
+    for bad in (np.ones((1, 1)), np.ones((4, 1)), np.ones((3, 4, 5)), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            call(scene, tw, bad)
 
 
 def test_twisted_volume_stays_positive_and_central(ctx):

@@ -162,7 +162,8 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
             if getattr(module, fname, None) is original:
                 monkeypatch.setattr(module, fname, counting)
     suite_module.run_paper_suite(ctx)
-    # Haar: 11 hosts in check 02, two fresh workspaces in check 13 and seven
-    # regular coreps; twists: six cocycles (the five catalog ones and the
-    # trivial-4 scene's), each twisted forward and back once
-    assert calls == {"haar_state": 20, "twist_algebra": 12}
+    # Haar: 11 hosts in check 02 and two fresh workspaces in check 13; the
+    # regular coreps of checks 03 and 08 take check 02's.  Twists: six
+    # cocycles (the five catalog ones and the trivial-4 scene's), each
+    # twisted forward and back once
+    assert calls == {"haar_state": 13, "twist_algebra": 12}
