@@ -175,6 +175,23 @@ class _FusedAdjoint:
         shape = (stop - start, n_h, n_h)
         return _apply_entries(keys[lo:hi] - start * n_h**4, values[lo:hi], shape, t)
 
+    def matrix(self) -> Array:
+        """The map as (F, N^2, N^2) matrices over vectorized operators, with
+        entry [f, i N + j, k N + l] the coefficient of T_kl in image f at [i, j].
+
+        Held entries are scattered straight into the result; otherwise the
+        N^2 matrix units go through the slice loop, whose images are the result.
+        """
+        n_h, count = self.left.shape[0], self.mr.shape[2]
+        if self.entries is None:
+            units = np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
+            images = _adjoint_dense(self.left, self.right, self.mr, units)
+            return images.reshape(n_h * n_h, count, n_h * n_h).transpose(1, 2, 0)
+        keys, values = self.entries
+        out = np.zeros(count * n_h**4, dtype=np.complex128)
+        out[keys] = values
+        return out.reshape(count, n_h * n_h, n_h * n_h)
+
     def along(self, ops: Array):
         """The map t -> sum_f (image f of t) ops[f] for a functional with
         values in operators, ops of shape (F, N, N), as a function on stacks.
@@ -199,22 +216,27 @@ class _FusedAdjoint:
         return partial(_along_dense, self.left, self.right, self.mr, ops)
 
 
-def _adjoint(corep: UnitaryCorep, rho: Array | None = None) -> _FusedAdjoint:
+def _adjoint(
+    corep: UnitaryCorep, rho: Array | None = None, transposed: bool = False
+) -> _FusedAdjoint:
     """(id (x) rho_f) ad_u for functionals rho of shape (n, F); with rho None
-    the functionals are the n coefficients, so the images are ad_u itself."""
+    the functionals are the n coefficients, so the images are ad_u itself.
+
+    transposed gives the transpose of that map over vectorized operators,
+    T -> sum_ab mr[a, b] u_a^T T u*_b: its image of R^T at [k, l] is
+    sum_ij R_ji (id (x) rho) ad_u(E_kl)[i, j].
+    """
+    left, right = corep.u, corep.entry_star()
+    if transposed:
+        left, right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
     mul = corep.host.mul
     if rho is None:
-        return _FusedAdjoint(corep.u, corep.entry_star(), mul)
+        return _FusedAdjoint(left, right, mul)
     if rho.shape[:1] != (corep.host.dim,):
         raise DimensionMismatch(
             f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
         )
-    return _FusedAdjoint(corep.u, corep.entry_star(), mul @ rho)
-
-
-def _units(n_h: int) -> Array:
-    """The N^2 matrix units E_kl as a stack (N^2, N, N), in (k, l) order."""
-    return np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
+    return _FusedAdjoint(left, right, mul @ rho)
 
 
 def trivial_corep(host: FiniteHopfStarAlgebra, hdim: int) -> UnitaryCorep:
@@ -299,11 +321,12 @@ def verify_corep(
     checks.append(("corep-counit", max_abs(counit_side)))
 
     # sum_k u_ik u*_jk and sum_k u*_ki u_kj, as (c, i, j): the adjoint action
-    # of the identity, the second through the transposed factors
+    # of the identity, and the map with left factor u*_a^T and right factor
+    # u_b at the identity
     ustar = corep.entry_star()
     eye = np.eye(n_h, dtype=np.complex128)
     target = a.unit[:, None, None] * eye
-    row = _FusedAdjoint(u, ustar, a.mul)(eye) - target
+    row = _adjoint(corep)(eye) - target
     col = _FusedAdjoint(ustar.transpose(1, 0, 2), u.transpose(1, 0, 2), a.mul)(eye) - target
     checks.append(("unitarity-right", max_abs(row)))
     checks.append(("unitarity-left", max_abs(col)))
@@ -341,15 +364,13 @@ def ad_v(corep: UnitaryCorep, t: Array) -> Array:
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
     """All-matrix-units form of ad_v: AD[i, j, k, l] = ad(E_kl)[i, j]."""
     n_h = corep.hdim
-    images = _adjoint(corep)(_units(n_h))  # (k l, c, i, j)
-    return images.reshape((n_h, n_h, -1, n_h, n_h)).transpose(3, 4, 0, 1, 2)
+    mats = _adjoint(corep).matrix()  # (c, i j, k l)
+    return mats.reshape((-1,) + (n_h,) * 4).transpose(1, 2, 3, 4, 0)
 
 
 def e_map_matrix(corep: UnitaryCorep, rho: Array) -> Array:
     """The map (id (x) rho) ad_v as an N^2 x N^2 matrix over vectorized operators."""
-    n_h = corep.hdim
-    images = _adjoint(corep, np.reshape(rho, (-1, 1)))(_units(n_h))  # (k l, 1, i, j)
-    return images.reshape(n_h * n_h, n_h * n_h).T
+    return _adjoint(corep, np.reshape(rho, (-1, 1))).matrix()[0]
 
 
 def spectral_projection(corep: UnitaryCorep, pw: PeterWeylData, block: int) -> dict:

@@ -33,7 +33,6 @@ from .corep import (
     SpectralDecomposition,
     UnitaryCorep,
     _adjoint,
-    _FusedAdjoint,
     _operators,
     pi_u,
     verify_corep,
@@ -174,12 +173,11 @@ def check_volume_preservation(
         raise DimensionMismatch(
             f"volume matrix is {rv.hdim}x{rv.hdim}, corep acts on dimension {corep.hdim}"
         )
-    # sum_ij R_ji ad(E_kl)[i, j] is the transposed map at R^T: the adjoint
-    # action with the factors u and u* transposed, as (..., c, k, l)
+    # sum_ij R_ji ad(E_kl)[i, j] is the transposed adjoint action at R^T,
+    # as (..., c, k, l)
     rt = np.swapaxes(rv.r, -1, -2)
     lead = rt.shape[:-2]
-    u, ustar = corep.u.transpose(1, 0, 2), corep.entry_star().transpose(1, 0, 2)
-    contracted = _FusedAdjoint(u, ustar, corep.host.mul)(rt)
+    contracted = _adjoint(corep, transposed=True)(rt)
     expected = corep.host.unit[:, None, None] * rt[..., None, :, :]
     residual = max_abs(contracted - expected, lead)
     return {"residual": residual, "passed": residual <= ctx.tolerance}
@@ -340,23 +338,23 @@ def operator_span_basis(
     letters = extend_rows(eye[:0], np.concatenate([gens, gens.conj().swapaxes(-1, -2)]), tol)
     basis = np.concatenate([eye, extend_rows(eye, letters, tol)])
     # the basis rows [start, stop) are the frontier of a round and [0, count)
-    # the rows so far; the buffer doubles when full, in place where the
-    # allocator can, so no second copy of the rows is held.  No view of the
-    # buffer lives across a resize
+    # the rows so far, in a buffer of a power of two rows (at most hdim^2),
+    # copied into the next power that fits when full
     start, count = 1, len(basis)
     while start < count < hdim * hdim:
         stop = count
         for letter in letters.reshape(-1, hdim, hdim):
             frontier = basis[start:stop].reshape(-1, hdim, hdim)
             added = extend_rows(basis[:count], frontier @ letter, tol)
-            del frontier
             if count + len(added) > len(basis):
-                rows = min(max(2 * len(basis), count + len(added)), hdim * hdim)
-                basis.resize((rows, hdim * hdim), refcheck=False)
+                rows = min(1 << (count + len(added) - 1).bit_length(), hdim * hdim)
+                grown = np.empty((rows, hdim * hdim), dtype=np.complex128)
+                grown[:count] = basis[:count]
+                basis = grown
             basis[count : count + len(added)] = added
             count += len(added)
         start = stop
-    basis.resize((count, hdim * hdim), refcheck=False)
+    basis = basis[:count]
     return list(basis.reshape(-1, hdim, hdim))
 
 
@@ -438,9 +436,15 @@ def deform_triple(
     ad = _adjoint(corep)
     legs = pi_u(corep, sigma.sigma_inv)
     images = ad.along(legs)(mats)
-    # [D, rho(a)] against the leg-wise expansion sum_c [D, a_(0)^c] legs[c],
-    # which is D rho(a) less the deformation through the legs D legs[c]
-    expanded = st.dirac @ images - ad.along(st.dirac @ legs)(mats)
+    # [D, rho(a)] against the leg-wise expansion sum_c [D, a_(0)^c] legs[c]
+    # = D sum_c a_(0)^c legs[c] - sum_c a_(0)^c (D legs[c]), both sums taken
+    # over the coaction legs themselves, a few legs c at a time, apart from
+    # the images
+    pair = np.concatenate([legs, st.dirac @ legs], axis=-1)  # (c, k, 2N)
+    sums = np.zeros(images.shape[:-1] + (2 * st.hdim,), dtype=np.complex128)
+    for chunk in _chunks(host.dim, mats.size):
+        sums += np.tensordot(ad(mats, chunk), pair[chunk], axes=([-3, -1], [0, 1]))
+    expanded = st.dirac @ sums[..., : st.hdim] - sums[..., st.hdim :]
     commutator = max_abs((st.dirac @ images - images @ st.dirac) - expanded)
     closure = operator_span_basis(list(images), st.hdim, ctx.loose_tolerance)
     transcript = {

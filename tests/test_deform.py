@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hopftwist.corep as corep_module
 import hopftwist.deform as deform_module
 from hopftwist import (
     RTwistedVolume,
@@ -404,6 +405,25 @@ def test_deform_triple_on_the_z8z8_torus_in_bounded_memory(ctx):
     assert peak < 256 * 2**20
     assert transcript["spectral_dimension"] == transcript["generated_dimension"] == 64
     assert transcript["commutator_identity"] <= ctx.tolerance
+
+
+@pytest.mark.parametrize("name", ("z2z2-torus", "z4z4-torus"))
+def test_commutator_identity_catches_a_wrong_deformed_image(name, ctx, monkeypatch):
+    """The expansion sum_c [D, a_(0)^c] legs[c] is summed from the coaction
+    legs, apart from the images.  Images that pair each leg c with the
+    operator of leg c + 1 are still linear in the operators, and the
+    residual shows them far above the tolerance."""
+    scene = catalog.triple_scene(name, ctx)
+    args = (scene["triple"], scene["corep"], scene["cocycle"], ctx)
+    pw = _scene_pw(scene, ctx)
+    assert deform_triple(*args, pw=pw).transcript["commutator_identity"] <= ctx.tolerance
+    along = corep_module._FusedAdjoint.along
+
+    def corrupted(self, ops):
+        return along(self, np.roll(ops, 1, axis=0))
+
+    monkeypatch.setattr(corep_module._FusedAdjoint, "along", corrupted)
+    assert deform_triple(*args, pw=pw).transcript["commutator_identity"] > 1e3 * ctx.tolerance
 
 
 @pytest.mark.parametrize("name", SCENES)
