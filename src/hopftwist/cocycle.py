@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs, pairs_by_key, solve_by_components, sum_by_key
+from ._linalg import Terms, join, max_abs, solve_by_components
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -88,36 +88,21 @@ def convolution_matrix2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
 
 def convolution_entries2(host: FiniteHopfStarAlgebra, x: Array) -> tuple[Array, Array]:
     """The nonzero entries of convolution_matrix2(host, x) as (keys, values),
-    the key of row (i, j) and column (b, d) being (i n + j) n^2 + b n + d,
-    in increasing order.
+    each key the flat index of its entry, in increasing order.
 
     Entry L[(i, j), (b, d)] is sum comul[i, a, b] x[a, c] comul[j, c, d].
-    The entries of comul are joined with those of x on a and the terms
+    The entries of x are joined with those of comul on a and the terms
     summed per (i, b, c); those sums are joined with the entries of comul
-    on c and summed per entry of L.  The terms are counted before any is
-    formed; when a join would have more terms than L has entries, L is
-    built densely instead.
+    on c and summed per entry of L.  When a join would have more terms than
+    L has entries, L is built densely instead.
     """
     n = host.dim
-    ci, ca, cb = np.nonzero(host.comul)
-    cv = host.comul[ci, ca, cb]
-    xa, xc = np.nonzero(x)
-    xv = x[xa, xc]
-    deg = np.bincount(ca, minlength=n)
-    # first-join terms per c, which bound the sums per (i, b, c) at that c
-    first = np.bincount(xc, weights=deg[xa], minlength=n)
-    if max(first.sum(), first @ deg) > n**4:
-        lmat = convolution_matrix2(host, x).reshape(-1)
-        keys = np.flatnonzero(lmat)
-        return keys, lmat[keys]
-    p, q = pairs_by_key(xa, ca)  # x[a, c] comul[i, a, b]
-    ibc, t = sum_by_key((ci[q] * n + cb[q]) * n + xc[p], xv[p] * cv[q])
-    ib, c = np.divmod(ibc, n)
-    p, q = pairs_by_key(c, ca)  # t[i, b, c] comul[j, c, d]
-    i, b = np.divmod(ib[p], n)
-    keys, values = sum_by_key(((i * n + ci[q]) * n + b) * n + cb[q], t[p] * cv[q])
-    keep = values != 0
-    return keys[keep], values[keep]
+    half = join("ac,iab->ibc", x, host.comul, n**4)
+    terms = half and join("ibc,jcd->ijbd", half.summed(), host.comul, n**4)
+    del half  # no terms stay alive through a dense build
+    lmat = Terms.of(convolution_matrix2(host, x)) if terms is None else terms.summed()
+    keep = lmat.values != 0
+    return lmat.keys[keep], lmat.values[keep]
 
 
 def invert2(host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext) -> Array:

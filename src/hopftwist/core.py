@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    max_abs,
-    nonzero_entries,
-    pairs_by_key,
-    solve_within_condition,
-    sum_by_key,
-    term_count,
-    term_gap,
-)
+from ._linalg import Terms, join, max_abs, max_gap, solve_within_condition
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -260,21 +252,14 @@ def _worst(residuals) -> float:
     return float(np.max(list(residuals)))
 
 
-def _key(n: int, i: Array, j: Array, k: Array, l: Array) -> Array:
-    """The flat index of [i, j, k, l] in an n^4-entry array, as one int64."""
-    return ((i * n + j) * n + k) * n + l
-
-
-def _associativity(mul: Array, m: tuple) -> float:
+def _associativity(mul: Array, m: Terms) -> float:
     """max |(e_i e_j) e_k - e_i (e_j e_k)|; m holds the entries of mul."""
     n = mul.shape[0]
-    (m0, m1, m2), mv = m
-    if max(term_count(m2, m0, n), term_count(m2, m1, n)) <= n**4:
-        a, b = pairs_by_key(m2, m0)  # mul[i, j, p] mul[p, k, l]
-        left = _key(n, m0[a], m1[a], m1[b], m2[b]), mv[a] * mv[b]
-        a, b = pairs_by_key(m2, m1)  # mul[j, k, q] mul[i, q, l]
-        right = _key(n, m0[b], m0[a], m1[a], m2[b]), mv[a] * mv[b]
-        return term_gap(left, right)
+    left = join("ijp,pkl->ijkl", m, m, n**4)
+    right = left and join("jkq,iql->ijkl", m, m, n**4)
+    if right is not None:
+        return max_gap(left, right)
+    del left  # no terms stay alive through the dense comparison
     # [j, (k l)] against [l, (j k)]
     mul_rows = mul.reshape(n, n * n)
     mul_by_output = mul.transpose(2, 0, 1).reshape(n, n * n)
@@ -287,17 +272,15 @@ def _associativity(mul: Array, m: tuple) -> float:
     )
 
 
-def _coassociativity(comul: Array, c: tuple) -> float:
+def _coassociativity(comul: Array, c: Terms) -> float:
     """max |(Delta (x) id) Delta(e_i) - (id (x) Delta) Delta(e_i)|; c holds
     the entries of comul."""
     n = comul.shape[0]
-    (c0, c1, c2), cv = c
-    if max(term_count(c1, c0, n), term_count(c2, c0, n)) <= n**4:
-        a, b = pairs_by_key(c1, c0)  # comul[i, p, c] comul[p, a, b]
-        left = _key(n, c0[a], c1[b], c2[b], c2[a]), cv[a] * cv[b]
-        a, b = pairs_by_key(c2, c0)  # comul[i, a, p] comul[p, b, c]
-        right = _key(n, c0[a], c1[a], c1[b], c2[b]), cv[a] * cv[b]
-        return term_gap(left, right)
+    left = join("ipc,pab->iabc", c, c, n**4)
+    right = left and join("iap,pbc->iabc", c, c, n**4)
+    if right is not None:
+        return max_gap(left, right)
+    del left  # no terms stay alive through the dense comparison
     # [a, (b c)] against [c, (a b)]
     comul_rows = comul.reshape(n, n * n)
     return _worst(
@@ -309,33 +292,19 @@ def _coassociativity(comul: Array, c: tuple) -> float:
     )
 
 
-def _coproduct_multiplicativity(mul: Array, comul: Array, m: tuple, c: tuple) -> float:
+def _coproduct_multiplicativity(mul: Array, comul: Array, m: Terms, c: Terms) -> float:
     """max |Delta(e_i e_j) - Delta(e_i) Delta(e_j)|, where the right side is
     sum comul[i, p, q] comul[j, r, s] mul[p, r, x] mul[q, s, y], summed as
     the two halves sum_p comul[i, p, q] mul[p, r, x] and
     sum_s comul[j, r, s] mul[q, s, y], joined on (q, r)."""
     n, nn = mul.shape[0], mul.shape[0] ** 2
-    (m0, m1, m2), mv = m
-    (c0, c1, c2), cv = c
-    # terms of each half per (q, r), from the entry counts on (p, q) of
-    # comul's outputs and on (p, r) of mul's inputs; a half holds at most n^2
-    # entries per (q, r), which bounds the terms of the join
-    comul_deg = np.bincount(c1 * n + c2, minlength=nn).reshape(n, n)
-    mul_deg = np.bincount(m0 * n + m1, minlength=nn).reshape(n, n)
-    first, second = comul_deg.T @ mul_deg, mul_deg @ comul_deg.T
-    joined = int(np.sum(np.minimum(first, nn) * np.minimum(second, nn)))
-    counts = (term_count(m2, c0, n), int(first.sum()), int(second.sum()), joined)
-    if max(counts) <= n**4:
-        a, b = pairs_by_key(m2, c0)  # mul[i, j, c] comul[c, a, b]
-        left = _key(n, m0[a], m1[a], c1[b], c2[b]), mv[a] * cv[b]
-        a, b = pairs_by_key(c1, m0)  # [q, r, i, x]
-        k1, h1 = sum_by_key(_key(n, c2[a], m1[b], c0[a], m2[b]), cv[a] * mv[b])
-        a, b = pairs_by_key(c2, m1)  # [q, r, j, y]
-        k2, h2 = sum_by_key(_key(n, m0[b], c1[a], c0[a], m2[b]), cv[a] * mv[b])
-        a, b = pairs_by_key(k1 // nn, k2 // nn)
-        ix, jy = k1[a] % nn, k2[b] % nn
-        right = _key(n, ix // n, jy // n, ix % n, jy % n), h1[a] * h2[b]
-        return term_gap(left, right)
+    left = join("ijc,cab->ijab", m, c, n**4)
+    first = left and join("ipq,prx->qrix", c, m, n**4)
+    second = first and join("jrs,qsy->qrjy", c, m, n**4)
+    right = second and join("qrix,qrjy->ijxy", first.summed(), second.summed(), n**4)
+    if right is not None:
+        return max_gap(left, right)
+    del left, first, second  # no terms stay alive through the dense comparison
     # the half sum_s comul[j, r, s] mul[q, s, y] is laid out as [(q r), (j y)]
     right = (comul.transpose(1, 0, 2).reshape(nn, n) @ mul).reshape(nn, nn)
     # [(q r), x]: sum_p comul[i, p, q] mul[p, r, x]
@@ -362,19 +331,19 @@ def verify_hopf_axioms(
     and comul.  Each is summed over the nonzero entries only: the factors
     are joined on their summed index, every product term is keyed by its
     output entry, and both sides are reduced together, so the residual
-    max |L - R| never needs a dense side.  The terms are counted from the
-    entry counts per index before any is formed; when a join would have
-    more than n^4 terms, the number of entries the dense form writes per
-    side, that identity is compared densely instead, one input basis
-    element e_i at a time, each slice product summed over the nonzero
-    support of its e_i factor.  Every other contraction is a fixed
-    sequence of pairwise BLAS products.
+    max |L - R| never needs a dense side.  Each join counts its terms
+    before it forms any (_linalg.join); when one would have more than n^4
+    terms, the number of entries the dense form writes per side, that
+    identity is compared densely instead, one input basis element e_i at
+    a time, each slice product summed over the nonzero support of its e_i
+    factor.  Every other contraction is a fixed sequence of pairwise BLAS
+    products.
     """
     a = algebra
     n = a.dim
     nn = n * n
     mul, comul = a.mul, a.comul
-    m, c = nonzero_entries(mul), nonzero_entries(comul)
+    m, c = Terms.of(mul), Terms.of(comul)
     eye = np.eye(n, dtype=np.complex128)
     checks: list[tuple[str, float]] = []
 

@@ -15,21 +15,12 @@ coaction leg is formed only when a caller asks for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ._linalg import (
-    extend_rows,
-    max_abs,
-    nonzero_entries,
-    pairs_by_key,
-    sum_by_key,
-    term_count,
-    term_gap,
-)
+from ._linalg import Terms, extend_rows, join, max_abs, max_gap
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -78,55 +69,26 @@ def _operators(corep: UnitaryCorep, t) -> Array:
     return t
 
 
-def _gather_sum(x: Array, cols: Array, rows: Array, values: Array, size: int) -> Array:
-    """out[..., r] = sum of values[e] x[..., cols[e]] over the e with rows[e] = r,
-    for rows in nondecreasing order; out has size entries on its last axis."""
-    out = np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
-    if rows.size:
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        out[..., rows[starts]] = np.add.reduceat(x[..., cols] * values, starts, axis=-1)
-    return out
-
-
-def _apply_entries(keys: Array, values: Array, shape: tuple[int, ...], t: Array) -> Array:
-    """A stack t (..., N, N) through the map with these entries, each key
-    out * N^2 + in, increasing; each image has shape shape."""
-    n2 = t.shape[-2] * t.shape[-1]
-    rows, cols = np.divmod(keys, n2)
-    flat = t.reshape(t.shape[:-2] + (n2,))
-    return _gather_sum(flat, cols, rows, values, math.prod(shape)).reshape(t.shape[:-2] + shape)
-
-
 def _slices(left: Array, mr: Array) -> Array:
     """The a for which left_a and mr[a] are both nonzero."""
     return np.flatnonzero(left.any(axis=(0, 1)) & mr.any(axis=(1, 2)))
 
 
-def _adjoint_entries(left: Array, right: Array, mr: Array) -> tuple[Array, Array] | None:
-    """The nonzero entries of T -> sum_ab mr[a, b, f] left_a T right_b^T, as
-    (keys, values) with key ((f N + i) N + j) N^2 + k N + l for the entry
-    left[i, k, a] right[j, l, b] mr[a, b, f]; None when a join would have
-    more than N^2 n terms, as many as ad_u has entries at one operator, so
-    that no array of terms nears the N^2 n^2 entries of an (N, N, n, n) one.
+def _adjoint_entries(left: Array, right: Array, mr: Array) -> Terms | None:
+    """The map T -> sum_ab mr[a, b, f] left_a T right_b^T as summed terms
+    [f, i, j, k, l], the coefficient of T_kl in image f at [i, j]; None when
+    a join would have more than N^2 n terms, as many as ad_u has entries at
+    one operator, so that no array of terms nears the N^2 n^2 entries of an
+    (N, N, n, n) one.
 
     The entries of left are joined with those of mr on a and summed per
     (f, i, k, b); those sums are joined with the entries of right on b and
-    summed per entry of the map.  The terms are counted before any is formed.
+    summed per entry of the map.
     """
-    n_h, n = left.shape[0], left.shape[2]
-    (li, lk, la), lv = nonzero_entries(left)
-    (rj, rl, rb), rv = nonzero_entries(right)
-    (qa, qb, qf), qv = nonzero_entries(mr)
-    # first-join terms per b, which bound the sums per (f, i, k, b) at that b
-    first = np.bincount(qb, weights=np.bincount(la, minlength=n)[qa], minlength=n)
-    if max(term_count(la, qa, n), first @ np.bincount(rb, minlength=n)) > n_h * n_h * n:
-        return None
-    p, q = pairs_by_key(la, qa)  # left[i, k, a] mr[a, b, f]
-    fikb, v = sum_by_key(((qf[q] * n_h + li[p]) * n_h + lk[p]) * n + qb[q], lv[p] * qv[q])
-    fik, b = np.divmod(fikb, n)
-    p, q = pairs_by_key(b, rb)  # [f, i, k, b] right[j, l, b]
-    fi, k = np.divmod(fik[p], n_h)
-    return sum_by_key(((fi * n_h + rj[q]) * n_h + k) * n_h + rl[q], v[p] * rv[q])
+    limit = left.shape[0] ** 2 * left.shape[2]
+    half = join("ika,abf->fikb", left, mr, limit)
+    terms = half and join("fikb,jlb->fijkl", half.summed(), right, limit)
+    return terms and terms.summed()
 
 
 def _adjoint_dense(left: Array, right: Array, mr: Array, t: Array) -> Array:
@@ -168,12 +130,7 @@ class _FusedAdjoint:
         """Images (..., F, N, N) of t (..., N, N) under the functionals mr[:, :, legs]."""
         if self.entries is None:
             return _adjoint_dense(self.left, self.right, self.mr[:, :, legs], t)
-        n_h = self.left.shape[0]
-        start, stop, _ = legs.indices(self.mr.shape[2])
-        keys, values = self.entries
-        lo, hi = np.searchsorted(keys, (start * n_h**4, stop * n_h**4))
-        shape = (stop - start, n_h, n_h)
-        return _apply_entries(keys[lo:hi] - start * n_h**4, values[lo:hi], shape, t)
+        return self.entries[legs].apply(t, 2)
 
     def matrix(self) -> Array:
         """The map as (F, N^2, N^2) matrices over vectorized operators, with
@@ -187,10 +144,7 @@ class _FusedAdjoint:
             units = np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
             images = _adjoint_dense(self.left, self.right, self.mr, units)
             return images.reshape(n_h * n_h, count, n_h * n_h).transpose(1, 2, 0)
-        keys, values = self.entries
-        out = np.zeros(count * n_h**4, dtype=np.complex128)
-        out[keys] = values
-        return out.reshape(count, n_h * n_h, n_h * n_h)
+        return self.entries.dense().reshape(count, n_h * n_h, n_h * n_h)
 
     def along(self, ops: Array):
         """The map t -> sum_f (image f of t) ops[f] for a functional with
@@ -199,20 +153,10 @@ class _FusedAdjoint:
         Its entries join this map's entries with those of ops on (f, j); with
         more than N^2 n terms, or no entries here, it runs slice by slice.
         """
-        n_h, n = self.left.shape[0], self.left.shape[2]
-        if self.entries is not None:
-            keys, values = self.entries
-            fij, kl = np.divmod(keys, n_h * n_h)
-            fi, j = np.divmod(fij, n_h)
-            f, i = np.divmod(fi, n_h)
-            (of, oj, om), ov = nonzero_entries(ops)
-            here, there = f * n_h + j, of * n_h + oj
-            if term_count(here, there, len(ops) * n_h) <= n_h * n_h * n:
-                p, q = pairs_by_key(here, there)
-                keys, values = sum_by_key(
-                    (i[p] * n_h + om[q]) * n_h * n_h + kl[p], values[p] * ov[q]
-                )
-                return partial(_apply_entries, keys, values, (n_h, n_h))
+        limit = self.left.shape[0] ** 2 * self.left.shape[2]
+        terms = self.entries and join("fijkl,fjm->imkl", self.entries, ops, limit)
+        if terms is not None:
+            return partial(Terms.apply, terms.summed(), k=2)
         return partial(_along_dense, self.left, self.right, self.mr, ops)
 
 
@@ -285,20 +229,17 @@ def regular_corep(
 def _corep_law(u: Array, comul: Array) -> float:
     """max |(id (x) Delta)(U) - U_12 U_13| over its N^2 n^2 entries [i, j, a, b].
 
-    Both sides are sums of products of nonzero entries, keyed by their output
-    entry and reduced together; when a side would have more than N^2 n
-    terms, the bound of _adjoint_entries, the sides are compared densely one
-    row i at a time.
+    Both sides are joins of nonzero entries, reduced together; when a side
+    would have more than N^2 n terms, the bound of _adjoint_entries, the
+    sides are compared densely one row i at a time.
     """
     n_h, n = u.shape[0], u.shape[2]
-    (ui, uj, uc), uv = nonzero_entries(u)
-    (c0, c1, c2), cv = nonzero_entries(comul)
-    if max(term_count(uc, c0, n), term_count(uj, ui, n_h)) <= n_h * n_h * n:
-        p, q = pairs_by_key(uc, c0)  # u[i, j, c] comul[c, a, b]
-        left = ((ui[p] * n_h + uj[p]) * n + c1[q]) * n + c2[q], uv[p] * cv[q]
-        p, q = pairs_by_key(uj, ui)  # u[i, k, a] u[k, j, b]
-        right = ((ui[p] * n_h + uj[q]) * n + uc[p]) * n + uc[q], uv[p] * uv[q]
-        return term_gap(left, right)
+    entries = Terms.of(u)
+    left = join("ijc,cab->ijab", entries, comul, n_h * n_h * n)
+    right = left and join("ika,kjb->ijab", entries, entries, n_h * n_h * n)
+    if right is not None:
+        return max_gap(left, right)
+    del left  # no terms stay alive through the dense comparison
     # [j, a, b] against [a, j, b], one row alive at a time; np.max keeps a
     # NaN from any row
     rows = (
@@ -345,10 +286,7 @@ def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
         raise DimensionMismatch(
             f"functional coefficients have shape {coeffs.shape}, expected (..., {corep.host.dim})"
         )
-    (i, j, c), values = nonzero_entries(corep.u)
-    n_h = corep.hdim
-    out = _gather_sum(coeffs, c, i * n_h + j, values, n_h * n_h)
-    return out.reshape(coeffs.shape[:-1] + (n_h, n_h))
+    return Terms.of(corep.u).apply(coeffs, 1)
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:

@@ -431,33 +431,3 @@ def _validate(data: PeterWeylData, ctx: ScalarContext) -> None:
     resid = max(resid, max_abs(pairing[label[:, None] != label[None, :]]))
     if not ctx.close(resid):
         raise DecompositionError(f"orthogonality validation failed, residual {resid:.3g}")
-
-
-def rho_functionals(
-    data: PeterWeylData, ctx: ScalarContext = DEFAULT_CONTEXT
-) -> list[dict]:
-    """Per-block rho families with the biorthogonality residual recorded."""
-    n = data.host.dim
-    # rows: every q[i, j] of every block, in block order
-    q_all = np.vstack([b.q.reshape(-1, n) for b in data.blocks])
-    out = []
-    offset = 0
-    for idx, b in enumerate(data.blocks):
-        d = b.dimension
-        # rho[p, r](q[i, j]) is 1 exactly at the block's own (p, r) = (i, j)
-        want = np.zeros((d * d, n))
-        want[:, offset:offset + d * d] = np.eye(d * d)
-        offset += d * d
-        resid = max_abs(b.matrix_units.reshape(d * d, n) @ q_all.T - want)
-        sum_diag = np.trace(b.matrix_units)
-        out.append(
-            {
-                "block": idx,
-                "dimension": d,
-                "rho": np.array(b.matrix_units),
-                "rho_pi": DualFunctional(data.host, sum_diag),
-                "biorthogonality_residual": resid,
-                "passed": bool(resid <= ctx.tolerance),
-            }
-        )
-    return out

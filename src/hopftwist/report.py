@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .serialize import VERIFICATION_FORMAT, canonical_dumps
+from .serialize import VERIFICATION_FORMAT
 
 
 @dataclass(frozen=True)
@@ -66,33 +65,6 @@ def report_to_doc(report: VerificationReport) -> dict:
         ],
         "overall": report.passed,
     }
-
-
-def report_from_doc(doc: dict) -> VerificationReport:
-    if doc.get("format") != VERIFICATION_FORMAT:
-        raise InputError(f"not a {VERIFICATION_FORMAT} document")
-    records = tuple(
-        CheckRecord(
-            check_id=str(c["id"]),
-            anchor=str(c["anchor"]),
-            residual=float(c["residual"]),
-            threshold=float(c["threshold"]),
-            passed=bool(c["passed"]),
-            waived=bool(c.get("waived", False)),
-            detail=str(c.get("detail", "")),
-        )
-        for c in doc["checks"]
-    )
-    return VerificationReport(
-        suite=str(doc["suite"]),
-        records=records,
-        wall_time=float(doc.get("wall_time", 0.0)),
-    )
-
-
-def report_bytes(report: VerificationReport) -> bytes:
-    """Canonical bytes for determinism comparisons (wall time excluded)."""
-    return canonical_dumps(report_to_doc(report)).encode("utf-8")
 
 
 def render_text(report: VerificationReport) -> str:

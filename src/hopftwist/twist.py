@@ -26,8 +26,7 @@ from .core import (
 )
 from .corep import UnitaryCorep, verify_corep
 from .errors import BlockMismatch, HostMismatch, TheoremViolation
-from .peterweyl import HaarState, PeterWeylData, _f_matrix, haar_state
-from .peterweyl import haar_invariance_residual
+from .peterweyl import PeterWeylData, _f_matrix
 
 Array = np.ndarray
 
@@ -183,17 +182,6 @@ def twist_corep(
     checks = base.checks + (("antipode-flip-star", max_abs(lhs - rhs)),)
     report = AxiomReport(subject=base.subject, checks=checks, tolerance=ctx.tolerance)
     return twisted_corep, report
-
-
-def haar_invariance(
-    tw: TwistResult, ctx: ScalarContext = DEFAULT_CONTEXT
-) -> tuple[float, HaarState]:
-    """Invariance residual of the original Haar coefficients on the twisted
-    algebra, and that twisted Haar state: a dual-cocycle twist keeps the
-    coproduct and the unit, which determine the unique Haar state.
-    """
-    h_twisted = HaarState(tw.twisted, haar_state(tw.original, ctx).coeffs)
-    return haar_invariance_residual(h_twisted), h_twisted
 
 
 def f_matrix_relation(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hopftwist.corep as corep_module
 from hopftwist import (
     ScalarContext,
     catalog,
@@ -76,6 +77,22 @@ def test_scenes_are_memoized_and_verified(ctx):
         assert scene["triple"].hdim == scene["corep"].hdim
         assert scene["volume"].hdim == scene["corep"].hdim
         assert scene["cocycle"].host is scene["host"]
+
+
+def test_scene_builds_solve_each_haar_state_once(monkeypatch, ctx):
+    # d4-regular's corep and its isotypic Dirac matrix share one Haar state
+    monkeypatch.setattr(catalog, "_cocycles", {})
+    monkeypatch.setattr(catalog, "_scenes", {})
+    solved = []
+    for module in (catalog, corep_module):
+        solve = module.haar_state
+        monkeypatch.setattr(
+            module, "haar_state", lambda host, ctx, solve=solve: solved.append(host) or solve(host, ctx)
+        )
+    for name in TRIPLES:
+        catalog.triple_scene(name, ctx)
+    assert len(solved) == len(TRIPLES)
+    assert sum(host is catalog.algebra("c-d4") for host in solved) == 1
 
 
 def test_cocycle_verdict_does_not_depend_on_call_order(monkeypatch):

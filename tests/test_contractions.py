@@ -45,7 +45,8 @@ from hopftwist import (
     verify_morphism,
     w_functional,
 )
-from hopftwist._linalg import nullspace
+import hopftwist._linalg as linalg
+from hopftwist._linalg import Terms, join, max_gap, nullspace
 from hopftwist.cocycle import convolution_matrix2, convolve2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
@@ -437,9 +438,9 @@ def test_intertwine_residual_matches_its_formula_on_every_corep(name, rng, ctx):
 def test_dense_coreps_take_the_slice_loop(name, rng, ctx, monkeypatch):
     corep, sigma = _entry_case(name, ctx, rng)
     gaps = []
-    term_gap = hopftwist.corep.term_gap
+    gap = hopftwist.corep.max_gap
     monkeypatch.setattr(
-        hopftwist.corep, "term_gap", lambda left, right: gaps.append(1) or term_gap(left, right)
+        hopftwist.corep, "max_gap", lambda left, right: gaps.append(1) or gap(left, right)
     )
     assert verify_corep(corep, ctx).passed
     sliced = _SLICED.get(name, ())
@@ -823,4 +824,105 @@ def test_library_sources_fix_every_contraction_path():
     # n^5-entry one; every contraction is written out pairwise instead
     src = Path(hopftwist.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if "optimize=True" in p.read_text()]
+    assert offenders == []
+
+
+# ------------------------------------------------------------------ term joins
+
+# joins on one shared letter and on two
+JOIN_SPECS = ("ijp,pkl->ijkl", "ika,abf->fikb", "fijk,fjm->imk", "qrix,qrjy->ijxy", "ij,jk->ik")
+
+
+def _sparse(rng, shape, density=0.3):
+    return _complex(rng, *shape) * (rng.random(shape) < density)
+
+
+def _term_count(spec, x, y):
+    return int(np.einsum(spec, (x != 0).astype(int), (y != 0).astype(int), optimize=False).sum())
+
+
+def _join_operands(spec, rng):
+    (xs, ys), sizes = spec.split("->")[0].split(","), {}
+    for c in xs + ys:
+        sizes.setdefault(c, 3 + len(sizes) % 3)
+    return [_sparse(rng, tuple(sizes[c] for c in s)) for s in (xs, ys)]
+
+
+@pytest.mark.parametrize("spec", JOIN_SPECS)
+def test_join_matches_einsum_on_sparse_tensors(spec, rng):
+    x, y = _join_operands(spec, rng)
+    want = np.einsum(spec, x, y, optimize=False)
+    terms = join(spec, x, y, x.size * y.size)
+    # a pair of entries per term, summed by index only on request
+    assert terms.values.size == _term_count(spec, x, y)
+    summed = terms.summed()
+    assert np.all(np.diff(summed.keys) > 0)
+    assert _relative_error(summed.dense(), want) <= REL
+    # summed terms are operands too, and a map from their trailing axes
+    out = spec.split("->")[1]
+    chain = f"{out},{out[-1]}z->{out[:-1]}z"
+    v = _sparse(rng, (want.shape[-1], 2))
+    chained = join(chain, summed, v, want.size * v.size).summed().dense()
+    assert _relative_error(chained, np.einsum(chain, want, v, optimize=False)) <= REL
+    assert np.array_equal(summed[1:2].dense(), summed.dense()[1:2])
+    stack = _complex(rng, 2, *want.shape[-2:])
+    applied = np.einsum(f"...{spec[-2:]},s{spec[-2:]}->s...", want, stack, optimize=False)
+    assert _relative_error(summed.apply(stack, 2), applied) <= REL
+
+
+def test_join_sums_repeated_indices_only_when_asked(rng):
+    x, y = _sparse(rng, (4, 5), 1.0), _sparse(rng, (5, 3), 1.0)
+    terms = join("ij,jk->ik", x, y, 60)
+    assert terms.values.size == 60
+    assert np.unique(terms.keys).size == 12
+    summed = terms.summed()
+    assert np.array_equal(summed.keys, np.arange(12))
+    assert _relative_error(summed.dense(), x @ y) <= REL
+    # two sums of terms over one shape are compared index by index
+    assert max_gap(terms, Terms.of(x @ y)) <= 1e-14
+
+
+def test_join_keeps_nan_and_inf_entries():
+    x = np.array([[np.nan, 0.0], [0.0, np.inf]])
+    assert Terms.of(x).values.size == 2
+    got = join("ij,jk->ik", x, np.diag([1.0, 2.0]), 4).summed().dense()
+    assert np.isnan(got[0, 0]) and got[1, 1] == np.inf
+    assert np.count_nonzero(got) == 2
+    assert np.isnan(max_gap(Terms.of(x), Terms.of(np.zeros((2, 2)))))
+
+
+def test_join_of_an_empty_operand_has_no_terms(rng):
+    x, y = np.zeros((3, 4)), _sparse(rng, (4, 2))
+    terms = join("ij,jk->ik", x, y, 0)
+    assert terms.values.size == 0
+    assert np.array_equal(terms.summed().dense(), np.zeros((3, 2)))
+    assert np.array_equal(Terms.of(x).apply(_complex(rng, 5, 3, 4), 2), np.zeros((5,)))
+    assert max_gap(terms, terms) == 0.0
+
+
+@pytest.mark.parametrize("spec", JOIN_SPECS)
+def test_join_over_the_limit_forms_no_pair(spec, rng, monkeypatch):
+    x, y = _join_operands(spec, rng)
+    count = _term_count(spec, x, y)
+
+    def refuse(kx, ky):
+        raise AssertionError("pairs were formed over the limit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "pairs_by_key", refuse)
+        assert join(spec, x, y, count - 1) is None
+    # the count is exact: at the limit the terms are formed
+    assert join(spec, x, y, count).values.size == count
+
+
+def test_only_linalg_knows_the_term_keys():
+    src = Path(hopftwist.__file__).parent
+    names = ("pairs_by_key", "sum_by_key", "term_count", "term_gap")
+    offenders = [
+        (p.name, name)
+        for p in sorted(src.glob("*.py"))
+        if p.name != "_linalg.py"
+        for name in names
+        if name in p.read_text()
+    ]
     assert offenders == []

@@ -8,8 +8,6 @@ from hopftwist.errors import InputError
 from hopftwist.report import (
     CheckRecord,
     VerificationReport,
-    report_bytes,
-    report_from_doc,
     report_to_doc,
 )
 from hopftwist.serialize import (
@@ -172,12 +170,11 @@ def test_verification_report_doc_roundtrips_waived_records():
         CheckRecord("02.beta", "second claim", 0.7, 0.5, False, waived=True, detail="known gap"),
     ]
     report = VerificationReport(suite="paper", records=records, wall_time=3.25)
+    assert report.passed
+    assert report.records[1].status() == "XFAIL"
     doc = report_to_doc(report)
-    back = report_from_doc(doc)
-    assert back.passed
-    assert back.records[1].waived
-    assert back.records[1].detail == "known gap"
-    assert back.records[1].status() == "XFAIL"
-    assert report_bytes(report) == report_bytes(
-        VerificationReport(suite="paper", records=records, wall_time=99.0)
-    )
+    assert doc["checks"][1]["waived"]
+    assert doc["checks"][1]["detail"] == "known gap"
+    # the canonical bytes leave the wall time out
+    later = VerificationReport(suite="paper", records=records, wall_time=99.0)
+    assert canonical_dumps(doc) == canonical_dumps(report_to_doc(later))
