@@ -1,7 +1,7 @@
-"""Small linear-algebra helpers used across modules: dense solves and
-bounds, and sparse tensors held as terms (Terms), with join, the one
-contraction over their nonzero entries.  Only this module knows the flat
-key format of the terms."""
+"""Small linear-algebra helpers used across modules: solves under a
+condition check decided by singular values, and sparse tensors held as
+terms (Terms), with join, the one contraction over their nonzero entries.
+Only this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
@@ -33,78 +33,62 @@ def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def solve_within_condition(
-    lmat: np.ndarray,
-    rhs: np.ndarray,
-    limit: float,
-    approx_inverse: Callable[[np.ndarray], Iterable[np.ndarray]],
-) -> np.ndarray | None:
-    """Solve lmat @ y = rhs when cond2(lmat) <= limit; None when it is not.
-
-    The verdict is the exact rule s[-1] > 0 and s[0] / s[-1] <= limit on the
-    singular values s of lmat, but the SVD runs only when the certified bound
-    is inconclusive.  approx_inverse(y) yields, left to right, the column
-    blocks of a matrix meant to approximate lmat^-1.
-    """
-    try:
-        y = np.linalg.solve(lmat, rhs)
-    except np.linalg.LinAlgError:
-        y = None
-    if y is not None and condition_bound(lmat, approx_inverse(y)) <= limit:
-        return y
-    return _svd_rule(lmat, rhs, limit, y)
+def solve_by_svd(
+    lmat: np.ndarray, rhs: np.ndarray, limit: float
+) -> tuple[np.ndarray | None, float]:
+    """(y, cond): cond2(lmat) read off its singular values s, and the
+    solution y of lmat @ y = rhs when s[-1] > 0 and s[0] / s[-1] <= limit,
+    else None.  cond is inf when s[-1] is 0."""
+    s = np.linalg.svd(lmat, compute_uv=False)
+    ok, cond = _verdict(s[0], s[-1], limit)
+    return (np.linalg.solve(lmat, rhs) if ok else None), cond
 
 
 def solve_by_components(
     entries: tuple[np.ndarray, np.ndarray],
     rhs: np.ndarray,
     limit: float,
-    inverse_entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     dense: Callable[[], np.ndarray],
-) -> np.ndarray | None:
-    """solve_within_condition for an m x m operator given by its nonzero entries.
+) -> tuple[np.ndarray | None, float]:
+    """solve_by_svd for an m x m operator given by its nonzero entries.
 
     entries are (keys, values): the distinct flat indices r * m + c of the
-    nonzero entries, increasing, and their values.  inverse_entries(y) gives
-    the entries of a matrix meant to approximate the inverse.  The operator
-    is cut into the connected components of its nonzero pattern
-    (square_components).  Given several, each block L_b and each certificate
-    block M_b is gathered from the entries, only the blocks that rhs touches
-    are solved, batched by size, and the bound is taken block by block
-    (block_condition_bound).  The dense operator dense() is built only where
-    the SVD rule may run: one component is solved and bounded whole by
-    solve_within_condition; a component that is not square makes the
-    operator singular; a failed solve or an inconclusive bound falls back to
-    the SVD.
+    nonzero entries, increasing, and their values.  The operator is cut
+    into the connected components of its nonzero pattern
+    (square_components).  Given several, the blocks are gathered from the
+    entries, and since the singular values of the operator are those of its
+    blocks, one batched SVD per block size gives cond2; only the blocks that
+    rhs touches are solved.  The dense operator dense() is built only for
+    one component, or for a component that is not square, which makes the
+    operator singular: cond is then inf, whatever the SVD measures.
     """
     m = rhs.size
     rows, cols = np.divmod(entries[0], m)
     parts = square_components(rows, cols, m)
     if parts is None:
-        return _svd_rule(dense(), rhs, limit)
+        return solve_by_svd(dense(), rhs, limit)[0], math.inf
     if parts[0][0].shape[1] == m:
-        return solve_within_condition(
-            dense(), rhs, limit, lambda y: _columns(inverse_entries(y), m)
-        )
+        return solve_by_svd(dense(), rhs, limit)
     blocks = [(r, c, gather(entries, r, c, m)) for r, c in parts]
-    try:
-        y = _solve_blocks(rhs, blocks)
-    except np.linalg.LinAlgError:
-        y = None
-    if y is not None:
-        inv = inverse_entries(y)
-        if block_condition_bound(blocks, [gather(inv, c, r, m) for r, c, _ in blocks]) <= limit:
-            return y
-    return _svd_rule(dense(), rhs, limit, y)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, _, b in blocks])
+    ok, cond = _verdict(s.max(), s.min(), limit)
+    return (_solve_blocks(rhs, blocks) if ok else None), cond
 
 
-def _svd_rule(lmat: np.ndarray, rhs: np.ndarray, limit: float, y=None) -> np.ndarray | None:
-    """The solution y, solved here when None, if the singular values of lmat
-    give cond2(lmat) <= limit; None otherwise."""
-    s = np.linalg.svd(lmat, compute_uv=False)
-    if not (s[-1] > 0 and s[0] / s[-1] <= limit):
-        return None
-    return y if y is not None else np.linalg.solve(lmat, rhs)
+def _verdict(largest, smallest, limit: float) -> tuple[bool, float]:
+    """The SVD rule smallest > 0 and largest / smallest <= limit, and the
+    condition number it measures, inf when smallest is not positive."""
+    if not smallest > 0:
+        return False, math.inf
+    cond = float(largest / smallest)
+    return cond <= limit, cond
+
+
+def conditioning(cond: float, limit: float) -> str:
+    """Why an operator of condition number cond failed the limit."""
+    if cond == math.inf:
+        return "is singular"
+    return f"has condition number {cond:.3g} above {limit:.3g}"
 
 
 def square_components(
@@ -177,25 +161,6 @@ def gather(
     out = np.zeros(want.shape, dtype=np.complex128)
     out[hit] = values[pos[hit]]
     return out
-
-
-# entries per column block when a matrix given by entries is written out
-# densely: 2 MiB of complex128
-_COLUMN_BLOCK = 1 << 17
-
-
-def _columns(entries: tuple[np.ndarray, np.ndarray], m: int) -> Iterable[np.ndarray]:
-    """The m x m matrix with these entries, as dense column blocks, left to right."""
-    rows, cols = np.divmod(entries[0], m)
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    width = max(1, _COLUMN_BLOCK // m)
-    for start in range(0, m, width):
-        stop = min(start + width, m)
-        pick = order[np.searchsorted(sorted_cols, start) : np.searchsorted(sorted_cols, stop)]
-        block = np.zeros((m, stop - start), dtype=np.complex128)
-        block[rows[pick], cols[pick] - start] = entries[1][pick]
-        yield block
 
 
 def _solve_blocks(rhs: np.ndarray, blocks) -> np.ndarray:
@@ -352,84 +317,6 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     sums.real = np.bincount(inverse, values.real, distinct.size)
     sums.imag = np.bincount(inverse, values.imag, distinct.size)
     return distinct, sums
-
-
-def condition_bound(lmat: np.ndarray, blocks: Iterable[np.ndarray]) -> float:
-    """Upper bound on cond2(lmat) from an approximate inverse M, else inf.
-
-    M arrives as column blocks, so no second square matrix is ever alive.
-    With E = lmat M - I and ||E||_F < 1, lmat is invertible,
-    lmat^-1 = M (I + E)^-1 and cond2(lmat) <= ||lmat||_F ||M||_F / (1 - ||E||_F)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6
-    and 14).  ||E||_F is widened by the rounding bound of the product, and
-    the bound is inf unless that widened norm is below 1/2.
-
-    An operator that is real up to rounding, as for any real-valued cocycle,
-    is multiplied by its real part only, a quarter of the complex work; the
-    dropped parts add ||Li||_F ||Mr||_F + ||L||_F ||Mi||_F to ||E||_F.
-    """
-    m = lmat.shape[0]
-    l_norm = np.sqrt(_frob_sq(lmat))
-    li_norm = np.sqrt(_frob_sq(lmat.imag))
-    lreal = np.ascontiguousarray(lmat.real) if li_norm <= _REAL_RTOL * l_norm else None
-    e_sq = mr_sq = mi_sq = 0.0
-    col = 0
-    for block in blocks:
-        width = block.shape[1]
-        if lreal is None:
-            resid = lmat @ block
-        else:
-            resid = lreal @ np.ascontiguousarray(block.real)
-        resid[col + np.arange(width), np.arange(width)] -= 1.0
-        e_sq += _frob_sq(resid)
-        mr_sq += _frob_sq(block.real)
-        mi_sq += _frob_sq(block.imag)
-        col += width
-    if col != m:
-        raise ValueError(f"approximate inverse has {col} columns, expected {m}")
-    dropped = 0.0 if lreal is None else li_norm * np.sqrt(mr_sq) + l_norm * np.sqrt(mi_sq)
-    return _bound(l_norm, np.sqrt(mr_sq + mi_sq), np.sqrt(e_sq) + dropped, m)
-
-
-def block_condition_bound(blocks, inverse_blocks: list[np.ndarray]) -> float:
-    """Upper bound on cond2 of a block-diagonal permutation, else inf.
-
-    blocks are (rows, cols, L_b) triples: index arrays from square_components
-    and the (k, s, s) stack lmat[rows][:, cols] they select.  inverse_blocks
-    holds, for each, the stack M_b = M[cols][:, rows] of a matrix M meant to
-    approximate lmat^-1.  Since the singular values of the operator are
-    those of its blocks, cond2 <= max_b ||L_b||_F * max_b ||M_b||_F / (1 - ||E_b||_F)
-    with E_b = L_b M_b - I, once every widened ||E_b||_F is below 1/2.
-    """
-    m = sum(rows.size for rows, _, _ in blocks)
-    l_norm, m_norm, e_norm = [], [], []
-    for (_, _, block), mb in zip(blocks, inverse_blocks, strict=True):
-        if mb.shape != block.shape:
-            raise ValueError(f"inverse block has shape {mb.shape}, expected {block.shape}")
-        resid = block @ mb
-        resid[:, np.arange(block.shape[1]), np.arange(block.shape[1])] -= 1.0
-        l_norm.append(np.linalg.norm(block, axis=(1, 2)))
-        m_norm.append(np.linalg.norm(mb, axis=(1, 2)))
-        e_norm.append(np.linalg.norm(resid, axis=(1, 2)))
-    return _bound(*map(np.concatenate, (l_norm, m_norm, e_norm)), m)
-
-
-def _bound(l_norm, m_norm, e_norm, m: int) -> float:
-    """max ||L_b|| * max ||M_b|| / (1 - ||E_b||) over the blocks, each E_b
-    widened by the rounding bound of its product; inf unless all are < 1/2."""
-    slack = 4 * (m + 2) * np.finfo(float).eps
-    e_norm = e_norm + slack * l_norm * m_norm
-    if not np.all(e_norm < 0.5):
-        return float("inf")
-    return float((1.0 + slack) * np.max(l_norm) * np.max(m_norm / (1.0 - e_norm)))
-
-
-# relative size of an imaginary part below which an operator counts as real
-_REAL_RTOL = 2.0**-26
-
-
-def _frob_sq(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
 
 
 def extend_rows(basis: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:

@@ -8,9 +8,10 @@ inverse is always recomputed from sigma, never trusted from input.
 A cocycle induced from a small quotient is mostly zeros, so convolutions
 sum only over the rows and columns where a factor is nonzero.  The inverse
 builds the n^2 x n^2 convolution operator from its nonzero entries alone
-and splits it into the connected components of their pattern: it solves
-only the blocks the identity touches and bounds the condition number block
-by block, with the same verdict as the SVD of the whole operator.
+and splits it into the connected components of their pattern: the
+singular values of the blocks decide the condition check, with the same
+verdict as the SVD of the whole operator, and only the blocks the identity
+touches are solved.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Terms, join, max_abs, solve_by_components
+from ._linalg import Terms, conditioning, join, max_abs, solve_by_components
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -109,23 +110,22 @@ def invert2(host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext) -> Array:
     """Convolution inverse on the tensor square by a flattened linear solve.
 
     The operator is built from its nonzero entries and split into the
-    connected components of their pattern; only the blocks that the
-    identity touches are solved.  With a coassociative host, convolution by
-    the solution y inverts the operator, so the entries of its matrix
-    certify the condition check block by block.  The dense operator is built
-    only for the exact SVD rule, which decides whatever the certificate
-    cannot, on any other host included.
+    connected components of their pattern.  The condition check reads the
+    singular values of the blocks, which are those of the operator, and
+    only the blocks that the identity touches are solved.  The dense
+    operator is built only when the pattern is one component or is not
+    square.
     """
     n = host.dim
-    inv = solve_by_components(
+    limit = 1.0 / ctx.tolerance
+    inv, cond = solve_by_components(
         convolution_entries2(host, x),
         identity2(host).reshape(n * n),
-        1.0 / ctx.tolerance,
-        lambda y: convolution_entries2(host, y.reshape(n, n)),
+        limit,
         lambda: convolution_matrix2(host, x),
     )
     if inv is None:
-        raise InvalidInverse("tensor-square convolution operator is singular")
+        raise InvalidInverse(f"tensor-square convolution operator {conditioning(cond, limit)}")
     inv = inv.reshape(n, n)
     resid = max(
         max_abs(convolve2(host, x, inv) - identity2(host)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, join, max_abs, max_gap, solve_within_condition
+from ._linalg import Terms, conditioning, join, max_abs, max_gap, solve_by_svd
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -46,6 +46,8 @@ class ScalarContext:
         # an infinite tolerance would pass every check
         if not 0 < self.tolerance < math.inf:
             raise DimensionMismatch(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.seed < 0:
+            raise DimensionMismatch(f"seed must be non-negative, got {self.seed}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -164,15 +166,10 @@ def convolution_matrix(host: FiniteHopfStarAlgebra, phi: Array) -> Array:
 def convolution_inverse(phi: DualFunctional, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualFunctional:
     """Convolution inverse, solving (phi * x) = counit by a linear solve."""
     host = phi.host
-    lmat = convolution_matrix(host, phi.coeffs)
-    # with a coassociative host, psi -> phi^-1 * psi inverts lmat
-    x = solve_within_condition(
-        lmat, host.counit, 1.0 / ctx.tolerance, lambda y: [convolution_matrix(host, y)]
-    )
+    limit = 1.0 / ctx.tolerance
+    x, cond = solve_by_svd(convolution_matrix(host, phi.coeffs), host.counit, limit)
     if x is None:
-        raise NotConvolutionInvertible(
-            f"left convolution operator has condition number above {1.0 / ctx.tolerance:.3g}"
-        )
+        raise NotConvolutionInvertible(f"left convolution operator {conditioning(cond, limit)}")
     inv = DualFunctional(host, x)
     left = convolve(phi, inv).coeffs - host.counit
     right = convolve(inv, phi).coeffs - host.counit

@@ -58,9 +58,6 @@ class FiniteGroupData:
     def multiply(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
 
 def trivial_group() -> FiniteGroupData:
     return FiniteGroupData(1, [[0]], ("e",), cyclic_factors=())

@@ -110,6 +110,29 @@ def test_non_finite_document_entries_exit_2_without_traceback(value, tmp_path, c
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", (["peter-weyl", "c-z2"], ["verify", "--suite", "paper"]))
+def test_negative_seed_exits_2_without_traceback(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopftwist", "--seed", "-1", *command],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_condition_rejection_names_the_measured_condition_number(capsys):
+    # the operator has cond2 = 1, which only a limit 1 / tolerance below 1 rejects
+    code = run(["--tolerance", "1e300", "twist", "--host", "c-d4", "--cocycle", "klein-induced"])
+    _, err = _capture(capsys)
+    assert code == 1
+    want = "tensor-square convolution operator has condition number 1 above 1e-300"
+    assert err == f"check failed: {want}\n"
+
+
 def test_cocycle_commands_leave_numpy_ma_unimported():
     # numpy.ma takes about 17 ms to import, in every fresh CLI process
     script = (
