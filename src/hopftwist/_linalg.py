@@ -331,7 +331,8 @@ def extend_rows(basis: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
     projection and combination restore the orthonormality that cancellation
     costs.
     """
-    w = _project_off(np.asarray(cands, dtype=np.complex128).reshape(len(cands), -1), basis)
+    w = np.asarray(cands, dtype=np.complex128).reshape(len(cands), basis.shape[1])
+    w = _project_off(w, basis)
     w = _project_off(w[np.linalg.norm(w, axis=1) > tol], basis)
     if not len(w):
         return w

@@ -19,7 +19,7 @@ from . import catalog
 from .cocycle import DualCocycle, induce, verify_cocycle
 from .core import ScalarContext
 from .corep import regular_corep, verify_corep
-from .deform import check_membership, deform_triple
+from .deform import RTwistedVolume, check_membership, deform_triple
 from .errors import InputError, MathCheckError
 from .peterweyl import decompose, haar_invariance_residual, haar_state
 from .report import render_text, report_to_doc
@@ -200,8 +200,6 @@ def _scene_inputs(args, ctx: ScalarContext):
     else:
         corep = corep_from_doc(parse_document(_read_text(args.corep)), host)
     sigma = _load_cocycle(args.cocycle, host, ctx)
-    from .deform import RTwistedVolume
-
     if volume is None:
         volume = RTwistedVolume(np.eye(st.hdim, dtype=np.complex128))
     return st, corep, sigma, volume
@@ -236,11 +234,9 @@ def _cmd_check_membership(args, ctx: ScalarContext) -> int:
     tw = None
     if args.twisted:
         tw = twist_algebra(corep.host, sigma, ctx)
-    report = check_membership(corep, st, volume, ctx, tw=tw, subject=args.source)
-    doc = category_report_to_doc(report)
-    _emit(args, doc)
-    member = report.member and (report.twisted is None or report.twisted.member)
-    return 0 if member else 1
+    report, twisted = check_membership(corep, st, volume, ctx, tw=tw, subject=args.source)
+    _emit(args, category_report_to_doc(report, twisted))
+    return 0 if report.passed and (twisted is None or twisted.passed) else 1
 
 
 def _cmd_verify(args, ctx: ScalarContext) -> int:

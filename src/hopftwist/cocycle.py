@@ -147,8 +147,8 @@ def dual_star2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
 class DualCocycle:
     host: FiniteHopfStarAlgebra
     sigma: Array
-    sigma_inv: Array = field(default=None)
     ctx: ScalarContext = DEFAULT_CONTEXT
+    sigma_inv: Array = field(init=False)
 
     def __post_init__(self):
         sig = freeze(self.sigma)
@@ -157,14 +157,7 @@ class DualCocycle:
                 f"cocycle matrix has shape {sig.shape}, host dim {self.host.dim}"
             )
         object.__setattr__(self, "sigma", sig)
-        inv = invert2(self.host, sig, self.ctx)
-        if self.sigma_inv is not None:
-            drift = max_abs(np.asarray(self.sigma_inv) - inv)
-            if not self.ctx.close(drift):
-                raise InvalidInverse(
-                    f"supplied inverse differs from recomputed one by {drift:.3g}"
-                )
-        object.__setattr__(self, "sigma_inv", freeze(inv))
+        object.__setattr__(self, "sigma_inv", freeze(invert2(self.host, sig, self.ctx)))
 
 
 def trivial_cocycle(host: FiniteHopfStarAlgebra) -> DualCocycle:

@@ -110,20 +110,6 @@ class FiniteHopfStarAlgebra:
         return np.conj(x) @ self.star.T
 
 
-def iterated_coproduct(algebra: FiniteHopfStarAlgebra, k: int) -> Array:
-    """Tensor of Delta^(k): axis 0 is the input leg, axes 1..k+1 the output legs.
-
-    k = 1 reproduces ``comul`` exactly.
-    """
-    if k < 1:
-        raise DimensionMismatch("k must be at least 1")
-    out = algebra.comul
-    for _ in range(k - 1):
-        # expand the last output leg
-        out = np.tensordot(out, algebra.comul, axes=([out.ndim - 1], [0]))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class DualFunctional:
     """Linear functional on a host algebra, stored by its values on the basis."""
@@ -139,11 +125,6 @@ class DualFunctional:
 
     def __call__(self, x: Array) -> complex:
         return complex(np.dot(self.coeffs, x))
-
-
-def pair(a: Array, phi: DualFunctional) -> complex:
-    """Bilinear pairing <a, phi> = phi(a)."""
-    return phi(np.asarray(a, dtype=np.complex128))
 
 
 def convolve(phi: DualFunctional, psi: DualFunctional) -> DualFunctional:

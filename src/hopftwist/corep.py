@@ -54,10 +54,6 @@ class UnitaryCorep:
         """Entrywise star: (u*)[i, j] = u[i, j]*."""
         return np.conj(self.u) @ self.host.star.T
 
-    def apply(self, vec: Array) -> Array:
-        """Image of a vector under the corep, as an (N, n) tensor leg pair."""
-        return np.einsum("ijc,j->ic", self.u, vec)
-
 
 def _operators(corep: UnitaryCorep, t) -> Array:
     """t as a complex stack (..., N, N) of operators on the carrier space."""
@@ -321,6 +317,7 @@ def spectral_projection(corep: UnitaryCorep, pw: PeterWeylData, block: int) -> d
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     corep: UnitaryCorep
+    pw: PeterWeylData  # the blocks that entries index
     entries: tuple[dict, ...]  # keys: block, multiplicity, basis (m, d, N)
     residual: float
 
@@ -360,4 +357,4 @@ def decompose_corep(
     worst = max(worst, max_abs(flat.conj() @ flat.T - np.eye(n_h)))
     if not ctx.close(worst):
         raise DecompositionError(f"adapted basis residual {worst:.3g}")
-    return SpectralDecomposition(corep=corep, entries=tuple(entries), residual=worst)
+    return SpectralDecomposition(corep=corep, pw=pw, entries=tuple(entries), residual=worst)

@@ -25,6 +25,7 @@ from ._linalg import extend_rows, max_abs
 from .cocycle import DualCocycle, _w_checked
 from .core import (
     DEFAULT_CONTEXT,
+    AxiomReport,
     DualFunctional,
     ScalarContext,
     freeze,
@@ -157,7 +158,7 @@ def equivariance_residual(corep: UnitaryCorep, mat: Array) -> float | Array:
     mat has shape (..., N, N); the residual has shape mat.shape[:-2].
     """
     # both sides as (..., c, i, j), one batched matmul each
-    m = np.asarray(mat, dtype=np.complex128)[..., None, :, :]
+    m = _operators(corep, mat)[..., None, :, :]
     u = corep.u.transpose(2, 0, 1)
     return max_abs(m @ u - u @ m, m.shape[:-3])
 
@@ -184,25 +185,22 @@ def check_volume_preservation(
 
 
 def extract_block_form(
-    corep: UnitaryCorep,
     rv: RTwistedVolume,
     sd: SpectralDecomposition,
     ctx: ScalarContext = DEFAULT_CONTEXT,
-    pw: PeterWeylData | None = None,
 ) -> dict:
     """Multiplicity-space matrices T of a volume-preserving R, block by block.
 
-    In the adapted basis a preserving R acts as F (x) T on each isotypic
-    block; T is recovered by averaging the diagonal of the irrep leg.  When
-    no Peter-Weyl data is supplied the F matrices are taken to be identity
-    (exact for every tracial-Haar host in the built-in collection).
+    In the adapted basis of sd a preserving R acts as F (x) T on each
+    isotypic block, with F and m the block's F-matrix and m-value in the
+    Peter-Weyl data sd was cut from; T is recovered by averaging the
+    diagonal of the irrep leg.
 
     For a stack of R of shape (..., N, N), residuals and verdicts have shape
     (...) and each block's "t" shape (..., m, m); an error names the first
     offending matrix in stack order.
     """
-    if sd.corep is not corep:
-        raise HostMismatch("spectral decomposition belongs to a different corep")
+    corep = sd.corep
     r = rv.r
     lead = r.shape[:-2]
     commutation = equivariance_residual(corep, r)
@@ -226,15 +224,12 @@ def extract_block_form(
         for flat_j, j0, j1 in zip(flats, rows, rows[1:]):
             gap[..., i0:i1, j0:j1] = left @ flat_j.T
         mult, d, _ = entry["basis"].shape
-        if pw is None:
-            f_mat, m_val = np.eye(d), float(d)
-        else:
-            f_mat, m_val = pw.blocks[entry["block"]].f_matrix, pw.blocks[entry["block"]].m_value
+        block = sd.pw.blocks[entry["block"]]
         # (..., s, a, t, b) with s, t the multiplicity legs
         rblk = gap[..., i0:i1, i0:i1].reshape(lead + (mult, d, mult, d))
-        t_mat = np.trace(rblk, axis1=-3, axis2=-1) / m_val
+        t_mat = np.trace(rblk, axis1=-3, axis2=-1) / block.m_value
         blocks.append({"block": entry["block"], "multiplicity": mult, "t": t_mat})
-        fitted = t_mat[..., :, None, :, None] * f_mat[:, None, :]
+        fitted = t_mat[..., :, None, :, None] * block.f_matrix[:, None, :]
         gap[..., i0:i1, i0:i1] -= fitted.reshape(lead + (i1 - i0, i1 - i0))
     worst = max_abs(gap, lead)
     reconstructed = worst <= ctx.tolerance
@@ -505,41 +500,6 @@ def intertwine_check(
     return float(np.max(worst))
 
 
-@dataclass(frozen=True, eq=False)
-class CategoryReport:
-    """Three named verdicts behind membership of (Q, V) with (D, R)."""
-
-    subject: str
-    corep_residual: float
-    dirac_residual: float
-    volume_residual: float
-    tolerance: float
-    twisted: "CategoryReport | None" = None
-
-    @property
-    def corep_valid(self) -> bool:
-        return self.corep_residual <= self.tolerance
-
-    @property
-    def dirac_commutes(self) -> bool:
-        return self.dirac_residual <= self.tolerance
-
-    @property
-    def volume_preserved(self) -> bool:
-        return self.volume_residual <= self.tolerance
-
-    @property
-    def member(self) -> bool:
-        return self.corep_valid and self.dirac_commutes and self.volume_preserved
-
-    def verdicts(self) -> tuple[tuple[str, float, bool], ...]:
-        return (
-            ("corep-valid", self.corep_residual, self.corep_valid),
-            ("dirac-commutes", self.dirac_residual, self.dirac_commutes),
-            ("volume-preserved", self.volume_residual, self.volume_preserved),
-        )
-
-
 def check_membership(
     corep: UnitaryCorep,
     st: SpectralTriple,
@@ -547,28 +507,20 @@ def check_membership(
     ctx: ScalarContext = DEFAULT_CONTEXT,
     tw: TwistResult | None = None,
     subject: str = "datum",
-) -> CategoryReport:
-    """Verdicts for corep validity, Dirac commutation, and volume preservation.
+) -> tuple[AxiomReport, AxiomReport | None]:
+    """Verdicts corep-valid, dirac-commutes and volume-preserved of a datum.
 
     With a twist transcript the deformed datum (twisted host, same corep
-    matrix, same Dirac, twisted volume) is re-checked and attached.
+    matrix, same Dirac, twisted volume) is checked too, as the second report.
     """
-    report = verify_corep(corep, ctx)
-    corep_residual = max(value for _, value in report.checks)
-    dirac_residual = equivariance_residual(corep, st.dirac)
-    volume_residual = check_volume_preservation(corep, rv, ctx)["residual"]
-    twisted_report = None
+    checks = (
+        ("corep-valid", float(verify_corep(corep, ctx).max_residual)),
+        ("dirac-commutes", float(equivariance_residual(corep, st.dirac))),
+        ("volume-preserved", float(check_volume_preservation(corep, rv, ctx)["residual"])),
+    )
+    twisted = None
     if tw is not None:
         corep_sigma = _corep_sigma(corep, tw)
         rv_sigma = r_sigma(rv, corep, tw.v, ctx)
-        twisted_report = check_membership(
-            corep_sigma, st, rv_sigma, ctx, tw=None, subject=f"{subject}^sigma"
-        )
-    return CategoryReport(
-        subject=subject,
-        corep_residual=float(corep_residual),
-        dirac_residual=float(dirac_residual),
-        volume_residual=float(volume_residual),
-        tolerance=ctx.tolerance,
-        twisted=twisted_report,
-    )
+        twisted, _ = check_membership(corep_sigma, st, rv_sigma, ctx, subject=f"{subject}^sigma")
+    return AxiomReport(subject=subject, checks=checks, tolerance=ctx.tolerance), twisted

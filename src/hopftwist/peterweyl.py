@@ -40,21 +40,8 @@ SPLIT_MARGIN = 1e6
 MAX_RETRIES = 5
 
 
-@dataclass(frozen=True, eq=False)
-class HaarState:
+class HaarState(DualFunctional):
     """The unique bi-invariant state, stored by its values on the basis."""
-
-    host: FiniteHopfStarAlgebra
-    coeffs: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", freeze(self.coeffs))
-
-    def functional(self) -> DualFunctional:
-        return DualFunctional(self.host, self.coeffs)
-
-    def __call__(self, x: Array) -> complex:
-        return complex(np.dot(self.coeffs, np.asarray(x, dtype=np.complex128)))
 
 
 def haar_state(algebra: FiniteHopfStarAlgebra, ctx: ScalarContext = DEFAULT_CONTEXT) -> HaarState:

@@ -43,9 +43,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(rec.passed or rec.waived for rec in self.records)
 
-    def failing(self) -> tuple[CheckRecord, ...]:
-        return tuple(r for r in self.records if not r.passed and not r.waived)
-
 
 def report_to_doc(report: VerificationReport) -> dict:
     return {

@@ -17,7 +17,7 @@ import numpy as np
 from .cocycle import DualCocycle, QuotientMorphism
 from .core import FiniteHopfStarAlgebra, AxiomReport
 from .corep import UnitaryCorep
-from .deform import CategoryReport, RTwistedVolume, SpectralTriple
+from .deform import RTwistedVolume, SpectralTriple
 from .errors import InputError
 from .peterweyl import PeterWeylData
 from .twist import TwistResult
@@ -255,18 +255,15 @@ def twist_transcript_to_doc(tw: TwistResult) -> dict:
     }
 
 
-def category_report_to_doc(report: CategoryReport) -> dict:
+def category_report_to_doc(report: AxiomReport, twisted: AxiomReport | None = None) -> dict:
     doc = {
         "format": CATEGORY_REPORT_FORMAT,
         "subject": report.subject,
         "tolerance": report.tolerance,
-        "verdicts": [
-            [name, float(residual), bool(ok)] for name, residual, ok in report.verdicts()
-        ],
-        "member": report.member,
+        "verdicts": [[name, float(r), bool(r <= report.tolerance)] for name, r in report.checks],
+        "member": report.passed,
     }
-    if report.twisted is not None:
-        twisted = category_report_to_doc(report.twisted)
-        twisted.pop("format")
-        doc["twisted"] = twisted
+    if twisted is not None:
+        doc["twisted"] = category_report_to_doc(twisted)
+        doc["twisted"].pop("format")
     return doc

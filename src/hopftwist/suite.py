@@ -164,11 +164,9 @@ def _equivariant_volumes(
 
 def _form_r_residual(scene: dict, ws: _Workspace) -> tuple[float, str]:
     ctx = ws.ctx
-    corep = scene["corep"]
-    pw = ws.peter_weyl(scene["host"])
-    sd = decompose_corep(corep, pw, ctx)
+    sd = decompose_corep(scene["corep"], ws.peter_weyl(scene["host"]), ctx)
     r, chosen = _equivariant_volumes(sd, ctx.rng(), _RANDOM_DRAWS)
-    form = extract_block_form(corep, RTwistedVolume(r), sd, ctx, pw=pw)
+    form = extract_block_form(RTwistedVolume(r), sd, ctx)
     agree = int(np.count_nonzero(form["preserved"] == form["passed"]))
     worst = max(
         max_abs(form["reconstruction_residual"]),

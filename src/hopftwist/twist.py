@@ -55,7 +55,8 @@ def twist_algebra(
     sig, sig_inv = cocycle.sigma, cocycle.sigma_inv
 
     # m_sigma = sigma * m * sigma^-1, convolved on the tensor square: with
-    # d3 = iterated_coproduct(a, 2) this is
+    # d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient of
+    # (id (x) Delta) Delta(e_i) this is
     # sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f]
     mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
 

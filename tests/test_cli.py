@@ -232,3 +232,101 @@ def test_check_membership_reports_twisted_verdicts(capsys):
     doc = json.loads(out)
     assert doc["member"] is True
     assert doc["twisted"]["member"] is True
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one fresh CLI process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopftwist", *argv], capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _emitted_triple(name, capsys):
+    assert run(["catalog", "emit", name]) == 0
+    out, _ = _capture(capsys)
+    return json.loads(out)
+
+
+def test_check_membership_document_pins_each_verdict(capsys):
+    from hopftwist import (
+        ScalarContext,
+        UnitaryCorep,
+        check_volume_preservation,
+        equivariance_residual,
+        r_sigma,
+        twist_algebra,
+        verify_corep,
+    )
+
+    assert run(["check-membership", "d4-regular", "--twisted"]) == 0
+    out, _ = _capture(capsys)
+    doc = json.loads(out)
+    ctx = ScalarContext()
+    scene = catalog.triple_scene("d4-regular", ctx)
+    tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
+    corep, dirac, volume = scene["corep"], scene["triple"].dirac, scene["volume"]
+    twisted = UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+    sides = ((doc, corep, volume), (doc["twisted"], twisted, r_sigma(volume, corep, tw.v, ctx)))
+    for side, c, rv in sides:
+        residuals = (
+            max(r for _, r in verify_corep(c, ctx).checks),
+            float(equivariance_residual(c, dirac)),
+            float(check_volume_preservation(c, rv, ctx)["residual"]),
+        )
+        names = ["corep-valid", "dirac-commutes", "volume-preserved"]
+        assert side["verdicts"] == [[n, r, True] for n, r in zip(names, residuals)]
+        assert side["member"] is True
+        assert side["tolerance"] == ctx.tolerance
+    assert sorted(doc) == ["format", "member", "subject", "tolerance", "twisted", "verdicts"]
+    assert doc["format"] == "category-report.v1"
+    assert doc["subject"] == "d4-regular"
+    assert sorted(doc["twisted"]) == ["member", "subject", "tolerance", "verdicts"]
+    assert doc["twisted"]["subject"] == "d4-regular^sigma"
+
+
+def test_check_membership_flags_a_skewed_volume_document(tmp_path, capsys):
+    from hopftwist.serialize import encode_array
+
+    doc = _emitted_triple("d4-regular", capsys)
+    # the volume of test_membership_flags_a_non_preserving_volume
+    doc["r"] = encode_array(np.diag(np.arange(1.0, 9.0)))
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(doc))
+    code = run(["check-membership", str(path), "--host", "c-d4", "--cocycle", "klein-induced"])
+    out, _ = _capture(capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["member"] is False
+    assert [[name, ok] for name, _, ok in report["verdicts"]] == [
+        ["corep-valid", True],
+        ["dirac-commutes", True],
+        ["volume-preserved", False],
+    ]
+    assert "twisted" not in report
+
+
+def test_check_membership_on_a_triple_of_another_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(_emitted_triple("z2z2-torus", capsys)))
+    for command in ("check-membership", "deform-triple"):
+        code, out, err = _cli(command, str(path), "--host", "c-d4", "--cocycle", "klein-induced")
+        assert code == 2, err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+
+def test_deform_triple_without_generators_exits_0(tmp_path, capsys):
+    doc = _emitted_triple("z2z2-torus", capsys)
+    doc["generators"], doc["labels"] = [], []
+    path = tmp_path / "scalars.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _cli(
+        "deform-triple", str(path), "--host", "g-z2z2", "--cocycle", "klein-bicharacter"
+    )
+    assert code == 0, err
+    result = json.loads(out)
+    assert result["spectral_dimension"] == result["generated_dimension"] == 1
+    assert result["generator_blocks"] == []
+    assert result["passed"] is True

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hopftwist import (
-    DualCocycle,
     QuotientMorphism,
     FiniteHopfStarAlgebra,
     ScalarContext,
@@ -132,15 +131,6 @@ def test_from_bicharacter_rejects_wrong_host(ctx):
         from_bicharacter(
             klein_four_group(), _klein_beta(), ctx, host=catalog.algebra("c-s3")
         )
-
-
-def test_cocycle_inverse_is_checked(ctx):
-    host = catalog.algebra("g-z2z2")
-    sigma = catalog.cocycle("klein-bicharacter", ctx)
-    good = DualCocycle(host, sigma.sigma, sigma_inv=sigma.sigma_inv, ctx=ctx)
-    assert np.abs(good.sigma_inv - sigma.sigma_inv).max() <= 1e-12
-    with pytest.raises(InvalidInverse):
-        DualCocycle(host, sigma.sigma, sigma_inv=2.0 * sigma.sigma_inv, ctx=ctx)
 
 
 def test_two_leg_convolution_algebra(ctx, rng):

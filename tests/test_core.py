@@ -19,7 +19,6 @@ from hopftwist import (
     dual_star,
     function_algebra,
     group_algebra,
-    iterated_coproduct,
     klein_four_group,
     symmetric_group_3,
     v_functional,
@@ -137,15 +136,6 @@ def test_product_and_coproduct_helpers():
     # group elements multiply to group elements
     assert np.abs(prod.sum() - 1.0) < 1e-12
     assert np.abs(prod.imag).max() < 1e-12
-    two = iterated_coproduct(host, 2)
-    direct = np.einsum("iab,bcd->iacd", host.comul, host.comul)
-    assert np.abs(two - direct).max() < 1e-12
-
-
-def test_iterated_coproduct_rejects_zero():
-    host = group_algebra(klein_four_group())
-    with pytest.raises(DimensionMismatch):
-        iterated_coproduct(host, 0)
 
 
 def test_counit_is_convolution_identity(ctx):

@@ -152,7 +152,7 @@ def test_adapted_bases_reconstruct_the_corep(name, ctx):
         basis = entry["basis"]
         for i in range(entry["multiplicity"]):
             for j in range(b.dimension):
-                coact = corep.apply(basis[i, j])
+                coact = np.einsum("xjc,j->xc", corep.u, basis[i, j])
                 want = np.einsum("kx,kc->xc", basis[i], b.q[:, j])
                 assert np.abs(coact - want).max() <= 1e-8
 

@@ -44,6 +44,7 @@ from hopftwist.errors import (
 )
 
 SCENES = catalog.triple_names()
+MEMBERSHIP_CHECKS = ("corep-valid", "dirac-commutes", "volume-preserved")
 
 
 def _scene_pw(scene, ctx):
@@ -127,7 +128,7 @@ def test_block_form_recovery_with_a_multiplicity_two_block(ctx, rng):
             "st,sax,tay->xy", t_mat, entry["basis"], entry["basis"].conj()
         )
     rv = RTwistedVolume(0.5 * (r_total + r_total.conj().T))
-    form = extract_block_form(corep, rv, sd, ctx)
+    form = extract_block_form(rv, sd, ctx)
     assert form["passed"]
     assert form["reconstruction_residual"] <= 1e-9
     for blk in form["blocks"]:
@@ -145,7 +146,7 @@ def test_non_equivariant_volume_is_rejected(ctx):
     if equivariance_residual(corep, r_bad) <= ctx.tolerance:
         pytest.skip("perturbation landed inside the commutant")
     with pytest.raises(NotEquivariant):
-        extract_block_form(corep, bad, sd, ctx)
+        extract_block_form(bad, sd, ctx)
 
 
 def test_volume_matrix_rejects_non_finite_entries():
@@ -222,10 +223,10 @@ def test_stacked_volume_functions_equal_per_matrix_calls(name, ctx, rng):
         assert got["passed"].reshape(-1).tolist() == [w["passed"] for w in want]
     assert not any(w["passed"] for w in want)
 
-    form = extract_block_form(corep, RTwistedVolume(equivariant), sd, ctx, pw=pw)
+    form = extract_block_form(RTwistedVolume(equivariant), sd, ctx)
     assert form["passed"].shape == (2, 3)
     for index in np.ndindex(2, 3):
-        one = extract_block_form(corep, RTwistedVolume(equivariant[index]), sd, ctx, pw=pw)
+        one = extract_block_form(RTwistedVolume(equivariant[index]), sd, ctx)
         assert one["passed"] is True and one["preserved"] is True
         for key in ("preservation_residual", "equivariance", "reconstruction_residual"):
             assert isinstance(one[key], float)
@@ -253,7 +254,7 @@ def test_stacked_block_form_names_the_first_non_equivariant_draw(ctx, rng):
     assert residuals[3] > ctx.tolerance and residuals[5] > residuals[3]
     assert (residuals[[0, 1, 2, 4]] <= ctx.tolerance).all()
     with pytest.raises(NotEquivariant) as exc:
-        extract_block_form(corep, RTwistedVolume(stack), sd, ctx)
+        extract_block_form(RTwistedVolume(stack), sd, ctx)
     assert str(exc.value) == (
         "volume matrix[3] does not commute with the corep "
         f"(residual {residuals[3]:.3g})"
@@ -566,25 +567,28 @@ def test_intertwine_requires_the_same_host(ctx):
 def test_membership_verdicts_on_catalog_scenes(ctx):
     for name in SCENES:
         scene = catalog.triple_scene(name, ctx)
-        report = check_membership(
+        report, twisted = check_membership(
             scene["corep"], scene["triple"], scene["volume"], ctx
         )
-        assert report.member
-        for _, residual, ok in report.verdicts():
-            assert ok
+        assert report.passed
+        assert [name for name, _ in report.checks] == list(MEMBERSHIP_CHECKS)
+        for _, residual in report.checks:
+            assert residual <= report.tolerance
             assert residual <= 1e-9
-        assert report.twisted is None
+        assert twisted is None
 
 
 def test_membership_with_twist_attaches_the_deformed_verdicts(ctx):
     scene = catalog.triple_scene("z2z2-torus", ctx)
     tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
-    report = check_membership(
+    report, twisted = check_membership(
         scene["corep"], scene["triple"], scene["volume"], ctx, tw=tw
     )
-    assert report.member
-    assert report.twisted is not None
-    assert report.twisted.member
+    assert report.passed
+    assert twisted is not None
+    assert twisted.passed
+    assert twisted.subject == f"{report.subject}^sigma"
+    assert [name for name, _ in twisted.checks] == list(MEMBERSHIP_CHECKS)
 
 
 def test_membership_flags_a_non_preserving_volume(ctx):
@@ -592,10 +596,35 @@ def test_membership_flags_a_non_preserving_volume(ctx):
     # so the check needs the dihedral scene to have teeth
     scene = catalog.triple_scene("d4-regular", ctx)
     skew = RTwistedVolume(np.diag(np.arange(1.0, 9.0)).astype(np.complex128))
-    report = check_membership(scene["corep"], scene["triple"], skew, ctx)
-    assert not report.volume_preserved
-    assert not report.member
-    assert report.corep_valid
+    report, _ = check_membership(scene["corep"], scene["triple"], skew, ctx)
+    assert not report.residual("volume-preserved") <= report.tolerance
+    assert not report.passed
+    assert report.failing() == ("volume-preserved",)
+
+
+def test_equivariance_residual_rejects_a_stack_of_another_dimension(ctx):
+    torus = catalog.triple_scene("z2z2-torus", ctx)
+    dihedral = catalog.triple_scene("d4-regular", ctx)
+    for bad in (np.eye(8), np.ones((3, 4, 5))):
+        with pytest.raises(DimensionMismatch, match=r"expected \(\.\.\., 4, 4\)"):
+            equivariance_residual(torus["corep"], bad)
+    # a 4x4 triple against the 8-dimensional regular corep of C(D4)
+    with pytest.raises(DimensionMismatch):
+        check_membership(dihedral["corep"], torus["triple"], dihedral["volume"], ctx)
+
+
+def test_a_triple_without_generators_deforms_to_the_scalars(ctx):
+    scene = catalog.triple_scene("z2z2-torus", ctx)
+    st = SpectralTriple(4, (), scene["triple"].dirac)
+    result = deform_triple(st, scene["corep"], scene["cocycle"], ctx)
+    t = result.transcript
+    assert t["spectral_dimension"] == t["generated_dimension"] == 1
+    assert t["generator_blocks"] == ()
+    assert t["commutator_identity"] <= ctx.tolerance
+    (image,) = result.algebra.images
+    # the span of the identity goes to itself
+    assert np.abs(image - image[0, 0] * np.eye(4)).max() <= 1e-12
+    assert abs(abs(image[0, 0]) - 0.5) <= 1e-12
 
 
 def test_double_deformation_returns_every_operator(ctx, rng):

@@ -55,7 +55,8 @@ def test_haar_state_is_positive_and_faithful(name, ctx):
 @pytest.mark.parametrize("name", HOSTS)
 def test_haar_state_is_idempotent_under_convolution(name, ctx):
     host = catalog.algebra(name)
-    h = haar_state(host, ctx).functional()
+    h = haar_state(host, ctx)
+    assert isinstance(h, DualFunctional)
     again = convolve(h, h).coeffs
     assert np.abs(again - h.coeffs).max() <= 1e-10
 
@@ -63,7 +64,7 @@ def test_haar_state_is_idempotent_under_convolution(name, ctx):
 @pytest.mark.parametrize("name", HOSTS)
 def test_haar_absorbs_any_functional(name, ctx, rng):
     host = catalog.algebra(name)
-    h = haar_state(host, ctx).functional()
+    h = haar_state(host, ctx)
     phi = DualFunctional(host, rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim))
     scale = complex(np.dot(phi.coeffs, host.unit))
     left = convolve(phi, h).coeffs

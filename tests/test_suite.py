@@ -54,7 +54,7 @@ def _reference_form_r_residual(scene, ws):
     for _ in range(_RANDOM_DRAWS):
         r, chosen = _reference_equivariant_volume(sd, rng)
         rv = RTwistedVolume(r)
-        form = extract_block_form(corep, rv, sd, ctx, pw=pw)
+        form = extract_block_form(rv, sd, ctx)
         if form["preserved"] == bool(form["passed"]):
             agree += 1
         worst = max(worst, float(form["reconstruction_residual"]))
