@@ -102,11 +102,9 @@ def algebra(name: str) -> FiniteHopfStarAlgebra:
         built = (
             function_algebra(group) if kind == "function" else group_algebra(group)
         )
-        report = verify_hopf_axioms(built, subject=name)
-        if not report.passed:
-            raise TheoremViolation(
-                f"catalog host {name} fails axioms: {', '.join(report.failing())}"
-            )
+        verify_hopf_axioms(built, subject=name).require(
+            TheoremViolation, f"catalog host {name} fails axioms"
+        )
         _algebras[name] = built
         return built
     raise UnknownCatalogName(f"unknown catalog host {name!r}")
@@ -147,11 +145,9 @@ def fourier_transport(
     f_inv = f.conj().T / group.order
     sigma = f_inv.T @ np.asarray(beta, dtype=np.complex128) @ f_inv
     cocycle = DualCocycle(host, sigma, ctx=ctx)
-    report = verify_cocycle(cocycle, ctx)
-    if not report.passed:
-        raise TheoremViolation(
-            f"transported table fails cocycle checks: {', '.join(report.failing())}"
-        )
+    verify_cocycle(cocycle, ctx).require(
+        TheoremViolation, "transported table fails cocycle checks"
+    )
     return cocycle
 
 
@@ -189,11 +185,7 @@ def restriction_morphism(
     for t_idx, s_idx in enumerate(order):
         pi[t_idx, s_idx] = 1.0
     mor = QuotientMorphism(source=src, target=tgt, pi=pi)
-    report = verify_morphism(mor, ctx)
-    if not report.passed:
-        raise InvalidMorphism(
-            f"restriction is not a Hopf *-morphism: {', '.join(report.failing())}"
-        )
+    verify_morphism(mor, ctx).require(InvalidMorphism, "restriction is not a Hopf *-morphism")
     return mor
 
 
@@ -369,11 +361,9 @@ def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
         ]
         dirac = np.diag(degree).astype(np.complex128)
         sigma = cocycle("order4-bicharacter", ctx)
-    report = verify_corep(corep, ctx, subject=f"{name} corep")
-    if not report.passed:
-        raise TheoremViolation(
-            f"scene corep fails checks: {', '.join(report.failing())}"
-        )
+    verify_corep(corep, ctx, subject=f"{name} corep").require(
+        TheoremViolation, "scene corep fails checks"
+    )
     commutation = equivariance_residual(corep, dirac)
     if commutation > ctx.tolerance:
         raise TheoremViolation(

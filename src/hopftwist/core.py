@@ -201,6 +201,12 @@ class AxiomReport:
         """The checks that keep the report from passing, a NaN residual included."""
         return tuple(name for name, r in self.checks if not r <= self.tolerance)
 
+    def require(self, error: type[Exception], what: str) -> AxiomReport:
+        """This report if it passes; otherwise raise error naming the failing checks."""
+        if not self.passed:
+            raise error(f"{what}: {', '.join(self.failing())}")
+        return self
+
 
 def _gap(fresh: Array, other) -> float:
     """max |fresh - other|, overwriting the temporary fresh instead of allocating."""

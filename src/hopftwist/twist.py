@@ -84,11 +84,9 @@ def twist_algebra(
         antipode_inv=antipode_inv,
         star=star,
     )
-    transcript = verify_hopf_axioms(twisted, ctx, subject="twisted-algebra")
-    if not transcript.passed:
-        raise TheoremViolation(
-            f"twisted algebra fails: {', '.join(transcript.failing())}"
-        )
+    transcript = verify_hopf_axioms(twisted, ctx, subject="twisted-algebra").require(
+        TheoremViolation, "twisted algebra fails"
+    )
     return TwistResult(
         original=a,
         cocycle=cocycle,
@@ -115,12 +113,9 @@ def _twist_back(
 ) -> tuple[TwistResult, AxiomReport]:
     """Twist the twisted algebra by sigma^{-1}, once that passes as a cocycle there."""
     inverse_cocycle = DualCocycle(tw.twisted, tw.cocycle.sigma_inv, ctx=ctx)
-    inverse_report = verify_cocycle(inverse_cocycle, ctx, subject="inverse-cocycle")
-    if not inverse_report.passed:
-        raise TheoremViolation(
-            f"inverse fails cocycle checks on the twisted algebra: "
-            f"{', '.join(inverse_report.failing())}"
-        )
+    inverse_report = verify_cocycle(inverse_cocycle, ctx, subject="inverse-cocycle").require(
+        TheoremViolation, "inverse fails cocycle checks on the twisted algebra"
+    )
     return twist_algebra(tw.twisted, inverse_cocycle, ctx), inverse_report
 
 

@@ -16,11 +16,122 @@ from hopftwist.suite import run_paper_suite
 STRICT = 1e-9
 BLOCK = 1e-8
 EXACT = 1e-12
+HALF = 0.5
+
+AXIOMS = "all Hopf star-algebra axioms hold"
+SCHUR = "Schur orthogonality with identity F and M = d"
+BLOCK_SIZES = "block sizes {1,1,2} with squares summing to 6"
+RANK_ONE = "dual matrix units act as rank-one maps on adapted bases"
+STAR_HOM = "dual matrix units represent as a star-homomorphism"
+COCYCLE = "dual 2-cocycle identity, normalization, unitarity"
+TWISTED_AXIOMS = "twisted algebra passes all Hopf star-algebra axioms"
+COALGEBRA = "coproduct, unit, counit unchanged bitwise"
+NONCOMMUTATIVE = "some basis pair has commutator norm above 0.5"
+ROUNDTRIP = "twist by sigma then by its inverse restores every tensor"
+F_MATRIX = "twisted F is a positive multiple of a-star-F-a per block"
+HAAR = "Haar functional has the same coefficients after twisting"
+TWISTED_COREP = "twisted unitarity and antipode-star flip of every entry"
+FORM_R = "preservation verdict matches block-form recovery on random draws"
+HOM_STAR = "deformation is multiplicative and star-preserving on the spectral basis"
+ANTICOMMUTING = "deformed translation pair anticommutes"
+COMMUTING = "chosen translation pair commutes before deformation"
+TRIPLE = "Dirac matrix unchanged and commutators expand through the dual legs"
+DOUBLE_TWIST = "inverse cocycle undoes the deformation and the twisted volume"
+INTERTWINE = "deformed operators intertwine the twisted adjoint action"
+R_SIGMA = "twisted volume is positive, Dirac-compatible, and preserved"
+DETERMINISM = "equal seeds reproduce byte-identical check payloads"
+
+# (id, anchor, threshold, waived) of every check, in report order
+PAPER_CHECKS = [
+    ("01.axioms.c-1", AXIOMS, STRICT, False),
+    ("01.axioms.c-d4", AXIOMS, STRICT, False),
+    ("01.axioms.c-s3", AXIOMS, STRICT, False),
+    ("01.axioms.c-z2", AXIOMS, STRICT, False),
+    ("01.axioms.c-z2z2", AXIOMS, STRICT, False),
+    ("01.axioms.c-z3", AXIOMS, STRICT, False),
+    ("01.axioms.c-z4", AXIOMS, STRICT, False),
+    ("01.axioms.g-d4", AXIOMS, STRICT, False),
+    ("01.axioms.g-z2", AXIOMS, STRICT, False),
+    ("01.axioms.g-z2z2", AXIOMS, STRICT, False),
+    ("01.axioms.g-z4z4", AXIOMS, STRICT, False),
+    ("02.peter-weyl.c-1.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-d4.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-s3.blocks", BLOCK_SIZES, HALF, False),
+    ("02.peter-weyl.c-s3.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-z2.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-z2z2.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-z3.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.c-z4.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.g-d4.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.g-z2.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.g-z2z2.orthogonality", SCHUR, STRICT, False),
+    ("02.peter-weyl.g-z4z4.orthogonality", SCHUR, STRICT, False),
+    ("03.mult-rep.c-s3.rank-one", RANK_ONE, STRICT, False),
+    ("03.mult-rep.c-s3.star-hom", STAR_HOM, STRICT, False),
+    ("03.mult-rep.g-d4.rank-one", RANK_ONE, STRICT, False),
+    ("03.mult-rep.g-d4.star-hom", STAR_HOM, STRICT, False),
+    ("04.cocycle.klein-bicharacter", COCYCLE, STRICT, False),
+    ("04.cocycle.klein-fourier", COCYCLE, STRICT, False),
+    ("04.cocycle.klein-induced", COCYCLE, STRICT, False),
+    ("04.cocycle.order4-bicharacter", COCYCLE, STRICT, False),
+    ("04.cocycle.trivial-s3", COCYCLE, STRICT, False),
+    ("05.twist.c-d4.axioms", TWISTED_AXIOMS, STRICT, False),
+    ("05.twist.c-d4.coalgebra", COALGEBRA, HALF, False),
+    ("05.twist.c-d4.noncommutativity", NONCOMMUTATIVE, HALF, True),
+    ("06.roundtrip.klein-bicharacter", ROUNDTRIP, STRICT, False),
+    ("06.roundtrip.klein-fourier", ROUNDTRIP, STRICT, False),
+    ("06.roundtrip.klein-induced", ROUNDTRIP, STRICT, False),
+    ("06.roundtrip.order4-bicharacter", ROUNDTRIP, STRICT, False),
+    ("06.roundtrip.trivial-s3", ROUNDTRIP, STRICT, False),
+    ("07.f-matrix.klein-bicharacter", F_MATRIX, BLOCK, False),
+    ("07.f-matrix.klein-fourier", F_MATRIX, BLOCK, False),
+    ("07.f-matrix.klein-induced", F_MATRIX, BLOCK, False),
+    ("07.f-matrix.order4-bicharacter", F_MATRIX, BLOCK, False),
+    ("07.f-matrix.trivial-s3", F_MATRIX, BLOCK, False),
+    ("07.haar.klein-bicharacter", HAAR, STRICT, False),
+    ("07.haar.klein-fourier", HAAR, STRICT, False),
+    ("07.haar.klein-induced", HAAR, STRICT, False),
+    ("07.haar.order4-bicharacter", HAAR, STRICT, False),
+    ("07.haar.trivial-s3", HAAR, STRICT, False),
+    ("08.twisted-corep.klein-bicharacter", TWISTED_COREP, STRICT, False),
+    ("08.twisted-corep.klein-fourier", TWISTED_COREP, STRICT, False),
+    ("08.twisted-corep.klein-induced", TWISTED_COREP, STRICT, False),
+    ("08.twisted-corep.order4-bicharacter", TWISTED_COREP, STRICT, False),
+    ("08.twisted-corep.trivial-s3", TWISTED_COREP, STRICT, False),
+    ("09.form-r.d4-regular", FORM_R, STRICT, False),
+    ("09.form-r.z2z2-torus", FORM_R, STRICT, False),
+    ("10.deform.d4-regular.hom-star", HOM_STAR, STRICT, False),
+    ("10.deform.z2z2-torus.anticommuting-pair", ANTICOMMUTING, STRICT, False),
+    ("10.deform.z2z2-torus.commuting-pair", COMMUTING, EXACT, False),
+    ("10.deform.z2z2-torus.hom-star", HOM_STAR, STRICT, False),
+    ("11.triple.d4-regular", TRIPLE, STRICT, False),
+    ("11.triple.trivial-4", TRIPLE, STRICT, False),
+    ("11.triple.z2z2-torus", TRIPLE, STRICT, False),
+    ("11.triple.z4z4-torus", TRIPLE, STRICT, False),
+    ("12.double-twist.d4-regular", DOUBLE_TWIST, STRICT, False),
+    ("12.double-twist.trivial-4", DOUBLE_TWIST, STRICT, False),
+    ("12.double-twist.z2z2-torus", DOUBLE_TWIST, STRICT, False),
+    ("12.double-twist.z4z4-torus", DOUBLE_TWIST, STRICT, False),
+    ("12.intertwine.d4-regular", INTERTWINE, STRICT, False),
+    ("12.intertwine.trivial-4", INTERTWINE, STRICT, False),
+    ("12.intertwine.z2z2-torus", INTERTWINE, STRICT, False),
+    ("12.intertwine.z4z4-torus", INTERTWINE, STRICT, False),
+    ("12.r-sigma.d4-regular", R_SIGMA, STRICT, False),
+    ("12.r-sigma.trivial-4", R_SIGMA, STRICT, False),
+    ("12.r-sigma.z2z2-torus", R_SIGMA, STRICT, False),
+    ("12.r-sigma.z4z4-torus", R_SIGMA, STRICT, False),
+    ("13.determinism.reports", DETERMINISM, HALF, False),
+]
 
 
 @pytest.fixture(scope="module")
 def suite():
     return run_paper_suite(ScalarContext(tolerance=STRICT, seed=7))
+
+
+def test_the_report_rows_are_the_pinned_table(suite):
+    rows = [(r.check_id, r.anchor, r.threshold, r.waived) for r in suite.records]
+    assert rows == PAPER_CHECKS
 
 
 def _section(suite, prefix):

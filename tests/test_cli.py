@@ -29,6 +29,21 @@ def test_verify_paper_suite_passes_and_names_many_checks(capsys):
     assert [c["id"] for c in waived] == ["05.twist.c-d4.noncommutativity"]
 
 
+def test_verify_paper_suite_text_lists_every_check_in_id_order(capsys):
+    code = run(["verify", "--suite", "paper", "--format", "text", "--seed", "7"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    *lines, summary = out.splitlines()
+    statuses = [line.split()[0] for line in lines]
+    ids = [line.split()[1] for line in lines]
+    assert len(ids) == 78
+    assert ids == sorted(set(ids))
+    assert statuses.count("PASS") == 77
+    assert [i for i, s in zip(ids, statuses) if s != "PASS"] == ["05.twist.c-d4.noncommutativity"]
+    assert statuses[ids.index("05.twist.c-d4.noncommutativity")] == "XFAIL"
+    assert summary.startswith("suite paper: PASS (77/78 checks, 1 waived) in ")
+
+
 def test_check_hopf_flags_broken_associativity(tmp_path, capsys):
     code = run(["catalog", "emit", "c-z2"])
     out, _ = _capture(capsys)

@@ -26,7 +26,7 @@ from hopftwist import (
     w_functional,
 )
 from hopftwist._linalg import solve_by_components, square_components
-from hopftwist.core import ScalarContext, convolution_matrix, freeze
+from hopftwist.core import AxiomReport, ScalarContext, convolution_matrix, freeze
 from hopftwist.errors import DimensionMismatch, NotConvolutionInvertible
 
 
@@ -111,6 +111,17 @@ def test_failing_names_the_checks_a_nan_keeps_from_passing(ctx):
     assert "associativity" in failing
     for name, residual in report.checks:
         assert (name in failing) == (not residual <= report.tolerance), name
+
+
+def test_require_returns_a_passing_report_and_raises_on_a_failing_one():
+    passing = AxiomReport("ok", (("a", 0.0), ("b", 1e-12)), tolerance=1e-9)
+    assert passing.require(NotConvolutionInvertible, "never raised") is passing
+    failing = AxiomReport(
+        "bad", (("first", 1.0), ("fine", 0.0), ("nan", math.nan), ("last", 2e-9)), tolerance=1e-9
+    )
+    with pytest.raises(DimensionMismatch) as raised:
+        failing.require(DimensionMismatch, "host fails checks")
+    assert str(raised.value) == "host fails checks: first, nan, last"
 
 
 def test_tensors_are_frozen():

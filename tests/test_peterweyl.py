@@ -16,7 +16,6 @@ from hopftwist import (
     haar_state,
     induce,
     klein_four_group,
-    symmetric_group_3,
     twist_algebra,
 )
 from hopftwist._linalg import nullspace
@@ -30,7 +29,6 @@ from hopftwist.peterweyl import (
     gram_matrix,
     haar_invariance_residual,
 )
-from hopftwist.suite import _Workspace
 
 HOSTS = catalog.host_names()
 
@@ -221,18 +219,6 @@ def test_haar_rejects_unitless_tensors(ctx):
     )
     with pytest.raises(NotErgodic):
         haar_state(broken, ctx)
-
-
-def test_suite_workspace_keeps_one_decomposition_per_host_object(ctx):
-    ws = _Workspace(ctx)
-    host = catalog.algebra("c-s3")
-    pw = ws.peter_weyl(host)
-    assert pw.host is host
-    assert ws.peter_weyl(host) is pw
-    # equal tensors in another object: hosts are told apart by identity
-    twin = function_algebra(symmetric_group_3())
-    assert ws.peter_weyl(twin).host is twin
-    assert ws.peter_weyl(host) is pw
 
 
 def _reference_matrix_unit_residual(host, units):

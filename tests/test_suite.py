@@ -15,14 +15,17 @@ from hopftwist import RTwistedVolume, ScalarContext, catalog, extract_block_form
 from hopftwist import deform as deform_module
 from hopftwist import suite as suite_module
 from hopftwist._linalg import max_abs
-from hopftwist.corep import decompose_corep
-from hopftwist.peterweyl import haar_pairing, haar_state
+from hopftwist.cocycle import convolve2, verify_cocycle
+from hopftwist.corep import decompose_corep, regular_corep
+from hopftwist.deform import operator_span_basis
+from hopftwist.peterweyl import decompose, haar_pairing, haar_state
 from hopftwist.suite import (
     _RANDOM_DRAWS,
+    _Derived,
     _form_r_residual,
     _noncommutativity_witness,
+    _peter_weyl,
     _schur_residual,
-    _Workspace,
 )
 from hopftwist.twist import twist_algebra
 
@@ -43,10 +46,8 @@ def _reference_equivariant_volume(sd, rng):
     return 0.5 * (r + r.conj().T), chosen
 
 
-def _reference_form_r_residual(scene, ws):
-    ctx = ws.ctx
+def _reference_form_r_residual(scene, pw, ctx):
     corep = scene["corep"]
-    pw = ws.peter_weyl(scene["host"])
     sd = decompose_corep(corep, pw, ctx)
     rng = ctx.rng()
     worst = 0.0
@@ -90,11 +91,11 @@ def _reference_schur_residual(pw):
 @pytest.mark.parametrize("name", ("z2z2-torus", "d4-regular"))
 def test_stacked_form_r_residual_is_the_per_draw_loop_bit_for_bit(name, seed):
     ctx = ScalarContext(tolerance=1e-9, seed=seed)
-    ws = _Workspace(ctx)
     scene = catalog.triple_scene(name, ctx)
-    got = _form_r_residual(scene, ws)
+    pw = _peter_weyl(scene["host"], ctx)
+    got = _form_r_residual(scene, pw, ctx)
     assert got[1] == f"verdicts agree in {_RANDOM_DRAWS}/{_RANDOM_DRAWS} draws"
-    assert got == _reference_form_r_residual(scene, ws)
+    assert got == _reference_form_r_residual(scene, pw, ctx)
 
 
 def test_form_r_residual_reads_all_draws_in_one_call(ctx, monkeypatch):
@@ -111,13 +112,13 @@ def test_form_r_residual_reads_all_draws_in_one_call(ctx, monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     scene = catalog.triple_scene("d4-regular", ctx)
-    _form_r_residual(scene, _Workspace(ctx))
+    _form_r_residual(scene, _peter_weyl(scene["host"], ctx), ctx)
     assert calls == {"extract_block_form": 1, "check_volume_preservation": 1}
 
 
 @pytest.mark.parametrize("name", catalog.host_names())
 def test_stacked_schur_residual_equals_the_pairwise_loop(name, ctx):
-    pw = _Workspace(ctx).peter_weyl(catalog.algebra(name))
+    pw = _peter_weyl(catalog.algebra(name), ctx)
     assert abs(_schur_residual(pw) - _reference_schur_residual(pw)) <= 1e-15
 
 
@@ -132,16 +133,17 @@ def _reference_noncommutativity_witness(algebra):
 
 def test_noncommutativity_witness_equals_the_pairwise_loop(ctx):
     hosts = [catalog.algebra(name) for name in catalog.host_names()]
-    ws = _Workspace(ctx)
-    hosts += [ws.twist(catalog.cocycle(name, ctx)).twisted for name in catalog.cocycle_names()]
+    derived = _Derived(ctx)
+    hosts += [derived.twists[sigma].twisted for sigma in derived.cocycles.values()]
     for algebra in hosts:
         want = _reference_noncommutativity_witness(algebra)
         assert abs(_noncommutativity_witness(algebra) - want) <= 1e-15 * max(1.0, want)
 
 
 def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
-    """A twisted host reuses the Haar state of its original, and check 12
-    reuses the back twists of check 06's roundtrips."""
+    """A twisted host reuses the Haar state of its original, check 12
+    reuses the back twists of check 06's roundtrips, and every derived
+    object is built once per run."""
     ctx = ScalarContext(seed=7)
     for name in catalog.host_names():
         catalog.algebra(name)
@@ -149,7 +151,16 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
         catalog.cocycle(name, ctx)
     for name in catalog.triple_names():
         catalog.triple_scene(name, ctx)
-    originals = {"haar_state": haar_state, "twist_algebra": twist_algebra}
+    originals = {
+        "haar_state": haar_state,
+        "twist_algebra": twist_algebra,
+        "decompose": decompose,
+        "decompose_corep": decompose_corep,
+        "regular_corep": regular_corep,
+        "operator_span_basis": operator_span_basis,
+        "verify_cocycle": verify_cocycle,
+        "convolve2": convolve2,
+    }
     calls = dict.fromkeys(originals, 0)
     modules = [m for name, m in sys.modules.items() if name.startswith("hopftwist.")]
     for fname, original in originals.items():
@@ -162,8 +173,26 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
             if getattr(module, fname, None) is original:
                 monkeypatch.setattr(module, fname, counting)
     suite_module.run_paper_suite(ctx)
-    # Haar: 11 hosts in check 02 and two fresh workspaces in check 13; the
-    # regular coreps of checks 03 and 08 take check 02's.  Twists: six
-    # cocycles (the five catalog ones and the trivial-4 scene's), each
-    # twisted forward and back once
-    assert calls == {"haar_state": 13, "twist_algebra": 12}
+    # the hosts of check 03 and of the five catalog cocycles, c-s3 in both
+    assert calls.pop("regular_corep") <= 7
+    assert calls == {
+        # 11 hosts, and two fresh contexts in check 13; the regular coreps
+        # take the hosts'
+        "haar_state": 13,
+        # six cocycles (the five catalog ones and the trivial-4 scene's),
+        # each twisted forward and back once
+        "twist_algebra": 12,
+        # 11 hosts, the five twisted catalog hosts, and check 13's two
+        "decompose": 18,
+        # checks 03, 09 and 13, two each
+        "decompose_corep": 6,
+        # each scene's spectral basis, and deform_triple's span and image
+        # closures per scene
+        "operator_span_basis": 12,
+        # check 04's five, and the inverse cocycle of each of six roundtrips
+        "verify_cocycle": 11,
+        # one per verify_cocycle, whose inverse residual the cocycle keeps
+        # from its invert2; two per twist_algebra, and two per invert2 of
+        # the six inverse cocycles
+        "convolve2": 47,
+    }
