@@ -1,12 +1,12 @@
-"""Small linear-algebra helpers used across modules: solves under a
-condition check decided by singular values, and sparse tensors held as
-terms (Terms), with join, the one contraction over their nonzero entries.
-Only this module knows the flat key format of the terms."""
+"""Small linear-algebra helpers used across modules: max norms, kernels,
+orthonormal extension of a row span, and sparse tensors held as terms
+(Terms), with join, the one contraction over their nonzero entries.  Only
+this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -31,147 +31,6 @@ def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     cutoff = rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
-
-
-def solve_by_svd(
-    lmat: np.ndarray, rhs: np.ndarray, limit: float
-) -> tuple[np.ndarray | None, float]:
-    """(y, cond): cond2(lmat) read off its singular values s, and the
-    solution y of lmat @ y = rhs when s[-1] > 0 and s[0] / s[-1] <= limit,
-    else None.  cond is inf when s[-1] is 0."""
-    s = np.linalg.svd(lmat, compute_uv=False)
-    ok, cond = _verdict(s[0], s[-1], limit)
-    return (np.linalg.solve(lmat, rhs) if ok else None), cond
-
-
-def solve_by_components(
-    entries: tuple[np.ndarray, np.ndarray],
-    rhs: np.ndarray,
-    limit: float,
-    dense: Callable[[], np.ndarray],
-) -> tuple[np.ndarray | None, float]:
-    """solve_by_svd for an m x m operator given by its nonzero entries.
-
-    entries are (keys, values): the distinct flat indices r * m + c of the
-    nonzero entries, increasing, and their values.  The operator is cut
-    into the connected components of its nonzero pattern
-    (square_components).  Given several, the blocks are gathered from the
-    entries, and since the singular values of the operator are those of its
-    blocks, one batched SVD per block size gives cond2; only the blocks that
-    rhs touches are solved.  The dense operator dense() is built only for
-    one component, or for a component that is not square, which makes the
-    operator singular: cond is then inf, whatever the SVD measures.
-    """
-    m = rhs.size
-    rows, cols = np.divmod(entries[0], m)
-    parts = square_components(rows, cols, m)
-    if parts is None:
-        return solve_by_svd(dense(), rhs, limit)[0], math.inf
-    if parts[0][0].shape[1] == m:
-        return solve_by_svd(dense(), rhs, limit)
-    blocks = [(r, c, gather(entries, r, c, m)) for r, c in parts]
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, _, b in blocks])
-    ok, cond = _verdict(s.max(), s.min(), limit)
-    return (_solve_blocks(rhs, blocks) if ok else None), cond
-
-
-def _verdict(largest, smallest, limit: float) -> tuple[bool, float]:
-    """The SVD rule smallest > 0 and largest / smallest <= limit, and the
-    condition number it measures, inf when smallest is not positive."""
-    if not smallest > 0:
-        return False, math.inf
-    cond = float(largest / smallest)
-    return cond <= limit, cond
-
-
-def conditioning(cond: float, limit: float) -> str:
-    """Why an operator of condition number cond failed the limit."""
-    if cond == math.inf:
-        return "is singular"
-    return f"has condition number {cond:.3g} above {limit:.3g}"
-
-
-def square_components(
-    rows: np.ndarray, cols: np.ndarray, m: int
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """An m x m matrix split into the connected components of its nonzero pattern.
-
-    The pattern is given as distinct edges (rows[e], cols[e]), one for each
-    nonzero entry; a dense matrix passes np.nonzero(lmat).  It is read as a
-    bipartite graph, so lmat[rows][:, cols] over all the components is a
-    block-diagonal permutation of lmat (the coarse step of the block
-    triangular form: Pothen & Fan, "Computing the block triangular form of a
-    sparse matrix", ACM TOMS 16, 1990).  Components are grouped by size:
-    each (rows, cols) pair holds k components of size s as two (k, s) index
-    arrays.  None when a component has more rows than columns or the
-    reverse, which makes lmat singular.
-
-    Labels start as row indices; each round gives every row the smallest
-    label two edges away, then jumps labels to their own labels, so a
-    component settles in about log of its diameter rounds.
-    """
-    if rows.size == m * m:
-        every = np.arange(m)[None]
-        return [(every, every)]
-    if not (np.bincount(rows, minlength=m).all() and np.bincount(cols, minlength=m).all()):
-        return None
-    # the edges grouped by row and by column
-    by_row, by_col = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
-    rows_by_row, cols_by_row = rows[by_row], cols[by_row]
-    cols_by_col, rows_by_col = cols[by_col], rows[by_col]
-    row_starts = np.flatnonzero(np.diff(rows_by_row, prepend=-1))
-    col_starts = np.flatnonzero(np.diff(cols_by_col, prepend=-1))
-    label = np.arange(m)
-    while True:
-        col_label = np.minimum.reduceat(label[rows_by_col], col_starts)
-        new = np.minimum.reduceat(col_label[cols_by_row], row_starts)
-        while not np.array_equal(new[new], new):
-            new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    row_sizes = np.bincount(label, minlength=m)
-    if not np.array_equal(row_sizes, np.bincount(col_label, minlength=m)):
-        return None
-    # rows and columns in the same order: by component size, then label
-    row_order = np.lexsort((label, row_sizes[label]))
-    col_order = np.lexsort((col_label, row_sizes[col_label]))
-    sizes, counts = np.unique(row_sizes[row_sizes > 0], return_counts=True)
-    out, start = [], 0
-    for size, count in zip(sizes.tolist(), counts.tolist()):
-        stop = start + size * count
-        out.append(
-            (row_order[start:stop].reshape(count, size), col_order[start:stop].reshape(count, size))
-        )
-        start = stop
-    return out
-
-
-def gather(
-    entries: tuple[np.ndarray, np.ndarray], rows: np.ndarray, cols: np.ndarray, m: int
-) -> np.ndarray:
-    """The stack lmat[rows[..., :, None], cols[..., None, :]] of an m x m
-    matrix given by its entries (increasing keys r * m + c, and values),
-    each key looked up by binary search; a key not found is a zero."""
-    keys, values = entries
-    want = rows[..., :, None] * m + cols[..., None, :]
-    pos = np.searchsorted(keys, want)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == want[hit]
-    out = np.zeros(want.shape, dtype=np.complex128)
-    out[hit] = values[pos[hit]]
-    return out
-
-
-def _solve_blocks(rhs: np.ndarray, blocks) -> np.ndarray:
-    """The solution over (rows, cols, block) triples, solving only the blocks
-    whose rows rhs touches; the others have a zero right-hand side."""
-    y = np.zeros(rhs.shape, dtype=np.result_type(rhs, *(b for _, _, b in blocks)))
-    for rows, cols, block in blocks:
-        hit = rhs[rows].any(axis=1)
-        if hit.any():
-            y[cols[hit]] = np.linalg.solve(block[hit], rhs[rows[hit]][..., None])[..., 0]
-    return y
 
 
 class Terms:

@@ -42,7 +42,7 @@ from .groups import (
     symmetric_group_3,
     trivial_group,
 )
-from .peterweyl import HaarState, decompose, haar_state
+from .peterweyl import decompose, haar_state
 
 Array = np.ndarray
 
@@ -277,11 +277,10 @@ def _translation_matrix(group: FiniteGroupData, g: int) -> Array:
 
 def _isotypic_dirac(
     corep: UnitaryCorep,
-    haar: HaarState,
     values: tuple[float, ...],
     ctx: ScalarContext,
 ) -> Array:
-    pw = decompose(haar.host, haar, ctx)
+    pw = decompose(corep.host, haar_state(corep.host, ctx), ctx)
     sd = decompose_corep(corep, pw, ctx)
     if len(values) != len(sd.entries):
         raise TheoremViolation(
@@ -335,13 +334,12 @@ def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
     elif name == "d4-regular":
         host = algebra("c-d4")
         group = group_data("d4")
-        haar = haar_state(host, ctx)
-        corep = regular_corep(host, ctx, haar)
+        corep = regular_corep(host, ctx)
         gens = tuple(
             np.diag(np.eye(8)[h]).astype(np.complex128) for h in range(8)
         )
         labels = tuple(f"m[{lbl}]" for lbl in group.labels)
-        dirac = _isotypic_dirac(corep, haar, (0.0, 1.0, 1.0, 2.0, 3.0), ctx)
+        dirac = _isotypic_dirac(corep, (0.0, 1.0, 1.0, 2.0, 3.0), ctx)
         sigma = cocycle("klein-induced", ctx)
     else:
         host = algebra("g-z4z4")

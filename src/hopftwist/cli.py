@@ -75,7 +75,7 @@ def _load_cocycle(source: str, host, ctx: ScalarContext) -> DualCocycle:
     if os.path.exists(source):
         if host is None:
             raise InputError("a cocycle document needs --host")
-        return cocycle_from_doc(parse_document(_read_text(source)), host)
+        return cocycle_from_doc(parse_document(_read_text(source)), host, ctx)
     raise InputError(f"{source!r} is neither a catalog cocycle nor a readable file")
 
 

@@ -1,17 +1,15 @@
 """Dual unitary 2-cocycles on the tensor square of the dual.
 
 A cocycle is stored as the matrix of its values on basis pairs,
-sigma[i, j] = sigma(e_i, e_j).  Convolution, inversion, and the involution
-on functionals of the tensor square are implemented at matrix level; the
-inverse is always recomputed from sigma, never trusted from input.
+sigma[i, j] = sigma(e_i, e_j).  Convolution and the involution on
+functionals of the tensor square are implemented at matrix level.  A dual
+unitary cocycle has sigma^-1 = sigma*, so the inverse is that closed form,
+recomputed from sigma and never trusted from input, and it is accepted only
+by its two-sided residual; a sigma that is not unitary is rejected.  The
+same holds for the functionals w and v, whose inverses are their dual stars.
 
 A cocycle induced from a small quotient is mostly zeros, so convolutions
-sum only over the rows and columns where a factor is nonzero.  The inverse
-builds the n^2 x n^2 convolution operator from its nonzero entries alone
-and splits it into the connected components of their pattern: the
-singular values of the blocks decide the condition check, with the same
-verdict as the SVD of the whole operator, and only the blocks the identity
-touches are solved.
+sum only over the rows and columns where a factor is nonzero.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Terms, conditioning, join, max_abs, solve_by_components
+from ._linalg import max_abs
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -78,64 +76,18 @@ def identity2(host: FiniteHopfStarAlgebra) -> Array:
     return np.outer(host.counit, host.counit)
 
 
-def convolution_matrix2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
-    """Matrix of y -> x * y on flattened tensor-square functionals."""
-    n = host.dim
-    a, c = _support(x)
-    t = np.tensordot(host.comul[:, a], x[a][:, c], axes=([1], [0]))  # [i, b, c]
-    t = np.tensordot(t, host.comul[:, c], axes=([2], [1]))  # [i, b, j, d]
-    return t.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
-def convolution_entries2(host: FiniteHopfStarAlgebra, x: Array) -> tuple[Array, Array]:
-    """The nonzero entries of convolution_matrix2(host, x) as (keys, values),
-    each key the flat index of its entry, in increasing order.
-
-    Entry L[(i, j), (b, d)] is sum comul[i, a, b] x[a, c] comul[j, c, d].
-    The entries of x are joined with those of comul on a and the terms
-    summed per (i, b, c); those sums are joined with the entries of comul
-    on c and summed per entry of L.  When a join would have more terms than
-    L has entries, L is built densely instead.
-    """
-    n = host.dim
-    half = join("ac,iab->ibc", x, host.comul, n**4)
-    terms = half and join("ibc,jcd->ijbd", half.summed(), host.comul, n**4)
-    del half  # no terms stay alive through a dense build
-    lmat = Terms.of(convolution_matrix2(host, x)) if terms is None else terms.summed()
-    keep = lmat.values != 0
-    return lmat.keys[keep], lmat.values[keep]
-
-
 def invert2(
     host: FiniteHopfStarAlgebra, x: Array, ctx: ScalarContext
 ) -> tuple[Array, float]:
-    """Convolution inverse on the tensor square by a flattened linear solve,
-    and its two-sided inverse residual.
-
-    The operator is built from its nonzero entries and split into the
-    connected components of their pattern.  The condition check reads the
-    singular values of the blocks, which are those of the operator, and
-    only the blocks that the identity touches are solved.  The dense
-    operator is built only when the pattern is one component or is not
-    square.
-    """
-    n = host.dim
-    limit = 1.0 / ctx.tolerance
-    inv, cond = solve_by_components(
-        convolution_entries2(host, x),
-        identity2(host).reshape(n * n),
-        limit,
-        lambda: convolution_matrix2(host, x),
-    )
-    if inv is None:
-        raise InvalidInverse(f"tensor-square convolution operator {conditioning(cond, limit)}")
-    inv = inv.reshape(n, n)
+    """The convolution inverse on the tensor square of a unitary x, which is
+    its dual star, and the two-sided inverse residual that accepts it."""
+    inv = dual_star2(host, x)
     resid = max(
         max_abs(convolve2(host, x, inv) - identity2(host)),
         max_abs(convolve2(host, inv, x) - identity2(host)),
     )
     if not ctx.close(resid):
-        raise InvalidInverse(f"two-sided inverse residual {resid:.3g}")
+        raise InvalidInverse(f"not unitary: two-sided inverse residual {resid:.3g}")
     return inv, resid
 
 
@@ -192,6 +144,8 @@ def verify_cocycle(
     )
     checks.append(("normalization", norm))
 
+    # 0 by construction, since the inverse is the dual star; kept so that
+    # reports keep their check names
     checks.append(("unitarity", max_abs(dual_star2(host, sig) - inv)))
 
     return AxiomReport(subject=subject, checks=tuple(checks), tolerance=ctx.tolerance)
@@ -308,7 +262,7 @@ def _w_checked(cocycle: DualCocycle, ctx: ScalarContext) -> DualFunctional:
 def w_functional(
     cocycle: DualCocycle, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[DualFunctional, DualFunctional]:
-    """The functional a -> sigma(a_(1), antipode(a_(2))) and its inverse."""
+    """The functional a -> sigma(a_(1), antipode(a_(2))) and its inverse w*."""
     w_fn = _w_checked(cocycle, ctx)
     return w_fn, convolution_inverse(w_fn, ctx)
 
@@ -316,7 +270,7 @@ def w_functional(
 def v_functional(
     cocycle: DualCocycle, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[DualFunctional, DualFunctional]:
-    """v = (w^-1 (x) w(antipode_inv .)) against the coproduct, and its inverse."""
+    """v = (w^-1 (x) w(antipode_inv .)) against the coproduct, and its inverse v*."""
     return _v_from_w(*w_functional(cocycle, ctx), ctx)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, conditioning, join, max_abs, max_gap, solve_by_svd
+from ._linalg import Terms, join, max_abs, max_gap
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -139,24 +139,16 @@ def convolve_coeffs(host: FiniteHopfStarAlgebra, phi: Array, psi: Array) -> Arra
     return host.comul @ psi @ phi
 
 
-def convolution_matrix(host: FiniteHopfStarAlgebra, phi: Array) -> Array:
-    """Matrix of psi -> phi * psi on functional coefficient vectors."""
-    return np.einsum("ijk,j->ik", host.comul, phi)
-
-
 def convolution_inverse(phi: DualFunctional, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualFunctional:
-    """Convolution inverse, solving (phi * x) = counit by a linear solve."""
+    """The convolution inverse of a unitary functional, which is its dual
+    star, accepted by its two-sided residual."""
     host = phi.host
-    limit = 1.0 / ctx.tolerance
-    x, cond = solve_by_svd(convolution_matrix(host, phi.coeffs), host.counit, limit)
-    if x is None:
-        raise NotConvolutionInvertible(f"left convolution operator {conditioning(cond, limit)}")
-    inv = DualFunctional(host, x)
+    inv = dual_star(phi)
     left = convolve(phi, inv).coeffs - host.counit
     right = convolve(inv, phi).coeffs - host.counit
     resid = max(max_abs(left), max_abs(right))
     if not ctx.close(resid):
-        raise NotConvolutionInvertible(f"two-sided inverse residual {resid:.3g}")
+        raise NotConvolutionInvertible(f"not unitary: two-sided inverse residual {resid:.3g}")
     return inv
 
 

@@ -30,7 +30,7 @@ from .core import (
     freeze,
 )
 from .errors import DecompositionError, DimensionMismatch, HostMismatch
-from .peterweyl import HaarState, PeterWeylData, gram_matrix, haar_state
+from .peterweyl import PeterWeylData, gram_matrix, haar_state
 
 Array = np.ndarray
 
@@ -199,18 +199,10 @@ def direct_sum(a: UnitaryCorep, b: UnitaryCorep) -> UnitaryCorep:
 def regular_corep(
     host: FiniteHopfStarAlgebra,
     ctx: ScalarContext = DEFAULT_CONTEXT,
-    haar: HaarState | None = None,
 ) -> UnitaryCorep:
-    """The coproduct viewed as a corep on the state space of the Haar state.
-
-    The Haar state is solved here unless the caller passes it.
-    """
-    if haar is None:
-        haar = haar_state(host, ctx)
-    elif haar.host is not host:
-        raise HostMismatch("Haar state belongs to a different host")
+    """The coproduct viewed as a corep on the state space of the Haar state."""
     u = host.comul.transpose(1, 0, 2)
-    gram = gram_matrix(host, haar)
+    gram = gram_matrix(host, haar_state(host, ctx))
     scale = np.trace(gram) / host.dim
     if max_abs(gram - scale * np.eye(host.dim)) > ctx.loose_tolerance:
         # move to an orthonormal basis of the state space

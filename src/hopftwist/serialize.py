@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .cocycle import DualCocycle, QuotientMorphism
-from .core import FiniteHopfStarAlgebra, AxiomReport
+from .core import DEFAULT_CONTEXT, AxiomReport, FiniteHopfStarAlgebra, ScalarContext
 from .corep import UnitaryCorep
 from .deform import RTwistedVolume, SpectralTriple
 from .errors import InputError
@@ -142,11 +142,13 @@ def cocycle_to_doc(cocycle: DualCocycle) -> dict:
     }
 
 
-def cocycle_from_doc(doc: dict, host: FiniteHopfStarAlgebra) -> DualCocycle:
+def cocycle_from_doc(
+    doc: dict, host: FiniteHopfStarAlgebra, ctx: ScalarContext = DEFAULT_CONTEXT
+) -> DualCocycle:
     if doc.get("format") != COCYCLE_FORMAT:
         raise InputError(f"not a {COCYCLE_FORMAT} document")
     _check_host(doc, "host", host, "cocycle")
-    return DualCocycle(host, decode_array(doc["sigma"]))
+    return DualCocycle(host, decode_array(doc["sigma"]), ctx=ctx)
 
 
 def corep_to_doc(corep: UnitaryCorep) -> dict:

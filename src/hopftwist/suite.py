@@ -166,7 +166,7 @@ class _Derived:
         # regular coreps on check 03's hosts and the cocycles' hosts; c-s3 is both
         hosts = [self.hosts[name] for name in _MULT_REP_HOSTS]
         hosts += [c.host for c in self.cocycles.values() if c.host not in hosts]
-        self.coreps = {host: regular_corep(host, ctx, self.pw[host].haar) for host in hosts}
+        self.coreps = {host: regular_corep(host, ctx) for host in hosts}
         self.bases, self.volumes_sigma = {}, {}
         for name, scene in self.scenes.items():
             st, v = scene["triple"], self.twists[scene["cocycle"]].v

@@ -21,7 +21,6 @@ from .core import (
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
-    dual_star,
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
@@ -63,15 +62,12 @@ def twist_algebra(
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = _v_from_w(w, w_inv, ctx)
 
-    # the involution sandwich needs the convolution-* of W, not W itself:
-    # the pairing <a^{*s}, x> = conj<a, kappa_s-dual(x)^*> forces these legs
-    w_ds = dual_star(w).coeffs
-    w_inv_ds = dual_star(w_inv).coeffs
-    star = a.star @ np.conj(_sandwich(a, w_inv_ds, w_ds))
-
-    # a -> w(a_(1)) antipode(a_(2)) w^{-1}(a_(3))
-    antipode = a.antipode @ _sandwich(a, w.coeffs, w_inv.coeffs)
-    antipode_inv = np.linalg.inv(antipode)
+    # a -> w(a_(1)) a_(2) w^-1(a_(3)).  The antipode is sandwiched by w and
+    # w^-1, the star by the dual stars of w^-1 and w; since w^-1 = w*, those
+    # are w and w^-1 again, and one matrix serves both
+    wrap = _sandwich(a, w.coeffs, w_inv.coeffs)
+    star = a.star @ np.conj(wrap)
+    antipode = a.antipode @ wrap
 
     twisted = FiniteHopfStarAlgebra(
         dim=a.dim,
@@ -81,7 +77,9 @@ def twist_algebra(
         comul=a.comul,
         counit=a.counit,
         antipode=antipode,
-        antipode_inv=antipode_inv,
+        # a finite compact quantum group is of Kac type, so S^-1 = S; the
+        # axiom report's antipode-inverse check then checks S^2 = id
+        antipode_inv=antipode,
         star=star,
     )
     transcript = verify_hopf_axioms(twisted, ctx, subject="twisted-algebra").require(

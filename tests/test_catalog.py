@@ -80,7 +80,8 @@ def test_scenes_are_memoized_and_verified(ctx):
 
 
 def test_scene_builds_solve_each_haar_state_once(monkeypatch, ctx):
-    # d4-regular's corep and its isotypic Dirac matrix share one Haar state
+    # each scene's regular corep solves its host's Haar state once, and
+    # d4-regular's isotypic Dirac matrix solves c-d4's once more
     monkeypatch.setattr(catalog, "_cocycles", {})
     monkeypatch.setattr(catalog, "_scenes", {})
     solved = []
@@ -91,8 +92,8 @@ def test_scene_builds_solve_each_haar_state_once(monkeypatch, ctx):
         )
     for name in TRIPLES:
         catalog.triple_scene(name, ctx)
-    assert len(solved) == len(TRIPLES)
-    assert sum(host is catalog.algebra("c-d4") for host in solved) == 1
+    assert len(solved) == len(TRIPLES) + 1
+    assert sum(host is catalog.algebra("c-d4") for host in solved) == 2
 
 
 def test_cocycle_verdict_does_not_depend_on_call_order(monkeypatch):

@@ -139,13 +139,41 @@ def test_negative_seed_exits_2_without_traceback(command):
     assert proc.stdout == ""
 
 
-def test_condition_rejection_names_the_measured_condition_number(capsys):
-    # the operator has cond2 = 1, which only a limit 1 / tolerance below 1 rejects
-    code = run(["--tolerance", "1e300", "twist", "--host", "c-d4", "--cocycle", "klein-induced"])
-    _, err = _capture(capsys)
+def _klein_document(tmp_path, capsys, entry):
+    """The klein-bicharacter document with sigma[1, 1] set to entry."""
+    assert run(["catalog", "emit", "klein-bicharacter"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    doc["sigma"][1][1] = entry
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ([2.0, 0.0], [0.0, 1.0]), ids=("not-unitary", "not-a-cocycle"))
+def test_check_cocycle_exits_1_off_a_unitary_cocycle(entry, tmp_path, capsys):
+    code = run(["check-cocycle", _klein_document(tmp_path, capsys, entry), "--host", "g-z2z2"])
+    out, err = _capture(capsys)
     assert code == 1
-    want = "tensor-square convolution operator has condition number 1 above 1e-300"
-    assert err == f"check failed: {want}\n"
+    if entry == [2.0, 0.0]:
+        # sigma^-1 = sigma* fails its two-sided residual: no report is built
+        assert out == ""
+        assert err.startswith("check failed: not unitary: ")
+    else:
+        # a table of phases is unitary, so only the cocycle identity fails
+        report = json.loads(out)
+        failing = [name for name, r in report["checks"] if r > report["tolerance"]]
+        assert failing == ["cocycle-identity"]
+        assert err == ""
+
+
+def test_check_cocycle_reads_a_document_at_the_given_tolerance(tmp_path, capsys):
+    # sigma is unitary to 2e-7: the default tolerance rejects it as it is
+    # built, and --tolerance 1e-3 accepts it there and in every check
+    path = _klein_document(tmp_path, capsys, [1.0 + 1e-7, 0.0])
+    assert run(["check-cocycle", path, "--host", "g-z2z2"]) == 1
+    assert _capture(capsys)[1].startswith("check failed: not unitary: ")
+    assert run(["--tolerance", "1e-3", "check-cocycle", path, "--host", "g-z2z2"]) == 0
+    assert json.loads(_capture(capsys)[0])["passed"] is True
 
 
 def test_cocycle_commands_leave_numpy_ma_unimported():

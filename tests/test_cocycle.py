@@ -1,5 +1,3 @@
-import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +5,6 @@ import pytest
 
 from hopftwist import (
     QuotientMorphism,
-    FiniteHopfStarAlgebra,
     ScalarContext,
     catalog,
     cyclic_group,
@@ -26,11 +23,8 @@ from hopftwist import (
     verify_morphism,
     w_functional,
 )
-from hopftwist import cocycle as cocycle_module
-from hopftwist._linalg import gather, square_components
 from hopftwist.cocycle import (
-    convolution_entries2,
-    convolution_matrix2,
+    DualCocycle,
     convolve2,
     dual_star2,
     identity2,
@@ -82,7 +76,7 @@ def test_from_bicharacter_rejects_nonbicharacter(ctx):
 
 def test_from_bicharacter_rejects_a_nan_entry(ctx):
     # every comparison with a NaN is False, so the table must fail a
-    # "not <= tol" test rather than slip through to invert2's SVD
+    # "not <= tol" test rather than slip through to invert2
     beta = _klein_beta().astype(np.complex128)
     beta[1, 2] = np.nan
     with pytest.raises(InvalidBicharacter, match="unimodular"):
@@ -139,8 +133,12 @@ def test_two_leg_convolution_algebra(ctx, rng):
     e2 = identity2(host)
     assert np.abs(convolve2(host, e2, x) - x).max() <= 1e-10
     assert np.abs(convolve2(host, x, e2) - x).max() <= 1e-10
-    inv, _ = invert2(host, x + 3.0 * e2, ctx)
-    assert np.abs(convolve2(host, x + 3.0 * e2, inv) - e2).max() <= 1e-9
+    # the dual of a group algebra is a function algebra, so convolution on
+    # the tensor square is entrywise and a table of phases is unitary
+    u = np.exp(2j * np.pi * rng.random((host.dim, host.dim)))
+    inv, _ = invert2(host, u, ctx)
+    assert np.abs(convolve2(host, u, inv) - e2).max() <= 1e-9
+    assert np.abs(convolve2(host, inv, u) - e2).max() <= 1e-9
     twice = dual_star2(host, dual_star2(host, x))
     assert np.abs(twice - x).max() <= 1e-10
 
@@ -217,39 +215,17 @@ def test_v_composes_w_inverse_with_w_through_the_inverse_antipode(ctx):
     assert np.abs(v.coeffs - composed).max() <= 1e-9
 
 
-# --- the condition check of invert2 against the literal SVD rule ---------------
+# --- the closed-form inverse sigma^-1 = sigma* ----------------------------------
 
 TOLERANCES = (1e-3, 1e-9, 1e-12)
 
 
-def _svd_rule(lmat, tol):
-    s = np.linalg.svd(lmat, compute_uv=False)
-    return bool(s[-1] > 0 and s[0] / s[-1] <= 1.0 / tol)
-
-
-def _invert2_accepts(host, x, ctx):
-    """False exactly when invert2's condition check rejects the operator; a
-    later residual failure means the check itself accepted."""
-    try:
-        invert2(host, x, ctx)
-    except InvalidInverse as exc:
-        if "singular" in str(exc) or "condition number" in str(exc):
-            return False
-    return True
-
-
-def _largest_svd_side(svd_calls):
-    return max((max(shape[-2:]) for shape in svd_calls), default=0)
-
-
-def _diagonal_operand(host, rng, smallest, complex_phases):
-    """x on a group algebra, where the operator is diag(x): all |x| = 1 but
-    one entry of modulus smallest, so cond2 = 1/smallest exactly."""
-    mod = np.ones((host.dim, host.dim))
-    mod[1, 2] = smallest
-    if not complex_phases:
-        return mod * rng.choice([-1.0, 1.0], size=mod.shape)
-    return mod * np.exp(2j * np.pi * rng.random(mod.shape))
+def test_dual_cocycle_rejects_a_sigma_that_is_not_unitary(ctx):
+    sigma = catalog.cocycle("klein-bicharacter", ctx)
+    bad = np.array(sigma.sigma)
+    bad[1, 1] = 2.0
+    with pytest.raises(InvalidInverse, match="not unitary"):
+        DualCocycle(sigma.host, bad, ctx=ctx)
 
 
 def _catalog_sigmas(ctx):
@@ -260,8 +236,8 @@ def _catalog_sigmas(ctx):
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_invert2_certifies_catalog_cocycles_without_svd(ctx, tol, svd_calls):
-    """The singular values of blocks no larger than 16 x 16 decide, never an
-    SVD of the whole operator."""
+    """The inverse is the dual star, accepted by its two-sided residual at
+    every tolerance, with no SVD."""
     strict = ScalarContext(tolerance=tol, seed=ctx.seed)
     cases = []
     for name, sigma in _catalog_sigmas(ctx):
@@ -269,101 +245,24 @@ def test_invert2_certifies_catalog_cocycles_without_svd(ctx, tol, svd_calls):
         # the inverse cocycle on the twisted algebra, as roundtrip builds it
         twisted = twist_algebra(sigma.host, sigma, ctx).twisted
         cases.append((f"{name}^-1", twisted, sigma.sigma_inv, sigma.sigma))
-    for name, host, x, _ in cases:
-        assert _svd_rule(convolution_matrix2(host, x), tol), name
+    del svd_calls[:]
     for name, host, x, want in cases:
-        del svd_calls[:]
         inv, _ = invert2(host, x, strict)
         assert np.abs(inv - want).max() <= 1e-12, name
-        assert 0 < _largest_svd_side(svd_calls) <= 16, (name, svd_calls)
-
-
-def _one_component_operand(host, cond, phase):
-    """x on C(D4) with the operator I + b P + c J: P is translation by the
-    central (r^2, e) and J the all-ones matrix, so the pattern is one dense
-    component and the operator is normal with eigenvalues 1 + b, 1 - b and
-    1 (on constants), which make cond2 = cond."""
-    n = host.dim
-    b = (cond - 1.0) / (cond + 1.0)
-    x = np.full((n, n), -b / n**2, dtype=np.complex128)
-    x[0, 0] += 1.0
-    x[2, 0] += b  # r^2 is basis element 2 of dihedral_group(4)
-    return phase * x
-
-
-@pytest.mark.parametrize("tol", TOLERANCES)
-@pytest.mark.parametrize("complex_phases", (False, True))
-def test_invert2_falls_back_to_svd_below_the_limit(tol, complex_phases, rng, svd_calls):
-    host = group_algebra(dihedral_group(4))
-    n2 = host.dim**2
-    x = _diagonal_operand(host, rng, 2.0 * tol, complex_phases)
-    cond = 0.5 / tol
-    assert (1.0 / tol) / n2 < cond < 1.0 / tol
-    ctx = ScalarContext(tolerance=tol)
-    # the operator is diagonal, so the SVDs of its 1x1 blocks decide
-    inv, _ = invert2(host, x, ctx)
-    assert _largest_svd_side(svd_calls) == 1
-    assert _svd_rule(convolution_matrix2(host, x), tol)
-    assert np.abs(inv * x - 1.0).max() <= 1e-12
-    # one dense component: the SVD of the whole operator decides
-    dense_host = function_algebra(dihedral_group(4))
-    phase = np.exp(2j * np.pi * rng.random()) if complex_phases else -1.0
-    x = _one_component_operand(dense_host, cond, phase)
-    lmat = convolution_matrix2(dense_host, x)
-    assert len(square_components(*np.nonzero(lmat), n2)) == 1
-    assert np.isclose(np.linalg.cond(lmat), cond, rtol=1e-3)
-    del svd_calls[:]
-    assert _invert2_accepts(dense_host, x, ctx)
-    assert (n2, n2) in svd_calls
-    assert _svd_rule(lmat, tol)
-
-
-@pytest.mark.parametrize("tol", TOLERANCES)
-@pytest.mark.parametrize("complex_phases", (False, True))
-def test_invert2_rejects_above_the_limit(tol, complex_phases, rng):
-    host = group_algebra(dihedral_group(4))
-    x = _diagonal_operand(host, rng, 0.5 * tol, complex_phases)
-    assert not _svd_rule(convolution_matrix2(host, x), tol)
-    # the message names the measured cond2 = 2 / tol and the limit 1 / tol
-    match = re.escape(f"condition number {2.0 / tol:.3g} above {1.0 / tol:.3g}") + "$"
-    with pytest.raises(InvalidInverse, match=match):
-        invert2(host, x, ScalarContext(tolerance=tol))
-
-
-@pytest.mark.parametrize("tol", TOLERANCES)
-def test_invert2_verdict_at_the_edge_of_the_limit(tol, rng):
-    host = group_algebra(dihedral_group(4))
-    x = _diagonal_operand(host, rng, 0.5 * tol, True)
-    cond = 1.0 / abs(x[1, 2])
-    for edge in (1.0 - 1e-6, 1.0 + 1e-6):
-        ctx = ScalarContext(tolerance=edge / cond)
-        lmat = convolution_matrix2(host, x)
-        assert _invert2_accepts(host, x, ctx) == _svd_rule(lmat, ctx.tolerance) == (edge < 1)
+    assert not svd_calls
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_invert2_rejects_exactly_singular_operands(tol, rng):
     ctx = ScalarContext(tolerance=tol)
     host = group_algebra(dihedral_group(4))
-    x = _diagonal_operand(host, rng, 0.0, True)
+    # on a group algebra the convolution is entrywise, so a zero entry
+    # makes the operand singular
+    x = np.exp(2j * np.pi * rng.random((host.dim, host.dim)))
+    x[1, 2] = 0.0
     for h, operand in ((host, x), (catalog.algebra("c-s3"), np.zeros((6, 6)))):
-        assert not _svd_rule(convolution_matrix2(h, operand), tol)
-        with pytest.raises(InvalidInverse, match="is singular$"):
+        with pytest.raises(InvalidInverse, match="not unitary"):
             invert2(h, operand, ctx)
-
-
-@pytest.mark.parametrize("tol", TOLERANCES)
-def test_invert2_sends_a_non_square_component_to_the_svd(tol, rng, svd_calls):
-    host = group_algebra(dihedral_group(4))
-    x = _diagonal_operand(host, rng, 1.0, True)
-    x[3, 5] = 0.0
-    lmat = convolution_matrix2(host, x)
-    # row (3, 5) is all zero: a component with one row and no column
-    assert not lmat[3 * host.dim + 5].any()
-    assert square_components(*np.nonzero(lmat), host.dim**2) is None
-    with pytest.raises(InvalidInverse, match="singular"):
-        invert2(host, x, ScalarContext(tolerance=tol))
-    assert (host.dim**2, host.dim**2) in svd_calls
 
 
 def _bicharacter_z4z4():
@@ -390,32 +289,21 @@ def _ladder_cocycles(ctx):
     )
 
 
-def test_invert2_matches_a_dense_solve_on_the_twist_ladder(ctx, svd_calls):
+def _convolution_operator(host, x):
+    """The n^2 x n^2 matrix of y -> x * y on the tensor square, written out:
+    entry [(i, j), (b, d)] is sum comul[i, a, b] x[a, c] comul[j, c, d]."""
+    n = host.dim
+    return np.einsum("iab,ac,jcd->ijbd", host.comul, x, host.comul).reshape(n * n, n * n)
+
+
+def test_invert2_matches_a_dense_solve_on_the_twist_ladder(ctx):
     for name, sigma in _ladder_cocycles(ctx):
         host = sigma.host
         twisted = twist_algebra(host, sigma, ctx).twisted
         for label, h, x in ((name, host, sigma.sigma), (f"{name}^-1", twisted, sigma.sigma_inv)):
             n = h.dim
-            dense = np.linalg.solve(convolution_matrix2(h, x), identity2(h).reshape(-1))
-            del svd_calls[:]
+            dense = np.linalg.solve(_convolution_operator(h, x), identity2(h).reshape(-1))
             assert np.abs(invert2(h, x, ctx)[0] - dense.reshape(n, n)).max() <= 1e-12, label
-            assert 0 < _largest_svd_side(svd_calls) <= 16, (label, svd_calls)
-
-
-def test_invert2_on_c_d16_solves_and_decomposes_only_small_blocks(ctx, svd_calls, monkeypatch):
-    sigma = dict(_ladder_cocycles(ctx))["C(D16)"]
-    n2 = sigma.host.dim ** 2
-    solves = []
-    solve = np.linalg.solve
-
-    def counting(a, b):
-        solves.append(np.shape(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    invert2(sigma.host, sigma.sigma, ctx)
-    assert solves and all(shape[-1] < n2 for shape in solves)
-    assert all(shape[-1] < n2 for shape in svd_calls)
 
 
 def test_fourier_based_twists_carry_no_rounding_residue(ctx):
@@ -436,77 +324,10 @@ def test_fourier_based_twists_carry_no_rounding_residue(ctx):
             assert not ((size > 0) & (size < 1e-12)).any(), (name, label)
 
 
-def _assert_gathers_match(h, x, y, exact):
-    """L_b of x and M_b of y gathered from their entries against the same
-    blocks of the dense convolution matrices; exact also asks for the
-    entries of x to be those of the dense matrix, bit for bit."""
-    m = h.dim**2
-    lmat, mmat = convolution_matrix2(h, x), convolution_matrix2(h, y)
-    entries = convolution_entries2(h, x)
-    if exact:
-        assert np.array_equal(entries[0], np.flatnonzero(lmat))
-    parts = square_components(*np.divmod(entries[0], m), m)
-    assert parts is not None
-    for rows, cols in parts:
-        blocks = (
-            (gather(entries, rows, cols, m), lmat[rows[:, :, None], cols[:, None, :]]),
-            (
-                gather(convolution_entries2(h, y), cols, rows, m),
-                mmat[cols[:, :, None], rows[:, None, :]],
-            ),
-        )
-        for sparse, dense in blocks:
-            if exact:
-                assert np.array_equal(sparse, dense)
-            else:
-                assert np.abs(sparse - dense).max() <= 1e-12
-    return parts
-
-
-def test_sparse_gathered_blocks_match_the_dense_operator_on_the_ladder(ctx):
-    for name, sigma in _ladder_cocycles(ctx):
-        host = sigma.host
-        twisted = twist_algebra(host, sigma, ctx).twisted
-        operators = ((host, sigma.sigma, sigma.sigma_inv), (twisted, sigma.sigma_inv, sigma.sigma))
-        for h, x, y in operators:
-            # on C(G) and G(G) every entry is one product: the join is bit-exact
-            parts = _assert_gathers_match(h, x, y, exact=True)
-            # C(Z4 x Z4) included, every operator splits into small blocks
-            assert max(rows.shape[1] for rows, _ in parts) <= 16, name
-
-
-def test_convolution_entries_join_sparse_random_hosts(rng, monkeypatch):
-    n = 6
-    for _ in range(4):
-        host = _random_host(rng, n)
-        host = dataclasses.replace(host, comul=host.comul * (rng.random((n, n, n)) < 0.15))
-        x = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.3)
-        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lmat = convolution_matrix2(host, x).reshape(-1)
-        with monkeypatch.context() as patch:
-            # the terms fit under n^4, so the dense matrix is never built
-            patch.setattr(cocycle_module, "convolution_matrix2", _no_dense)
-            keys, values = convolution_entries2(host, x)
-        assert np.abs(values - lmat[keys]).max() <= 1e-12
-        assert np.abs(np.delete(lmat, keys)).max(initial=0.0) <= 1e-12
-        if square_components(*np.divmod(keys, n * n), n * n) is not None:
-            _assert_gathers_match(host, x, y, exact=False)
-    # a dense host and operand would form more terms than the matrix has
-    # entries, so the matrix is built densely
-    host = _random_host(rng, 3)
-    x = rng.normal(size=(3, 3))
-    _assert_gathers_match(host, x, np.linalg.inv(x), exact=True)
-
-
-def _no_dense(*args):
-    raise AssertionError("the dense n^2 x n^2 operator was built")
-
-
-def test_invert2_on_c_d16_builds_no_dense_operator(ctx, monkeypatch):
+def test_invert2_on_c_d16_builds_no_dense_operator(ctx):
     sigma = dict(_ladder_cocycles(ctx))["C(D16)"]
     twisted = twist_algebra(sigma.host, sigma, ctx).twisted
     n = sigma.host.dim
-    monkeypatch.setattr(cocycle_module, "convolution_matrix2", _no_dense)
     operators = (
         (sigma.host, sigma.sigma, sigma.sigma_inv),
         (twisted, sigma.sigma_inv, sigma.sigma),
@@ -548,35 +369,3 @@ def test_twist_steps_on_c_d32_stay_under_96_mib(ctx):
     result = peak("roundtrip", lambda: roundtrip(host, sigma, ctx, tw=tw))
     assert result["residual"] <= ctx.tolerance
     assert max(steps.values()) < 96 * 2**20, steps
-
-
-def _random_host(rng, n):
-    """Random structure tensors: no Hopf axiom holds, not even coassociativity."""
-
-    def cplx(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    return FiniteHopfStarAlgebra(
-        dim=n,
-        basis_labels=tuple(str(i) for i in range(n)),
-        mul=cplx(n, n, n),
-        unit=cplx(n),
-        comul=cplx(n, n, n),
-        counit=cplx(n),
-        antipode=cplx(n, n),
-        antipode_inv=cplx(n, n),
-        star=cplx(n, n),
-    )
-
-
-def test_invert2_verdict_matches_the_svd_rule_on_random_hosts(rng):
-    for _ in range(6):
-        host = _random_host(rng, 3)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lmat = convolution_matrix2(host, x)
-        s = np.linalg.svd(lmat, compute_uv=False)
-        cond = s[0] / s[-1]
-        tols = TOLERANCES + ((1.0 - 1e-6) / cond, (1.0 + 1e-6) / cond)
-        for tol in tols:
-            ctx = ScalarContext(tolerance=tol)
-            assert _invert2_accepts(host, x, ctx) == _svd_rule(lmat, tol), (cond, tol)

@@ -172,15 +172,6 @@ def test_corep_shape_validation(ctx):
         UnitaryCorep(host, 2, np.zeros((2, 3, host.dim)))
 
 
-def test_regular_corep_takes_the_haar_state(ctx):
-    host = catalog.algebra("c-d4")
-    h = haar_state(host, ctx)
-    assert np.array_equal(regular_corep(host, ctx, h).u, regular_corep(host, ctx).u)
-    other = catalog.algebra("g-d4")
-    with pytest.raises(HostMismatch):
-        regular_corep(host, ctx, haar_state(other, ctx))
-
-
 @pytest.mark.parametrize(
     "call",
     (

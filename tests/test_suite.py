@@ -143,7 +143,8 @@ def test_noncommutativity_witness_equals_the_pairwise_loop(ctx):
 def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
     """A twisted host reuses the Haar state of its original, check 12
     reuses the back twists of check 06's roundtrips, and every derived
-    object is built once per run."""
+    object is built once per run; a regular corep computes the Haar state
+    it needs."""
     ctx = ScalarContext(seed=7)
     for name in catalog.host_names():
         catalog.algebra(name)
@@ -176,9 +177,9 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
     # the hosts of check 03 and of the five catalog cocycles, c-s3 in both
     assert calls.pop("regular_corep") <= 7
     assert calls == {
-        # 11 hosts, and two fresh contexts in check 13; the regular coreps
-        # take the hosts'
-        "haar_state": 13,
+        # 11 hosts, two fresh contexts in check 13, and one per regular
+        # corep, each of which solves its own
+        "haar_state": 19,
         # six cocycles (the five catalog ones and the trivial-4 scene's),
         # each twisted forward and back once
         "twist_algebra": 12,
