@@ -1,14 +1,30 @@
 """Small linear-algebra helpers used across modules: max norms, kernels,
 orthonormal extension of a row span, and sparse tensors held as terms
-(Terms), with join, the one contraction over their nonzero entries.  Only
+(Terms), with join, the one contraction over their nonzero entries, and
+Chain, a run of joins formed slice by slice under one budget of terms.  Only
 this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
+
+# The most terms that one join of a chain forms.  A term takes about 100
+# bytes while it is formed and summed, so a join holds under 2 MiB.
+BUDGET = 2**14
+
+
+def small(n: int) -> bool:
+    """Whether a host of dimension n is small: whether an n^3-entry tensor
+    fits the budget.  This is the one rule between the two paths of every
+    n^3-entry contraction.  On a small host it is written out densely, where
+    a few BLAS products cost less than the fixed numpy calls of a chain of
+    joins; on a larger host it is a chain, in slices (see slices)."""
+    return n**3 <= BUDGET
 
 
 def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:
@@ -58,8 +74,15 @@ class Terms:
         """The index of each term as one coordinate array per axis."""
         return np.unravel_index(self.keys, self.shape)
 
+    def conj(self) -> "Terms":
+        """The complex conjugate tensor."""
+        return Terms(self.shape, self.keys, self.values.conj())
+
     def summed(self) -> "Terms":
-        """The same tensor with one term per index, keys increasing."""
+        """The same tensor with one term per index, keys increasing: these
+        terms themselves when they already are."""
+        if np.all(self.keys[1:] > self.keys[:-1]):
+            return self
         return Terms(self.shape, *sum_by_key(self.keys, self.values))
 
     def __getitem__(self, lead: slice) -> "Terms":
@@ -71,11 +94,13 @@ class Terms:
         shape = (stop - start,) + self.shape[1:]
         return Terms(shape, self.keys[lo:hi] - start * block, self.values[lo:hi])
 
-    def dense(self) -> np.ndarray:
-        """The summed terms written out as an array."""
-        out = np.zeros(math.prod(self.shape), dtype=np.complex128)
-        out[self.keys] = self.values
-        return out.reshape(self.shape)
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The summed terms written out as an array, or into out, a
+        C-contiguous zero array of their shape."""
+        if out is None:
+            out = np.zeros(self.shape, dtype=np.complex128)
+        out.reshape(-1)[self.keys] = self.values
+        return out
 
     def apply(self, t: np.ndarray, k: int) -> np.ndarray:
         """The summed terms as a map from their last k axes to the others,
@@ -99,6 +124,11 @@ class Terms:
 
 
 def join(spec: str, x, y, limit: int) -> Terms | None:
+    """The terms of the einsum contraction spec of x and y (see Join)."""
+    return Join(spec, y)(x, limit)
+
+
+class Join:
     """The terms of the einsum contraction spec of x and y, two dense arrays
     or Terms, over their nonzero entries: one term x[..] y[..] for each pair
     of entries that agree on every letter the operands share, at the output
@@ -108,27 +138,95 @@ def join(spec: str, x, y, limit: int) -> Terms | None:
     least one letter, and a letter appears at most once in an operand.
 
     The terms come in the order of the entries of x, and for each entry in
-    the order of the entries of y that it meets.
+    the order of the entries of y that it meets.  What depends on y alone,
+    its entries keyed on the shared letters and sorted by key, is prepared
+    when the Join is made, so one Join serves every run of a chain.
     """
-    ins, out = spec.split("->")
-    xs, ys = ins.split(",")
-    x = x if isinstance(x, Terms) else Terms.of(x)
-    y = y if isinstance(y, Terms) else Terms.of(y)
-    cx, cy = x.coords, y.coords
-    size = dict(zip(xs + ys, x.shape + y.shape))
-    shared = [c for c in xs if c in ys]
-    dims = [size[c] for c in shared]
-    kx = _flat_index([cx[xs.index(c)] for c in shared], dims)
-    ky = _flat_index([cy[ys.index(c)] for c in shared], dims)
-    count = math.prod(dims)
-    if int(np.bincount(kx, minlength=count) @ np.bincount(ky, minlength=count)) > limit:
-        return None
-    a, b = pairs_by_key(kx, ky)
-    # each output coordinate is read off the entry of x or of y in the
-    # pair, one at a time so that no more than one is alive
-    picked = (cx[xs.index(c)][a] if c in xs else cy[ys.index(c)][b] for c in out)
-    shape = [size[c] for c in out]
-    return Terms(shape, _flat_index(picked, shape), x.values[a] * y.values[b])
+
+    def __init__(self, spec: str, y):
+        ins, self.out = spec.split("->")
+        self.xs, self.ys = ins.split(",")
+        self.y = y if isinstance(y, Terms) else Terms.of(y)
+        self.cy = self.y.coords
+        self.shared = [c for c in self.xs if c in self.ys]
+        self.dims = [self.y.shape[self.ys.index(c)] for c in self.shared]
+        ky = _flat_index([self.cy[self.ys.index(c)] for c in self.shared], self.dims)
+        self.count_y = np.bincount(ky, minlength=math.prod(self.dims))
+        self.order = np.argsort(ky, kind="stable")
+        self.sorted_ky = ky[self.order]
+
+    def __call__(self, x, limit: int) -> Terms | None:
+        x = x if isinstance(x, Terms) else Terms.of(x)
+        cx = x.coords
+        kx = _flat_index([cx[self.xs.index(c)] for c in self.shared], self.dims)
+        if int(np.bincount(kx, minlength=self.count_y.size) @ self.count_y) > limit:
+            return None
+        a, b = pairs_by_key(kx, self.order, self.sorted_ky)
+        values, other = x.values[a], self.y.values[b]
+        # in place unless the product needs a wider dtype: a real inf cast to
+        # complex before it is multiplied would gain a NaN imaginary part
+        inplace = values.dtype == np.result_type(values, other)
+        values = np.multiply(values, other, out=values if inplace else None)
+        size = dict(zip(self.xs + self.ys, x.shape + self.y.shape))
+        # each output coordinate is read off the entry of x or of y in the
+        # pair, one at a time so that no more than one is alive
+        picked = (
+            cx[self.xs.index(c)][a] if c in self.xs else self.cy[self.ys.index(c)][b]
+            for c in self.out
+        )
+        shape = [size[c] for c in self.out]
+        return Terms(shape, _flat_index(picked, shape), values)
+
+
+class Chain:
+    """The contraction of first with the operand of each (spec, operand)
+    step in turn, a side of an identity or a convolution; every spec drops
+    its shared letters.  Its terms are formed one run of the leading index
+    of first at a time, each join held under BUDGET terms.  dense, when
+    given, writes the contraction out at a run of leading indices in place
+    of the tensordots of dense()."""
+
+    def __init__(self, first: Terms, *steps: tuple[str, object], dense=None):
+        self.first = first
+        self.joins = tuple(Join(spec, operand) for spec, operand in steps)
+        self._dense = dense
+
+    def terms(self, lead: slice) -> Terms | None:
+        """The terms at the leading indices lead, the running terms summed
+        before each further join; None as soon as a join would have more
+        than BUDGET terms, before it forms any."""
+        terms = self.first[lead]
+        for k, step in enumerate(self.joins):
+            terms = step(terms.summed() if k else terms, BUDGET)
+            if terms is None:
+                return None
+        return terms
+
+    def dense(self, lead: slice) -> np.ndarray:
+        """The same contraction at lead written out densely, one tensordot
+        per step."""
+        if self._dense is not None:
+            return self._dense(lead)
+        out = self.first[lead].dense()
+        for step in self.joins:
+            axes = [step.xs.index(c) for c in step.shared], [step.ys.index(c) for c in step.shared]
+            out = np.tensordot(out, step.y.dense(), axes=axes)
+            rest = [c for c in step.xs + step.ys if c not in step.shared]
+            out = out.transpose([rest.index(c) for c in step.out])
+        return out
+
+    def whole(self) -> Terms:
+        """The summed terms of the whole contraction, formed run by run (see
+        slices); an index over the budget alone is written out densely and
+        read back as terms."""
+        parts = [
+            (lead, Terms.of(self.dense(lead)) if terms is None else terms.summed())
+            for lead, terms in slices(self.first.shape[0], self.terms)
+        ]
+        rest = parts[0][1].shape[1:]
+        keys = np.concatenate([terms.keys + lead.start * math.prod(rest) for lead, terms in parts])
+        values = np.concatenate([terms.values for _, terms in parts])
+        return Terms((self.first.shape[0],) + rest, keys, values)
 
 
 def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:
@@ -140,22 +238,51 @@ def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:
     return flat
 
 
-def max_gap(left: Terms, right: Terms) -> float:
-    """max |L - R| for two tensors of one shape given as terms."""
-    keys = np.concatenate((left.keys, right.keys))
-    values = np.concatenate((left.values, -right.values))
-    return max_abs(sum_by_key(keys, values)[1])
+def slices(n: int, part: Callable[[slice], T | None]) -> Iterator[tuple[slice, T | None]]:
+    """Each run lead of the leading indices 0..n-1, in order, with part(lead).
 
-
-def pairs_by_key(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (a, b) with kx[a] == ky[b]: the join of two entry
-    lists on a shared index.
-
-    ky is sorted once; searchsorted finds the run of equal keys for each
-    kx[a], and repeat expands the runs into pairs.
+    part returns None to refuse a run, as Chain.terms does when a join in it
+    would exceed the budget.  A refused run is halved, so a run never splits
+    the terms of one index; an index that part refuses alone comes with
+    None, for the caller to write out densely.
     """
-    order = np.argsort(ky, kind="stable")
-    sorted_ky = ky[order]
+    todo = [slice(0, n)]
+    while todo:
+        lead = todo.pop()
+        got = part(lead)
+        if got is None and lead.stop - lead.start > 1:
+            mid = (lead.start + lead.stop) // 2
+            todo += [slice(mid, lead.stop), slice(lead.start, mid)]
+        else:
+            yield lead, got
+
+
+def max_gap(left: Terms, right: Terms) -> float:
+    """max |L - R| for two tensors of one shape given as terms.  Each side
+    is summed on its own and the sorted keys are merged; a key on one side
+    only is compared with 0."""
+    left, right = left.summed(), right.summed()
+    at = np.searchsorted(right.keys, left.keys)
+    hit = at < right.keys.size
+    hit[hit] = right.keys[at[hit]] == left.keys[hit]
+    gap = left.values.copy()
+    gap[hit] -= right.values[at[hit]]
+    alone = np.ones(right.keys.size, dtype=bool)
+    alone[at[hit]] = False
+    # np.max keeps a NaN from either side, where max() may drop it
+    return float(np.max((max_abs(gap), max_abs(right.values[alone]))))
+
+
+def pairs_by_key(
+    kx: np.ndarray, order: np.ndarray, sorted_ky: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with kx[a] == ky[b]: the join of two entry
+    lists on a shared index, given ky as the stable order that sorts it and
+    sorted_ky = ky[order].
+
+    searchsorted finds the run of equal keys for each kx[a], and repeat
+    expands the runs into pairs.
+    """
     lo = np.searchsorted(sorted_ky, kx, side="left")
     runs = np.searchsorted(sorted_ky, kx, side="right") - lo
     a = np.repeat(np.arange(kx.size), runs)

@@ -19,14 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, join, max_abs, max_gap
+from ._linalg import Chain, Terms, max_abs, max_gap, slices, small
 from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
 
 
 def freeze(a) -> Array:
-    """Return a read-only complex128 copy of a."""
+    """a as a read-only, C-contiguous complex128 array.  An array that is
+    already all three, and that no writeable array it views can change, is
+    returned as it is, so frozen tensors are shared; anything else is
+    copied, so a caller who changes its own array later changes nothing."""
+    # a read-only view can still change through a writeable base, and an
+    # array over a buffer that is not an array through the buffer
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and a.dtype == np.complex128 and a.flags.c_contiguous:
+        return a
     out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.flags.writeable = False
     return out
@@ -212,86 +222,27 @@ def _pull_back(m: Array, t: Array) -> Array:
     return np.tensordot(half, m, axes=([1], [0])).transpose(0, 2, 1)
 
 
-def _support_product(x: Array, y: Array) -> Array:
-    """x @ y, summed only over the inner indices where x has a nonzero column.
-
-    The skipped terms are exact zeros, so the result is the full product.
-    """
-    k = np.flatnonzero(x.any(axis=0))
-    if k.size == x.shape[1]:
-        return x @ y
-    return x[:, k] @ y[k]
-
-
 def _worst(residuals) -> float:
     """The largest residual; unlike max(), np.max keeps a NaN from any position."""
     return float(np.max(list(residuals)))
 
 
-def _associativity(mul: Array, m: Terms) -> float:
-    """max |(e_i e_j) e_k - e_i (e_j e_k)|; m holds the entries of mul."""
-    n = mul.shape[0]
-    left = join("ijp,pkl->ijkl", m, m, n**4)
-    right = left and join("jkq,iql->ijkl", m, m, n**4)
-    if right is not None:
-        return max_gap(left, right)
-    del left  # no terms stay alive through the dense comparison
-    # [j, (k l)] against [l, (j k)]
-    mul_rows = mul.reshape(n, n * n)
-    mul_by_output = mul.transpose(2, 0, 1).reshape(n, n * n)
+def identity_gap(left: Chain, right: Chain) -> float:
+    """max |L - R| for an identity whose two sides are chains, summed and
+    compared one run of leading indices at a time (_linalg.slices).  An
+    index whose joins exceed the budget alone is compared densely instead."""
+
+    def part(lead: slice) -> float | None:
+        # each side is summed as soon as it is formed, so that only one side
+        # is ever held as unsummed terms
+        lhs = left.terms(lead)
+        lhs = lhs and lhs.summed()
+        rhs = lhs and right.terms(lead)
+        return None if rhs is None else max_gap(lhs, rhs)
+
     return _worst(
-        _gap(
-            _support_product(mul[i], mul_rows).reshape(n, n, n),
-            _support_product(mul[i].T, mul_by_output).reshape(n, n, n).transpose(1, 2, 0),
-        )
-        for i in range(n)
-    )
-
-
-def _coassociativity(comul: Array, c: Terms) -> float:
-    """max |(Delta (x) id) Delta(e_i) - (id (x) Delta) Delta(e_i)|; c holds
-    the entries of comul."""
-    n = comul.shape[0]
-    left = join("ipc,pab->iabc", c, c, n**4)
-    right = left and join("iap,pbc->iabc", c, c, n**4)
-    if right is not None:
-        return max_gap(left, right)
-    del left  # no terms stay alive through the dense comparison
-    # [a, (b c)] against [c, (a b)]
-    comul_rows = comul.reshape(n, n * n)
-    return _worst(
-        _gap(
-            _support_product(comul[i], comul_rows).reshape(n, n, n),
-            _support_product(comul[i].T, comul_rows).reshape(n, n, n).transpose(1, 2, 0),
-        )
-        for i in range(n)
-    )
-
-
-def _coproduct_multiplicativity(mul: Array, comul: Array, m: Terms, c: Terms) -> float:
-    """max |Delta(e_i e_j) - Delta(e_i) Delta(e_j)|, where the right side is
-    sum comul[i, p, q] comul[j, r, s] mul[p, r, x] mul[q, s, y], summed as
-    the two halves sum_p comul[i, p, q] mul[p, r, x] and
-    sum_s comul[j, r, s] mul[q, s, y], joined on (q, r)."""
-    n, nn = mul.shape[0], mul.shape[0] ** 2
-    left = join("ijc,cab->ijab", m, c, n**4)
-    first = left and join("ipq,prx->qrix", c, m, n**4)
-    second = first and join("jrs,qsy->qrjy", c, m, n**4)
-    right = second and join("qrix,qrjy->ijxy", first.summed(), second.summed(), n**4)
-    if right is not None:
-        return max_gap(left, right)
-    del left, first, second  # no terms stay alive through the dense comparison
-    # the half sum_s comul[j, r, s] mul[q, s, y] is laid out as [(q r), (j y)]
-    right = (comul.transpose(1, 0, 2).reshape(nn, n) @ mul).reshape(nn, nn)
-    # [(q r), x]: sum_p comul[i, p, q] mul[p, r, x]
-    mul_rows, comul_rows = mul.reshape(n, nn), comul.reshape(n, nn)
-    lefts = (_support_product(comul[i].T, mul_rows).reshape(nn, n) for i in range(n))
-    return _worst(
-        _gap(
-            _support_product(left.T, right).reshape(n, n, n),  # [x, j, y]
-            _support_product(mul[i], comul_rows).reshape(n, n, n).transpose(1, 0, 2),
-        )
-        for i, left in enumerate(lefts)
+        _gap(left.dense(lead), right.dense(lead)) if got is None else got
+        for lead, got in slices(left.first.shape[0], part)
     )
 
 
@@ -302,18 +253,17 @@ def verify_hopf_axioms(
 ) -> AxiomReport:
     """Residuals of every finitely-checkable Hopf *-algebra axiom.
 
-    The three identities with n^4 entries (associativity, coassociativity
-    and coproduct-multiplicativity) are sums of products of entries of mul
-    and comul.  Each is summed over the nonzero entries only: the factors
-    are joined on their summed index, every product term is keyed by its
-    output entry, and both sides are reduced together, so the residual
-    max |L - R| never needs a dense side.  Each join counts its terms
-    before it forms any (_linalg.join); when one would have more than n^4
-    terms, the number of entries the dense form writes per side, that
-    identity is compared densely instead, one input basis element e_i at
-    a time, each slice product summed over the nonzero support of its e_i
-    factor.  Every other contraction is a fixed sequence of pairwise BLAS
-    products.
+    The identities with n^4 entries (associativity, coassociativity and
+    coproduct-multiplicativity) are sums of products of entries of mul and
+    comul, and on a host that is not small (_linalg.small) so are the
+    n^3-entry antipode and star identities.  Each of them is summed over
+    the nonzero entries only: each side is a chain of term joins, both
+    sides are summed and compared one run of the leading index at a time,
+    and every join is counted before it forms any term and held under one
+    budget (identity_gap).  So no side is ever written out whole, and the
+    working memory stays bounded whatever n is.  On a small host the
+    n^3-entry identities are dense BLAS products, as is every identity with
+    at most n^2 entries.
     """
     a = algebra
     n = a.dim
@@ -323,19 +273,43 @@ def verify_hopf_axioms(
     eye = np.eye(n, dtype=np.complex128)
     checks: list[tuple[str, float]] = []
 
-    checks.append(("associativity", _associativity(mul, m)))
+    assoc = identity_gap(Chain(m, ("ijp,pkl->ijkl", m)), Chain(m, ("iql,jkq->ijkl", m)))
+    checks.append(("associativity", assoc))
 
     left_unit = np.einsum("i,ijk->jk", a.unit, mul) - eye
     right_unit = np.einsum("j,ijk->ik", a.unit, mul) - eye
     checks.append(("unit-law", max(max_abs(left_unit), max_abs(right_unit))))
 
-    checks.append(("coassociativity", _coassociativity(comul, c)))
+    coassoc = identity_gap(Chain(c, ("ipc,pab->iabc", c)), Chain(c, ("iap,pbc->iabc", c)))
+    checks.append(("coassociativity", coassoc))
 
     left_counit = np.einsum("ijk,j->ik", comul, a.counit) - eye
     right_counit = np.einsum("ijk,k->ij", comul, a.counit) - eye
     checks.append(("counit-law", max(max_abs(left_counit), max_abs(right_counit))))
 
-    hom = _coproduct_multiplicativity(mul, comul, m, c)
+    # Delta(e_i) Delta(e_j) = sum comul[i, p, q] comul[j, r, s] mul[p, r, x]
+    # mul[q, s, y], joined on q, then p, then (r, s).  Written out for one
+    # e_i it is sum_qr A[q, r, x] B[q, r, j, y], with A = sum_p comul[i, p, q]
+    # mul[p, r, x] and the half B = sum_s comul[j, r, s] mul[q, s, y], whose
+    # n^4 entries are formed once, for the first element that needs them
+    half = []
+
+    def products(lead: slice) -> Array:
+        if not half:
+            half.append((comul.transpose(1, 0, 2).reshape(nn, n) @ mul).reshape(nn, nn))
+        first = (comul[lead.start].T @ mul.reshape(n, nn)).reshape(nn, n)
+        return (first.T @ half[0]).reshape(1, n, n, n).transpose(0, 2, 1, 3)
+
+    hom = identity_gap(
+        Chain(m, ("ijc,cab->ijab", c)),
+        Chain(
+            c,
+            ("ipq,qsy->ipsy", m),
+            ("ipsy,prx->isyrx", m),
+            ("isyrx,jrs->ijxy", c),
+            dense=products,
+        ),
+    )
     checks.append(("coproduct-multiplicative", hom))
 
     unit_coprod = np.einsum("i,ijk->jk", a.unit, comul) - np.outer(a.unit, a.unit)
@@ -345,20 +319,43 @@ def verify_hopf_axioms(
     counit_unit = abs(complex(np.dot(a.counit, a.unit)) - 1.0)
     checks.append(("counit-multiplicative", max(max_abs(counit_mul), counit_unit)))
 
-    # Delta(a*) = (* tensor *) Delta(a)
-    star_coprod = _gap(
-        (a.star.T @ comul.reshape(n, nn)).reshape(n, n, n),
-        a.star @ np.conj(comul) @ a.star.T,
-    )
-    checks.append(("coproduct-star", star_coprod))
-
     antipode_target = np.outer(a.counit, a.unit)
-    mul_flat = mul.reshape(nn, n)
-    anti_left = (a.antipode @ comul).reshape(n, nn) @ mul_flat - antipode_target
-    anti_right = (comul @ a.antipode.T).reshape(n, nn) @ mul_flat - antipode_target
-    checks.append(("antipode-law", max(max_abs(anti_left), max_abs(anti_right))))
-
-    anti_hom = _gap(mul @ a.antipode.T, _pull_back(a.antipode, mul))
+    if small(n):
+        # Delta(a*) = (* tensor *) Delta(a)
+        star_coprod = _gap(
+            (a.star.T @ comul.reshape(n, nn)).reshape(n, n, n),
+            a.star @ np.conj(comul) @ a.star.T,
+        )
+        mul_flat = mul.reshape(nn, n)
+        anti_left = (a.antipode @ comul).reshape(n, nn) @ mul_flat - antipode_target
+        anti_right = (comul @ a.antipode.T).reshape(n, nn) @ mul_flat - antipode_target
+        anti_law = max(max_abs(anti_left), max_abs(anti_right))
+        anti_hom = _gap(mul @ a.antipode.T, _pull_back(a.antipode, mul))
+        # (e_i e_j)* = e_j* e_i*
+        star_anti = _gap(np.conj(mul) @ a.star.T, _pull_back(a.star, mul))
+    else:
+        s, st, k, kt = (Terms.of(x) for x in (a.star, a.star.T, a.antipode, a.antipode.T))
+        star_coprod = identity_gap(
+            Chain(st, ("ip,pjk->ijk", c)),
+            Chain(c.conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
+        )
+        target = Chain(Terms.of(antipode_target))
+        anti_law = _worst(
+            identity_gap(side, target)
+            for side in (
+                Chain(c, ("ipb,jp->ijb", k), ("ijb,jbk->ik", m)),
+                Chain(c, ("iap,jp->iaj", k), ("iaj,ajk->ik", m)),
+            )
+        )
+        anti_hom = identity_gap(
+            Chain(m, ("ijk,lk->ijl", k)), Chain(kt, ("iq,pql->ipl", m), ("ipl,pj->ijl", k))
+        )
+        star_anti = identity_gap(
+            Chain(m.conj(), ("ijk,lk->ijl", s)),
+            Chain(st, ("iq,pql->ipl", m), ("ipl,pj->ijl", s)),
+        )
+    checks.append(("coproduct-star", star_coprod))
+    checks.append(("antipode-law", anti_law))
     checks.append(("antipode-antimultiplicative", anti_hom))
 
     checks.append(("antipode-inverse", max_abs(a.antipode_inv @ a.antipode - eye)))
@@ -369,9 +366,6 @@ def verify_hopf_axioms(
 
     checks.append(("star-involutive", max_abs(a.star @ np.conj(a.star) - eye)))
     checks.append(("star-unit", max_abs(a.star @ np.conj(a.unit) - a.unit)))
-
-    # (e_i e_j)* = e_j* e_i*
-    star_anti = _gap(np.conj(mul) @ a.star.T, _pull_back(a.star, mul))
     checks.append(("star-antimultiplicative", star_anti))
 
     return AxiomReport(subject=subject, checks=tuple(checks), tolerance=ctx.tolerance)

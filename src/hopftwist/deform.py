@@ -378,14 +378,18 @@ def deform_triple(
     sigma: DualCocycle,
     ctx: ScalarContext = DEFAULT_CONTEXT,
     pw: PeterWeylData | None = None,
+    span: Array | None = None,
 ) -> DeformationResult:
     """Deform the operator algebra of a triple; the Dirac matrix is untouched.
 
     The corep must commute with the Dirac matrix.  The generator span is
     closed into a *-algebra, refined along the spectral projections of the
     corep's blocks, and each refined basis element is carried through
-    rho_sigma.  Each projection is applied as a functional on the coaction
-    leg of ad_v, so no N^2 x N^2 projection matrix is built.  The transcript
+    rho_sigma.  A caller that holds the closure already, as an orthonormal
+    basis (k, N, N) from operator_span_basis at ctx.loose_tolerance, passes
+    it as span, as pw passes the host's Peter-Weyl data.  Each projection is
+    applied as a functional on the coaction leg of ad_v, so no N^2 x N^2
+    projection matrix is built.  The transcript
     records the block content of every generator, the Dirac commutator
     identity residual, and the dimension of the generated image algebra.
     """
@@ -404,12 +408,13 @@ def deform_triple(
     if pw is None:
         pw = decompose(host, haar_state(host, ctx), ctx)
     tol = ctx.loose_tolerance
-    span = operator_span_basis(list(st.generators), st.hdim, tol)
+    if span is None:
+        span = operator_span_basis(list(st.generators), st.hdim, tol)
     # block k's projection is (id (x) rho_k) ad_v with rho_k the trace of its
     # matrix units: it splits the span and weighs every generator, a few
     # blocks at a time, as parts (span + generators, blocks, N^2)
     rho = np.stack([np.trace(b.matrix_units) for b in pw.blocks], axis=-1)
-    stack = np.stack(span + list(st.generators))
+    stack = np.stack(list(span) + list(st.generators))
     project = _adjoint(corep, rho)
     refined: list[Array] = []
     labels: list[str] = []

@@ -323,7 +323,9 @@ def _hom_star(d: _Derived):
 def _triples(d: _Derived):
     for sname, scene in d.scenes.items():
         st = scene["triple"]
-        result = deform_triple(st, scene["corep"], scene["cocycle"], d.ctx, pw=d.pw[scene["host"]])
+        result = deform_triple(
+            st, scene["corep"], scene["cocycle"], d.ctx, pw=d.pw[scene["host"]], span=d.bases[sname]
+        )
         residual = float(result.transcript["commutator_identity"])
         if result.dirac is not st.dirac:
             residual = max(residual, 1.0)

@@ -13,14 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import extend_rows, max_abs
-from .cocycle import DualCocycle, _v_from_w, convolve2, verify_cocycle, w_functional
+from ._linalg import extend_rows, max_abs, small
+from .cocycle import (
+    DualCocycle,
+    _v_from_w,
+    convolve2,
+    convolve2_terms,
+    verify_cocycle,
+    w_functional,
+)
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
+    freeze,
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
@@ -57,7 +65,14 @@ def twist_algebra(
     # d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient of
     # (id (x) Delta) Delta(e_i) this is
     # sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f]
-    mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
+    if small(a.dim):
+        mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
+    else:
+        # the half-twisted product is held as terms, not written out
+        mul = convolve2(a, sig, convolve2_terms(a, a.mul, sig_inv))
+    # no one else holds this array: frozen in place, it is taken by the
+    # twisted algebra without a copy when it is C-contiguous
+    mul.flags.writeable = False
 
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = _v_from_w(w, w_inv, ctx)
@@ -67,7 +82,8 @@ def twist_algebra(
     # are w and w^-1 again, and one matrix serves both
     wrap = _sandwich(a, w.coeffs, w_inv.coeffs)
     star = a.star @ np.conj(wrap)
-    antipode = a.antipode @ wrap
+    # frozen once, so that antipode_inv shares it
+    antipode = freeze(a.antipode @ wrap)
 
     twisted = FiniteHopfStarAlgebra(
         dim=a.dim,

@@ -601,14 +601,21 @@ _MOVED = {
     "mul": ("associativity", "coproduct-multiplicative"),
     "comul": ("coassociativity", "coproduct-multiplicative"),
 }
-# _support_product calls per basis element when an identity is compared densely
-_SLICE_PRODUCTS = {"associativity": 2, "coassociativity": 2, "coproduct-multiplicative": 3}
-# the identities each case compares densely; every other one is a term join
+_N4_CHECKS = ("associativity", "coassociativity", "coproduct-multiplicative")
+# the n^4-entry identities each case compares densely, one basis element at
+# a time: those whose joins for one element exceed the budget of terms.  A
+# host perturbed everywhere is dense: at n = 16 every join of an element
+# exceeds it; at n = 8 only the middle join of coproduct-multiplicativity
+# does (n^5 = 32768 terms), and at n = 6 none (n^5 = 7776).  Every other
+# identity is a term join
 _DENSE = {
+    "c-d4": ("coproduct-multiplicative",),
+    "c-s3": (),
+    "g-d4": ("coproduct-multiplicative",),
     "c-d8": (),
     "c-d8^klein": (),
-    "c-d8-dense": tuple(_SLICE_PRODUCTS),
-    "c-z4z4^fourier": tuple(_SLICE_PRODUCTS),
+    "c-d8-dense": _N4_CHECKS,
+    "c-z4z4^fourier": _N4_CHECKS,
     "random-sparse": (),
 }
 SUPPORT_CASES = tuple(
@@ -622,15 +629,45 @@ SUPPORT_CASES = tuple(
 def test_axiom_residuals_match_their_formulas(name, rng, ctx, monkeypatch):
     host = _axiom_case(name, rng, ctx)
     slices = []
-    support_product = hopftwist.core._support_product
+    dense = linalg.Chain.dense
     monkeypatch.setattr(
-        hopftwist.core, "_support_product", lambda x, y: slices.append(1) or support_product(x, y)
+        linalg.Chain, "dense", lambda side, lead: slices.append(lead) or dense(side, lead)
     )
     report = verify_hopf_axioms(host)
+    # both sides of each dense identity, one basis element at a time
+    assert all(lead.stop - lead.start == 1 for lead in slices)
+    assert len(slices) == 2 * host.dim * len(_DENSE[name.split("+")[0]])
+    _check_axiom_residuals(name, host, report)
+
+
+# the cases whose n^3-entry identities are dense BLAS products on a small
+# host, taken again as chains of joins
+PATH_CASES = ("c-d4", "g-d4", "c-d8^klein+comul", "random-sparse")
+
+
+def _force_path(monkeypatch, path):
+    """Send every n^3-entry contraction of core and cocycle to its chain of
+    joins, as on a host that is not small ("joins"); "slices" also cuts the
+    budget to 7 terms, so that a run holds one element or a few and most
+    elements fall back to dense slices."""
+    for module in (hopftwist.core, hopftwist.cocycle):
+        monkeypatch.setattr(module, "small", lambda n: False)
+    if path == "slices":
+        monkeypatch.setattr(linalg, "BUDGET", 7)
+
+
+@pytest.mark.parametrize("path", ("joins", "slices"))
+@pytest.mark.parametrize("name", PATH_CASES)
+def test_axiom_residuals_match_their_formulas_over_nonzero_entries(
+    name, path, rng, ctx, monkeypatch
+):
+    host = _axiom_case(name, rng, ctx)
+    _force_path(monkeypatch, path)
+    _check_axiom_residuals(name, host, verify_hopf_axioms(host))
+
+
+def _check_axiom_residuals(name, host, report):
     assert not report.passed
-    # a host perturbed everywhere is dense, so every identity takes the slices
-    dense = _DENSE.get(name.split("+")[0], tuple(_SLICE_PRODUCTS))
-    assert len(slices) == host.dim * sum(_SLICE_PRODUCTS[check] for check in dense)
     moved = _MOVED[name.split("+")[1]] if "+" in name else None
     for check, want in _ref_axiom_residuals(host).items():
         if moved is None or check in moved:
@@ -648,7 +685,7 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     twisted = _c_z4z4_fourier_twist(ctx)
     assert np.count_nonzero(twisted.mul) == twisted.dim
     slices = []
-    monkeypatch.setattr(hopftwist.core, "_support_product", lambda x, y: slices.append(1))
+    monkeypatch.setattr(linalg.Chain, "dense", lambda side, lead: slices.append(lead))
     assert verify_hopf_axioms(twisted).passed
     for tensor in _MOVED:
         assert not verify_hopf_axioms(_one_entry_off(twisted, tensor, rng)).passed
@@ -656,6 +693,17 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
 
 
 def test_tensor_square_convolution_matches_its_formula(rng):
+    _check_convolutions(rng)
+
+
+@pytest.mark.parametrize("path", ("joins", "slices"))
+def test_tensor_square_convolution_over_nonzero_entries_matches_its_formula(path, rng, monkeypatch):
+    _force_path(monkeypatch, path)
+    _check_convolutions(rng)
+    _check_convolution_supports(rng)
+
+
+def _check_convolutions(rng):
     host = _random_host(rng, 5)
     comul = host.comul
     x, y = _complex(rng, 5, 5), _complex(rng, 5, 5)
@@ -670,6 +718,10 @@ def test_tensor_square_convolution_matches_its_formula(rng):
 
 
 def test_tensor_square_convolution_skips_zero_rows_and_columns(rng):
+    _check_convolution_supports(rng)
+
+
+def _check_convolution_supports(rng):
     host = _random_host(rng, 6)
     comul = host.comul
     for rows, cols in (((1, 4), (0, 2, 5)), ((), (3,)), ((0, 1, 2, 3, 4), ())):
@@ -689,6 +741,19 @@ def test_tensor_square_convolution_skips_zero_rows_and_columns(rng):
 
 @pytest.mark.parametrize("name", ("c-d4", "g-d4"))
 def test_cocycle_residuals_match_their_formulas_off_a_cocycle(name, rng, ctx):
+    _check_cocycle_residuals(name, rng, ctx)
+
+
+@pytest.mark.parametrize("path", ("joins", "slices"))
+@pytest.mark.parametrize("name", ("c-d4", "g-d4"))
+def test_cocycle_residuals_match_their_formulas_over_nonzero_entries(
+    name, path, rng, ctx, monkeypatch
+):
+    _force_path(monkeypatch, path)
+    _check_cocycle_residuals(name, rng, ctx)
+
+
+def _check_cocycle_residuals(name, rng, ctx):
     # c-d4 has a commutative product, g-d4 a cocommutative coproduct, so a
     # swapped leg or input shows on one of them
     host = catalog.algebra(name)
@@ -927,6 +992,54 @@ def test_join_over_the_limit_forms_no_pair(spec, rng, monkeypatch):
         assert join(spec, x, y, count - 1) is None
     # the count is exact: at the limit the terms are formed
     assert join(spec, x, y, count).values.size == count
+
+
+def test_max_gap_merges_disjoint_and_repeated_keys():
+    # key 0 repeats on the left (1 + 0.5); the right has none of its keys
+    left = Terms((4,), np.array([0, 2, 0]), np.array([1.0, 2.0, 0.5]))
+    right = Terms((4,), np.array([3, 1]), np.array([0.25, -4.0]))
+    assert max_gap(left, right) == max_gap(right, left) == 4.0
+    # the same tensor as terms that repeat in another order
+    same = Terms((4,), np.array([2, 0, 2, 0]), np.array([1.0, 1.25, 1.0, 0.25]))
+    assert max_gap(left, same) == max_gap(same, left) == 0.0
+    assert max_gap(left, Terms((4,), np.array([0]), np.array([1.0]))) == 2.0
+
+
+def test_max_gap_keeps_a_nan_from_either_side():
+    one = Terms((3,), np.array([0, 2]), np.array([1.0 + 0j, 1.0 + 0j]))
+    for key in (0, 1, 2):  # on a shared key and on a key of its own
+        nan = Terms((3,), np.array([key]), np.array([complex(np.nan, 0.0)]))
+        assert np.isnan(max_gap(nan, one)) and np.isnan(max_gap(one, nan)), key
+
+
+def test_max_gap_keeps_an_inf_whose_partner_is_zero():
+    # the summed inf keeps its zero imaginary part, so |inf - 0| stays inf
+    inf = Terms((2,), np.array([1, 0, 1]), np.array([complex(np.inf, 0.0), 1.0, 0.0]))
+    zero = Terms((2,), np.array([1]), np.array([0j]))
+    first = Terms((2,), np.array([0]), np.array([1.0]))
+    for got in (max_gap(inf, zero), max_gap(zero, inf), max_gap(inf, first)):
+        assert got == np.inf
+
+
+def test_slices_keep_each_leading_index_whole(monkeypatch):
+    # entries per leading index 2, 6, 1 and 3, each joined with one entry:
+    # under a budget of 7 the running count passes it inside index 1's run
+    a = np.zeros((4, 3, 3))
+    for i, count in enumerate((2, 6, 1, 3)):
+        a[i].flat[:count] = np.arange(1, count + 1)
+    side = linalg.Chain(Terms.of(a), ("ijk,kl->ijl", np.eye(3)))
+    monkeypatch.setattr(linalg, "BUDGET", 7)
+    runs = list(linalg.slices(4, side.terms))
+    assert [(lead.start, lead.stop) for lead, _ in runs] == [(0, 1), (1, 2), (2, 4)]
+    got = np.concatenate([t.summed().dense() for _, t in runs])
+    assert np.array_equal(got, a)
+    # an index over the budget alone is refused, for a dense slice
+    monkeypatch.setattr(linalg, "BUDGET", 5)
+    runs = list(linalg.slices(4, side.terms))
+    assert [(lead.start, lead.stop, t is None) for lead, t in runs] == [
+        (0, 1, False), (1, 2, True), (2, 4, False)
+    ]
+    assert np.array_equal(side.dense(slice(1, 2)), a[1:2])
 
 
 def test_only_linalg_knows_the_term_keys():

@@ -19,6 +19,7 @@ from hopftwist import (
     group_algebra,
     klein_four_group,
     symmetric_group_3,
+    twist_algebra,
     v_functional,
     verify_hopf_axioms,
     w_functional,
@@ -62,9 +63,11 @@ def test_axiom_check_at_dimension_32_holds_under_two_n4_arrays(ctx):
     assert peak < 2 * n**4 * 16  # 32 MB of complex128
 
 
-def test_axiom_check_at_dimension_64_holds_under_64_mib(ctx):
-    # the three n^4-entry identities are summed over nonzero terms, so no
-    # n^4-entry array (256 MiB of complex128 here) is ever formed
+def test_axiom_check_at_dimension_64_holds_under_4_mib(ctx):
+    # every identity with n^3 or n^4 entries is summed over nonzero terms, a
+    # run of leading indices at a time under one budget of terms, so neither
+    # an n^4-entry array (256 MiB of complex128 here) nor an n^3-entry one
+    # (4 MiB) is formed; the check peaks at about 2.4 MiB
     host = function_algebra(dihedral_group(32))
     assert host.dim == 64
     tracemalloc.start()
@@ -74,7 +77,31 @@ def test_axiom_check_at_dimension_64_holds_under_64_mib(ctx):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 64 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_freeze_shares_a_frozen_array_and_copies_a_writeable_one():
+    mine = np.arange(4, dtype=np.complex128)
+    frozen = freeze(mine)
+    assert frozen is not mine and not frozen.flags.writeable
+    mine[0] = 9.0  # the caller's own array changes, the frozen copy does not
+    assert frozen[0] == 0
+    assert freeze(frozen) is frozen
+    # a read-only view of a writeable array can still change, so it is copied
+    view = mine[:]
+    view.flags.writeable = False
+    assert freeze(view) is not view
+    # so are real and non-contiguous arrays
+    assert freeze(np.arange(4.0)).dtype == np.complex128
+    strided = freeze(np.arange(8, dtype=np.complex128))[::2]
+    assert freeze(strided) is not strided and freeze(strided).flags.c_contiguous
+
+
+def test_a_twisted_algebra_shares_its_hosts_coalgebra(ctx):
+    host = catalog.algebra("c-d4")
+    tw = twist_algebra(host, catalog.cocycle("klein-induced", ctx), ctx).twisted
+    assert tw.comul is host.comul and tw.unit is host.unit and tw.counit is host.counit
+    assert tw.antipode_inv is tw.antipode
 
 
 def test_axiom_residuals_keep_a_nan_on_the_last_basis_element(ctx):

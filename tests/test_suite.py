@@ -187,9 +187,9 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
         "decompose": 18,
         # checks 03, 09 and 13, two each
         "decompose_corep": 6,
-        # each scene's spectral basis, and deform_triple's span and image
-        # closures per scene
-        "operator_span_basis": 12,
+        # each scene's spectral basis, which deform_triple takes, and its
+        # image closure per scene
+        "operator_span_basis": 8,
         # check 04's five, and the inverse cocycle of each of six roundtrips
         "verify_cocycle": 11,
         # one per verify_cocycle, whose inverse residual the cocycle keeps
