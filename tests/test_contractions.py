@@ -697,7 +697,9 @@ def test_tensor_square_convolution_matches_its_formula(rng):
 
 
 @pytest.mark.parametrize("path", ("joins", "slices"))
-def test_tensor_square_convolution_over_nonzero_entries_matches_its_formula(path, rng, monkeypatch):
+def test_tensor_square_convolution_over_nonzero_entries_matches_its_formula(
+    path, rng, monkeypatch
+):
     _force_path(monkeypatch, path)
     _check_convolutions(rng)
     _check_convolution_supports(rng)
