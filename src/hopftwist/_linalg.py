@@ -53,12 +53,15 @@ class Terms:
     """A sum of terms of a tensor of the given shape: term t adds values[t]
     at the flat row-major index keys[t].  An index may repeat until
     summed() adds its terms up; summed terms have distinct, increasing keys.
+    array is the dense array the terms were read from, when Terms.of read
+    them, and None otherwise.
     """
 
-    __slots__ = ("shape", "keys", "values")
+    __slots__ = ("shape", "keys", "values", "array")
 
-    def __init__(self, shape, keys: np.ndarray, values: np.ndarray):
+    def __init__(self, shape, keys: np.ndarray, values: np.ndarray, array=None):
         self.shape, self.keys, self.values = tuple(shape), keys, values
+        self.array = array
 
     @classmethod
     def of(cls, a: np.ndarray) -> "Terms":
@@ -67,7 +70,7 @@ class Terms:
         # a complex != 0 and a boolean flatnonzero take half the time of a
         # complex nonzero
         keys = np.flatnonzero(a != 0)
-        return cls(a.shape, keys, a.take(keys))
+        return cls(a.shape, keys, a.take(keys), a)
 
     @property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -94,11 +97,9 @@ class Terms:
         shape = (stop - start,) + self.shape[1:]
         return Terms(shape, self.keys[lo:hi] - start * block, self.values[lo:hi])
 
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The summed terms written out as an array, or into out, a
-        C-contiguous zero array of their shape."""
-        if out is None:
-            out = np.zeros(self.shape, dtype=np.complex128)
+    def dense(self) -> np.ndarray:
+        """The summed terms written out as an array."""
+        out = np.zeros(self.shape, dtype=np.complex128)
         out.reshape(-1)[self.keys] = self.values
         return out
 
@@ -204,13 +205,15 @@ class Chain:
 
     def dense(self, lead: slice) -> np.ndarray:
         """The same contraction at lead written out densely, one tensordot
-        per step."""
+        per step, each against the array its operand was read from when
+        there is one."""
         if self._dense is not None:
             return self._dense(lead)
         out = self.first[lead].dense()
         for step in self.joins:
             axes = [step.xs.index(c) for c in step.shared], [step.ys.index(c) for c in step.shared]
-            out = np.tensordot(out, step.y.dense(), axes=axes)
+            y = step.y.dense() if step.y.array is None else step.y.array
+            out = np.tensordot(out, y, axes=axes)
             rest = [c for c in step.xs + step.ys if c not in step.shared]
             out = out.transpose([rest.index(c) for c in step.out])
         return out
@@ -218,15 +221,14 @@ class Chain:
     def whole(self) -> Terms:
         """The summed terms of the whole contraction, formed run by run (see
         slices); an index over the budget alone is written out densely and
-        read back as terms."""
-        parts = [
-            (lead, Terms.of(self.dense(lead)) if terms is None else terms.summed())
-            for lead, terms in slices(self.first.shape[0], self.terms)
-        ]
-        rest = parts[0][1].shape[1:]
-        keys = np.concatenate([terms.keys + lead.start * math.prod(rest) for lead, terms in parts])
-        values = np.concatenate([terms.values for _, terms in parts])
-        return Terms((self.first.shape[0],) + rest, keys, values)
+        read back as terms, keeping only its nonzero entries."""
+        keys, values = [], []
+        for lead, terms in slices(self.first.shape[0], self.terms):
+            terms = Terms.of(self.dense(lead)) if terms is None else terms.summed()
+            rest = terms.shape[1:]
+            keys.append(terms.keys + lead.start * math.prod(rest))
+            values.append(terms.values)
+        return Terms((self.first.shape[0],) + rest, np.concatenate(keys), np.concatenate(values))
 
 
 def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:

@@ -84,6 +84,18 @@ def convolve2_terms(host: FiniteHopfStarAlgebra, x, y) -> Terms:
     ).whole()
 
 
+def twisted_product(host: FiniteHopfStarAlgebra, sig: Array, sig_inv: Array) -> Array:
+    """The twisted product m_sigma = sigma * m * sigma^-1, convolved on the
+    tensor square: with d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient
+    of (id (x) Delta) Delta(e_i) it is
+    sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f].  On a host
+    that is not small (_linalg.small) the half-twisted product
+    mul * sigma^-1 is held as terms, not written out."""
+    if small(host.dim):
+        return convolve2(host, sig, convolve2(host, host.mul, sig_inv))
+    return convolve2(host, sig, convolve2_terms(host, host.mul, sig_inv))
+
+
 def _support(x: Array) -> tuple[Array | slice, Array | slice]:
     """The indices of the rows and of the columns where x is nonzero (x may
     carry trailing axes); slice(None) for an axis where every index is nonzero."""

@@ -260,8 +260,11 @@ def verify_hopf_axioms(
     the nonzero entries only: each side is a chain of term joins, both
     sides are summed and compared one run of the leading index at a time,
     and every join is counted before it forms any term and held under one
-    budget (identity_gap).  So no side is ever written out whole, and the
-    working memory stays bounded whatever n is.  On a small host the
+    budget (identity_gap).  So where no basis element is over the budget
+    alone, no side is ever written out whole.  An element that is over it
+    alone is compared densely, an n^3-entry partial result per step, and
+    coproduct-multiplicativity then forms its n^4-entry half once (products
+    below).  On a small host the
     n^3-entry identities are dense BLAS products, as is every identity with
     at most n^2 entries.
     """

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import extend_rows, max_abs, small
+from ._linalg import extend_rows, max_abs
 from .cocycle import (
     DualCocycle,
     _v_from_w,
-    convolve2,
-    convolve2_terms,
+    twisted_product,
     verify_cocycle,
     w_functional,
 )
@@ -61,15 +60,7 @@ def twist_algebra(
     a = algebra
     sig, sig_inv = cocycle.sigma, cocycle.sigma_inv
 
-    # m_sigma = sigma * m * sigma^-1, convolved on the tensor square: with
-    # d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient of
-    # (id (x) Delta) Delta(e_i) this is
-    # sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f]
-    if small(a.dim):
-        mul = convolve2(a, sig, convolve2(a, a.mul, sig_inv))
-    else:
-        # the half-twisted product is held as terms, not written out
-        mul = convolve2(a, sig, convolve2_terms(a, a.mul, sig_inv))
+    mul = twisted_product(a, sig, sig_inv)
     # no one else holds this array: frozen in place, it is taken by the
     # twisted algebra without a copy when it is C-contiguous
     mul.flags.writeable = False

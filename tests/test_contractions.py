@@ -1044,6 +1044,20 @@ def test_slices_keep_each_leading_index_whole(monkeypatch):
     assert np.array_equal(side.dense(slice(1, 2)), a[1:2])
 
 
+def test_dense_slice_reads_each_operand_from_its_array(rng, monkeypatch):
+    a, y = _sparse(rng, (4, 3, 3)), _sparse(rng, (3, 2))
+    side = linalg.Chain(Terms.of(a), ("ijk,kl->ijl", y))
+    assert side.joins[0].y.array is y
+    written = []
+    dense = Terms.dense
+    monkeypatch.setattr(Terms, "dense", lambda t: written.append(t.shape) or dense(t))
+    assert _relative_error(side.dense(slice(1, 3)), (a @ y)[1:3]) <= REL
+    # only the leading operand's slice is written out from terms
+    assert written == [(2, 3, 3)]
+    # terms that were not read from an array carry none
+    assert Terms.of(a)[0:2].array is None and Terms.of(a).conj().array is None
+
+
 def test_only_linalg_knows_the_term_keys():
     src = Path(hopftwist.__file__).parent
     names = ("pairs_by_key", "sum_by_key", "term_count", "term_gap")
