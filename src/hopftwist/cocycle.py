@@ -26,8 +26,7 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     convolution_inverse,
-    convolve_coeffs,
-    dual_star_matrix,
+    dual,
     freeze,
     identity_gap,
 )
@@ -44,7 +43,8 @@ Array = np.ndarray
 
 
 def convolve2(host: FiniteHopfStarAlgebra, x: Array, y: Array) -> Array:
-    """Convolution of two functionals on the tensor square.
+    """Convolution of two functionals on the tensor square: the product of
+    dual(host) (x) dual(host), leg by leg.
 
     out[i, j] = sum comul[i, a, b] comul[j, c, d] x[a, c] y[b, d].  One factor
     may carry a trailing axis, such as ``mul`` read as a vector-valued
@@ -124,10 +124,11 @@ def invert2(
 
 
 def dual_star2(host: FiniteHopfStarAlgebra, x: Array) -> Array:
-    """Involution on tensor-square functionals, leg-wise consistent with
-    the involution on single-leg functionals."""
-    m = dual_star_matrix(host)
-    return np.conj(m.T @ x @ m)
+    """Involution on tensor-square functionals: the star of dual(host) on
+    both legs."""
+    # conjugated once, after both products, as star_of does for one leg
+    star = np.conj(dual(host).star)
+    return np.conj(star @ x @ star.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,10 +315,11 @@ def _v_from_w(
     w_fn: DualFunctional, w_inv: DualFunctional, ctx: ScalarContext
 ) -> tuple[DualFunctional, DualFunctional]:
     """v_functional from a w and w^-1 already at hand."""
-    host = w_fn.host
-    v = convolve_coeffs(host, w_inv.coeffs, w_fn.coeffs @ host.antipode_inv)
-    v_fn = DualFunctional(host, v)
-    value_at_unit = complex(np.dot(v, host.unit))
+    hat = dual(w_fn.host)
+    # v = w^-1 (w o antipode_inv), and v(1) its counit in the dual
+    v = hat.product(w_inv.coeffs, hat.antipode_inv @ w_fn.coeffs)
+    v_fn = DualFunctional(w_fn.host, v)
+    value_at_unit = complex(np.dot(v, hat.counit))
     if abs(value_at_unit - 1.0) > ctx.loose_tolerance:
         raise TheoremViolation(f"v takes value {value_at_unit:.6g} at the unit")
     return v_fn, convolution_inverse(v_fn, ctx)

@@ -1,4 +1,4 @@
-"""Finite Hopf *-algebras as dense structure tensors, plus their dual functionals.
+"""Finite Hopf *-algebras as dense structure tensors, and their duals.
 
 Conventions used throughout:
 
@@ -20,22 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import Chain, Terms, max_abs, max_gap, slices, small
-from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
+from .errors import DimensionMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
 
 
 def freeze(a) -> Array:
-    """a as a read-only, C-contiguous complex128 array.  An array that is
-    already all three, and that no writeable array it views can change, is
-    returned as it is, so frozen tensors are shared; anything else is
-    copied, so a caller who changes its own array later changes nothing."""
+    """a as a read-only complex128 array.  An array that is already both, and
+    that no writeable array it views can change, is returned as it is, so
+    frozen tensors and their views (a dual's transposes) are shared; anything
+    else is copied, so a caller who changes its own array later changes nothing."""
     # a read-only view can still change through a writeable base, and an
     # array over a buffer that is not an array through the buffer
     owner = a
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
-    if owner is None and a.dtype == np.complex128 and a.flags.c_contiguous:
+    if owner is None and a.dtype == np.complex128:
         return a
     out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.flags.writeable = False
@@ -113,11 +113,15 @@ class FiniteHopfStarAlgebra:
             object.__setattr__(self, name, arr)
 
     def product(self, x: Array, y: Array) -> Array:
-        return np.einsum("i,j,ijk->k", x, y, self.mul)
+        """Coefficients of x y.  x may be an (n, k) matrix whose columns are
+        elements; the k products x[:, r] y are then its columns."""
+        return self.mul.transpose(2, 0, 1) @ y @ x
 
     def star_of(self, x: Array) -> Array:
         """Coefficients of x*; x may be a stack (..., n) of elements."""
-        return np.conj(x) @ self.star.T
+        # the sum is conjugated, not its terms, which fixes the sign of a zero
+        # imaginary part, and so the canonical bytes of a dual's star
+        return np.conj(x @ np.conj(self.star.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,44 +141,40 @@ class DualFunctional:
         return complex(np.dot(self.coeffs, x))
 
 
-def convolve(phi: DualFunctional, psi: DualFunctional) -> DualFunctional:
-    """Convolution product (phi * psi)(a) = phi(a_(1)) psi(a_(2))."""
-    if phi.host is not psi.host:
-        raise HostMismatch("convolution requires a common host algebra")
-    return DualFunctional(phi.host, convolve_coeffs(phi.host, phi.coeffs, psi.coeffs))
-
-
-def convolve_coeffs(host: FiniteHopfStarAlgebra, phi: Array, psi: Array) -> Array:
-    """Coefficient-level form of convolve, for tight loops."""
-    return host.comul @ psi @ phi
+def dual(algebra: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
+    """The dual Hopf *-algebra of functionals, by their values on the basis:
+    the convolution (phi psi)(a) = phi(a_(1)) psi(a_(2)), the counit as its
+    unit, phi -> phi o kappa as its antipode and phi*(a) = conj(phi(kappa(a)*))
+    as its star.  Its n^3-entry tensors are transposed views of algebra's."""
+    a = algebra
+    # the star m^T, m = conj(star) antipode, is held as a view of m: a
+    # C-ordered copy would change the order in which star_of's products sum
+    m = np.conj(a.star) @ a.antipode
+    m.flags.writeable = False
+    return FiniteHopfStarAlgebra(
+        dim=a.dim,
+        basis_labels=a.basis_labels,
+        mul=a.comul.transpose(1, 2, 0),
+        unit=a.counit,
+        comul=a.mul.transpose(2, 0, 1),
+        counit=a.unit,
+        antipode=a.antipode.T,
+        antipode_inv=a.antipode_inv.T,
+        star=m.T,
+    )
 
 
 def convolution_inverse(phi: DualFunctional, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualFunctional:
     """The convolution inverse of a unitary functional, which is its dual
     star, accepted by its two-sided residual."""
-    host = phi.host
-    inv = dual_star(phi)
-    left = convolve(phi, inv).coeffs - host.counit
-    right = convolve(inv, phi).coeffs - host.counit
+    hat = dual(phi.host)
+    inv = hat.star_of(phi.coeffs)
+    left = hat.product(phi.coeffs, inv) - hat.unit
+    right = hat.product(inv, phi.coeffs) - hat.unit
     resid = max(max_abs(left), max_abs(right))
     if not ctx.close(resid):
         raise NotConvolutionInvertible(f"not unitary: two-sided inverse residual {resid:.3g}")
-    return inv
-
-
-def dual_star_matrix(host: FiniteHopfStarAlgebra) -> Array:
-    """m = star @ conj(antipode), so that phi*(e_i) = conj(sum_j m[j, i] phi_j)."""
-    return host.star @ np.conj(host.antipode)
-
-
-def dual_star(phi: DualFunctional) -> DualFunctional:
-    """Involution on the dual: phi*(a) = conj(phi(kappa(a)*))."""
-    return DualFunctional(phi.host, dual_star_matrix_apply(phi.host, phi.coeffs))
-
-
-def dual_star_matrix_apply(host: FiniteHopfStarAlgebra, phi: Array) -> Array:
-    """Coefficient-level form of dual_star, for tight loops."""
-    return np.conj(dual_star_matrix(host).T @ phi)
+    return DualFunctional(phi.host, inv)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ._linalg import Terms, extend_rows, join, max_abs, max_gap
+from ._linalg import Chain, Terms, extend_rows, join, max_abs, max_gap
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -28,6 +28,7 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     freeze,
+    identity_gap,
 )
 from .errors import DecompositionError, DimensionMismatch, HostMismatch
 from .peterweyl import PeterWeylData, gram_matrix, haar_state
@@ -42,7 +43,9 @@ class UnitaryCorep:
     u: Array  # (N, N, n)
 
     def __post_init__(self):
-        arr = freeze(self.u)
+        # C-ordered whatever the caller passes, as the corep layer is fastest
+        # over C-ordered entries; a frozen C-ordered u is shared
+        arr = freeze(np.ascontiguousarray(self.u))
         if arr.shape != (self.hdim, self.hdim, self.host.dim):
             raise DimensionMismatch(
                 f"corep tensor has shape {arr.shape}, expected "
@@ -249,16 +252,16 @@ def verify_corep(
     counit_side = np.einsum("ijc,c->ij", u, a.counit) - np.eye(n_h)
     checks.append(("corep-counit", max_abs(counit_side)))
 
-    # sum_k u_ik u*_jk and sum_k u*_ki u_kj, as (c, i, j): the adjoint action
-    # of the identity, and the map with left factor u*_a^T and right factor
-    # u_b at the identity
-    ustar = corep.entry_star()
-    eye = np.eye(n_h, dtype=np.complex128)
-    target = a.unit[:, None, None] * eye
-    row = _adjoint(corep)(eye) - target
-    col = _FusedAdjoint(ustar.transpose(1, 0, 2), u.transpose(1, 0, 2), a.mul)(eye) - target
-    checks.append(("unitarity-right", max_abs(row)))
-    checks.append(("unitarity-left", max_abs(col)))
+    # sum_k u_ik u*_jk = delta_ij 1 and sum_k u*_ki u_kj = delta_ij 1, each
+    # side [i, j, c] summed over the nonzero entries of u, u* and mul
+    entries, ustar, m = Terms.of(u), corep.entry_star(), Terms.of(a.mul)
+    target = Chain(Terms.of(np.einsum("ij,c->ijc", np.eye(n_h), a.unit)))
+    row = Chain(entries, ("ika,jkb->ijab", Terms.of(ustar)), ("ijab,abc->ijc", m))
+    col = Chain(
+        Terms.of(ustar.transpose(1, 0, 2)), ("ika,kjb->ijab", entries), ("ijab,abc->ijc", m)
+    )
+    checks.append(("unitarity-right", identity_gap(row, target)))
+    checks.append(("unitarity-left", identity_gap(col, target)))
 
     return AxiomReport(subject=subject, checks=tuple(checks), tolerance=ctx.tolerance)
 

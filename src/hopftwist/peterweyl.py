@@ -26,8 +26,7 @@ from .core import (
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
-    convolve_coeffs,
-    dual_star_matrix_apply,
+    dual,
     freeze,
 )
 from .errors import DecompositionError, NotErgodic, NotFaithful
@@ -109,24 +108,18 @@ class PeterWeylData:
         return tuple(b.dimension for b in self.blocks)
 
 
-def _dual_center(host: FiniteHopfStarAlgebra) -> Array:
-    n = host.dim
-    m = (host.comul - host.comul.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(n * n, n)
-    return nullspace(m)
+def _center(hat: FiniteHopfStarAlgebra) -> Array:
+    """Orthonormal columns spanning the z with z e_k = e_k z for every k."""
+    n = hat.dim
+    commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [j, k, i]
+    return nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
 
 
-def _random_self_adjoint(
-    host: FiniteHopfStarAlgebra, basis: Array, rng: np.random.Generator
-) -> Array:
-    k = basis.shape[1]
-    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    z = basis @ coeffs
-    return 0.5 * (z + dual_star_matrix_apply(host, z))
-
-
-def _act(host: FiniteHopfStarAlgebra, phi: Array) -> Array:
-    """Right-translation action of a dual element on the coefficient space."""
-    return (host.comul @ phi).T
+def _in_frame(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], z: Array) -> Array:
+    """z acting on the algebra, a -> a_(1) z(a_(2)), in the state frame: the
+    transpose of right multiplication by z in the dual."""
+    s, s_inv = frame
+    return s @ hat.product(np.eye(hat.dim), z).T @ s_inv
 
 
 def _gns_frame(
@@ -134,9 +127,10 @@ def _gns_frame(
 ) -> tuple[Array, Array]:
     """Hermitian square root of the Haar gram matrix, with its inverse.
 
-    Conjugating _act by this root turns every self-adjoint dual element into
-    an exactly Hermitian matrix, so eigh applies; for a standard orthonormal
-    frame that holds only when the gram matrix is a multiple of the identity.
+    Conjugating the action of the dual by this root (_in_frame) turns every
+    self-adjoint dual element into an exactly Hermitian matrix, so eigh
+    applies; for a standard orthonormal frame that holds only when the gram
+    matrix is a multiple of the identity.
     """
     gram = gram_matrix(algebra, h)
     gram = 0.5 * (gram + gram.conj().T)
@@ -180,12 +174,12 @@ def _eigen_split(m: Array, parts: int, size: int = 0) -> list[Array]:
     return [vecs[:, lo:hi] for lo, hi in bounds]
 
 
-def _projection_element(host: FiniteHopfStarAlgebra, frame: tuple[Array, Array], v: Array) -> Array:
+def _projection_element(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], v: Array) -> Array:
     """The dual element e whose action is the orthogonal projection v v^H in
-    the state frame, for orthonormal columns v: e = counit act(e) by the
-    counit law, so no solve enters."""
+    the state frame, for orthonormal columns v: e = 1 e, with 1 the dual's
+    unit, is read off that action, so no solve enters."""
     s, s_inv = frame
-    return (host.counit @ s_inv @ v) @ (v.conj().T @ s)
+    return (hat.unit @ s_inv @ v) @ (v.conj().T @ s)
 
 
 def _retrying(what: str, attempt):
@@ -199,25 +193,27 @@ def _retrying(what: str, attempt):
 
 
 def _split_center(
-    host: FiniteHopfStarAlgebra,
+    hat: FiniteHopfStarAlgebra,
     frame: tuple[Array, Array],
     ctx: ScalarContext,
     rng: np.random.Generator,
 ) -> list[tuple[int, Array, Array]]:
     """(block dimension, central idempotent, isotypic basis in the state
     frame) per block, from the eigenvectors of a random central element."""
-    s, s_inv = frame
-    center = _dual_center(host)
+    center = _center(hat)
+    k = center.shape[1]
 
     def attempt():
-        z = _random_self_adjoint(host, center, rng)
-        groups = _eigen_split(s @ _act(host, z) @ s_inv, center.shape[1])
+        # a random self-adjoint central element
+        z = center @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        z = 0.5 * (z + hat.star_of(z))
+        groups = _eigen_split(_in_frame(hat, frame, z), k)
         dims = [math.isqrt(g.shape[1]) for g in groups]
         if any(d * d != g.shape[1] for d, g in zip(dims, groups)):
             raise DecompositionError("eigenvalue multiplicities are not perfect squares")
-        idems = [_projection_element(host, frame, g) for g in groups]
-        resid = max(max_abs(convolve_coeffs(host, e, e) - e) for e in idems)
-        resid = max(resid, max_abs(sum(idems) - host.counit))
+        idems = [_projection_element(hat, frame, g) for g in groups]
+        resid = max(max_abs(hat.product(e, e) - e) for e in idems)
+        resid = max(resid, max_abs(sum(idems) - hat.unit))
         if resid > ctx.loose_tolerance:
             raise DecompositionError(f"central idempotent residual {resid:.3g}")
         return list(zip(dims, idems, groups))
@@ -226,7 +222,7 @@ def _split_center(
 
 
 def _block_matrix_units(
-    host: FiniteHopfStarAlgebra,
+    hat: FiniteHopfStarAlgebra,
     frame: tuple[Array, Array],
     e_alpha: Array,
     basis: Array,
@@ -241,21 +237,20 @@ def _block_matrix_units(
     minimal projections p_0, ..., p_{d-1}.  The partial isometry from p_q to
     p_0 is p_0 r p_q, normalized.
     """
-    n, d = host.dim, math.isqrt(basis.shape[1])
+    n, d = hat.dim, math.isqrt(basis.shape[1])
     if d == 1:
         return e_alpha.reshape(1, 1, n)
-    s, s_inv = frame
 
     def attempt():
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z = 0.5 * (r + dual_star_matrix_apply(host, r))
-        groups = _eigen_split(basis.conj().T @ (s @ _act(host, z) @ s_inv) @ basis, d, d)
-        projections = [_projection_element(host, frame, basis @ g) for g in groups]
+        z = 0.5 * (r + hat.star_of(r))
+        groups = _eigen_split(basis.conj().T @ _in_frame(hat, frame, z) @ basis, d, d)
+        projections = [_projection_element(hat, frame, basis @ g) for g in groups]
         p0 = projections[0]
         isometries = [p0]
         for p in projections[1:]:
-            w = convolve_coeffs(host, p0, convolve_coeffs(host, r, p))
-            ww = convolve_coeffs(host, w, dual_star_matrix_apply(host, w))
+            w = hat.product(p0, hat.product(r, p))
+            ww = hat.product(w, hat.star_of(w))
             scale = complex(np.vdot(p0, ww)) / complex(np.vdot(p0, p0))
             if scale.real <= 0 or abs(scale.imag) > 1e-6 * abs(scale.real):
                 raise DecompositionError(f"isometry normalizer {scale:.3g} not positive")
@@ -263,9 +258,9 @@ def _block_matrix_units(
             pivot = int(np.argmax(np.abs(v)))
             phase = v[pivot] / abs(v[pivot])
             isometries.append(v / phase)
-        stars = [dual_star_matrix_apply(host, v) for v in isometries]
-        units = np.array([[convolve_coeffs(host, a, b) for b in isometries] for a in stars])
-        resid = _matrix_unit_residual(host, units)
+        stars = [hat.star_of(v) for v in isometries]
+        units = np.array([[hat.product(a, b) for b in isometries] for a in stars])
+        resid = _matrix_unit_residual(hat, units)
         if resid > ctx.loose_tolerance:
             raise DecompositionError(f"matrix-unit residual {resid:.3g}")
         return units
@@ -273,12 +268,12 @@ def _block_matrix_units(
     return _retrying("block refinement", attempt)
 
 
-def _matrix_unit_residual(host: FiniteHopfStarAlgebra, units: Array) -> float:
+def _matrix_unit_residual(hat: FiniteHopfStarAlgebra, units: Array) -> float:
     # e[p, q]* = e[q, p]; e[p, q] e[r, s] = delta_qr e[p, s], all pairs as ((p q), i, (r s))
-    d, flat = len(units), units.reshape(-1, host.dim)
-    stars = dual_star_matrix_apply(host, flat.T).T.reshape(units.shape)
-    prods = np.tensordot(flat, host.comul @ flat.T, axes=([1], [1]))
-    want = np.einsum("qr,psi->pqirs", np.eye(d), units).reshape(d * d, host.dim, d * d)
+    d, flat = len(units), units.reshape(-1, hat.dim)
+    stars = hat.star_of(flat).reshape(units.shape)
+    prods = np.stack([hat.product(flat.T, y) for y in flat], axis=-1).transpose(1, 0, 2)
+    want = np.einsum("qr,psi->pqirs", np.eye(d), units).reshape(d * d, hat.dim, d * d)
     return max(max_abs(stars - units.transpose(1, 0, 2)), max_abs(prods - want))
 
 
@@ -291,9 +286,10 @@ def decompose(
     n = algebra.dim
     rng = ctx.rng()
     frame = _gns_frame(algebra, h, ctx)
+    hat = dual(algebra)
     staged = [
-        (d, e_alpha, _block_matrix_units(algebra, frame, e_alpha, basis, ctx, rng))
-        for d, e_alpha, basis in _split_center(algebra, frame, ctx, rng)
+        (d, e_alpha, _block_matrix_units(hat, frame, e_alpha, basis, ctx, rng))
+        for d, e_alpha, basis in _split_center(hat, frame, ctx, rng)
     ]
 
     # deterministic order: by dimension, then by the idempotent's rounded vector

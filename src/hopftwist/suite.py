@@ -23,11 +23,9 @@ from . import catalog
 from .cocycle import verify_cocycle
 from .core import (
     DEFAULT_CONTEXT,
-    DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
-    convolve,
-    dual_star,
+    dual,
     max_abs,
     verify_hopf_axioms,
 )
@@ -197,12 +195,12 @@ def _orthogonality(d: _Derived):
 def _star_hom(d: _Derived):
     for name in _MULT_REP_HOSTS:
         corep, pw = d.coreps[d.hosts[name]], d.pw[d.hosts[name]]
+        hat = dual(pw.host)
         units = np.concatenate([b.matrix_units.reshape(-1, pw.host.dim) for b in pw.blocks])
-        rhos = [DualFunctional(pw.host, u) for u in units]
         residual = _star_hom_gap(
-            pi_u(corep, np.stack([f.coeffs for f in rhos])),
-            pi_u(corep, np.stack([dual_star(f).coeffs for f in rhos])),
-            pi_u(corep, np.stack([[convolve(fa, fb).coeffs for fb in rhos] for fa in rhos])),
+            pi_u(corep, units),
+            pi_u(corep, np.stack([hat.star_of(u) for u in units])),
+            pi_u(corep, np.stack([[hat.product(a, b) for b in units] for a in units])),
         )
         yield f"{name}.star-hom", residual
 

@@ -27,7 +27,7 @@ from hopftwist import (
     dihedral_group,
     direct_product,
     direct_sum,
-    dual_star,
+    dual,
     function_algebra,
     group_algebra,
     induce,
@@ -51,7 +51,7 @@ from hopftwist._linalg import Terms, join, max_gap, nullspace
 from hopftwist.cocycle import convolve2, dual_star2, identity2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
-from hopftwist.peterweyl import _act, _rho_data, gram_matrix, haar_pairing, haar_state
+from hopftwist.peterweyl import _rho_data, gram_matrix, haar_pairing, haar_state
 
 REL = 1e-12
 
@@ -793,7 +793,7 @@ def _ref_twist(host, cocycle, w, w_inv):
         "iabc,jdef,ad,bet,cf->ijt", d3, d3, cocycle.sigma, host.mul, cocycle.sigma_inv,
         optimize=False,
     )
-    w_ds, w_inv_ds = dual_star(w).coeffs, dual_star(w_inv).coeffs
+    w_ds, w_inv_ds = dual(host).star_of(np.stack([w.coeffs, w_inv.coeffs]))
     middle = np.einsum("ipqr,p,r->qi", d3, w_inv_ds, w_ds, optimize=False)
     wrapped = np.einsum("ipqr,p,r->qi", d3, w.coeffs, w_inv.coeffs, optimize=False)
     return mul, host.star @ middle.conj(), host.antipode @ wrapped
@@ -857,7 +857,9 @@ def test_state_form_and_translation_match_their_formulas(rng):
     want = np.einsum("pi,pjw,w->ij", host.star, host.mul, h.coeffs, optimize=False)
     assert _relative_error(gram_matrix(host, h), want) <= REL
     phi = _complex(rng, 6)
-    assert _relative_error(_act(host, phi), np.einsum("kjm,m->jk", host.comul, phi)) <= REL
+    # the dual acting on the algebra by right translation
+    translation = dual(host).product(np.eye(6), phi).T
+    assert _relative_error(translation, np.einsum("kjm,m->jk", host.comul, phi)) <= REL
     # a Haar state is tracial, so only a non-Hopf input tells h(x y) from h(y x)
     q, f = _complex(rng, 2, 2, 6), _complex(rng, 2, 2)
     x_elems, rho = _rho_data(host, h, q, f, 1.5)

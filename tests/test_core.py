@@ -11,10 +11,9 @@ from hopftwist import (
     DualFunctional,
     catalog,
     convolution_inverse,
-    convolve,
     cyclic_group,
     dihedral_group,
-    dual_star,
+    dual,
     function_algebra,
     group_algebra,
     klein_four_group,
@@ -91,10 +90,13 @@ def test_freeze_shares_a_frozen_array_and_copies_a_writeable_one():
     view = mine[:]
     view.flags.writeable = False
     assert freeze(view) is not view
-    # so are real and non-contiguous arrays
+    # so are real arrays, and a copy is C-contiguous
     assert freeze(np.arange(4.0)).dtype == np.complex128
+    assert freeze(np.arange(8, dtype=np.complex128)[::2]).flags.c_contiguous
+    # a read-only view of frozen memory is shared even where it is not
+    # C-contiguous, as the transposes that make up a dual are
     strided = freeze(np.arange(8, dtype=np.complex128))[::2]
-    assert freeze(strided) is not strided and freeze(strided).flags.c_contiguous
+    assert freeze(strided) is strided
 
 
 def test_a_twisted_algebra_shares_its_hosts_coalgebra(ctx):
@@ -175,11 +177,12 @@ def test_product_and_coproduct_helpers():
 
 def test_counit_is_convolution_identity(ctx):
     for host in _hosts():
+        hat = dual(host)
         eps = DualFunctional(host, host.counit)
         for k in range(host.dim):
             phi = DualFunctional(host, np.eye(host.dim)[k])
-            left = convolve(eps, phi).coeffs
-            right = convolve(phi, eps).coeffs
+            left = hat.product(eps.coeffs, phi.coeffs)
+            right = hat.product(phi.coeffs, eps.coeffs)
             assert np.abs(left - phi.coeffs).max() < 1e-12
             assert np.abs(right - phi.coeffs).max() < 1e-12
 
@@ -188,16 +191,18 @@ def test_dual_star_is_involutive(rng):
     for host in _hosts():
         coeffs = rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim)
         phi = DualFunctional(host, coeffs)
-        twice = dual_star(dual_star(phi)).coeffs
+        hat = dual(host)
+        twice = hat.star_of(hat.star_of(phi.coeffs))
         assert np.abs(twice - phi.coeffs).max() < 1e-10
 
 
 def test_dual_star_is_convolution_antihomomorphism(rng):
     for host in _hosts():
-        a = DualFunctional(host, rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim))
-        b = DualFunctional(host, rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim))
-        lhs = dual_star(convolve(a, b)).coeffs
-        rhs = convolve(dual_star(b), dual_star(a)).coeffs
+        hat = dual(host)
+        a = rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim)
+        b = rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim)
+        lhs = hat.star_of(hat.product(a, b))
+        rhs = hat.product(hat.star_of(b), hat.star_of(a))
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -205,14 +210,15 @@ def test_convolution_inverse_of_counit_perturbation(ctx, rng):
     # exp(iK) for a small self-adjoint K in the convolution algebra, whose
     # unit is the counit, summed as a power series: a unitary functional
     host = function_algebra(symmetric_group_3())
-    z = DualFunctional(host, 0.2 * (rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim)))
-    ik = DualFunctional(host, 0.5j * (z.coeffs + dual_star(z).coeffs))
-    term = phi = DualFunctional(host, host.counit)
+    hat = dual(host)
+    z = 0.2 * (rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim))
+    ik = 0.5j * (z + hat.star_of(z))
+    term = phi = hat.unit
     for m in range(1, 30):
-        term = DualFunctional(host, convolve(term, ik).coeffs / m)
-        phi = DualFunctional(host, phi.coeffs + term.coeffs)
-    inv = convolution_inverse(phi, ctx)
-    unit = convolve(phi, inv).coeffs
+        term = hat.product(term, ik) / m
+        phi = phi + term
+    inv = convolution_inverse(DualFunctional(host, phi), ctx)
+    unit = hat.product(phi, inv.coeffs)
     assert np.abs(unit - host.counit).max() < 1e-9
 
 
@@ -239,13 +245,11 @@ def test_scalar_context_validation():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
 def test_convolution_is_associative_on_basis_functionals(i, j):
-    host = group_algebra(symmetric_group_3())
-    eye = np.eye(host.dim)
-    a = DualFunctional(host, eye[i])
-    b = DualFunctional(host, eye[j])
-    c = DualFunctional(host, eye[(i + j) % host.dim])
-    lhs = convolve(convolve(a, b), c).coeffs
-    rhs = convolve(a, convolve(b, c)).coeffs
+    hat = dual(group_algebra(symmetric_group_3()))
+    eye = np.eye(hat.dim)
+    a, b, c = eye[i], eye[j], eye[(i + j) % hat.dim]
+    lhs = hat.product(hat.product(a, b), c)
+    rhs = hat.product(a, hat.product(b, c))
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -290,3 +294,70 @@ def test_convolution_inverse_rejects_exactly_singular_functionals(tol, rng):
     for phi in singular:
         with pytest.raises(NotConvolutionInvertible, match="not unitary"):
             convolution_inverse(phi, ctx)
+
+
+# --- the dual Hopf *-algebra ------------------------------------------------------
+
+FIELDS = ("mul", "unit", "comul", "counit", "antipode", "antipode_inv", "star")
+
+
+def _same_bits(x, y):
+    """Equal shapes and equal bytes in C order, so a -0.0 differs from 0.0."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _twisted_algebras(ctx):
+    for host, name in catalog.cocycle_pairs():
+        yield twist_algebra(catalog.algebra(host), catalog.cocycle(name, ctx), ctx).twisted
+
+
+@pytest.mark.parametrize("name", catalog.host_names())
+def test_the_dual_of_the_dual_is_the_algebra(name):
+    host = catalog.algebra(name)
+    again = dual(dual(host))
+    assert again.basis_labels == host.basis_labels
+    for field in FIELDS:
+        assert _same_bits(getattr(again, field), getattr(host, field)), field
+
+
+@pytest.mark.parametrize("group", ("1", "z2", "z3", "z4", "z2z2", "s3", "d4", "z4z4"))
+def test_the_dual_of_a_function_algebra_is_the_group_algebra(group):
+    data = catalog.group_data(group)
+    got, want = dual(function_algebra(data)), group_algebra(data)
+    for field in FIELDS:
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+
+def test_the_dual_passes_every_axiom_exactly(ctx):
+    algebras = [catalog.algebra(name) for name in catalog.host_names()]
+    for algebra in algebras + list(_twisted_algebras(ctx)):
+        report = verify_hopf_axioms(dual(algebra), ctx)
+        assert report.max_residual == 0.0, report.checks
+
+
+def test_the_dual_product_and_star_match_their_formulas(ctx, rng):
+    for algebra in (catalog.algebra("c-s3"), catalog.algebra("g-d4"), *_twisted_algebras(ctx)):
+        hat, n = dual(algebra), algebra.dim
+        phi, psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        # (phi psi)(a) = phi(a_(1)) psi(a_(2)) and phi*(a) = conj(phi(kappa(a)*))
+        want = np.einsum("ijk,j,k->i", algebra.comul, phi, psi)
+        assert np.abs(hat.product(phi, psi) - want).max() <= 1e-12
+        kappa_star = algebra.star @ np.conj(algebra.antipode)
+        want_star = np.conj(np.einsum("ji,j->i", kappa_star, phi))
+        assert np.abs(hat.star_of(phi) - want_star).max() <= 1e-12
+        # stacks: the star of each row, and the products of the columns of x with psi
+        stack = np.stack([phi, psi])
+        assert np.abs(hat.star_of(stack)[0] - want_star).max() <= 1e-12
+        assert np.abs(hat.product(stack.T, psi)[:, 0] - want).max() <= 1e-12
+
+
+def test_the_dual_forms_no_n3_array():
+    host = function_algebra(dihedral_group(64))
+    tracemalloc.start()
+    try:
+        hat = dual(host)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.shares_memory(hat.mul, host.comul) and np.shares_memory(hat.comul, host.mul)

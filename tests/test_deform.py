@@ -408,6 +408,63 @@ def test_deform_triple_on_the_z8z8_torus_in_bounded_memory(ctx):
     assert transcript["commutator_identity"] <= ctx.tolerance
 
 
+def _q_commutation_gaps(st, corep, sigma):
+    """For every pair of deformed generators, max |rho(a) rho(b) - q rho(b) rho(a)|
+    with q = beta(h, g) / beta(g, h) for translations of degrees g and h,
+    and the q of each pair.  t_g sends the basis vector of the identity,
+    index 0, to that of g, which reads its degree off its first column."""
+    gens = np.stack(st.generators)
+    rho = rho_sigma(corep, sigma, gens)
+    degrees = [int(np.argmax(np.abs(t[:, 0]))) for t in gens]
+    beta = sigma.sigma
+    gaps, qs = [], []
+    for i, g in enumerate(degrees):
+        for j, h in enumerate(degrees):
+            # the undeformed translations commute
+            assert np.array_equal(gens[i] @ gens[j], gens[j] @ gens[i])
+            q = beta[h, g] / beta[g, h]
+            gaps.append(np.abs(rho[i] @ rho[j] - q * rho[j] @ rho[i]).max())
+            qs.append(q)
+    return np.array(gaps), np.array(qs)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_deformed_torus_translations_q_commute(m, ctx):
+    """The deformation of the torus Z_m x Z_m by beta is the finite
+    clock-and-shift algebra: the translation t_g is homogeneous of degree g
+    under the regular corep, so rho_sigma(t_g) = t_g diag(beta^-1(g, .)),
+    and deformed translations of degrees g and h commute up to
+    q = beta(h, g) / beta(g, h).  Where deform_triple is cheap the deformed
+    algebra keeps the dimension m^2; m = 8 is the z8z8 test's."""
+    st, corep, sigma, pw = _torus_scene(m, ctx)
+    gaps, qs = _q_commutation_gaps(st, corep, sigma)
+    assert (gaps <= ctx.tolerance).all(), gaps
+    assert (np.abs(qs - 1) > 0.5).any()
+    if m <= 4:
+        transcript = deform_triple(st, corep, sigma, ctx, pw=pw).transcript
+        assert transcript["spectral_dimension"] == transcript["generated_dimension"] == m * m
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_a_symmetric_bicharacter_leaves_the_torus_translations_commuting(m, ctx):
+    """beta(g, h) = zeta_m^(g0 h0 + g1 h1) is symmetric, so q = 1 for every
+    pair, though the deformation moves each translation."""
+    st, corep, _, _ = _torus_scene(m, ctx)
+    group = direct_product(cyclic_group(m), cyclic_group(m))
+    a, b = np.divmod(np.arange(m * m), m)
+    fourier = catalog.fourier_matrix(group)
+    table = fourier[np.ix_(a, a)] * fourier[np.ix_(b, b)]
+    assert np.array_equal(table, table.T)
+    sigma = from_bicharacter(group, table, ctx, host=corep.host)
+    gaps, qs = _q_commutation_gaps(st, corep, sigma)
+    # the table is symmetric bit for bit; q = x / x carries only the
+    # rounding of a complex division
+    assert np.abs(qs - 1).max() <= 1e-15
+    assert (gaps <= ctx.tolerance).all(), gaps
+    gens = np.stack(st.generators)
+    assert np.abs(rho_sigma(corep, sigma, gens) - gens).max() > 0.5
+
+
 @pytest.mark.parametrize("name", ("z2z2-torus", "z4z4-torus"))
 def test_commutator_identity_catches_a_wrong_deformed_image(name, ctx, monkeypatch):
     """The expansion sum_c [D, a_(0)^c] legs[c] is summed from the coaction

@@ -19,7 +19,7 @@ from hopftwist import (
     twist_algebra,
 )
 from hopftwist._linalg import nullspace
-from hopftwist.core import DualFunctional, convolve, convolve_coeffs, dual_star_matrix_apply
+from hopftwist.core import DualFunctional, dual
 from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
     PeterWeylData,
@@ -55,7 +55,7 @@ def test_haar_state_is_idempotent_under_convolution(name, ctx):
     host = catalog.algebra(name)
     h = haar_state(host, ctx)
     assert isinstance(h, DualFunctional)
-    again = convolve(h, h).coeffs
+    again = dual(host).product(h.coeffs, h.coeffs)
     assert np.abs(again - h.coeffs).max() <= 1e-10
 
 
@@ -65,8 +65,9 @@ def test_haar_absorbs_any_functional(name, ctx, rng):
     h = haar_state(host, ctx)
     phi = DualFunctional(host, rng.normal(size=host.dim) + 1j * rng.normal(size=host.dim))
     scale = complex(np.dot(phi.coeffs, host.unit))
-    left = convolve(phi, h).coeffs
-    right = convolve(h, phi).coeffs
+    hat = dual(host)
+    left = hat.product(phi.coeffs, h.coeffs)
+    right = hat.product(h.coeffs, phi.coeffs)
     assert np.abs(left - scale * h.coeffs).max() <= 1e-9
     assert np.abs(right - scale * h.coeffs).max() <= 1e-9
 
@@ -136,18 +137,16 @@ def test_group_algebra_blocks_are_lines(ctx):
 @pytest.mark.parametrize("name", ("c-s3", "c-d4", "g-d4"))
 def test_dual_matrix_units_multiply_under_convolution(name, ctx):
     host = catalog.algebra(name)
+    hat = dual(host)
     pw = decompose(host, haar_state(host, ctx), ctx)
     for b in pw.blocks:
         d = b.dimension
-        units = [
-            [DualFunctional(host, b.matrix_units[i, j]) for j in range(d)]
-            for i in range(d)
-        ]
+        units = b.matrix_units
         for i in range(d):
             for j in range(d):
                 for k in range(d):
                     for l in range(d):
-                        prod = convolve(units[i][j], units[k][l]).coeffs
+                        prod = hat.product(units[i, j], units[k, l])
                         want = b.matrix_units[i, l] if j == k else 0.0
                         assert np.abs(prod - want).max() <= 1e-9
 
@@ -226,15 +225,17 @@ def test_haar_rejects_unitless_tensors(ctx):
 
 
 def _reference_matrix_unit_residual(host, units):
+    # phi*(e_i) = conj(phi(kappa(e_i)*)) and (phi psi)(e_i) = phi(e_i(1)) psi(e_i(2))
     d = units.shape[0]
+    kappa_star = host.star @ np.conj(host.antipode)
     resid = 0.0
     for p in range(d):
         for q in range(d):
-            star = dual_star_matrix_apply(host, units[p, q])
+            star = np.conj(np.einsum("ji,j->i", kappa_star, units[p, q]))
             resid = max(resid, np.abs(star - units[q, p]).max())
             for r in range(d):
                 for s in range(d):
-                    prod = convolve_coeffs(host, units[p, q], units[r, s])
+                    prod = np.einsum("ijk,j,k->i", host.comul, units[p, q], units[r, s])
                     want = units[p, s] if q == r else 0.0
                     resid = max(resid, np.abs(prod - want).max())
     return resid
@@ -247,7 +248,7 @@ def test_stacked_matrix_unit_residual_equals_the_pairwise_loop(name, ctx, rng):
         noisy = b.matrix_units + 1e-3 * rng.normal(size=b.matrix_units.shape)
         for units in (b.matrix_units, noisy):
             want = _reference_matrix_unit_residual(host, units)
-            assert abs(_matrix_unit_residual(host, units) - want) <= 1e-15 + 1e-12 * want
+            assert abs(_matrix_unit_residual(dual(host), units) - want) <= 1e-15 + 1e-12 * want
 
 
 # ------------------------------------------------------------- seed sweep
