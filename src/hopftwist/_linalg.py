@@ -68,9 +68,10 @@ class Terms:
         """The nonzero entries of a, in row-major order, as summed terms.
         NaN and inf are nonzero, so they are kept."""
         # a complex != 0 and a boolean flatnonzero take half the time of a
-        # complex nonzero
+        # complex nonzero; the values are read in place, where a.take(keys)
+        # would copy a strided a (a dual's transposes) whole
         keys = np.flatnonzero(a != 0)
-        return cls(a.shape, keys, a.take(keys), a)
+        return cls(a.shape, keys, a[np.unravel_index(keys, a.shape)], a)
 
     @property
     def coords(self) -> tuple[np.ndarray, ...]:

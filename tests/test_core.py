@@ -23,6 +23,7 @@ from hopftwist import (
     verify_hopf_axioms,
     w_functional,
 )
+from hopftwist._linalg import Terms
 from hopftwist.core import AxiomReport, ScalarContext, freeze
 from hopftwist.errors import DimensionMismatch, NotConvolutionInvertible
 
@@ -48,16 +49,20 @@ def test_axiom_report_names_are_unique(ctx):
     assert "antipode-law" in names
 
 
+def _checked_with_peak(host, ctx):
+    tracemalloc.start()
+    try:
+        report = verify_hopf_axioms(host, ctx)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_axiom_check_at_dimension_32_holds_under_two_n4_arrays(ctx):
     host = function_algebra(dihedral_group(16))
     n = host.dim
     assert n == 32
-    tracemalloc.start()
-    try:
-        report = verify_hopf_axioms(host, ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = _checked_with_peak(host, ctx)
     assert report.passed
     assert peak < 2 * n**4 * 16  # 32 MB of complex128
 
@@ -69,14 +74,32 @@ def test_axiom_check_at_dimension_64_holds_under_4_mib(ctx):
     # (4 MiB) is formed; the check peaks at about 2.4 MiB
     host = function_algebra(dihedral_group(32))
     assert host.dim == 64
-    tracemalloc.start()
-    try:
-        report = verify_hopf_axioms(host, ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = _checked_with_peak(host, ctx)
     assert report.passed
     assert peak < 4 * 2**20
+
+
+def test_axiom_check_reads_a_duals_transposed_tensors_in_place(ctx, monkeypatch):
+    # dual(H)'s tensors are transposed views of H's; a.take(keys) copied each
+    # whole to read its terms, so at n = 64 the check on dual(C(D32)) peaked
+    # at 4.1 MiB against 2.6 MiB for the C-ordered G(D32)
+    host = dual(function_algebra(dihedral_group(32)))
+    assert host.dim == 64 and not host.mul.flags.c_contiguous
+    report, peak = _checked_with_peak(host, ctx)
+    _, group_peak = _checked_with_peak(group_algebra(dihedral_group(32)), ctx)
+    assert report.passed
+    assert peak <= 1.25 * group_peak, (peak, group_peak)
+
+    def taking(cls, a):  # the reader that copies a strided array
+        keys = np.flatnonzero(a != 0)
+        return cls(a.shape, keys, a.take(keys), a)
+
+    rng = np.random.default_rng(7)
+    strided = (rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8)))
+    strided = strided.transpose(1, 2, 0)[:, ::2]
+    assert np.array_equal(Terms.of(strided).values, taking(Terms, strided).values)
+    monkeypatch.setattr(Terms, "of", classmethod(taking))
+    assert verify_hopf_axioms(host, ctx).checks == report.checks
 
 
 def test_freeze_shares_a_frozen_array_and_copies_a_writeable_one():
