@@ -1,30 +1,23 @@
 """Small linear-algebra helpers used across modules: max norms, kernels,
 orthonormal extension of a row span, and sparse tensors held as terms
 (Terms), with join, the one contraction over their nonzero entries, and
-Chain, a run of joins formed slice by slice under one budget of terms.  Only
-this module knows the flat key format of the terms."""
+Chain, a contraction of several steps formed run by run, densely or by joins
+as runs decides.  Only this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
-# The most terms that one join of a chain forms.  A term takes about 100
-# bytes while it is formed and summed, so a join holds under 2 MiB.
+# The most terms that one join of a chain forms (about 100 bytes each while
+# formed and summed, under 2 MiB), and the most entries of each dense partial
+# result of a run that runs writes out densely (256 KiB).
 BUDGET = 2**14
-
-
-def small(n: int) -> bool:
-    """Whether a host of dimension n is small: whether an n^3-entry tensor
-    fits the budget.  This is the one rule between the two paths of every
-    n^3-entry contraction.  On a small host it is written out densely, where
-    a few BLAS products cost less than the fixed numpy calls of a chain of
-    joins; on a larger host it is a chain, in slices (see slices)."""
-    return n**3 <= BUDGET
 
 
 def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:
@@ -146,8 +139,7 @@ class Join:
     """
 
     def __init__(self, spec: str, y):
-        ins, self.out = spec.split("->")
-        self.xs, self.ys = ins.split(",")
+        self.xs, self.ys, self.out = _letters(spec)
         self.y = y if isinstance(y, Terms) else Terms.of(y)
         self.cy = self.y.coords
         self.shared = [c for c in self.xs if c in self.ys]
@@ -183,15 +175,33 @@ class Join:
 class Chain:
     """The contraction of first with the operand of each (spec, operand)
     step in turn, a side of an identity or a convolution; every spec drops
-    its shared letters.  Its terms are formed one run of the leading index
-    of first at a time, each join held under BUDGET terms.  dense, when
-    given, writes the contraction out at a run of leading indices in place
-    of the tensordots of dense()."""
+    its shared letters.  It is formed one run of the leading index of first
+    at a time, densely or as terms, as runs chooses.  dense, when given,
+    writes the contraction out at a run of leading indices in place of the
+    tensordots of dense()."""
 
     def __init__(self, first: Terms, *steps: tuple[str, object], dense=None):
-        self.first = first
-        self.joins = tuple(Join(spec, operand) for spec, operand in steps)
+        self.first, self.steps = first, steps
         self._dense = dense
+
+    @cached_property
+    def joins(self) -> tuple[Join, ...]:
+        """The joins of the steps, prepared on first use, so that a chain
+        written out densely never keys or sorts its operands."""
+        return tuple(Join(spec, operand) for spec, operand in self.steps)
+
+    def fits(self, lead: slice) -> bool:
+        """Whether every dense partial result at the leading indices lead,
+        the slice of first and the output of each step, has at most BUDGET
+        entries."""
+        shape = (lead.stop - lead.start,) + self.first.shape[1:]
+        entries = [math.prod(shape)]
+        for spec, operand in self.steps:
+            xs, ys, out = _letters(spec)
+            size = dict(zip(xs + ys, shape + operand.shape))
+            shape = tuple(size[c] for c in out)
+            entries.append(math.prod(shape))
+        return max(entries) <= BUDGET
 
     def terms(self, lead: slice) -> Terms | None:
         """The terms at the leading indices lead, the running terms summed
@@ -206,30 +216,39 @@ class Chain:
 
     def dense(self, lead: slice) -> np.ndarray:
         """The same contraction at lead written out densely, one tensordot
-        per step, each against the array its operand was read from when
-        there is one."""
+        per step, each operand read from the array it came from when there
+        is one."""
         if self._dense is not None:
             return self._dense(lead)
-        out = self.first[lead].dense()
-        for step in self.joins:
-            axes = [step.xs.index(c) for c in step.shared], [step.ys.index(c) for c in step.shared]
-            y = step.y.dense() if step.y.array is None else step.y.array
-            out = np.tensordot(out, y, axes=axes)
-            rest = [c for c in step.xs + step.ys if c not in step.shared]
-            out = out.transpose([rest.index(c) for c in step.out])
+        out = self.first[lead].dense() if self.first.array is None else self.first.array[lead]
+        for spec, operand in self.steps:
+            xs, ys, out_letters = _letters(spec)
+            shared = [c for c in xs if c in ys]
+            if isinstance(operand, Terms):
+                operand = operand.dense() if operand.array is None else operand.array
+            axes = [xs.index(c) for c in shared], [ys.index(c) for c in shared]
+            out = np.tensordot(out, operand, axes=axes)
+            rest = [c for c in xs + ys if c not in shared]
+            out = out.transpose([rest.index(c) for c in out_letters])
         return out
 
     def whole(self) -> Terms:
         """The summed terms of the whole contraction, formed run by run (see
-        slices); an index over the budget alone is written out densely and
-        read back as terms, keeping only its nonzero entries."""
+        runs); a run written out densely is read back as terms, keeping only
+        its nonzero entries."""
         keys, values = [], []
-        for lead, terms in slices(self.first.shape[0], self.terms):
+        for lead, terms in runs((self,), self.terms):
             terms = Terms.of(self.dense(lead)) if terms is None else terms.summed()
             rest = terms.shape[1:]
             keys.append(terms.keys + lead.start * math.prod(rest))
             values.append(terms.values)
         return Terms((self.first.shape[0],) + rest, np.concatenate(keys), np.concatenate(values))
+
+
+def _letters(spec: str) -> tuple[str, str, str]:
+    """The letters of the two operands and of the output of an einsum spec."""
+    ins, out = spec.split("->")
+    return (*ins.split(","), out)
 
 
 def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:
@@ -241,23 +260,62 @@ def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:
     return flat
 
 
-def slices(n: int, part: Callable[[slice], T | None]) -> Iterator[tuple[slice, T | None]]:
-    """Each run lead of the leading indices 0..n-1, in order, with part(lead).
+def runs(
+    chains: tuple[Chain, ...], joined: Callable[[slice], T | None]
+) -> Iterator[tuple[slice, T | None]]:
+    """Each run lead of the leading indices of chains, in order, with
+    joined(lead), or with None where the run is to be written out densely.
 
-    part returns None to refuse a run, as Chain.terms does when a join in it
-    would exceed the budget.  A refused run is halved, so a run never splits
-    the terms of one index; an index that part refuses alone comes with
-    None, for the caller to write out densely.
+    This is the one rule between the dense and the join form of every
+    contraction of several steps.  A run is dense when every chain fits it
+    (Chain.fits): every dense partial result then has at most BUDGET
+    entries, and a few BLAS products cost less than the fixed numpy calls
+    of the joins.  Otherwise joined(lead) forms its terms, or returns None
+    to refuse it, as Chain.terms does when a join would exceed the budget.
+    A refused run is halved, so a run never splits the terms of one index;
+    an index that joined refuses alone is written out densely too.
     """
-    todo = [slice(0, n)]
+    todo = [slice(0, chains[0].first.shape[0])]
     while todo:
         lead = todo.pop()
-        got = part(lead)
-        if got is None and lead.stop - lead.start > 1:
+        dense = all(chain.fits(lead) for chain in chains)
+        got = None if dense else joined(lead)
+        if got is None and not dense and lead.stop - lead.start > 1:
             mid = (lead.start + lead.stop) // 2
             todo += [slice(mid, lead.stop), slice(lead.start, mid)]
         else:
             yield lead, got
+
+
+def identity_gap(left: Chain, right: Chain) -> float:
+    """max |L - R| for an identity whose two sides are chains over the same
+    leading indices, summed and compared one run at a time (runs).  left
+    has at least one step, so its dense run is a fresh array, which the
+    comparison overwrites."""
+
+    def joined(lead: slice) -> float | None:
+        # each side is summed as soon as it is formed, so that only one side
+        # is ever held as unsummed terms
+        lhs = left.terms(lead)
+        lhs = lhs and lhs.summed()
+        rhs = lhs and right.terms(lead)
+        return None if rhs is None else max_gap(lhs, rhs)
+
+    return worst(
+        _gap(left.dense(lead), right.dense(lead)) if got is None else got
+        for lead, got in runs((left, right), joined)
+    )
+
+
+def _gap(fresh: np.ndarray, other) -> float:
+    """max |fresh - other|, overwriting the temporary fresh instead of allocating."""
+    np.subtract(fresh, other, out=fresh)
+    return max_abs(fresh)
+
+
+def worst(residuals) -> float:
+    """The largest residual; unlike max(), np.max keeps a NaN from any position."""
+    return float(np.max(list(residuals)))
 
 
 def max_gap(left: Terms, right: Terms) -> float:

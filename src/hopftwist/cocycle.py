@@ -8,8 +8,8 @@ recomputed from sigma and never trusted from input, and it is accepted only
 by its two-sided residual; a sigma that is not unitary is rejected.  The
 same holds for the functionals w and v, whose inverses are their dual stars.
 
-A cocycle induced from a small quotient is mostly zeros, so convolutions
-sum only over the rows and columns where a factor is nonzero.
+A cocycle induced from a small quotient is mostly zeros, so a convolution
+too large to write out is summed over the nonzero entries only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Chain, Terms, max_abs, small
+from ._linalg import Chain, Terms, identity_gap, max_abs
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -28,7 +28,6 @@ from .core import (
     convolution_inverse,
     dual,
     freeze,
-    identity_gap,
 )
 from .errors import (
     HostMismatch,
@@ -48,32 +47,19 @@ def convolve2(host: FiniteHopfStarAlgebra, x: Array, y: Array) -> Array:
 
     out[i, j] = sum comul[i, a, b] comul[j, c, d] x[a, c] y[b, d].  One factor
     may carry a trailing axis, such as ``mul`` read as a vector-valued
-    functional; that axis comes last in the result.  On a small host
-    (_linalg.small) the sums run densely over the rows and columns where
-    each factor is nonzero; on a larger one they are convolve2_terms,
+    functional; that axis comes last in the result.  It is convolve2_terms,
     written out.
     """
-    if not small(host.dim):
-        return convolve2_terms(host, x, y).dense()
-    comul = host.comul
-    if np.ndim(x) > 2:
-        # swap the legs of both coproducts so the matrix factor goes first
-        comul, x, y = comul.transpose(0, 2, 1), y, x
-    a, c = _support(x)
-    b, d = _support(y)
-    t = np.tensordot(comul[:, a][:, :, b], x[a][:, c], axes=([1], [0]))  # [i, b, c]
-    t = np.tensordot(t, y[b][:, d], axes=([1], [0]))  # [i, c, d, ...]
-    # against comul[j, c, d] this gives [i, ..., j]
-    out = np.tensordot(t, comul[:, c][:, :, d], axes=([1, 2], [1, 2]))
-    return np.moveaxis(out, -1, 1)
+    return convolve2_terms(host, x, y).dense()
 
 
 def convolve2_terms(host: FiniteHopfStarAlgebra, x, y) -> Terms:
-    """convolve2 as summed terms, over the nonzero entries of comul and of
-    both factors, arrays or Terms: a chain of joins on a, then b, then
-    (c, d), formed one run of output rows i at a time.  A cocycle induced
-    from a small quotient costs a fraction of a dense one, and no temporary
-    outgrows the budget of terms."""
+    """convolve2 as summed terms, factors given as arrays or Terms: a chain
+    on a, then b, then (c, d), formed one run of output rows i at a time,
+    densely where its partial results fit the budget and otherwise over the
+    nonzero entries of comul and of both factors (_linalg.runs).  A cocycle
+    induced from a small quotient then costs a fraction of a dense one, and
+    no temporary outgrows the budget."""
     tx, ty = "t" * (len(x.shape) - 2), "t" * (len(y.shape) - 2)
     c = Terms.of(host.comul)
     return Chain(
@@ -88,20 +74,9 @@ def twisted_product(host: FiniteHopfStarAlgebra, sig: Array, sig_inv: Array) -> 
     """The twisted product m_sigma = sigma * m * sigma^-1, convolved on the
     tensor square: with d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient
     of (id (x) Delta) Delta(e_i) it is
-    sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f].  On a host
-    that is not small (_linalg.small) the half-twisted product
-    mul * sigma^-1 is held as terms, not written out."""
-    if small(host.dim):
-        return convolve2(host, sig, convolve2(host, host.mul, sig_inv))
+    sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f].  The
+    half-twisted product mul * sigma^-1 is held as terms, not written out."""
     return convolve2(host, sig, convolve2_terms(host, host.mul, sig_inv))
-
-
-def _support(x: Array) -> tuple[Array | slice, Array | slice]:
-    """The indices of the rows and of the columns where x is nonzero (x may
-    carry trailing axes); slice(None) for an axis where every index is nonzero."""
-    rows = x.any(axis=tuple(range(1, x.ndim)))
-    cols = x.any(axis=(0, *range(2, x.ndim)))
-    return tuple(slice(None) if keep.all() else np.flatnonzero(keep) for keep in (rows, cols))
 
 
 def identity2(host: FiniteHopfStarAlgebra) -> Array:
@@ -164,14 +139,9 @@ def verify_cocycle(
     checks = [("inverse-two-sided", cocycle.inverse_residual)]
 
     # both sides share p[j, k, t] = sigma(e_j(1), e_k(1)) (e_j(2) e_k(2))_t
-    if small(host.dim):
-        p = convolve2(host, sig, host.mul)
-        cocycle_gap = max_abs(np.tensordot(sig, p, axes=([1], [2])) - p @ sig)
-    else:
-        s, p = Terms.of(sig), convolve2_terms(host, sig, host.mul)
-        lhs, rhs = Chain(s, ("at,bct->abc", p)), Chain(p, ("abt,tc->abc", s))
-        cocycle_gap = identity_gap(lhs, rhs)
-    checks.append(("cocycle-identity", cocycle_gap))
+    s, p = Terms.of(sig), convolve2_terms(host, sig, host.mul)
+    lhs, rhs = Chain(s, ("at,bct->abc", p)), Chain(p, ("abt,tc->abc", s))
+    checks.append(("cocycle-identity", identity_gap(lhs, rhs)))
 
     norm = max(
         max_abs(sig @ host.unit - host.counit),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Chain, Terms, max_abs, max_gap, slices, small
+from ._linalg import Chain, Terms, identity_gap, max_abs, worst
 from .errors import DimensionMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -210,42 +210,6 @@ class AxiomReport:
         return self
 
 
-def _gap(fresh: Array, other) -> float:
-    """max |fresh - other|, overwriting the temporary fresh instead of allocating."""
-    np.subtract(fresh, other, out=fresh)
-    return max_abs(fresh)
-
-
-def _pull_back(m: Array, t: Array) -> Array:
-    """r[i, j, l] = sum_pq m[q, i] m[p, j] t[p, q, l]."""
-    half = np.tensordot(m, t, axes=([0], [1]))  # [i, p, l]
-    return np.tensordot(half, m, axes=([1], [0])).transpose(0, 2, 1)
-
-
-def _worst(residuals) -> float:
-    """The largest residual; unlike max(), np.max keeps a NaN from any position."""
-    return float(np.max(list(residuals)))
-
-
-def identity_gap(left: Chain, right: Chain) -> float:
-    """max |L - R| for an identity whose two sides are chains, summed and
-    compared one run of leading indices at a time (_linalg.slices).  An
-    index whose joins exceed the budget alone is compared densely instead."""
-
-    def part(lead: slice) -> float | None:
-        # each side is summed as soon as it is formed, so that only one side
-        # is ever held as unsummed terms
-        lhs = left.terms(lead)
-        lhs = lhs and lhs.summed()
-        rhs = lhs and right.terms(lead)
-        return None if rhs is None else max_gap(lhs, rhs)
-
-    return _worst(
-        _gap(left.dense(lead), right.dense(lead)) if got is None else got
-        for lead, got in slices(left.first.shape[0], part)
-    )
-
-
 def verify_hopf_axioms(
     algebra: FiniteHopfStarAlgebra,
     ctx: ScalarContext = DEFAULT_CONTEXT,
@@ -253,20 +217,19 @@ def verify_hopf_axioms(
 ) -> AxiomReport:
     """Residuals of every finitely-checkable Hopf *-algebra axiom.
 
-    The identities with n^4 entries (associativity, coassociativity and
-    coproduct-multiplicativity) are sums of products of entries of mul and
-    comul, and on a host that is not small (_linalg.small) so are the
-    n^3-entry antipode and star identities.  Each of them is summed over
-    the nonzero entries only: each side is a chain of term joins, both
-    sides are summed and compared one run of the leading index at a time,
-    and every join is counted before it forms any term and held under one
-    budget (identity_gap).  So where no basis element is over the budget
-    alone, no side is ever written out whole.  An element that is over it
-    alone is compared densely, an n^3-entry partial result per step, and
-    coproduct-multiplicativity then forms its n^4-entry half once (products
-    below).  On a small host the
-    n^3-entry identities are dense BLAS products, as is every identity with
-    at most n^2 entries.
+    The identities with n^3 or n^4 entries (associativity, coassociativity,
+    coproduct-multiplicativity and the antipode and star identities) are
+    sums of products of entries of the structure tensors.  Each side is a
+    chain (_linalg.Chain), and both sides are compared one run of the
+    leading index at a time (_linalg.identity_gap).  A run is written out
+    densely where every partial result fits the budget, and is otherwise
+    summed over the nonzero entries only, every join counted before it
+    forms any term and held under the budget (_linalg.runs).  So where no
+    basis element is over the budget alone, no side is ever written out
+    whole.  An element that is over it alone is compared densely, an
+    n^3-entry partial result per step, and coproduct-multiplicativity then
+    forms its n^4-entry half once (products below).  Every identity with at
+    most n^2 entries is a dense BLAS product.
     """
     a = algebra
     n = a.dim
@@ -291,17 +254,18 @@ def verify_hopf_axioms(
     checks.append(("counit-law", max(max_abs(left_counit), max_abs(right_counit))))
 
     # Delta(e_i) Delta(e_j) = sum comul[i, p, q] comul[j, r, s] mul[p, r, x]
-    # mul[q, s, y], joined on q, then p, then (r, s).  Written out for one
-    # e_i it is sum_qr A[q, r, x] B[q, r, j, y], with A = sum_p comul[i, p, q]
-    # mul[p, r, x] and the half B = sum_s comul[j, r, s] mul[q, s, y], whose
-    # n^4 entries are formed once, for the first element that needs them
+    # mul[q, s, y], joined on q, then p, then (r, s).  Written out for a run
+    # of e_i it is sum_qr A[i, q, r, x] B[q, r, j, y], with A = sum_p
+    # comul[i, p, q] mul[p, r, x] and the half B = sum_s comul[j, r, s]
+    # mul[q, s, y], whose n^4 entries are formed once, for the first run
+    # that needs them
     half = []
 
     def products(lead: slice) -> Array:
         if not half:
             half.append((comul.transpose(1, 0, 2).reshape(nn, n) @ mul).reshape(nn, nn))
-        first = (comul[lead.start].T @ mul.reshape(n, nn)).reshape(nn, n)
-        return (first.T @ half[0]).reshape(1, n, n, n).transpose(0, 2, 1, 3)
+        first = (comul[lead].transpose(0, 2, 1) @ mul.reshape(n, nn)).reshape(-1, nn, n)
+        return (first.transpose(0, 2, 1) @ half[0]).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
 
     hom = identity_gap(
         Chain(m, ("ijc,cab->ijab", c)),
@@ -322,41 +286,28 @@ def verify_hopf_axioms(
     counit_unit = abs(complex(np.dot(a.counit, a.unit)) - 1.0)
     checks.append(("counit-multiplicative", max(max_abs(counit_mul), counit_unit)))
 
-    antipode_target = np.outer(a.counit, a.unit)
-    if small(n):
-        # Delta(a*) = (* tensor *) Delta(a)
-        star_coprod = _gap(
-            (a.star.T @ comul.reshape(n, nn)).reshape(n, n, n),
-            a.star @ np.conj(comul) @ a.star.T,
+    # Delta(a*) = (* tensor *) Delta(a)
+    s, st, k, kt = (Terms.of(x) for x in (a.star, a.star.T, a.antipode, a.antipode.T))
+    star_coprod = identity_gap(
+        Chain(st, ("ip,pjk->ijk", c)),
+        Chain(c.conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
+    )
+    target = Chain(Terms.of(np.outer(a.counit, a.unit)))
+    anti_law = worst(
+        identity_gap(side, target)
+        for side in (
+            Chain(c, ("ipb,jp->ijb", k), ("ijb,jbk->ik", m)),
+            Chain(c, ("iap,jp->iaj", k), ("iaj,ajk->ik", m)),
         )
-        mul_flat = mul.reshape(nn, n)
-        anti_left = (a.antipode @ comul).reshape(n, nn) @ mul_flat - antipode_target
-        anti_right = (comul @ a.antipode.T).reshape(n, nn) @ mul_flat - antipode_target
-        anti_law = max(max_abs(anti_left), max_abs(anti_right))
-        anti_hom = _gap(mul @ a.antipode.T, _pull_back(a.antipode, mul))
-        # (e_i e_j)* = e_j* e_i*
-        star_anti = _gap(np.conj(mul) @ a.star.T, _pull_back(a.star, mul))
-    else:
-        s, st, k, kt = (Terms.of(x) for x in (a.star, a.star.T, a.antipode, a.antipode.T))
-        star_coprod = identity_gap(
-            Chain(st, ("ip,pjk->ijk", c)),
-            Chain(c.conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
-        )
-        target = Chain(Terms.of(antipode_target))
-        anti_law = _worst(
-            identity_gap(side, target)
-            for side in (
-                Chain(c, ("ipb,jp->ijb", k), ("ijb,jbk->ik", m)),
-                Chain(c, ("iap,jp->iaj", k), ("iaj,ajk->ik", m)),
-            )
-        )
-        anti_hom = identity_gap(
-            Chain(m, ("ijk,lk->ijl", k)), Chain(kt, ("iq,pql->ipl", m), ("ipl,pj->ijl", k))
-        )
-        star_anti = identity_gap(
-            Chain(m.conj(), ("ijk,lk->ijl", s)),
-            Chain(st, ("iq,pql->ipl", m), ("ipl,pj->ijl", s)),
-        )
+    )
+    anti_hom = identity_gap(
+        Chain(m, ("ijk,lk->ijl", k)), Chain(kt, ("iq,pql->ipl", m), ("ipl,pj->ijl", k))
+    )
+    # (e_i e_j)* = e_j* e_i*
+    star_anti = identity_gap(
+        Chain(m.conj(), ("ijk,lk->ijl", s)),
+        Chain(st, ("iq,pql->ipl", m), ("ipl,pj->ijl", s)),
+    )
     checks.append(("coproduct-star", star_coprod))
     checks.append(("antipode-law", anti_law))
     checks.append(("antipode-antimultiplicative", anti_hom))

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ._linalg import Chain, Terms, extend_rows, join, max_abs, max_gap
+from ._linalg import Chain, Terms, extend_rows, identity_gap, join, max_abs, max_gap
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -28,7 +28,6 @@ from .core import (
     FiniteHopfStarAlgebra,
     ScalarContext,
     freeze,
-    identity_gap,
 )
 from .errors import DecompositionError, DimensionMismatch, HostMismatch
 from .peterweyl import PeterWeylData, gram_matrix, haar_state

@@ -9,6 +9,7 @@ random unitaries that are not cocycles on a commutative and a cocommutative
 host.
 """
 
+import collections
 import dataclasses
 from pathlib import Path
 
@@ -602,21 +603,27 @@ _MOVED = {
     "comul": ("coassociativity", "coproduct-multiplicative"),
 }
 _N4_CHECKS = ("associativity", "coassociativity", "coproduct-multiplicative")
-# the n^4-entry identities each case compares densely, one basis element at
-# a time: those whose joins for one element exceed the budget of terms.  A
-# host perturbed everywhere is dense: at n = 16 every join of an element
-# exceeds it; at n = 8 only the middle join of coproduct-multiplicativity
-# does (n^5 = 32768 terms), and at n = 6 none (n^5 = 7776).  Every other
-# identity is a term join
+# the length of the runs in which each case writes its n^4-entry identities
+# out densely (_linalg.runs); an identity it leaves out is a term join.  A
+# run is dense when every partial result of both sides has at most 2^14
+# entries: a side of associativity or coassociativity has n^3 entries per
+# basis element, and the middle step of coproduct-multiplicativity n^4.  So
+# at n = 6 and n = 8 the run is the whole range, or half of it at n = 8 for
+# coproduct-multiplicativity (4 * 8^4 entries).  At n = 16 a sparse host's
+# joins fit the budget of terms; a host dense everywhere has its joins
+# refused and halved down to runs of 4 elements (4 * 16^3 entries), and to
+# single elements for coproduct-multiplicativity, whose one element is over
+# the budget alone.  Every case writes its five n^3-entry identities out
+# whole, as n^3 <= 2^14
 _DENSE = {
-    "c-d4": ("coproduct-multiplicative",),
-    "c-s3": (),
-    "g-d4": ("coproduct-multiplicative",),
-    "c-d8": (),
-    "c-d8^klein": (),
-    "c-d8-dense": _N4_CHECKS,
-    "c-z4z4^fourier": _N4_CHECKS,
-    "random-sparse": (),
+    "c-d4": {"associativity": 8, "coassociativity": 8, "coproduct-multiplicative": 4},
+    "c-s3": dict.fromkeys(_N4_CHECKS, 6),
+    "g-d4": {"associativity": 8, "coassociativity": 8, "coproduct-multiplicative": 4},
+    "c-d8": {},
+    "c-d8^klein": {},
+    "c-d8-dense": {"associativity": 4, "coassociativity": 4, "coproduct-multiplicative": 1},
+    "c-z4z4^fourier": {"associativity": 4, "coassociativity": 4, "coproduct-multiplicative": 1},
+    "random-sparse": {},
 }
 SUPPORT_CASES = tuple(
     f"{host}+{tensor}"
@@ -634,24 +641,27 @@ def test_axiom_residuals_match_their_formulas(name, rng, ctx, monkeypatch):
         linalg.Chain, "dense", lambda side, lead: slices.append(lead) or dense(side, lead)
     )
     report = verify_hopf_axioms(host)
-    # both sides of each dense identity, one basis element at a time
-    assert all(lead.stop - lead.start == 1 for lead in slices)
-    assert len(slices) == 2 * host.dim * len(_DENSE[name.split("+")[0]])
+    # both sides of each dense identity, run by run: the five n^3-entry
+    # identities whole, and the n^4-entry ones in runs of their length
+    n = host.dim
+    want = collections.Counter({n: 2 * 5})
+    for length in _DENSE[name.split("+")[0]].values():
+        want[length] += 2 * n // length
+    assert collections.Counter(lead.stop - lead.start for lead in slices) == want
     _check_axiom_residuals(name, host, report)
 
 
-# the cases whose n^3-entry identities are dense BLAS products on a small
-# host, taken again as chains of joins
+# the cases whose chains fit the budget of dense entries, taken again as
+# term joins
 PATH_CASES = ("c-d4", "g-d4", "c-d8^klein+comul", "random-sparse")
 
 
 def _force_path(monkeypatch, path):
-    """Send every n^3-entry contraction of core and cocycle to its chain of
-    joins, as on a host that is not small ("joins"); "slices" also cuts the
-    budget to 7 terms, so that a run holds one element or a few and most
-    elements fall back to dense slices."""
-    for module in (hopftwist.core, hopftwist.cocycle):
-        monkeypatch.setattr(module, "small", lambda n: False)
+    """Send every chain to its term joins, as if no run of it fit the budget
+    of dense entries ("joins"); "slices" also cuts the budget to 7 terms, so
+    that a run holds one element or a few and most elements fall back to
+    dense slices."""
+    monkeypatch.setattr(linalg.Chain, "fits", lambda chain, lead: False)
     if path == "slices":
         monkeypatch.setattr(linalg, "BUDGET", 7)
 
@@ -685,11 +695,16 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     twisted = _c_z4z4_fourier_twist(ctx)
     assert np.count_nonzero(twisted.mul) == twisted.dim
     slices = []
-    monkeypatch.setattr(linalg.Chain, "dense", lambda side, lead: slices.append(lead))
+    dense = linalg.Chain.dense
+    monkeypatch.setattr(
+        linalg.Chain, "dense", lambda side, lead: slices.append(lead) or dense(side, lead)
+    )
     assert verify_hopf_axioms(twisted).passed
     for tensor in _MOVED:
         assert not verify_hopf_axioms(_one_entry_off(twisted, tensor, rng)).passed
-    assert slices == []
+    # the n^4-entry identities are joined; only the five n^3-entry ones,
+    # which fit the budget whole, are written out, and no basis element alone
+    assert slices == [slice(0, twisted.dim)] * 2 * 5 * 3
 
 
 def test_tensor_square_convolution_matches_its_formula(rng):
@@ -1033,13 +1048,13 @@ def test_slices_keep_each_leading_index_whole(monkeypatch):
         a[i].flat[:count] = np.arange(1, count + 1)
     side = linalg.Chain(Terms.of(a), ("ijk,kl->ijl", np.eye(3)))
     monkeypatch.setattr(linalg, "BUDGET", 7)
-    runs = list(linalg.slices(4, side.terms))
+    runs = list(linalg.runs((side,), side.terms))
     assert [(lead.start, lead.stop) for lead, _ in runs] == [(0, 1), (1, 2), (2, 4)]
     got = np.concatenate([t.summed().dense() for _, t in runs])
     assert np.array_equal(got, a)
     # an index over the budget alone is refused, for a dense slice
     monkeypatch.setattr(linalg, "BUDGET", 5)
-    runs = list(linalg.slices(4, side.terms))
+    runs = list(linalg.runs((side,), side.terms))
     assert [(lead.start, lead.stop, t is None) for lead, t in runs] == [
         (0, 1, False), (1, 2, True), (2, 4, False)
     ]
@@ -1054,15 +1069,42 @@ def test_dense_slice_reads_each_operand_from_its_array(rng, monkeypatch):
     dense = Terms.dense
     monkeypatch.setattr(Terms, "dense", lambda t: written.append(t.shape) or dense(t))
     assert _relative_error(side.dense(slice(1, 3)), (a @ y)[1:3]) <= REL
-    # only the leading operand's slice is written out from terms
-    assert written == [(2, 3, 3)]
+    # the leading operand's slice is read from its array too
+    assert written == []
     # terms that were not read from an array carry none
     assert Terms.of(a)[0:2].array is None and Terms.of(a).conj().array is None
 
 
+@pytest.mark.parametrize(
+    "rows,cols,dense", ((4, 4096, True), (5, 3277, False)), ids=("fits", "over")
+)
+def test_a_chain_is_dense_exactly_when_its_partials_fit_the_budget(
+    rows, cols, dense, rng, monkeypatch
+):
+    # the product has BUDGET entries, or one more
+    assert rows * cols == linalg.BUDGET + (not dense)
+    x, y = _sparse(rng, (rows, 2), 1.0), _sparse(rng, (2, cols), 0.01)
+    chain = linalg.Chain(Terms.of(x), ("ij,jk->ik", y))
+    leads, prepared = [], []
+    dense_of, join_init = linalg.Chain.dense, linalg.Join.__init__
+    monkeypatch.setattr(
+        linalg.Chain, "dense", lambda side, lead: leads.append(lead) or dense_of(side, lead)
+    )
+    monkeypatch.setattr(
+        linalg.Join, "__init__", lambda j, *args: prepared.append(j) or join_init(j, *args)
+    )
+    assert _relative_error(chain.whole().dense(), x @ y) <= REL
+    if dense:
+        # one dense call over the whole range, and no operand keyed or sorted
+        assert leads == [slice(0, rows)] and prepared == []
+    else:
+        assert leads == [] and len(prepared) == 1
+
+
 def test_only_linalg_knows_the_term_keys():
+    # nor the budget, nor the choice between the dense and the join form
     src = Path(hopftwist.__file__).parent
-    names = ("pairs_by_key", "sum_by_key", "term_count", "term_gap")
+    names = ("pairs_by_key", "sum_by_key", "term_count", "term_gap", "BUDGET", ".fits(", "runs(")
     offenders = [
         (p.name, name)
         for p in sorted(src.glob("*.py"))

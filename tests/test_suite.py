@@ -192,8 +192,8 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
         "operator_span_basis": 8,
         # check 04's five, and the inverse cocycle of each of six roundtrips
         "verify_cocycle": 11,
-        # one per verify_cocycle, whose inverse residual the cocycle keeps
-        # from its invert2; two per twist_algebra, and two per invert2 of
-        # the six inverse cocycles
-        "convolve2": 47,
+        # two per invert2 of the six inverse cocycles, whose inverse residual
+        # the cocycle keeps, and one per twist_algebra, whose half-twisted
+        # product is convolve2_terms
+        "convolve2": 24,
     }
