@@ -2,13 +2,17 @@
 orthonormal extension of a row span, and sparse tensors held as terms
 (Terms), with join, the one contraction over their nonzero entries, and
 Chain, a contraction of several steps formed run by run, densely or by joins
-as runs decides.  Only this module knows the flat key format of the terms."""
+as runs decides.  What is derived from a frozen tensor (its terms, the keyed
+tables of its joins, a residual of it) is derived once while the tensor
+lives (derived).  Only this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -18,6 +22,44 @@ T = TypeVar("T")
 # formed and summed, under 2 MiB), and the most entries of each dense partial
 # result of a run that runs writes out densely (256 KiB).
 BUDGET = 2**14
+
+
+def frozen(a) -> bool:
+    """Whether nothing can change the array a: it is read-only, and so is
+    every array it views, down to one that owns its memory.  A read-only
+    view can still change through a writeable base, and an array over a
+    buffer that is not an array through the buffer."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    return owner is None
+
+
+# what derived computed, by the id of the first of its arrays: a table from
+# (what, ids of the other arrays) to weak references to those arrays and the
+# value; a table is dropped when its array is
+_DERIVED: dict[int, dict] = {}
+
+
+def derived(arrays: tuple, what, compute: Callable[[], T]) -> T:
+    """compute(), a value that depends on the arrays and on the hashable
+    what alone, computed once while the arrays live when every one of them
+    is frozen, and afresh on every call otherwise.  The value must hold
+    none of the arrays, or they would never be dropped."""
+    if not all(frozen(a) for a in arrays):
+        return compute()
+    first, *rest = arrays
+    table = _DERIVED.get(id(first))
+    if table is None:
+        table = _DERIVED[id(first)] = {}
+        # nothing to drop when the process exits
+        weakref.finalize(first, _DERIVED.pop, id(first), None).atexit = False
+    key = (what, *map(id, rest))
+    held = table.get(key)
+    # one of the others may have died and its id gone to a new array
+    if held is None or any(ref() is not a for ref, a in zip(held[0], rest)):
+        held = table[key] = (tuple(map(weakref.ref, rest)), compute())
+    return held[1]
 
 
 def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:
@@ -46,25 +88,54 @@ class Terms:
     """A sum of terms of a tensor of the given shape: term t adds values[t]
     at the flat row-major index keys[t].  An index may repeat until
     summed() adds its terms up; summed terms have distinct, increasing keys.
-    array is the dense array the terms were read from, when Terms.of read
-    them, and None otherwise.
+
+    array is the dense array that Terms.of reads the terms from, on first
+    use of keys or values, and None for terms given outright; conjugated
+    says that they are the terms of conj(array).  block() reads a dense
+    slice from that array, so a tensor that is only written out densely is
+    never read as terms.
     """
 
-    __slots__ = ("shape", "keys", "values", "array")
+    __slots__ = ("shape", "array", "conjugated", "_keys", "_values")
 
-    def __init__(self, shape, keys: np.ndarray, values: np.ndarray, array=None):
-        self.shape, self.keys, self.values = tuple(shape), keys, values
-        self.array = array
+    def __init__(self, shape, keys, values, array=None, conjugated=False):
+        self.shape, self._keys, self._values = tuple(shape), keys, values
+        self.array, self.conjugated = array, conjugated
 
     @classmethod
     def of(cls, a: np.ndarray) -> "Terms":
         """The nonzero entries of a, in row-major order, as summed terms.
         NaN and inf are nonzero, so they are kept."""
+        return cls(a.shape, None, None, a)
+
+    @property
+    def keys(self) -> np.ndarray:
+        self._load()
+        return self._keys
+
+    @property
+    def values(self) -> np.ndarray:
+        self._load()
+        return self._values
+
+    def _load(self) -> None:
+        if self._keys is None:
+            self._keys, self._values = derived(
+                (self.array,), ("terms", self.conjugated), self._read
+            )
+
+    def _read(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys and values of the nonzero entries of array, or of its
+        conjugate."""
+        if self.conjugated:
+            plain = Terms.of(self.array)
+            return plain.keys, plain.values.conj()
+        a = self.array
         # a complex != 0 and a boolean flatnonzero take half the time of a
         # complex nonzero; the values are read in place, where a.take(keys)
         # would copy a strided a (a dual's transposes) whole
         keys = np.flatnonzero(a != 0)
-        return cls(a.shape, keys, a[np.unravel_index(keys, a.shape)], a)
+        return keys, a[np.unravel_index(keys, a.shape)]
 
     @property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -72,8 +143,9 @@ class Terms:
         return np.unravel_index(self.keys, self.shape)
 
     def conj(self) -> "Terms":
-        """The complex conjugate tensor."""
-        return Terms(self.shape, self.keys, self.values.conj())
+        """The complex conjugate tensor, read from the same array."""
+        values = None if self._keys is None else self._values.conj()
+        return Terms(self.shape, self._keys, values, self.array, not self.conjugated)
 
     def summed(self) -> "Terms":
         """The same tensor with one term per index, keys increasing: these
@@ -84,8 +156,11 @@ class Terms:
 
     def __getitem__(self, lead: slice) -> "Terms":
         """The summed terms at the indices lead (a slice of step 1) of the
-        leading axis, as a tensor of the same rank."""
+        leading axis, as a tensor of the same rank; these terms themselves
+        at the whole axis."""
         start, stop, _ = lead.indices(self.shape[0])
+        if stop - start == self.shape[0]:
+            return self
         block = math.prod(self.shape[1:])
         lo, hi = np.searchsorted(self.keys, (start * block, stop * block))
         shape = (stop - start,) + self.shape[1:]
@@ -96,6 +171,13 @@ class Terms:
         out = np.zeros(self.shape, dtype=np.complex128)
         out.reshape(-1)[self.keys] = self.values
         return out
+
+    def block(self, lead: slice = slice(None)) -> np.ndarray:
+        """The tensor at the indices lead of its leading axis as an array,
+        read from array when there is one."""
+        if self.array is None:
+            return self[lead].dense()
+        return np.conj(self.array[lead]) if self.conjugated else self.array[lead]
 
     def apply(self, t: np.ndarray, k: int) -> np.ndarray:
         """The summed terms as a map from their last k axes to the others,
@@ -133,56 +215,120 @@ class Join:
     least one letter, and a letter appears at most once in an operand.
 
     The terms come in the order of the entries of x, and for each entry in
-    the order of the entries of y that it meets.  What depends on y alone,
-    its entries keyed on the shared letters and sorted by key, is prepared
-    when the Join is made, so one Join serves every run of a chain.
+    the order of the entries of y that it meets.  Each operand's entries are
+    keyed on the shared letters, and y's are counted per key and stably
+    sorted by key, so that an entry of x finds its partners at a place of
+    the count table; each output index is the sum of a part read off the
+    entry of x and a part read off the entry of y.  That is prepared once
+    per frozen tensor (derived), and what depends on y alone once per Join,
+    so one Join serves every run of a chain.
     """
 
     def __init__(self, spec: str, y):
         self.xs, self.ys, self.out = _letters(spec)
         self.y = y if isinstance(y, Terms) else Terms.of(y)
-        self.cy = self.y.coords
-        self.shared = [c for c in self.xs if c in self.ys]
-        self.dims = [self.y.shape[self.ys.index(c)] for c in self.shared]
-        ky = _flat_index([self.cy[self.ys.index(c)] for c in self.shared], self.dims)
-        self.count_y = np.bincount(ky, minlength=math.prod(self.dims))
-        self.order = np.argsort(ky, kind="stable")
-        self.sorted_ky = ky[self.order]
+        shared = [c for c in self.xs if c in self.ys]
+        self.size = math.prod(self.y.shape[self.ys.index(c)] for c in shared)
+        strides = _strides([self.y.shape[self.ys.index(c)] for c in shared])
+        self.key_x, key_y = _axes(self.xs, shared, strides), _axes(self.ys, shared, strides)
+        self.count, self.start, self.order = _prepared(
+            self.y, ("table", key_y), lambda: self._table(key_y)
+        )
+
+    def _table(self, key_y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of y counted per key, the place where each key's run
+        starts among them sorted by key, and the stable order that sorts them."""
+        (ky,) = _keyed(self.y, (key_y,))
+        count = np.bincount(ky, minlength=self.size)
+        # numpy sorts 16-bit keys by radix, several times faster
+        order = np.argsort(ky.astype(np.uint16) if self.size <= 2**16 else ky, kind="stable")
+        return count, np.cumsum(count) - count, order
 
     def __call__(self, x, limit: int) -> Terms | None:
         x = x if isinstance(x, Terms) else Terms.of(x)
-        cx = x.coords
-        kx = _flat_index([cx[self.xs.index(c)] for c in self.shared], self.dims)
-        if int(np.bincount(kx, minlength=self.count_y.size) @ self.count_y) > limit:
+        size = dict(zip(self.xs + self.ys, x.shape + self.y.shape))
+        shape = [size[c] for c in self.out]
+        stride = dict(zip(self.out, _strides(shape)))
+        from_x = [c for c in self.out if c in self.xs]
+        kx, px = _keyed(x, (self.key_x, _axes(self.xs, from_x, [stride[c] for c in from_x])))
+        runs = self.count[kx]
+        if int(runs.sum()) > limit:
             return None
-        a, b = pairs_by_key(kx, self.order, self.sorted_ky)
+        a, b = pairs_by_count(runs, self.start[kx], self.order)
+        from_y = [c for c in self.out if c not in self.xs]
+        (py,) = _keyed(self.y, (_axes(self.ys, from_y, [stride[c] for c in from_y]),))
         values, other = x.values[a], self.y.values[b]
         # in place unless the product needs a wider dtype: a real inf cast to
         # complex before it is multiplied would gain a NaN imaginary part
         inplace = values.dtype == np.result_type(values, other)
         values = np.multiply(values, other, out=values if inplace else None)
-        size = dict(zip(self.xs + self.ys, x.shape + self.y.shape))
-        # each output coordinate is read off the entry of x or of y in the
-        # pair, one at a time so that no more than one is alive
-        picked = (
-            cx[self.xs.index(c)][a] if c in self.xs else self.cy[self.ys.index(c)][b]
-            for c in self.out
-        )
-        shape = [size[c] for c in self.out]
-        return Terms(shape, _flat_index(picked, shape), values)
+        return Terms(shape, px[a] + py[b], values)
+
+
+def _axes(letters: str, which, strides) -> tuple[tuple[int, int], ...]:
+    """(axis, stride) for each of the letters which of an operand."""
+    return tuple((letters.index(c), s) for c, s in zip(which, strides))
+
+
+def _strides(shape) -> list[int]:
+    """The row-major strides, in entries, of an array of the given shape."""
+    return [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+
+
+def _prepared(terms: Terms, what, compute: Callable[[], T]) -> T:
+    """compute(), a value that depends on the keys of terms alone, once per
+    frozen array they are read from (derived)."""
+    return compute() if terms.array is None else derived((terms.array,), what, compute)
+
+
+def _keyed(terms: Terms, parts) -> tuple[np.ndarray, ...]:
+    """For each part, (axis, stride) pairs (_axes), the flat index of each
+    term: the sum over the part of its coordinate on the axis times the
+    stride."""
+
+    def compute():
+        coords = terms.coords
+        out = []
+        for part in parts:
+            flat = np.zeros(terms.keys.size, dtype=np.intp)
+            for axis, stride in part:
+                flat += coords[axis] * stride
+            out.append(flat)
+        return tuple(out)
+
+    return _prepared(terms, ("keyed", parts), compute)
+
+
+def pairs_by_count(
+    runs: np.ndarray, lo: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) of the join of two entry lists on a shared
+    key, given, for each entry a of the first, the number runs[a] of entries
+    of the second with its key and the place lo[a] where their run starts in
+    the stable order that sorts the second by key."""
+    a = np.repeat(np.arange(runs.size), runs)
+    # pair t sits t - first[a] places into the run that starts at lo[a]
+    first = np.cumsum(runs) - runs
+    b = order[np.arange(a.size) + np.repeat(lo - first, runs)]
+    return a, b
 
 
 class Chain:
     """The contraction of first with the operand of each (spec, operand)
     step in turn, a side of an identity or a convolution; every spec drops
-    its shared letters.  It is formed one run of the leading index of first
-    at a time, densely or as terms, as runs chooses.  dense, when given,
-    writes the contraction out at a run of leading indices in place of the
-    tensordots of dense()."""
+    its shared letters, and first and the operands are arrays or Terms.  It
+    is formed one run of the leading index of first at a time, densely or as
+    terms, as runs chooses.  dense, when given, writes the contraction out
+    at a run of leading indices in place of the tensordots of dense().  What
+    it reads off its specs is worked out once per their shapes (_plan)."""
 
-    def __init__(self, first: Terms, *steps: tuple[str, object], dense=None):
-        self.first, self.steps = first, steps
+    def __init__(self, first, *steps: tuple[str, object], dense=None):
+        self.first = first if isinstance(first, Terms) else Terms.of(first)
+        self.steps = steps
         self._dense = dense
+        self._tensordots, self._entries = _plan(
+            self.first.shape, tuple((spec, operand.shape) for spec, operand in steps)
+        )
 
     @cached_property
     def joins(self) -> tuple[Join, ...]:
@@ -194,14 +340,8 @@ class Chain:
         """Whether every dense partial result at the leading indices lead,
         the slice of first and the output of each step, has at most BUDGET
         entries."""
-        shape = (lead.stop - lead.start,) + self.first.shape[1:]
-        entries = [math.prod(shape)]
-        for spec, operand in self.steps:
-            xs, ys, out = _letters(spec)
-            size = dict(zip(xs + ys, shape + operand.shape))
-            shape = tuple(size[c] for c in out)
-            entries.append(math.prod(shape))
-        return max(entries) <= BUDGET
+        rows = lead.stop - lead.start
+        return all((rows * per if keeps else per) <= BUDGET for keeps, per in self._entries)
 
     def terms(self, lead: slice) -> Terms | None:
         """The terms at the leading indices lead, the running terms summed
@@ -220,16 +360,11 @@ class Chain:
         is one."""
         if self._dense is not None:
             return self._dense(lead)
-        out = self.first[lead].dense() if self.first.array is None else self.first.array[lead]
-        for spec, operand in self.steps:
-            xs, ys, out_letters = _letters(spec)
-            shared = [c for c in xs if c in ys]
+        out = self.first.block(lead)
+        for (_, operand), (axes, order) in zip(self.steps, self._tensordots):
             if isinstance(operand, Terms):
-                operand = operand.dense() if operand.array is None else operand.array
-            axes = [xs.index(c) for c in shared], [ys.index(c) for c in shared]
-            out = np.tensordot(out, operand, axes=axes)
-            rest = [c for c in xs + ys if c not in shared]
-            out = out.transpose([rest.index(c) for c in out_letters])
+                operand = operand.block()
+            out = np.tensordot(out, operand, axes=axes).transpose(order)
         return out
 
     def whole(self) -> Terms:
@@ -251,13 +386,30 @@ def _letters(spec: str) -> tuple[str, str, str]:
     return (*ins.split(","), out)
 
 
-def _flat_index(coords: Iterable[np.ndarray], dims: list[int]) -> np.ndarray:
-    """The flat row-major index over dims of one coordinate array per axis."""
-    coords = iter(coords)
-    flat = next(coords)
-    for coord, dim in zip(coords, dims[1:]):
-        flat = flat * dim + coord
-    return flat
+@functools.cache
+def _plan(shape: tuple[int, ...], steps: tuple[tuple[str, tuple[int, ...]], ...]):
+    """What a chain reads off its specs, once per first shape and (spec,
+    operand shape) steps: per step the axes and the transpose of its
+    tensordot; per partial result, the slice of first
+    and each step's output, whether it keeps the leading index of first,
+    and its entries per leading index, or in all when it does not."""
+    tensordots = []
+    lead = 0
+    entries = [(True, math.prod(shape[1:]))]
+    for spec, operand in steps:
+        xs, ys, out = _letters(spec)
+        shared = [c for c in xs if c in ys]
+        rest = [c for c in xs + ys if c not in shared]
+        tensordots.append(
+            ((tuple(xs.index(c) for c in shared), tuple(ys.index(c) for c in shared)),
+             tuple(rest.index(c) for c in out))
+        )
+        size = dict(zip(xs + ys, shape + operand))
+        lead = out.index(xs[lead]) if lead is not None and xs[lead] in out else None
+        shape = tuple(size[c] for c in out)
+        per = math.prod(shape) // shape[lead] if lead is not None else math.prod(shape)
+        entries.append((lead is not None, per))
+    return tuple(tensordots), tuple(entries)
 
 
 def runs(
@@ -332,25 +484,6 @@ def max_gap(left: Terms, right: Terms) -> float:
     alone[at[hit]] = False
     # np.max keeps a NaN from either side, where max() may drop it
     return float(np.max((max_abs(gap), max_abs(right.values[alone]))))
-
-
-def pairs_by_key(
-    kx: np.ndarray, order: np.ndarray, sorted_ky: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (a, b) with kx[a] == ky[b]: the join of two entry
-    lists on a shared index, given ky as the stable order that sorts it and
-    sorted_ky = ky[order].
-
-    searchsorted finds the run of equal keys for each kx[a], and repeat
-    expands the runs into pairs.
-    """
-    lo = np.searchsorted(sorted_ky, kx, side="left")
-    runs = np.searchsorted(sorted_ky, kx, side="right") - lo
-    a = np.repeat(np.arange(kx.size), runs)
-    # pair t sits t - first[a] places into the run that starts at lo[a]
-    first = np.cumsum(runs) - runs
-    b = order[np.arange(a.size) + np.repeat(lo - first, runs)]
-    return a, b
 
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import Chain, Terms, identity_gap, max_abs, worst
+from ._linalg import Chain, Terms, derived, frozen, identity_gap, max_abs, worst
 from .errors import DimensionMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
@@ -27,15 +28,11 @@ Array = np.ndarray
 
 def freeze(a) -> Array:
     """a as a read-only complex128 array.  An array that is already both, and
-    that no writeable array it views can change, is returned as it is, so
-    frozen tensors and their views (a dual's transposes) are shared; anything
+    that no writeable array it views can change (_linalg.frozen), is
+    returned as it is, so frozen tensors and their views (a dual's
+    transposes) are shared, and so is what is derived from them; anything
     else is copied, so a caller who changes its own array later changes nothing."""
-    # a read-only view can still change through a writeable base, and an
-    # array over a buffer that is not an array through the buffer
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is None and a.dtype == np.complex128:
+    if frozen(a) and a.dtype == np.complex128:
         return a
     out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.flags.writeable = False
@@ -123,6 +120,25 @@ class FiniteHopfStarAlgebra:
         # imaginary part, and so the canonical bytes of a dual's star
         return np.conj(x @ np.conj(self.star.T))
 
+    @cached_property
+    def _dual(self) -> FiniteHopfStarAlgebra:
+        """dual(self), made on first use."""
+        # the star m^T, m = conj(star) antipode, is held as a view of m: a
+        # C-ordered copy would change the order in which star_of's products sum
+        m = np.conj(self.star) @ self.antipode
+        m.flags.writeable = False
+        return FiniteHopfStarAlgebra(
+            dim=self.dim,
+            basis_labels=self.basis_labels,
+            mul=self.comul.transpose(1, 2, 0),
+            unit=self.counit,
+            comul=self.mul.transpose(2, 0, 1),
+            counit=self.unit,
+            antipode=self.antipode.T,
+            antipode_inv=self.antipode_inv.T,
+            star=m.T,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class DualFunctional:
@@ -145,23 +161,10 @@ def dual(algebra: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
     """The dual Hopf *-algebra of functionals, by their values on the basis:
     the convolution (phi psi)(a) = phi(a_(1)) psi(a_(2)), the counit as its
     unit, phi -> phi o kappa as its antipode and phi*(a) = conj(phi(kappa(a)*))
-    as its star.  Its n^3-entry tensors are transposed views of algebra's."""
-    a = algebra
-    # the star m^T, m = conj(star) antipode, is held as a view of m: a
-    # C-ordered copy would change the order in which star_of's products sum
-    m = np.conj(a.star) @ a.antipode
-    m.flags.writeable = False
-    return FiniteHopfStarAlgebra(
-        dim=a.dim,
-        basis_labels=a.basis_labels,
-        mul=a.comul.transpose(1, 2, 0),
-        unit=a.counit,
-        comul=a.mul.transpose(2, 0, 1),
-        counit=a.unit,
-        antipode=a.antipode.T,
-        antipode_inv=a.antipode_inv.T,
-        star=m.T,
-    )
+    as its star.  Its n^3-entry tensors are transposed views of algebra's.
+    It is made once and held by algebra, so its views are the same arrays
+    on every call, and what is derived from them is derived once."""
+    return algebra._dual
 
 
 def convolution_inverse(phi: DualFunctional, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualFunctional:
@@ -230,28 +233,42 @@ def verify_hopf_axioms(
     n^3-entry partial result per step, and coproduct-multiplicativity then
     forms its n^4-entry half once (products below).  Every identity with at
     most n^2 entries is a dense BLAS product.
+
+    A tensor is read as terms only for a run that is joined, once while the
+    tensor is frozen and alive (_linalg.derived).  The identities of the
+    coalgebra alone (coassociativity, the counit law, coproduct-unital) are
+    checked once per frozen coproduct, counit and unit: a twist keeps all
+    three, so the twisted algebras of a host share the host's residuals.
     """
     a = algebra
     n = a.dim
     nn = n * n
     mul, comul = a.mul, a.comul
-    m, c = Terms.of(mul), Terms.of(comul)
     eye = np.eye(n, dtype=np.complex128)
     checks: list[tuple[str, float]] = []
 
-    assoc = identity_gap(Chain(m, ("ijp,pkl->ijkl", m)), Chain(m, ("iql,jkq->ijkl", m)))
+    assoc = identity_gap(Chain(mul, ("ijp,pkl->ijkl", mul)), Chain(mul, ("iql,jkq->ijkl", mul)))
     checks.append(("associativity", assoc))
 
     left_unit = np.einsum("i,ijk->jk", a.unit, mul) - eye
     right_unit = np.einsum("j,ijk->ik", a.unit, mul) - eye
     checks.append(("unit-law", max(max_abs(left_unit), max_abs(right_unit))))
 
-    coassoc = identity_gap(Chain(c, ("ipc,pab->iabc", c)), Chain(c, ("iap,pbc->iabc", c)))
+    coassoc = derived(
+        (comul,),
+        "coassociativity",
+        lambda: identity_gap(
+            Chain(comul, ("ipc,pab->iabc", comul)), Chain(comul, ("iap,pbc->iabc", comul))
+        ),
+    )
     checks.append(("coassociativity", coassoc))
 
-    left_counit = np.einsum("ijk,j->ik", comul, a.counit) - eye
-    right_counit = np.einsum("ijk,k->ij", comul, a.counit) - eye
-    checks.append(("counit-law", max(max_abs(left_counit), max_abs(right_counit))))
+    def counit_law() -> float:
+        left_counit = np.einsum("ijk,j->ik", comul, a.counit) - eye
+        right_counit = np.einsum("ijk,k->ij", comul, a.counit) - eye
+        return max(max_abs(left_counit), max_abs(right_counit))
+
+    checks.append(("counit-law", derived((comul, a.counit), "counit-law", counit_law)))
 
     # Delta(e_i) Delta(e_j) = sum comul[i, p, q] comul[j, r, s] mul[p, r, x]
     # mul[q, s, y], joined on q, then p, then (r, s).  Written out for a run
@@ -268,45 +285,49 @@ def verify_hopf_axioms(
         return (first.transpose(0, 2, 1) @ half[0]).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
 
     hom = identity_gap(
-        Chain(m, ("ijc,cab->ijab", c)),
+        Chain(mul, ("ijc,cab->ijab", comul)),
         Chain(
-            c,
-            ("ipq,qsy->ipsy", m),
-            ("ipsy,prx->isyrx", m),
-            ("isyrx,jrs->ijxy", c),
+            comul,
+            ("ipq,qsy->ipsy", mul),
+            ("ipsy,prx->isyrx", mul),
+            ("isyrx,jrs->ijxy", comul),
             dense=products,
         ),
     )
     checks.append(("coproduct-multiplicative", hom))
 
-    unit_coprod = np.einsum("i,ijk->jk", a.unit, comul) - np.outer(a.unit, a.unit)
-    checks.append(("coproduct-unital", max_abs(unit_coprod)))
+    def coproduct_unital() -> float:
+        return max_abs(np.einsum("i,ijk->jk", a.unit, comul) - np.outer(a.unit, a.unit))
+
+    checks.append(
+        ("coproduct-unital", derived((comul, a.unit), "coproduct-unital", coproduct_unital))
+    )
 
     counit_mul = np.einsum("ijk,k->ij", mul, a.counit) - np.outer(a.counit, a.counit)
     counit_unit = abs(complex(np.dot(a.counit, a.unit)) - 1.0)
     checks.append(("counit-multiplicative", max(max_abs(counit_mul), counit_unit)))
 
     # Delta(a*) = (* tensor *) Delta(a)
-    s, st, k, kt = (Terms.of(x) for x in (a.star, a.star.T, a.antipode, a.antipode.T))
+    s, k = a.star, a.antipode
     star_coprod = identity_gap(
-        Chain(st, ("ip,pjk->ijk", c)),
-        Chain(c.conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
+        Chain(s.T, ("ip,pjk->ijk", comul)),
+        Chain(Terms.of(comul).conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
     )
-    target = Chain(Terms.of(np.outer(a.counit, a.unit)))
+    target = Chain(np.outer(a.counit, a.unit))
     anti_law = worst(
         identity_gap(side, target)
         for side in (
-            Chain(c, ("ipb,jp->ijb", k), ("ijb,jbk->ik", m)),
-            Chain(c, ("iap,jp->iaj", k), ("iaj,ajk->ik", m)),
+            Chain(comul, ("ipb,jp->ijb", k), ("ijb,jbk->ik", mul)),
+            Chain(comul, ("iap,jp->iaj", k), ("iaj,ajk->ik", mul)),
         )
     )
     anti_hom = identity_gap(
-        Chain(m, ("ijk,lk->ijl", k)), Chain(kt, ("iq,pql->ipl", m), ("ipl,pj->ijl", k))
+        Chain(mul, ("ijk,lk->ijl", k)), Chain(k.T, ("iq,pql->ipl", mul), ("ipl,pj->ijl", k))
     )
     # (e_i e_j)* = e_j* e_i*
     star_anti = identity_gap(
-        Chain(m.conj(), ("ijk,lk->ijl", s)),
-        Chain(st, ("iq,pql->ipl", m), ("ipl,pj->ijl", s)),
+        Chain(Terms.of(mul).conj(), ("ijk,lk->ijl", s)),
+        Chain(s.T, ("iq,pql->ipl", mul), ("ipl,pj->ijl", s)),
     )
     checks.append(("coproduct-star", star_coprod))
     checks.append(("antipode-law", anti_law))

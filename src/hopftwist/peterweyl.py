@@ -15,12 +15,13 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_abs, nullspace
+from ._linalg import derived, max_abs, nullspace
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -108,11 +109,20 @@ class PeterWeylData:
         return tuple(b.dimension for b in self.blocks)
 
 
-def _center(hat: FiniteHopfStarAlgebra) -> Array:
-    """Orthonormal columns spanning the z with z e_k = e_k z for every k."""
-    n = hat.dim
-    commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [j, k, i]
-    return nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
+def _center(algebra: FiniteHopfStarAlgebra) -> Array:
+    """Orthonormal columns spanning the z of the dual with z e_k = e_k z for
+    every k.  The dual's product is algebra's coproduct, which a twist
+    keeps, so it is found once per frozen coproduct (_linalg.derived)."""
+
+    def compute() -> Array:
+        hat = dual(algebra)
+        n = hat.dim
+        commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [j, k, i]
+        center = nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
+        center.flags.writeable = False
+        return center
+
+    return derived((algebra.comul,), "center of the dual", compute)
 
 
 def _in_frame(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], z: Array) -> Array:
@@ -194,13 +204,14 @@ def _retrying(what: str, attempt):
 
 def _split_center(
     hat: FiniteHopfStarAlgebra,
+    center: Array,
     frame: tuple[Array, Array],
     ctx: ScalarContext,
     rng: np.random.Generator,
 ) -> list[tuple[int, Array, Array]]:
     """(block dimension, central idempotent, isotypic basis in the state
-    frame) per block, from the eigenvectors of a random central element."""
-    center = _center(hat)
+    frame) per block, from the eigenvectors of a random central element
+    of hat, whose center has the orthonormal columns center."""
     k = center.shape[1]
 
     def attempt():
@@ -289,7 +300,7 @@ def decompose(
     hat = dual(algebra)
     staged = [
         (d, e_alpha, _block_matrix_units(hat, frame, e_alpha, basis, ctx, rng))
-        for d, e_alpha, basis in _split_center(hat, frame, ctx, rng)
+        for d, e_alpha, basis in _split_center(hat, _center(algebra), frame, ctx, rng)
     ]
 
     # deterministic order: by dimension, then by the idempotent's rounded vector
@@ -311,31 +322,34 @@ def decompose(
 
     blocks: list[PeterWeylBlock] = []
     offset = 0
-    trivial_found = False
-    for d, e_alpha, units in staged:
-        q = q_cols[:, offset : offset + d * d].T.reshape(d, d, n)
-        offset += d * d
-        f_matrix, m_value = _f_matrix(algebra, h, q, ctx)
+    # the blocks of one dimension are consecutive, and each run of them is
+    # taken at once, as stacks
+    for d, run in itertools.groupby(staged, key=lambda item: item[0]):
+        run = list(run)
+        k = len(run)
+        q = q_cols[:, offset : offset + k * d * d].T.reshape(k, d, d, n)
+        offset += k * d * d
+        f_matrix, m_value, errors = _f_matrices(algebra, h, q, ctx)
         _, rho = _rho_data(algebra, h, q, f_matrix, m_value)
-        resid = max_abs(rho - units)
-        if not ctx.close(resid):
-            raise DecompositionError(
-                f"rho functionals disagree with matrix units, residual {resid:.3g}"
+        resid = max_abs(rho - np.stack([units for _, _, units in run]), lead=(k,))
+        trivial = max_abs(q[:, 0, 0] - algebra.unit, lead=(k,)) <= ctx.loose_tolerance
+        for b, (_, e_alpha, _) in enumerate(run):
+            if errors[b] is None and not ctx.close(resid[b]):
+                errors[b] = f"rho functionals disagree with matrix units, residual {resid[b]:.3g}"
+            if errors[b] is not None:
+                raise DecompositionError(errors[b])
+            blocks.append(
+                PeterWeylBlock(
+                    dimension=d,
+                    matrix_units=rho[b],
+                    q=q[b],
+                    f_matrix=f_matrix[b],
+                    m_value=float(m_value[b]),
+                    central_idempotent=e_alpha,
+                    is_trivial=bool(d == 1 and trivial[b]),
+                )
             )
-        is_trivial = d == 1 and max_abs(q[0, 0] - algebra.unit) <= ctx.loose_tolerance
-        trivial_found = trivial_found or is_trivial
-        blocks.append(
-            PeterWeylBlock(
-                dimension=d,
-                matrix_units=rho,
-                q=q,
-                f_matrix=f_matrix,
-                m_value=m_value,
-                central_idempotent=e_alpha,
-                is_trivial=is_trivial,
-            )
-        )
-    if not trivial_found:
+    if not any(b.is_trivial for b in blocks):
         raise DecompositionError("no block carries the unit as its coefficient")
     blocks.sort(key=lambda b: (not b.is_trivial, b.dimension,
                                tuple(np.round(b.central_idempotent.real, 6)),
@@ -345,28 +359,37 @@ def decompose(
     return data
 
 
-def _f_matrix(
+def _f_matrices(
     algebra: FiniteHopfStarAlgebra,
     h: HaarState,
     q: Array,
     ctx: ScalarContext,
-) -> tuple[Array, float]:
-    """F and its trace from the invariant h(q_ij q_kl*) = (1/M) delta_ik F[j, l]."""
-    d = q.shape[0]
-    gram = haar_pairing(algebra, h, q, algebra.star_of(q))
-    s = np.einsum("ijil->jl", gram) / d
-    off = gram - np.einsum("jl,ik->ijkl", s, np.eye(d))
-    if max_abs(off) > ctx.loose_tolerance:
-        raise DecompositionError(
-            f"orthogonality pattern violated inside a block, residual {max_abs(off):.3g}"
-        )
-    s = 0.5 * (s + s.conj().T)
-    eigs = np.linalg.eigvalsh(s)
-    if eigs[0] <= ctx.tolerance:
-        raise DecompositionError("block form of the Haar state is not positive")
+) -> tuple[Array, Array, list[str | None]]:
+    """F and its trace from the invariant h(q_ij q_kl*) = (1/M) delta_ik F[j, l],
+    for a stack q (k, d, d, n) of the coefficients of k blocks of dimension
+    d; with, per block, the error that rejects it, or None.  A block whose
+    form is not positive has the identity in place of its F."""
+    k, d = q.shape[:2]
+    # h(x y*) for every pair of coefficients of a block, block by block:
+    # haar_pairing's products, each of the shape it has for one block
+    xf = q @ (algebra.mul @ h.coeffs)
+    gram = xf.reshape(k, d * d, -1) @ algebra.star_of(q).reshape(k, d * d, -1).swapaxes(1, 2)
+    gram = gram.reshape(k, d, d, d, d)
+    s = np.einsum("bijil->bjl", gram) / d
+    off = max_abs(gram - np.einsum("bjl,ik->bijkl", s, np.eye(d)), lead=(k,))
+    s = 0.5 * (s + s.conj().swapaxes(1, 2))
+    # a NaN passes both tests, as it did block by block
+    positive = ~(np.linalg.eigvalsh(s)[:, 0] <= ctx.tolerance)
+    errors = [
+        f"orthogonality pattern violated inside a block, residual {o:.3g}"
+        if o > ctx.loose_tolerance
+        else None if ok else "block form of the Haar state is not positive"
+        for o, ok in zip(off, positive)
+    ]
+    s = np.where(positive[:, None, None], s, np.eye(d))
     s_inv = np.linalg.inv(s)
-    m_value = float(np.sqrt(np.trace(s_inv).real / np.trace(s).real))
-    return m_value * s, m_value
+    m_value = np.sqrt(np.trace(s_inv, axis1=1, axis2=2).real / np.trace(s, axis1=1, axis2=2).real)
+    return m_value[:, None, None] * s, m_value, errors
 
 
 def _rho_data(
@@ -374,11 +397,14 @@ def _rho_data(
     h: HaarState,
     q: Array,
     f_matrix: Array,
-    m_value: float,
+    m_value: Array,
 ) -> tuple[Array, Array]:
-    """x elements and the functionals rho[s, m](x) = h(x_elem[s, m] x)."""
+    """x elements and the functionals rho[s, m](x) = h(x_elem[s, m] x) of
+    each block of the stacks q (k, d, d, n), F (k, d, d) and M (k,)."""
+    k, d, _, n = q.shape
     # x_elems[s, m] = M sum_k F[k, s] q[k, m]*
-    x_elems = m_value * np.tensordot(f_matrix, algebra.star_of(q), axes=([0], [0]))
+    star_q = algebra.star_of(q).reshape(k, d, d * n)
+    x_elems = m_value[:, None, None, None] * (f_matrix.swapaxes(1, 2) @ star_q).reshape(k, d, d, n)
     # rho[s, m][c] = sum_tw x_elems[s, m][t] mul[t, c, w] h[w]
     return x_elems, x_elems @ (algebra.mul @ h.coeffs)
 

@@ -9,11 +9,12 @@ block decomposition, corepresentations) just works on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, extend_rows, max_abs, max_gap
+from ._linalg import Terms, max_abs, max_gap
 from .cocycle import (
     DualCocycle,
     _v_from_w,
@@ -31,8 +32,8 @@ from .core import (
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
-from .errors import BlockMismatch, HostMismatch, TheoremViolation
-from .peterweyl import PeterWeylData, _f_matrix
+from .errors import BlockMismatch, DecompositionError, HostMismatch, TheoremViolation
+from .peterweyl import PeterWeylData, _f_matrices
 
 Array = np.ndarray
 
@@ -197,52 +198,78 @@ def f_matrix_relation(
     The twisted F-matrix is computed on the SAME matrix coefficients (they
     remain a corep of the twisted algebra), so no basis relabeling enters;
     the twisted Peter-Weyl data is used to confirm the coefficient subspaces
-    match block for block.
+    match block for block.  Each run of blocks of one dimension is taken at
+    once, as stacks.
     """
     if pw.host is not tw.original or pw_sigma.host is not tw.twisted:
         raise BlockMismatch("Peter-Weyl data does not match the twist endpoints")
-    def rows(c) -> Array:
-        # orthonormal rows spanning the coefficients of block c
-        flat = c.q.reshape(c.dimension**2, -1)
-        return extend_rows(flat[:0], flat, ctx.loose_tolerance)
+    tol = ctx.loose_tolerance
+    rows, rank = _coefficient_rows(pw.blocks, tol)
+    rows_sigma, rank_sigma = _coefficient_rows(pw_sigma.blocks, tol)
+    # every pair of rows at once, then the squared overlaps summed per pair
+    # of blocks; the partner of a block is the twisted block of its
+    # dimension whose subspace overlaps most
+    overlap = rows.conj() @ rows_sigma.T
+    dims, dims_sigma = np.array(pw.dimensions), np.array(pw_sigma.dimensions)
+    first, first_sigma = (np.cumsum(d**2) - d**2 for d in (dims, dims_sigma))
+    per_pair = np.add.reduceat(np.abs(overlap) ** 2, first, axis=0)
+    per_pair = np.add.reduceat(per_pair, first_sigma, axis=1)
+    per_pair[dims[:, None] != dims_sigma[None, :]] = -1.0
+    partners = np.argmax(per_pair, axis=1)
 
-    bases = [rows(c) for c in pw_sigma.blocks]
     out = []
-    for bi, b in enumerate(pw.blocks):
-        d = b.dimension
-        # the candidate of equal dimension whose subspace overlaps most
-        qa = rows(b)
-        overlap = [
-            np.linalg.norm(qa.conj() @ qb.T) if c.dimension == d else -1.0
-            for c, qb in zip(pw_sigma.blocks, bases)
-        ]
-        partner = int(np.argmax(overlap))
-        qb = bases[partner]
-        # sine of the largest principal angle between the two spans
-        cosines = np.linalg.svd(qa.conj() @ qb.T, compute_uv=False)
-        gap = np.sqrt(max(0.0, 1.0 - float(np.min(cosines, initial=1.0)) ** 2))
-        if overlap[partner] < 0 or len(qa) != len(qb) or gap >= 1e-6:
-            raise BlockMismatch(
-                f"no twisted block matches the coefficient subspace of block {bi}"
+    for d, run in itertools.groupby(range(len(pw.blocks)), key=lambda bi: dims[bi]):
+        run = list(run)
+        # sine of the largest principal angle between each block's span and
+        # its partner's, from the overlap of their rows
+        pairs = np.stack([
+            overlap[first[bi] : first[bi] + d * d, first_sigma[p] : first_sigma[p] + d * d]
+            for bi, p in zip(run, partners[run])
+        ])
+        cosines = np.linalg.svd(pairs, compute_uv=False)
+        gaps = np.sqrt(np.maximum(0.0, 1.0 - cosines.min(axis=1) ** 2))
+        q = np.stack([pw.blocks[bi].q for bi in run])
+        f_twisted, m_twisted, errors = _f_matrices(tw.twisted, pw_sigma.haar, q, ctx)
+        for k, bi in enumerate(run):
+            b, partner = pw.blocks[bi], int(partners[bi])
+            if per_pair[bi, partner] < 0 or rank[bi] != rank_sigma[partner] or gaps[k] >= 1e-6:
+                raise BlockMismatch(
+                    f"no twisted block matches the coefficient subspace of block {bi}"
+                )
+            if errors[k] is not None:
+                raise DecompositionError(errors[k])
+            a_mat = np.einsum("ijc,c->ij", b.q, tw.v.coeffs)
+            target = a_mat.conj().T @ b.f_matrix @ a_mat
+            num = complex(np.vdot(target, f_twisted[k]))
+            den = complex(np.vdot(target, target))
+            c_pi = (num / den).real
+            residual = max_abs(f_twisted[k] - c_pi * target)
+            out.append(
+                {
+                    "block": bi,
+                    "twisted_block": partner,
+                    "dimension": int(d),
+                    "a_matrix": a_mat,
+                    "c": c_pi,
+                    "f_twisted": f_twisted[k],
+                    "m_twisted": float(m_twisted[k]),
+                    "residual": residual,
+                    "passed": bool(c_pi > 0 and residual <= 1e-8),
+                }
             )
-        f_twisted, m_twisted = _f_matrix(tw.twisted, pw_sigma.haar, b.q, ctx)
-        a_mat = np.einsum("ijc,c->ij", b.q, tw.v.coeffs)
-        target = a_mat.conj().T @ b.f_matrix @ a_mat
-        num = complex(np.vdot(target, f_twisted))
-        den = complex(np.vdot(target, target))
-        c_pi = (num / den).real
-        residual = max_abs(f_twisted - c_pi * target)
-        out.append(
-            {
-                "block": bi,
-                "twisted_block": partner,
-                "dimension": d,
-                "a_matrix": a_mat,
-                "c": c_pi,
-                "f_twisted": f_twisted,
-                "m_twisted": m_twisted,
-                "residual": residual,
-                "passed": bool(c_pi > 0 and residual <= 1e-8),
-            }
-        )
     return out
+
+
+def _coefficient_rows(blocks, tol: float) -> tuple[Array, Array]:
+    """Orthonormal rows spanning the coefficients of each block, in the
+    blocks' order, d^2 rows per block of dimension d, a direction of
+    singular value at most tol a row of zeros; and the number of rows
+    that are not, per block."""
+    rows, rank = [], []
+    for _, run in itertools.groupby(blocks, key=lambda c: c.dimension):
+        flat = np.stack([c.q.reshape(c.dimension**2, -1) for c in run])
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        keep = s > tol
+        rows.append((vh * keep[..., None]).reshape(-1, flat.shape[-1]))
+        rank += keep.sum(axis=1).tolist()
+    return np.concatenate(rows), np.array(rank)

@@ -804,10 +804,12 @@ def _complex_basis(host, sigma, rng):
 
 def _ref_twist(host, cocycle, w, w_inv):
     d3 = np.einsum("iap,pbc->iabc", host.comul, host.comul)
-    mul = np.einsum(
-        "iabc,jdef,ad,bet,cf->ijt", d3, d3, cocycle.sigma, host.mul, cocycle.sigma_inv,
-        optimize=False,
-    )
+    # sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f], one
+    # pair of operands at a time: over (a, c), then (d, f), then (b, e)
+    sandwich = np.multiply.outer(cocycle.sigma, cocycle.sigma_inv)  # [a, d, c, f]
+    left = np.tensordot(d3, sandwich, axes=([1, 3], [0, 2]))  # [i, b, d, f]
+    both = np.tensordot(left, d3, axes=([2, 3], [1, 3]))  # [i, b, j, e]
+    mul = np.tensordot(both, host.mul, axes=([1, 3], [0, 1]))  # [i, j, t]
     w_ds, w_inv_ds = dual(host).star_of(np.stack([w.coeffs, w_inv.coeffs]))
     middle = np.einsum("ipqr,p,r->qi", d3, w_inv_ds, w_ds, optimize=False)
     wrapped = np.einsum("ipqr,p,r->qi", d3, w.coeffs, w_inv.coeffs, optimize=False)
@@ -877,7 +879,8 @@ def test_state_form_and_translation_match_their_formulas(rng):
     assert _relative_error(translation, np.einsum("kjm,m->jk", host.comul, phi)) <= REL
     # a Haar state is tracial, so only a non-Hopf input tells h(x y) from h(y x)
     q, f = _complex(rng, 2, 2, 6), _complex(rng, 2, 2)
-    x_elems, rho = _rho_data(host, h, q, f, 1.5)
+    # one block, as a stack of one
+    x_elems, rho = (x[0] for x in _rho_data(host, h, q[None], f[None], np.array([1.5])))
     want = 1.5 * np.einsum("ks,xy,kmy->smx", f, host.star, q.conj(), optimize=False)
     assert _relative_error(x_elems, want) <= REL
     want = np.einsum("smt,tcw,w->smc", want, host.mul, h.coeffs, optimize=False)
@@ -1003,13 +1006,15 @@ def test_join_over_the_limit_forms_no_pair(spec, rng, monkeypatch):
     x, y = _join_operands(spec, rng)
     count = _term_count(spec, x, y)
 
-    def refuse(kx, ky):
+    def refuse(*args):
         raise AssertionError("pairs were formed over the limit")
 
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "pairs_by_key", refuse)
+        patch.setattr(linalg, "pairs_by_count", refuse)
         assert join(spec, x, y, count - 1) is None
-    # the count is exact: at the limit the terms are formed
+        # the count is exact: at the limit the pairs are formed
+        with pytest.raises(AssertionError, match="over the limit"):
+            join(spec, x, y, count)
     assert join(spec, x, y, count).values.size == count
 
 
@@ -1069,10 +1074,14 @@ def test_dense_slice_reads_each_operand_from_its_array(rng, monkeypatch):
     dense = Terms.dense
     monkeypatch.setattr(Terms, "dense", lambda t: written.append(t.shape) or dense(t))
     assert _relative_error(side.dense(slice(1, 3)), (a @ y)[1:3]) <= REL
-    # the leading operand's slice is read from its array too
+    # the leading operand's slice is read from its array too, and so is a
+    # conjugate's, conjugated
+    conj = linalg.Chain(Terms.of(a).conj(), ("ijk,kl->ijl", y))
+    assert _relative_error(conj.dense(slice(1, 3)), (a.conj() @ y)[1:3]) <= REL
     assert written == []
+    assert np.array_equal(Terms.of(a).conj().dense(), a.conj())
     # terms that were not read from an array carry none
-    assert Terms.of(a)[0:2].array is None and Terms.of(a).conj().array is None
+    assert Terms.of(a)[0:2].array is None
 
 
 @pytest.mark.parametrize(
@@ -1104,7 +1113,7 @@ def test_a_chain_is_dense_exactly_when_its_partials_fit_the_budget(
 def test_only_linalg_knows_the_term_keys():
     # nor the budget, nor the choice between the dense and the join form
     src = Path(hopftwist.__file__).parent
-    names = ("pairs_by_key", "sum_by_key", "term_count", "term_gap", "BUDGET", ".fits(", "runs(")
+    names = ("pairs_by_count", "sum_by_key", "term_count", "term_gap", "BUDGET", ".fits(", "runs(")
     offenders = [
         (p.name, name)
         for p in sorted(src.glob("*.py"))
