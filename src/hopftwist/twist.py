@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, max_abs, max_gap
+from ._linalg import Terms, derived, max_abs, max_gap
 from .cocycle import (
     DualCocycle,
     _v_from_w,
@@ -28,7 +28,6 @@ from .core import (
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
-    freeze,
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
@@ -59,24 +58,29 @@ def twist_algebra(
     if cocycle.host is not algebra:
         raise HostMismatch("cocycle lives on a different host algebra")
     a = algebra
-    sig, sig_inv = cocycle.sigma, cocycle.sigma_inv
-
-    mul = twisted_product(a, sig, sig_inv)
-    # no one else holds this array: frozen in place, it is taken by the
-    # twisted algebra without a copy when it owns its memory
-    mul.flags.writeable = False
-
+    # checked at the caller's tolerance on every call
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = _v_from_w(w, w_inv, ctx)
 
-    # a -> w(a_(1)) a_(2) w^-1(a_(3)).  The antipode is sandwiched by w and
-    # w^-1, the star by the dual stars of w^-1 and w; since w^-1 = w*, those
-    # are w and w^-1 again, and one matrix serves both
-    wrap = _sandwich(a, w.coeffs, w_inv.coeffs)
-    star = a.star @ np.conj(wrap)
-    # frozen once, so that antipode_inv shares it
-    antipode = freeze(a.antipode @ wrap)
+    def tensors() -> tuple[Array, Array, Array]:
+        # a -> w(a_(1)) a_(2) w^-1(a_(3)).  The antipode is sandwiched by w and
+        # w^-1, the star by the dual stars of w^-1 and w; since w^-1 = w*, those
+        # are w and w^-1 again, and one matrix serves both
+        wrap = _sandwich(a, w.coeffs, w_inv.coeffs)
+        mul = twisted_product(a, cocycle.sigma, cocycle.sigma_inv)
+        out = mul, a.antipode @ wrap, a.star @ np.conj(wrap)
+        # no one else holds these arrays: frozen in place, they are taken by
+        # the twisted algebra without a copy
+        for t in out:
+            t.flags.writeable = False
+        return out
 
+    # made once while the cocycle lives (_linalg.derived); sigma_inv comes
+    # first because only its cocycle holds it, while sigma may be shared by
+    # the cocycle of a back twist
+    mul, antipode, star = derived(
+        (cocycle.sigma_inv, cocycle.sigma, a.mul, a.comul, a.antipode, a.star), "twist", tensors
+    )
     twisted = FiniteHopfStarAlgebra(
         dim=a.dim,
         basis_labels=a.basis_labels,
@@ -134,8 +138,10 @@ def roundtrip(
     """Twist by sigma, re-validate sigma^{-1} on the result, twist back.
 
     The result holds the residuals, the verdict and, under "back", the back
-    twist itself.  ``tw``, when given, is the forward twist of algebra by
-    cocycle, and is used instead of twisting again.
+    twist itself.  twist_algebra makes each twist once while its cocycle
+    lives, so a forward twist made before is looked up; ``tw``, when given,
+    is the forward twist of algebra by cocycle, and the back twist is then
+    made on its twisted algebra, so that back.cocycle.host is tw.twisted.
     """
     if tw is None:
         tw = twist_algebra(algebra, cocycle, ctx)

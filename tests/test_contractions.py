@@ -22,6 +22,7 @@ from hopftwist import (
     HaarState,
     QuotientMorphism,
     RTwistedVolume,
+    ScalarContext,
     catalog,
     check_volume_preservation,
     cyclic_group,
@@ -662,6 +663,8 @@ def _force_path(monkeypatch, path):
     that a run holds one element or a few and most elements fall back to
     dense slices."""
     monkeypatch.setattr(linalg.Chain, "fits", lambda chain, lead: False)
+    # nothing derived on the default path before is read on the forced one
+    monkeypatch.setattr(linalg, "_DERIVED", {})
     if path == "slices":
         monkeypatch.setattr(linalg, "BUDGET", 7)
 
@@ -694,6 +697,9 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     # nonzero entries of a twisted group algebra, not n^3 rounding residues
     twisted = _c_z4z4_fourier_twist(ctx)
     assert np.count_nonzero(twisted.mul) == twisted.dim
+    # twist_algebra has verified this algebra: its held residuals are
+    # dropped, so that the check below forms its chains
+    monkeypatch.setattr(linalg, "_DERIVED", {})
     slices = []
     dense = linalg.Chain.dense
     monkeypatch.setattr(
@@ -705,6 +711,32 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     # the n^4-entry identities are joined; only the five n^3-entry ones,
     # which fit the budget whole, are written out, and no basis element alone
     assert slices == [slice(0, twisted.dim)] * 2 * 5 * 3
+
+
+def test_a_held_axiom_report_is_judged_at_each_callers_tolerance(rng, monkeypatch):
+    # C(D4) in a random dense basis, so that its residuals are rounding, not 0
+    host = _rebased(catalog.algebra("c-d4"), np.eye(8) + 0.1 * _complex(rng, 8, 8))
+    first = verify_hopf_axioms(host, ScalarContext(tolerance=1e-9))
+    assert first.passed and first.max_residual > 0
+    gaps = []
+    gap = hopftwist.core.identity_gap
+    monkeypatch.setattr(
+        hopftwist.core, "identity_gap", lambda left, right: gaps.append(1) or gap(left, right)
+    )
+    tight = ScalarContext(tolerance=first.max_residual / 2)
+    held = verify_hopf_axioms(host, tight, subject="held")
+    assert not gaps
+    assert held.checks == first.checks and held.subject == "held"
+    assert held.tolerance == tight.tolerance and not held.passed and held.failing()
+    # a copy one entry off is held apart: its residuals are computed afresh
+    off = verify_hopf_axioms(_one_entry_off(host, "mul", rng))
+    assert gaps and "associativity" in off.failing()
+    # a NaN residual is held as it is, and named by failing() each time
+    star = np.array(host.star)
+    star[0, 0] = np.nan
+    broken = dataclasses.replace(host, star=star)
+    for _ in range(2):
+        assert "star-involutive" in verify_hopf_axioms(broken).failing()
 
 
 def test_tensor_square_convolution_matches_its_formula(rng):

@@ -4,7 +4,8 @@ taken as stacks.
 _linalg.derived holds a value per frozen array only while the array lives,
 and never for an array that something can still change.  The twist ladder's
 hosts keep their coproduct, unit and counit through every twist, so the
-coalgebra identities are checked once per host.  The stacked F-matrices and
+coalgebra identities are checked once per host.  A twist is made once while
+its cocycle lives, and dropped with it.  The stacked F-matrices and
 rho functionals of decompose and f_matrix_relation are compared, byte for
 byte, with the block-by-block computation they replaced, kept below.
 """
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from hopftwist import (
+    ScalarContext,
     catalog,
     cli,
     core,
@@ -32,6 +34,7 @@ from hopftwist import (
     induce,
     klein_four_group,
     roundtrip,
+    twist,
     twist_algebra,
     verify_hopf_axioms,
 )
@@ -156,14 +159,20 @@ def test_paper_suite_bytes_are_the_same_cold_warm_and_after_a_drop(capsys, monke
     assert cold == warm == dropped
 
 
+def _klein_table():
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in bits] for g in bits])
+
+
 def _z4z4_bicharacter():
     pairs = [(a, b) for a in range(4) for b in range(4)]
     return np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
 
 
 def test_a_ladder_host_checks_its_coassociativity_once(ctx, monkeypatch):
-    # host check, twist, round trip (a forward twist and the back twist):
-    # four checks of one comul, each chain formed in the first only
+    # host check, twist and the round trip's back twist (its forward twist
+    # is the one already made): three checks of one comul, each chain formed
+    # in the first only
     group = direct_product(cyclic_group(4), cyclic_group(4))
     host = group_algebra(group)
     sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
@@ -184,6 +193,62 @@ def test_a_ladder_host_checks_its_coassociativity_once(ctx, monkeypatch):
     assert len(sides) == 1
     for name in COALGEBRA_CHECKS:
         assert result["back"].transcript.residual(name) == tw.transcript.residual(name)
+
+
+def _counted(monkeypatch, module, name):
+    """The calls made from then on to module.name, counted in a list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_a_live_cocycle_twists_once_and_the_twist_is_dropped_with_it(ctx, monkeypatch):
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    host = group_algebra(group)
+    sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
+    first = twist_algebra(host, sigma, ctx)
+    products = _counted(monkeypatch, twist, "twisted_product")
+    gaps = _counted(monkeypatch, core, "identity_gap")
+    loose = ScalarContext(tolerance=1e-6, seed=ctx.seed)
+    for again in (twist_algebra(host, sigma, ctx), twist_algebra(host, sigma, loose)):
+        assert again.twisted is not first.twisted
+        for name in ("mul", "antipode", "star"):
+            assert getattr(again.twisted, name) is getattr(first.twisted, name)
+        assert again.transcript.checks == first.transcript.checks
+    assert again.transcript.tolerance == 1e-6
+    assert products == [] and gaps == []
+    # without tw=, roundtrip reads the forward twist and makes the back twist
+    assert roundtrip(host, sigma, ctx)["passed"]
+    assert len(products) == 1
+    inverse = weakref.ref(sigma.sigma_inv)
+    key = id(inverse())
+    assert key in linalg._DERIVED
+    del sigma, first, again
+    gc.collect()
+    assert inverse() is None and key not in linalg._DERIVED
+
+
+def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
+    klein = klein_four_group()
+    c_klein = function_algebra(klein)
+    group = dihedral_group(8)
+    host = function_algebra(group)
+    klein_fourier = catalog.fourier_transport(klein, _klein_table(), c_klein, ctx)
+    mor = catalog.restriction_morphism(group, (0, 4, 8, 12), ctx, source=host, target=c_klein)
+    # a cocycle that lives on, as a catalog one does: its back twists are
+    # made by a fresh cocycle each time, which shares its sigma_inv
+    kept = induce(klein_fourier, mor, ctx)
+    held = []
+    for _ in range(6):
+        sigma = induce(klein_fourier, mor, ctx)
+        twist_algebra(host, sigma, ctx)
+        assert roundtrip(host, sigma, ctx)["passed"]
+        assert roundtrip(host, kept, ctx)["passed"]
+        del sigma
+        gc.collect()
+        held.append((len(linalg._DERIVED), sum(map(len, linalg._DERIVED.values()))))
+    assert held == held[:1] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +308,10 @@ def _ladder(ctx):
     C(Z4 x Z4) with its Fourier transport."""
     klein = klein_four_group()
     c_klein = function_algebra(klein)
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
-    table = np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in bits] for g in bits])
     for m in (4, 8, 16):
         group = dihedral_group(m)
         host = function_algebra(group)
-        sigma = catalog.fourier_transport(klein, table, c_klein, ctx)
+        sigma = catalog.fourier_transport(klein, _klein_table(), c_klein, ctx)
         mor = catalog.restriction_morphism(
             group, (0, m // 2, m, m + m // 2), ctx, source=host, target=c_klein
         )
