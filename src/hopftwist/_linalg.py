@@ -3,8 +3,9 @@ orthonormal extension of a row span, and sparse tensors held as terms
 (Terms), with join, the one contraction over their nonzero entries, and
 Chain, a contraction of several steps formed run by run, densely or by joins
 as runs decides.  What is derived from a frozen tensor (its terms, the keyed
-tables of its joins, its residuals, its twist by a cocycle) is derived once
-while the tensor lives (derived).  Only this module knows the flat key format of the terms."""
+tables of its joins, a residual of it, the twist by the cocycle whose
+inverse it is) is derived once while the tensor lives (derived).  Only this
+module knows the flat key format of the terms."""
 
 from __future__ import annotations
 

@@ -28,6 +28,7 @@ from .core import (
     DualFunctional,
     FiniteHopfStarAlgebra,
     ScalarContext,
+    freeze,
     verify_hopf_axioms,
 )
 from .corep import UnitaryCorep, verify_corep
@@ -54,7 +55,14 @@ def twist_algebra(
     cocycle: DualCocycle,
     ctx: ScalarContext = DEFAULT_CONTEXT,
 ) -> TwistResult:
-    """Build the twisted Hopf *-algebra and verify every axiom on it."""
+    """Build the twisted Hopf *-algebra and verify every axiom on it.
+
+    The twisted algebra and the residuals of every Hopf axiom on it are
+    made once while the cocycle lives (_linalg.derived); the report is
+    judged at the caller's tolerance on every call.  So they are dropped
+    with the cocycle, not with the TwistResult: a cocycle that is kept
+    keeps its twist, whose product has n^3 entries.
+    """
     if cocycle.host is not algebra:
         raise HostMismatch("cocycle lives on a different host algebra")
     a = algebra
@@ -62,41 +70,39 @@ def twist_algebra(
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = _v_from_w(w, w_inv, ctx)
 
-    def tensors() -> tuple[Array, Array, Array]:
+    def twist() -> tuple[FiniteHopfStarAlgebra, tuple]:
+        mul = twisted_product(a, cocycle.sigma, cocycle.sigma_inv)
+        # no one else holds this array: frozen in place, it is taken by the
+        # twisted algebra without a copy when it owns its memory
+        mul.flags.writeable = False
         # a -> w(a_(1)) a_(2) w^-1(a_(3)).  The antipode is sandwiched by w and
         # w^-1, the star by the dual stars of w^-1 and w; since w^-1 = w*, those
         # are w and w^-1 again, and one matrix serves both
         wrap = _sandwich(a, w.coeffs, w_inv.coeffs)
-        mul = twisted_product(a, cocycle.sigma, cocycle.sigma_inv)
-        out = mul, a.antipode @ wrap, a.star @ np.conj(wrap)
-        # no one else holds these arrays: frozen in place, they are taken by
-        # the twisted algebra without a copy
-        for t in out:
-            t.flags.writeable = False
-        return out
+        star = a.star @ np.conj(wrap)
+        # frozen once, so that antipode_inv shares it
+        antipode = freeze(a.antipode @ wrap)
+        twisted = FiniteHopfStarAlgebra(
+            dim=a.dim,
+            basis_labels=a.basis_labels,
+            mul=mul,
+            unit=a.unit,
+            comul=a.comul,
+            counit=a.counit,
+            antipode=antipode,
+            # a finite compact quantum group is of Kac type, so S^-1 = S; the
+            # axiom report's antipode-inverse check then checks S^2 = id
+            antipode_inv=antipode,
+            star=star,
+        )
+        return twisted, verify_hopf_axioms(twisted, ctx).checks
 
-    # made once while the cocycle lives (_linalg.derived); sigma_inv comes
-    # first because only its cocycle holds it, while sigma may be shared by
-    # the cocycle of a back twist
-    mul, antipode, star = derived(
-        (cocycle.sigma_inv, cocycle.sigma, a.mul, a.comul, a.antipode, a.star), "twist", tensors
-    )
-    twisted = FiniteHopfStarAlgebra(
-        dim=a.dim,
-        basis_labels=a.basis_labels,
-        mul=mul,
-        unit=a.unit,
-        comul=a.comul,
-        counit=a.counit,
-        antipode=antipode,
-        # a finite compact quantum group is of Kac type, so S^-1 = S; the
-        # axiom report's antipode-inverse check then checks S^2 = id
-        antipode_inv=antipode,
-        star=star,
-    )
-    transcript = verify_hopf_axioms(twisted, ctx, subject="twisted-algebra").require(
-        TheoremViolation, "twisted algebra fails"
-    )
+    # the cocycle alone makes and holds sigma_inv, and fixes the host, whose
+    # tensors are frozen, and sigma
+    twisted, checks = derived((cocycle.sigma_inv,), "twist", twist)
+    transcript = AxiomReport(
+        subject="twisted-algebra", checks=checks, tolerance=ctx.tolerance
+    ).require(TheoremViolation, "twisted algebra fails")
     return TwistResult(
         original=a,
         cocycle=cocycle,

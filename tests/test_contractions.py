@@ -53,6 +53,7 @@ from hopftwist._linalg import Terms, join, max_gap, nullspace
 from hopftwist.cocycle import convolve2, dual_star2, identity2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
+from hopftwist.errors import TheoremViolation
 from hopftwist.peterweyl import _rho_data, gram_matrix, haar_pairing, haar_state
 
 REL = 1e-12
@@ -697,9 +698,6 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     # nonzero entries of a twisted group algebra, not n^3 rounding residues
     twisted = _c_z4z4_fourier_twist(ctx)
     assert np.count_nonzero(twisted.mul) == twisted.dim
-    # twist_algebra has verified this algebra: its held residuals are
-    # dropped, so that the check below forms its chains
-    monkeypatch.setattr(linalg, "_DERIVED", {})
     slices = []
     dense = linalg.Chain.dense
     monkeypatch.setattr(
@@ -711,32 +709,6 @@ def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     # the n^4-entry identities are joined; only the five n^3-entry ones,
     # which fit the budget whole, are written out, and no basis element alone
     assert slices == [slice(0, twisted.dim)] * 2 * 5 * 3
-
-
-def test_a_held_axiom_report_is_judged_at_each_callers_tolerance(rng, monkeypatch):
-    # C(D4) in a random dense basis, so that its residuals are rounding, not 0
-    host = _rebased(catalog.algebra("c-d4"), np.eye(8) + 0.1 * _complex(rng, 8, 8))
-    first = verify_hopf_axioms(host, ScalarContext(tolerance=1e-9))
-    assert first.passed and first.max_residual > 0
-    gaps = []
-    gap = hopftwist.core.identity_gap
-    monkeypatch.setattr(
-        hopftwist.core, "identity_gap", lambda left, right: gaps.append(1) or gap(left, right)
-    )
-    tight = ScalarContext(tolerance=first.max_residual / 2)
-    held = verify_hopf_axioms(host, tight, subject="held")
-    assert not gaps
-    assert held.checks == first.checks and held.subject == "held"
-    assert held.tolerance == tight.tolerance and not held.passed and held.failing()
-    # a copy one entry off is held apart: its residuals are computed afresh
-    off = verify_hopf_axioms(_one_entry_off(host, "mul", rng))
-    assert gaps and "associativity" in off.failing()
-    # a NaN residual is held as it is, and named by failing() each time
-    star = np.array(host.star)
-    star[0, 0] = np.nan
-    broken = dataclasses.replace(host, star=star)
-    for _ in range(2):
-        assert "star-involutive" in verify_hopf_axioms(broken).failing()
 
 
 def test_tensor_square_convolution_matches_its_formula(rng):
@@ -880,6 +852,38 @@ def test_w_and_v_match_their_formulas(rng, ctx):
         optimize=False,
     )
     assert _relative_error(v.coeffs, want) <= REL
+
+
+def test_a_held_twist_is_judged_at_each_callers_tolerance(rng, ctx, monkeypatch):
+    # a unitary that is not a cocycle, with w(1) = 1 as above: w passes,
+    # and the twisted algebra fails its axioms far above rounding
+    c_d4 = catalog.algebra("c-d4")
+    a, b = (_unitary2(c_d4, rng) @ c_d4.unit for _ in range(2))
+    host, cocycle = _complex_basis(c_d4, np.outer(a, b), rng)
+    raw = np.einsum("ijk,pk,jp->i", host.comul, host.antipode, cocycle.sigma, optimize=False)
+    cocycle = DualCocycle(host, cocycle.sigma / (raw @ host.unit))
+    loose = ScalarContext(tolerance=10.0, seed=ctx.seed)
+    first = twist_algebra(host, cocycle, loose)
+    failing = [name for name, r in first.transcript.checks if not r <= ctx.tolerance]
+    assert "associativity" in failing
+    calls = []
+    for module, name in ((hopftwist.twist, "twisted_product"), (hopftwist.core, "identity_gap")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+        )
+    # the held residuals are judged at each caller's tolerance
+    for _ in range(2):
+        with pytest.raises(TheoremViolation, match=f"twisted algebra fails: {', '.join(failing)}$"):
+            twist_algebra(host, cocycle, ctx)
+        again = twist_algebra(host, cocycle, loose)
+        assert again.twisted is first.twisted
+        assert again.transcript.checks == first.transcript.checks
+    assert calls == []
+    # a fresh cocycle by the same sigma is twisted afresh
+    with pytest.raises(TheoremViolation):
+        twist_algebra(host, DualCocycle(host, cocycle.sigma), ctx)
+    assert calls.count("twisted_product") == 1 and "identity_gap" in calls
 
 
 def test_morphism_residuals_match_their_formulas(rng):
