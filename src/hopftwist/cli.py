@@ -32,7 +32,6 @@ from .serialize import (
     cocycle_from_doc,
     cocycle_to_doc,
     corep_from_doc,
-    encode_array,
     host_hash,
     morphism_from_doc,
     parse_document,
@@ -118,7 +117,7 @@ def _cmd_haar(args, ctx: ScalarContext) -> int:
     residual = haar_invariance_residual(h)
     doc = {
         "host": host_hash(algebra),
-        "coeffs": encode_array(h.coeffs),
+        "coeffs": h.coeffs,
         "invariance_residual": float(residual),
         "passed": bool(residual <= ctx.tolerance),
     }

@@ -63,3 +63,18 @@ class BlockMismatch(MathCheckError):
 
 class NotInCategory(MathCheckError):
     pass
+
+
+class NonFiniteValue(MathCheckError):
+    """A document holds NaN or an infinity, which canonical JSON cannot write."""
+
+    def __init__(self, value, path: list[str]):
+        super().__init__(value)
+        self.value = value
+        self.path = path  # keys and indices down from the document's root
+        self.label = None  # the first string of the innermost list holding it
+
+    def __str__(self) -> str:
+        where = "".join(self.path).lstrip(".") or "the top level"
+        named = f" ({self.label})" if self.label else ""
+        return f"cannot write non-finite {self.value} at {where}{named}"

@@ -291,6 +291,26 @@ def _emitted_triple(name, capsys):
     return json.loads(out)
 
 
+def test_check_hopf_on_a_non_finite_residual_exits_1_and_names_it(tmp_path, capsys):
+    from hopftwist.core import verify_hopf_axioms
+
+    assert run(["catalog", "emit", "c-z2"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    # every entry stays finite, but the residuals overflow to NaN
+    doc["mul"] = (np.asarray(doc["mul"]) * 1e308).tolist()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        checks = verify_hopf_axioms(algebra_from_doc(doc)).checks
+        first = next(name for name, r in checks if not np.isfinite(r))
+        code = run(["check-hopf", str(path)])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed: ") and err.count("\n") == 1
+    assert "non-finite" in err and f"({first})" in err
+
+
 def test_check_membership_document_pins_each_verdict(capsys):
     from hopftwist import (
         ScalarContext,

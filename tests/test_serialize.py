@@ -1,10 +1,18 @@
+import hashlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hopftwist import catalog, regular_corep, twist_algebra
-from hopftwist.errors import InputError
+from hopftwist import catalog, regular_corep, serialize, twist_algebra
+from hopftwist.core import dual
+from hopftwist.errors import InputError, NonFiniteValue
+from hopftwist.groups import dihedral_group, function_algebra
 from hopftwist.report import (
     CheckRecord,
     VerificationReport,
@@ -15,6 +23,7 @@ from hopftwist.serialize import (
     HOPF_FORMAT,
     algebra_from_doc,
     algebra_to_doc,
+    canonical_chunks,
     canonical_dumps,
     cocycle_from_doc,
     cocycle_to_doc,
@@ -69,6 +78,144 @@ def test_array_codec_rejects_malformed_entries():
         decode_array([[1.0, "x"]])
     with pytest.raises(InputError):
         decode_array([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(InputError):
+        decode_array([[1.0, float("nan")]])
+    with pytest.raises(InputError):
+        decode_array([[float("inf"), 0.0]])
+    assert decode_array([]).shape == (0,)
+    assert decode_array(encode_array(np.zeros((2, 0, 3)))).shape == (2, 0)
+
+
+def _old_canonical(doc) -> str:
+    """The canonical text as it was made before documents held arrays: every
+    array turned into nested lists first."""
+
+    def lists(node):
+        if isinstance(node, np.ndarray):
+            return encode_array(node)
+        if isinstance(node, dict):
+            return {key: lists(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [lists(item) for item in node]
+        return node
+
+    return json.dumps(lists(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+# signed zeros, subnormals, the largest finite doubles, and ordinary values
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e308, 1.0, -1.0, 0.5, 1 / 3)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _payload_arrays(draw):
+    dtype = draw(st.sampled_from((np.float64, np.complex128)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    if dtype is np.float64:
+        arr = draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+    else:
+        re, im = (draw(hnp.arrays(np.float64, shape, elements=_FLOATS)) for _ in range(2))
+        arr = np.empty(shape, dtype=np.complex128)
+        arr.real, arr.imag = re, im
+    if draw(st.booleans()):
+        arr = arr.T  # a non-contiguous view, like the tensors dual(H) holds
+    return arr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_payload_arrays())
+def test_canonical_chunks_write_an_array_as_json_writes_its_nested_lists(arr):
+    want = json.dumps(encode_array(arr), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    doc = {"b": [arr, 1.5], "a": arr}
+    # whole, and in runs of leading slices
+    for chunk in (serialize._CHUNK, 3):
+        with mock.patch.object(serialize, "_CHUNK", chunk):
+            assert "".join(canonical_chunks(arr)) == want
+            assert canonical_dumps(doc) == _old_canonical(doc)
+
+
+def test_canonical_chunks_name_a_non_finite_value():
+    with pytest.raises(NonFiniteValue, match=r"non-finite nan at checks\[1\]\[1\] \(counit-law\)"):
+        canonical_dumps({"checks": [["unit-law", 0.0], ["counit-law", float("nan")]]})
+    arr = np.zeros((2, 3, 2), dtype=np.complex128)
+    arr[1, 2, 0] = complex(0.0, np.inf)
+    for chunk in (serialize._CHUNK, 3):
+        with mock.patch.object(serialize, "_CHUNK", chunk):
+            with pytest.raises(NonFiniteValue, match=r"at mul\[1\]\[2\]\[0\]$"):
+                canonical_dumps({"mul": arr})
+
+
+def _hosts_and_duals():
+    hosts = [catalog.algebra(name) for name in catalog.host_names()]
+    hosts += [function_algebra(dihedral_group(m)) for m in (4, 8, 16, 32)]
+    return [h for host in hosts for h in (host, dual(host))]
+
+
+def test_host_hash_is_the_hash_of_the_nested_list_text():
+    for host in _hosts_and_duals():
+        old = hashlib.sha256(_old_canonical(algebra_to_doc(host)).encode("utf-8")).hexdigest()
+        assert host_hash(host) == old
+
+
+def test_host_hash_forms_no_nested_list_of_the_product():
+    host = function_algebra(dihedral_group(16))
+    tracemalloc.start()
+    try:
+        document_hash(algebra_to_doc(host))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the nested lists of its 32^3-entry product alone took 11.5 MiB
+    assert peak <= 1 << 20
+
+
+def _decode_recursive(obj):
+    """decode_array as it was: one [re, im] pair at a time in Python."""
+
+    def build(node):
+        if isinstance(node, list) and len(node) == 2 and all(isinstance(x, (int, float)) for x in node):
+            return complex(node[0], node[1])
+        if isinstance(node, list):
+            return [build(part) for part in node]
+        raise InputError("numeric payload must be nested [re, im] pairs")
+
+    try:
+        arr = np.array(build(obj), dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cannot decode array payload: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise InputError("numeric payload contains NaN or infinite values")
+    return arr
+
+
+def test_decode_array_agrees_with_the_recursive_decoder(rng):
+    z = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    payloads = [
+        json.loads(json.dumps(encode_array(a)))
+        for a in (z, z[0], z[0, 0], z[0, 0, 0], np.zeros((0,)), np.zeros((2, 0, 3)), -0.0)
+    ]
+    payloads += [
+        [1, 2], [True, 0], [[1, 2.5], [-0.0, 5e-324]], [[], []], [[[]]],  # valid
+        [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], [[1.0, "x"]], ["1.0", "2.0"],  # malformed
+        [[1.0, None]], [None, None], [[1.0, 2.0], 3.0], [1.0, [2.0, 3.0]], [[1.0, 2.0], []],
+        [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], [{}, {}], 1.0, "x", None, {"re": 1.0},
+        [[1.0, float("nan")]], [[float("-inf"), 0.0]], [[1.0, 1e400]],
+    ]
+    for payload in payloads:
+        try:
+            want = _decode_recursive(payload)
+        except InputError:
+            with pytest.raises(InputError):
+                decode_array(payload)
+            continue
+        got = decode_array(payload)
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        # bit for bit, so -0.0 stays apart from 0.0
+        assert got.tobytes() == want.tobytes(), payload
 
 
 def test_algebra_roundtrip_is_bit_exact():
@@ -154,12 +301,17 @@ def test_triple_doc_roundtrips_with_and_without_volume(ctx):
         assert np.array_equal(a, b)
 
 
-def test_twist_transcript_doc_carries_the_hashes(ctx):
+def test_twist_transcript_doc_carries_the_hashes(ctx, monkeypatch):
     host = catalog.algebra("c-d4")
     tw = twist_algebra(host, catalog.cocycle("klein-induced", ctx), ctx)
+    hashed = []
+    monkeypatch.setattr(serialize, "host_hash", lambda h: hashed.append(h) or host_hash(h))
     doc = twist_transcript_to_doc(tw)
+    # each of the two hosts once, the cocycle's host being the original
+    assert [id(h) for h in hashed] == [id(host), id(tw.twisted)]
     assert doc["original"] == host_hash(host)
     assert doc["twisted"] == host_hash(tw.twisted)
+    assert doc["cocycle"] == document_hash(cocycle_to_doc(tw.cocycle))
     assert doc["report"]["passed"] is True
     assert decode_array(doc["w"]).shape == (host.dim,)
 
