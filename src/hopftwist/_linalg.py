@@ -2,7 +2,8 @@
 orthonormal extension of a row span, and sparse tensors held as terms
 (Terms), with join, the one contraction over their nonzero entries, and
 Chain, a contraction of several steps formed run by run, densely or by joins
-as runs decides.  What is derived from a frozen tensor (its terms, the keyed
+as runs decides; uniform turns a seeded random.Random into an array of
+draws.  What is derived from a frozen tensor (its terms, the keyed
 tables of its joins, a residual of it, the twist by the cocycle whose
 inverse it is) is derived once while the tensor lives (derived).  Only this
 module knows the flat key format of the terms."""
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import weakref
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
@@ -61,6 +63,15 @@ def derived(arrays: tuple, what, compute: Callable[[], T]) -> T:
     if held is None or any(ref() is not a for ref, a in zip(held[0], rest)):
         held = table[key] = (tuple(map(weakref.ref, rest)), compute())
     return held[1]
+
+
+def uniform(rng: random.Random, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An array of draws uniform on [-1, 1): one 2 * rng.random() - 1 per
+    real number, in row-major order, a complex entry's real part first.  So a
+    stack of draws is the draws made one after another, bit for bit."""
+    width = np.dtype(dtype).itemsize // 8
+    flat = 2 * np.array([rng.random() for _ in range(width * math.prod(shape))]) - 1
+    return flat.view(dtype).reshape(shape)
 
 
 def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:

@@ -15,6 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,8 +57,9 @@ class ScalarContext:
         if self.seed < 0:
             raise DimensionMismatch(f"seed must be non-negative, got {self.seed}")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+    def rng(self) -> random.Random:
+        """The seeded generator; _linalg.uniform turns its draws into arrays."""
+        return random.Random(self.seed)
 
     def close(self, residual: float) -> bool:
         return residual <= self.tolerance

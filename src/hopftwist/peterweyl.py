@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import derived, max_abs, nullspace
+from ._linalg import derived, max_abs, nullspace, uniform
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -207,7 +208,7 @@ def _split_center(
     center: Array,
     frame: tuple[Array, Array],
     ctx: ScalarContext,
-    rng: np.random.Generator,
+    rng: random.Random,
 ) -> list[tuple[int, Array, Array]]:
     """(block dimension, central idempotent, isotypic basis in the state
     frame) per block, from the eigenvectors of a random central element
@@ -216,7 +217,7 @@ def _split_center(
 
     def attempt():
         # a random self-adjoint central element
-        z = center @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        z = center @ uniform(rng, (k,), np.complex128)
         z = 0.5 * (z + hat.star_of(z))
         groups = _eigen_split(_in_frame(hat, frame, z), k)
         dims = [math.isqrt(g.shape[1]) for g in groups]
@@ -238,7 +239,7 @@ def _block_matrix_units(
     e_alpha: Array,
     basis: Array,
     ctx: ScalarContext,
-    rng: np.random.Generator,
+    rng: random.Random,
 ) -> Array:
     """Matrix units (d, d, n) of the block with central idempotent e_alpha,
     whose d^2-dimensional isotypic component has basis in the state frame.
@@ -253,7 +254,7 @@ def _block_matrix_units(
         return e_alpha.reshape(1, 1, n)
 
     def attempt():
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        r = uniform(rng, (n,), np.complex128)
         z = 0.5 * (r + hat.star_of(r))
         groups = _eigen_split(basis.conj().T @ _in_frame(hat, frame, z) @ basis, d, d)
         projections = [_projection_element(hat, frame, basis @ g) for g in groups]

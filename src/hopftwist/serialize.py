@@ -15,7 +15,6 @@ nested list of an n-dimensional host's product.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Iterator
 
@@ -159,6 +158,10 @@ def canonical_dumps(doc: dict) -> str:
 
 
 def document_hash(doc: dict) -> str:
+    # imported here: hashlib loads OpenSSL, which a process that never hashes
+    # need not load
+    import hashlib
+
     digest = hashlib.sha256()
     for chunk in canonical_chunks(doc):
         digest.update(chunk.encode("utf-8"))

@@ -15,11 +15,13 @@ passing.
 
 from __future__ import annotations
 
+import random
 import time
 
 import numpy as np
 
 from . import catalog
+from ._linalg import uniform
 from .cocycle import verify_cocycle
 from .core import (
     DEFAULT_CONTEXT,
@@ -91,20 +93,20 @@ def _star_hom_gap(images: Array, stars: Array, products: Array) -> float:
 
 
 def _equivariant_volumes(
-    sd, rng: np.random.Generator, draws: int
+    sd, rng: random.Random, draws: int
 ) -> tuple[Array, dict[int, Array]]:
     """A (draws, N, N) stack of random positive equivariant matrices
     assembled blockwise, plus the (draws, m, m) multiplicity matrices."""
-    # draw by draw, entry by entry, a real then an imaginary m x m normal:
-    # the order in which one matrix at a time consumes rng
-    sizes = [entry["multiplicity"] ** 2 for entry in sd.entries for _ in "ri"]
-    parts = np.split(rng.normal(size=(draws, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    # draw by draw, entry by entry, a complex m x m matrix: the order in
+    # which one matrix at a time consumes rng
+    sizes = [entry["multiplicity"] ** 2 for entry in sd.entries]
+    stacked = uniform(rng, (draws, sum(sizes)), np.complex128)
     r = 0.0
     chosen: dict[int, Array] = {}
-    for entry, re, im in zip(sd.entries, parts[::2], parts[1::2]):
+    for entry, part in zip(sd.entries, np.split(stacked, np.cumsum(sizes)[:-1], axis=1)):
         basis = entry["basis"]
         m, d, hdim = basis.shape
-        a = (re + 1j * im).reshape(draws, m, m)
+        a = part.reshape(draws, m, m)
         t = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.25 * np.eye(m)
         chosen[entry["block"]] = t
         # r[x, y] += sum_sua t[s, u] basis[s, a, x] conj(basis[u, a, y])

@@ -192,6 +192,55 @@ def test_cocycle_commands_leave_numpy_ma_unimported():
     assert proc.stdout.split() == ["[0,", "0]", "False"], proc.stderr
 
 
+def test_commands_load_numpy_random_and_hashlib_only_where_used():
+    # a fresh process, as the test process has both loaded already: no
+    # command draws from numpy.random (+2.9 MB), and hashlib's OpenSSL
+    # (+3.5 MB) loads only when a command hashes
+    script = (
+        "import contextlib, io, sys\n"
+        "from hopftwist.cli import run\n"
+        "def loaded():\n"
+        "    return ['numpy.random' in sys.modules, '_hashlib' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['catalog', 'list']), run(['check-hopf', 'c-s3']),\n"
+        "             run(['deform-triple', 'd4-regular'])]\n"
+        "    unhashed = loaded()\n"
+        "    codes += [run(['peter-weyl', 'c-s3']),\n"
+        "              run(['verify', '--suite', 'paper', '--seed', '7'])]\n"
+        "print(codes, unhashed, loaded()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    want = ["[0,", "0,", "0,", "0,", "0]", "[False,", "False]", "False"]
+    assert proc.stdout.split() == want, proc.stderr
+
+
+def _overflowing_document(tmp_path, capsys):
+    """C(Z2) with mul scaled by 1e308: every entry stays finite, but the
+    residuals overflow to NaN."""
+    assert run(["catalog", "emit", "c-z2"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    doc["mul"] = (np.asarray(doc["mul"]) * 1e308).tolist()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return doc, path
+
+
+def test_check_hopf_on_an_overflowing_document_writes_one_stderr_line(tmp_path, capsys):
+    _, path = _overflowing_document(tmp_path, capsys)
+    # a fresh process, where numpy warns on each first overflow
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopftwist", "check-hopf", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("check failed: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_math_failure_exits_1_and_reports_on_stderr(tmp_path, capsys):
     from hopftwist import SpectralTriple
     from hopftwist.serialize import canonical_dumps, triple_to_doc
@@ -294,12 +343,7 @@ def _emitted_triple(name, capsys):
 def test_check_hopf_on_a_non_finite_residual_exits_1_and_names_it(tmp_path, capsys):
     from hopftwist.core import verify_hopf_axioms
 
-    assert run(["catalog", "emit", "c-z2"]) == 0
-    doc = json.loads(_capture(capsys)[0])
-    # every entry stays finite, but the residuals overflow to NaN
-    doc["mul"] = (np.asarray(doc["mul"]) * 1e308).tolist()
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
+    doc, path = _overflowing_document(tmp_path, capsys)
     with np.errstate(all="ignore"):
         checks = verify_hopf_axioms(algebra_from_doc(doc)).checks
         first = next(name for name, r in checks if not np.isfinite(r))

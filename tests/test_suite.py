@@ -14,7 +14,7 @@ import pytest
 from hopftwist import RTwistedVolume, ScalarContext, catalog, extract_block_form
 from hopftwist import deform as deform_module
 from hopftwist import suite as suite_module
-from hopftwist._linalg import max_abs
+from hopftwist._linalg import max_abs, uniform
 from hopftwist.cocycle import convolve2, verify_cocycle
 from hopftwist.corep import decompose_corep, regular_corep
 from hopftwist.deform import operator_span_basis
@@ -37,7 +37,7 @@ def _reference_equivariant_volume(sd, rng):
     for entry in sd.entries:
         basis = entry["basis"]
         m = entry["multiplicity"]
-        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = uniform(rng, (m, m), np.complex128)
         t = a @ a.conj().T + 0.25 * np.eye(m)
         chosen[entry["block"]] = t
         # r[x, y] += sum_sua t[s, u] basis[s, a, x] conj(basis[u, a, y])
