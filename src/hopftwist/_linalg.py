@@ -105,14 +105,16 @@ class Terms:
     use of keys or values, and None for terms given outright; conjugated
     says that they are the terms of conj(array).  block() reads a dense
     slice from that array, so a tensor that is only written out densely is
-    never read as terms.
+    never read as terms.  What is prepared from terms given outright (the
+    keyed tables of their joins) is held with them (_prepared).
     """
 
-    __slots__ = ("shape", "array", "conjugated", "_keys", "_values")
+    __slots__ = ("shape", "array", "conjugated", "_keys", "_values", "_prepared")
 
     def __init__(self, shape, keys, values, array=None, conjugated=False):
         self.shape, self._keys, self._values = tuple(shape), keys, values
         self.array, self.conjugated = array, conjugated
+        self._prepared: dict = {}
 
     @classmethod
     def of(cls, a: np.ndarray) -> "Terms":
@@ -178,10 +180,17 @@ class Terms:
         shape = (stop - start,) + self.shape[1:]
         return Terms(shape, self.keys[lo:hi] - start * block, self.values[lo:hi])
 
-    def dense(self) -> np.ndarray:
-        """The summed terms written out as an array."""
-        out = np.zeros(self.shape, dtype=np.complex128)
-        out.reshape(-1)[self.keys] = self.values
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The terms written out as an array, into the C-ordered complex out
+        when given, the terms of an index added up in their order."""
+        out = np.empty(self.shape, dtype=np.complex128) if out is None else out
+        flat = out.reshape(-1)
+        if np.all(self.keys[1:] > self.keys[:-1]):
+            flat[:] = 0
+            flat[self.keys] = self.values
+        else:  # the parts are added apart, as in sum_by_key
+            flat.real = np.bincount(self.keys, self.values.real, flat.size)
+            flat.imag = np.bincount(self.keys, self.values.imag, flat.size)
         return out
 
     def block(self, lead: slice = slice(None)) -> np.ndarray:
@@ -289,8 +298,13 @@ def _strides(shape) -> list[int]:
 
 def _prepared(terms: Terms, what, compute: Callable[[], T]) -> T:
     """compute(), a value that depends on the keys of terms alone, once per
-    frozen array they are read from (derived)."""
-    return compute() if terms.array is None else derived((terms.array,), what, compute)
+    frozen array they are read from (derived), or once per terms given
+    outright."""
+    if terms.array is not None:
+        return derived((terms.array,), what, compute)
+    if what not in terms._prepared:
+        terms._prepared[what] = compute()
+    return terms._prepared[what]
 
 
 def _keyed(terms: Terms, parts) -> tuple[np.ndarray, ...]:
@@ -379,6 +393,20 @@ class Chain:
             out = np.tensordot(out, operand, axes=axes).transpose(order)
         return out
 
+    def array(self) -> np.ndarray:
+        """The whole contraction written out as an array, run by run (see
+        runs)."""
+        out = None
+        for lead, terms in runs((self,), self.terms):
+            block = self.dense(lead) if terms is None else terms
+            if out is None:
+                out = np.empty((self.first.shape[0],) + block.shape[1:], dtype=np.complex128)
+            if terms is None:
+                out[lead] = block
+            else:
+                terms.dense(out[lead])
+        return out
+
     def whole(self) -> Terms:
         """The summed terms of the whole contraction, formed run by run (see
         runs); a run written out densely is read back as terms, keeping only
@@ -449,6 +477,14 @@ def runs(
             todo += [slice(mid, lead.stop), slice(lead.start, mid)]
         else:
             yield lead, got
+
+
+def batches(count: int, per: int) -> Iterator[slice]:
+    """Consecutive runs of range(count), each of at least one index and of
+    at most BUDGET entries in all when an index has per entries: the runs in
+    which a caller holds a dense result that no chain writes out."""
+    step = max(1, BUDGET // max(per, 1))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def identity_gap(left: Chain, right: Chain) -> float:

@@ -5,22 +5,24 @@ The module provides the dual representation pi_U, the adjoint action ad_V on
 operators, spectral projections, and decomposition into irreducibles with
 adapted orthonormal bases.
 
-The adjoint action and every map built from it are contracted over the
-nonzero entries of u, its entrywise star and the host product: a regular
-corep has n of its N^2 n entries nonzero on a group algebra and n^2 on a
-function algebra.  A functional is fused into the action,
-(id (x) rho) ad_u(T) = sum_ab (mul rho)[a, b] u_a T u*_b^T, so the
-coaction leg is formed only when a caller asks for it.
+The adjoint action is one map, with a functional fused into it,
+(id (x) rho) ad_u(T) = sum_ab (mul rho)[a, b] u_a T u*_b^T, so the coaction
+leg is formed only when a caller asks for it.  The map is a _linalg.Chain
+over the operator stack, u and z = (mul rho) u*, and _linalg.runs alone
+picks each run's form: joins over the nonzero entries (a regular corep has
+n of its N^2 n entries nonzero on a group algebra and n^2 on a function
+algebra), or dense, one slice u_a at a time.  The corep law and unitarity
+are chains compared run by run in the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ._linalg import Chain, Terms, extend_rows, identity_gap, join, max_abs, max_gap
+from ._linalg import Chain, Terms, batches, extend_rows, identity_gap, max_abs
 from .core import (
     DEFAULT_CONTEXT,
     AxiomReport,
@@ -41,6 +43,8 @@ class UnitaryCorep:
     hdim: int
     u: Array  # (N, N, n)
 
+    u_star: Array = field(init=False, repr=False)  # (N, N, n), entrywise star
+
     def __post_init__(self):
         # C-ordered whatever the caller passes, as the corep layer is fastest
         # over C-ordered entries; a frozen C-ordered u is shared
@@ -51,10 +55,15 @@ class UnitaryCorep:
                 f"{(self.hdim, self.hdim, self.host.dim)}"
             )
         object.__setattr__(self, "u", arr)
+        # the star of a non-finite entry is non-finite, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            star = np.conj(arr).reshape(-1, self.host.dim) @ self.host.star.T
+        star.flags.writeable = False  # a fresh array, so frozen without a copy
+        object.__setattr__(self, "u_star", star.reshape(arr.shape))
 
     def entry_star(self) -> Array:
         """Entrywise star: (u*)[i, j] = u[i, j]*."""
-        return np.conj(self.u) @ self.host.star.T
+        return self.u_star
 
 
 def _operators(corep: UnitaryCorep, t) -> Array:
@@ -67,118 +76,73 @@ def _operators(corep: UnitaryCorep, t) -> Array:
     return t
 
 
-def _slices(left: Array, mr: Array) -> Array:
-    """The a for which left_a and mr[a] are both nonzero."""
-    return np.flatnonzero(left.any(axis=(0, 1)) & mr.any(axis=(1, 2)))
-
-
-def _adjoint_entries(left: Array, right: Array, mr: Array) -> Terms | None:
-    """The map T -> sum_ab mr[a, b, f] left_a T right_b^T as summed terms
-    [f, i, j, k, l], the coefficient of T_kl in image f at [i, j]; None when
-    a join would have more than N^2 n terms, as many as ad_u has entries at
-    one operator, so that no array of terms nears the N^2 n^2 entries of an
-    (N, N, n, n) one.
-
-    The entries of left are joined with those of mr on a and summed per
-    (f, i, k, b); those sums are joined with the entries of right on b and
-    summed per entry of the map.
-    """
-    limit = left.shape[0] ** 2 * left.shape[2]
-    half = join("ika,abf->fikb", left, mr, limit)
-    terms = half and join("fikb,jlb->fijkl", half.summed(), right, limit)
-    return terms and terms.summed()
-
-
-def _adjoint_dense(left: Array, right: Array, mr: Array, t: Array) -> Array:
-    """The map of _adjoint_entries, one slice a at a time: (left_a T) z_a^T
-    with z_a[f] = sum_b mr[a, b, f] right_b, as (..., F, N, N)."""
-    out = np.zeros(t.shape[:-2] + (mr.shape[2],) + t.shape[-2:], dtype=np.complex128)
-    for a in _slices(left, mr):
-        z = np.tensordot(mr[a], right, axes=([0], [2]))  # (f, j, l)
-        out += (left[:, :, a] @ t)[..., None, :, :] @ np.swapaxes(z, -1, -2)
-    return out
-
-
-def _along_dense(left: Array, right: Array, mr: Array, ops: Array, t: Array) -> Array:
-    """sum_f (image f of t) ops[f], one slice a at a time: (left_a T) y_a with
-    y_a = sum_bj right[j, :, b] (sum_f mr[a, b, f] ops[f])[j]."""
-    out = np.zeros(t.shape, dtype=np.complex128)
-    for a in _slices(left, mr):
-        q = np.tensordot(mr[a], ops, axes=([1], [0]))  # (b, j, m)
-        out += (left[:, :, a] @ t) @ np.tensordot(right, q, axes=([0, 2], [1, 0]))
-    return out
-
-
 class _FusedAdjoint:
-    """T -> sum_ab mr[a, b, f] left_a T right_b^T on stacks of N x N operators,
-    with left_a = left[:, :, a], one image per functional f.
+    """T -> sum_ab mr[a, b, f] u_a T u*_b^T on stacks of N x N operators,
+    with u_a = u[:, :, a], u* the entrywise star and mr = mul rho for
+    functionals rho of shape (n, F), one image per functional f: this is
+    (id (x) rho_f) ad_u(T), and ad_u itself with rho None.  transposed gives
+    the transpose of that map over vectorized operators, T -> sum_ab
+    mr[a, b, f] u_a^T T u*_b: its image of R^T at [k, l] is sum_ij R_ji
+    (id (x) rho_f) ad_u(E_kl)[i, j].
 
-    With left = u, right = u* (entrywise) and mr = mul rho this is
-    (id (x) rho_f) ad_u(T); the transposed factors give the transposed map.
-    The map is held by its nonzero entries when the joins that build them
-    are small enough (_adjoint_entries), and applied one slice a at a time
-    otherwise; either way no (N^2, N^2) or (N, N, n, n) array is formed.
+    Each is a chain (_linalg.Chain) with the stack first, T[s, k, l] ->
+    u[i, k, a] -> z[a, l, f, j], where z[a, l, f, j] = sum_b mr[a, b, f]
+    u*[j, l, b] (u*[l, j, b] when transposed) is formed once per map, as
+    terms.  A run that runs writes out densely goes one slice a at a time
+    (sliced), so no (N, N, n, n) array, no N^2 x N^2 matrix and no whole
+    dense z is formed.
     """
 
-    def __init__(self, left: Array, right: Array, mr: Array):
-        self.left, self.right, self.mr = left, right, mr
-        self.entries = _adjoint_entries(left, right, mr)
+    def __init__(self, corep: UnitaryCorep, rho: Array | None = None, transposed: bool = False):
+        mul = corep.host.mul
+        if rho is not None and rho.shape[:1] != (corep.host.dim,):
+            raise DimensionMismatch(
+                f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
+            )
+        self.u, self.transposed = corep.u, transposed
+        # u*[j, l, b] meets the image at l, or at j when transposed
+        spec = "abf,ljb->alfj" if transposed else "abf,jlb->alfj"
+        self.z = Chain(mul if rho is None else mul @ rho, (spec, corep.u_star)).whole()
+        uk = "kia" if transposed else "ika"
+        self.steps = ((f"skl,{uk}->sila", self.u), ("sila,alfj->sfij", self.z))
 
-    def __call__(self, t: Array, legs: slice = slice(None)) -> Array:
-        """Images (..., F, N, N) of t (..., N, N) under the functionals mr[:, :, legs]."""
-        if self.entries is None:
-            return _adjoint_dense(self.left, self.right, self.mr[:, :, legs], t)
-        return self.entries[legs].apply(t, 2)
+    def chain(self, t: Array, ops: Array | None = None) -> Chain:
+        """The map at the stack t (S, N, N) as a chain, images [s, f, i, j];
+        with ops (F, N, M), the images met with ops on (f, j), [s, i, m]."""
+        more = () if ops is None else (("sfij,fjm->sim", ops),)
+        return Chain(t, *self.steps, *more, dense=lambda lead: self.sliced(t[lead], ops))
 
-    def matrix(self) -> Array:
-        """The map as (F, N^2, N^2) matrices over vectorized operators, with
-        entry [f, i N + j, k N + l] the coefficient of T_kl in image f at [i, j].
+    def sliced(self, t: Array, ops: Array | None = None) -> Array:
+        """The chain at t written out one slice a at a time: u_a T on the
+        rows where u_a is nonzero, times z[a] read as [l, (f, j)].  z is
+        written out as many slices at a time as keep within the budget, and
+        at least one (_linalg.batches), so the N^2 n F entries of the whole
+        of it are never held; with ops, the images are then met with ops."""
+        n, n_h, count = self.z.shape[:3]
+        per = n_h * count * n_h
+        left = self.u.transpose(1, 0, 2) if self.transposed else self.u  # [i, k, a]
+        rows = left.any(axis=1)  # [i, a]
+        out = np.zeros((len(t), n_h, count, n_h), dtype=np.complex128)  # [s, i, f, j]
+        for batch in batches(n, per):
+            z = self.z[batch].dense().reshape(-1, n_h, count * n_h)  # [a, l, (f, j)]
+            for a, z_a in enumerate(z, batch.start):
+                at = np.flatnonzero(rows[:, a])
+                at = slice(None) if at.size == n_h else at
+                image = (left[at, :, a] @ t).reshape(-1, n_h) @ z_a
+                out[:, at] += image.reshape(len(t), -1, count, n_h)
+        out = out.transpose(0, 2, 1, 3)
+        return out if ops is None else np.tensordot(out, ops, axes=([1, 3], [0, 1]))
 
-        Held entries are scattered straight into the result; otherwise the
-        N^2 matrix units go through the slice loop, whose images are the result.
-        """
-        n_h, count = self.left.shape[0], self.mr.shape[2]
-        if self.entries is None:
-            units = np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
-            images = _adjoint_dense(self.left, self.right, self.mr, units)
-            return images.reshape(n_h * n_h, count, n_h * n_h).transpose(1, 2, 0)
-        return self.entries.dense().reshape(count, n_h * n_h, n_h * n_h)
+    def __call__(self, t: Array, ops: Array | None = None) -> Array:
+        """Images (..., F, N, N) of t (..., N, N); with ops (F, N, M), the
+        sum over f of image f times ops[f], (..., N, M)."""
+        out = self.chain(t.reshape((-1,) + t.shape[-2:]), ops).array()
+        return out.reshape(t.shape[:-2] + out.shape[1:])
 
     def along(self, ops: Array):
         """The map t -> sum_f (image f of t) ops[f] for a functional with
-        values in operators, ops of shape (F, N, N), as a function on stacks.
-
-        Its entries join this map's entries with those of ops on (f, j); with
-        more than N^2 n terms, or no entries here, it runs slice by slice.
-        """
-        limit = self.left.shape[0] ** 2 * self.left.shape[2]
-        terms = self.entries and join("fijkl,fjm->imkl", self.entries, ops, limit)
-        if terms is not None:
-            return partial(Terms.apply, terms.summed(), k=2)
-        return partial(_along_dense, self.left, self.right, self.mr, ops)
-
-
-def _adjoint(
-    corep: UnitaryCorep, rho: Array | None = None, transposed: bool = False
-) -> _FusedAdjoint:
-    """(id (x) rho_f) ad_u for functionals rho of shape (n, F); with rho None
-    the functionals are the n coefficients, so the images are ad_u itself.
-
-    transposed gives the transpose of that map over vectorized operators,
-    T -> sum_ab mr[a, b] u_a^T T u*_b: its image of R^T at [k, l] is
-    sum_ij R_ji (id (x) rho) ad_u(E_kl)[i, j].
-    """
-    left, right = corep.u, corep.entry_star()
-    if transposed:
-        left, right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
-    mul = corep.host.mul
-    if rho is None:
-        return _FusedAdjoint(left, right, mul)
-    if rho.shape[:1] != (corep.host.dim,):
-        raise DimensionMismatch(
-            f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
-        )
-    return _FusedAdjoint(left, right, mul @ rho)
+        values in operators, ops of shape (F, N, M), as a function on stacks."""
+        return partial(self, ops=ops)
 
 
 def trivial_corep(host: FiniteHopfStarAlgebra, hdim: int) -> UnitaryCorep:
@@ -216,53 +180,29 @@ def regular_corep(
     return UnitaryCorep(host, host.dim, u)
 
 
-def _corep_law(u: Array, comul: Array) -> float:
-    """max |(id (x) Delta)(U) - U_12 U_13| over its N^2 n^2 entries [i, j, a, b].
-
-    Both sides are joins of nonzero entries, reduced together; when a side
-    would have more than N^2 n terms, the bound of _adjoint_entries, the
-    sides are compared densely one row i at a time.
-    """
-    n_h, n = u.shape[0], u.shape[2]
-    entries = Terms.of(u)
-    left = join("ijc,cab->ijab", entries, comul, n_h * n_h * n)
-    right = left and join("ika,kjb->ijab", entries, entries, n_h * n_h * n)
-    if right is not None:
-        return max_gap(left, right)
-    del left  # no terms stay alive through the dense comparison
-    # [j, a, b] against [a, j, b], one row alive at a time; np.max keeps a
-    # NaN from any row
-    rows = (
-        np.tensordot(u[i], comul, axes=([1], [0]))
-        - np.tensordot(u[i], u, axes=([0], [0])).transpose(1, 0, 2)
-        for i in range(n_h)
-    )
-    return float(np.max([max_abs(row) for row in rows]))
-
-
+@np.errstate(invalid="ignore", over="ignore")
 def verify_corep(
     corep: UnitaryCorep, ctx: ScalarContext = DEFAULT_CONTEXT, subject: str = "corep"
 ) -> AxiomReport:
-    a = corep.host
-    u = corep.u
-    n_h = corep.hdim
-    checks: list[tuple[str, float]] = [("corep-law", _corep_law(u, a.comul))]
-
-    counit_side = np.einsum("ijc,c->ij", u, a.counit) - np.eye(n_h)
-    checks.append(("corep-counit", max_abs(counit_side)))
-
+    """The corep law (id (x) Delta)(U) = U_12 U_13 over its entries [i, j, a,
+    b], the counit law and unitarity on both sides, each side of an identity
+    a chain compared one run of i at a time (_linalg.identity_gap).  A
+    non-finite entry reads as a non-finite residual, without a warning."""
+    a, u, ustar = corep.host, corep.u, corep.u_star
+    eye = np.eye(corep.hdim)
     # sum_k u_ik u*_jk = delta_ij 1 and sum_k u*_ki u_kj = delta_ij 1, each
-    # side [i, j, c] summed over the nonzero entries of u, u* and mul
-    entries, ustar, m = Terms.of(u), corep.entry_star(), Terms.of(a.mul)
-    target = Chain(Terms.of(np.einsum("ij,c->ijc", np.eye(n_h), a.unit)))
-    row = Chain(entries, ("ika,jkb->ijab", Terms.of(ustar)), ("ijab,abc->ijc", m))
-    col = Chain(
-        Terms.of(ustar.transpose(1, 0, 2)), ("ika,kjb->ijab", entries), ("ijab,abc->ijc", m)
+    # side [i, j, c]
+    target = Chain(np.einsum("ij,c->ijc", eye, a.unit))
+    row = Chain(u, ("ika,jkb->ijab", ustar), ("ijab,abc->ijc", a.mul))
+    col = Chain(ustar.transpose(1, 0, 2), ("ika,kjb->ijab", u), ("ijab,abc->ijc", a.mul))
+    law = identity_gap(Chain(u, ("ijc,cab->ijab", a.comul)), Chain(u, ("ika,kjb->ijab", u)))
+    checks = (
+        ("corep-law", law),
+        ("corep-counit", max_abs(np.einsum("ijc,c->ij", u, a.counit) - eye)),
+        ("unitarity-right", identity_gap(row, target)),
+        ("unitarity-left", identity_gap(col, target)),
     )
-    checks.append(("unitarity-right", identity_gap(row, target)))
-    checks.append(("unitarity-left", identity_gap(col, target)))
-
-    return AxiomReport(subject=subject, checks=tuple(checks), tolerance=ctx.tolerance)
+    return AxiomReport(subject=subject, checks=checks, tolerance=ctx.tolerance)
 
 
 def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
@@ -286,19 +226,26 @@ def ad_v(corep: UnitaryCorep, t: Array) -> Array:
     stars are those of the corep's host, so the same function serves
     twisted hosts.
     """
-    return np.moveaxis(_adjoint(corep)(_operators(corep, t)), -3, -1)
+    return np.moveaxis(_FusedAdjoint(corep)(_operators(corep, t)), -3, -1)
+
+
+def _units(n_h: int) -> Array:
+    """The N^2 matrix units E_kl as a stack (k l, N, N)."""
+    return np.eye(n_h * n_h, dtype=np.complex128).reshape(-1, n_h, n_h)
 
 
 def ad_v_tensor(corep: UnitaryCorep) -> Array:
     """All-matrix-units form of ad_v: AD[i, j, k, l] = ad(E_kl)[i, j]."""
     n_h = corep.hdim
-    mats = _adjoint(corep).matrix()  # (c, i j, k l)
-    return mats.reshape((-1,) + (n_h,) * 4).transpose(1, 2, 3, 4, 0)
+    images = _FusedAdjoint(corep)(_units(n_h))  # (k l, c, i, j)
+    return images.reshape((n_h, n_h, -1, n_h, n_h)).transpose(3, 4, 0, 1, 2)
 
 
 def e_map_matrix(corep: UnitaryCorep, rho: Array) -> Array:
     """The map (id (x) rho) ad_v as an N^2 x N^2 matrix over vectorized operators."""
-    return _adjoint(corep, np.reshape(rho, (-1, 1))).matrix()[0]
+    n_h = corep.hdim
+    images = _FusedAdjoint(corep, np.reshape(rho, (-1, 1)))(_units(n_h))  # (k l, 1, i, j)
+    return images.reshape(n_h * n_h, n_h * n_h).T
 
 
 def spectral_projection(corep: UnitaryCorep, pw: PeterWeylData, block: int) -> dict:

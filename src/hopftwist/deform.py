@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import extend_rows, max_abs
+from ._linalg import Chain, batches, extend_rows, identity_gap, max_abs
 from .cocycle import DualCocycle, _w_checked
 from .core import (
     DEFAULT_CONTEXT,
@@ -33,7 +33,7 @@ from .core import (
 from .corep import (
     SpectralDecomposition,
     UnitaryCorep,
-    _adjoint,
+    _FusedAdjoint,
     _operators,
     pi_u,
     verify_corep,
@@ -178,7 +178,7 @@ def check_volume_preservation(
     # as (..., c, k, l)
     rt = np.swapaxes(rv.r, -1, -2)
     lead = rt.shape[:-2]
-    contracted = _adjoint(corep, transposed=True)(rt)
+    contracted = _FusedAdjoint(corep, transposed=True)(rt)
     expected = corep.host.unit[:, None, None] * rt[..., None, :, :]
     residual = max_abs(contracted - expected, lead)
     return {"residual": residual, "passed": residual <= ctx.tolerance}
@@ -259,7 +259,7 @@ def rho_sigma(corep: UnitaryCorep, sigma: DualCocycle, t: Array) -> Array:
     if sigma.host is not corep.host:
         raise HostMismatch("cocycle and corep live on different hosts")
     t = _operators(corep, t)
-    return _adjoint(corep).along(pi_u(corep, sigma.sigma_inv))(t)
+    return _FusedAdjoint(corep).along(pi_u(corep, sigma.sigma_inv))(t)
 
 
 def twisted_operator_product(
@@ -277,8 +277,8 @@ def twisted_operator_product(
     n_h, n = corep.hdim, corep.host.dim
     # (id (x) sigma^{-1}(., e_d)) ad(a) as (..., i, (d, j)), then one batched
     # matmul over (d, j) against ad(b) read as (..., (d, j), m)
-    left = np.swapaxes(_adjoint(corep, sigma.sigma_inv)(a), -3, -2)
-    right = _adjoint(corep)(b)
+    left = np.swapaxes(_FusedAdjoint(corep, sigma.sigma_inv)(a), -3, -2)
+    right = _FusedAdjoint(corep)(b)
     return left.reshape(left.shape[:-3] + (n_h, n * n_h)) @ right.reshape(
         right.shape[:-3] + (n * n_h, n_h)
     )
@@ -300,19 +300,7 @@ def twisted_operator_star(
         raise HostMismatch("cocycle and corep live on different hosts")
     leg = _w_checked(sigma, ctx).coeffs @ corep.host.antipode_inv
     adj = np.conj(np.swapaxes(_operators(corep, a), -1, -2))
-    return _adjoint(corep, leg[:, None])(adj)[..., 0, :, :]
-
-
-# entries per chunk when a stack's images under several functionals are
-# formed together: 2^14 complex128 entries, 256 KiB
-_CHUNK = 1 << 14
-
-
-def _chunks(count: int, size: int) -> list[slice]:
-    """Consecutive slices of range(count), each of at most _CHUNK / size
-    functionals and at least one, for images of a stack of size entries."""
-    step = max(1, _CHUNK // max(size, 1))
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+    return _FusedAdjoint(corep, leg[:, None])(adj)[..., 0, :, :]
 
 
 def operator_span_basis(
@@ -411,16 +399,16 @@ def deform_triple(
     if span is None:
         span = operator_span_basis(list(st.generators), st.hdim, tol)
     # block k's projection is (id (x) rho_k) ad_v with rho_k the trace of its
-    # matrix units: it splits the span and weighs every generator, a few
+    # matrix units: it splits the span and weighs every generator, a batch of
     # blocks at a time, as parts (span + generators, blocks, N^2)
     rho = np.stack([np.trace(b.matrix_units) for b in pw.blocks], axis=-1)
     stack = np.stack(list(span) + list(st.generators))
-    project = _adjoint(corep, rho)
     refined: list[Array] = []
     labels: list[str] = []
     weights: list[Array] = []
-    for blocks in _chunks(len(pw.blocks), stack.size):
-        parts = project(stack, blocks).reshape(len(stack), -1, st.hdim * st.hdim)
+    for blocks in batches(len(pw.blocks), stack.size):
+        parts = _FusedAdjoint(corep, rho[:, blocks])(stack)
+        parts = parts.reshape(len(stack), -1, st.hdim * st.hdim)
         for k, part in enumerate(np.moveaxis(parts, 1, 0), start=blocks.start):
             collected = extend_rows(part[:0], part[: len(span)], tol)
             refined.extend(collected.reshape(-1, st.hdim, st.hdim))
@@ -433,17 +421,13 @@ def deform_triple(
     ]
 
     mats = np.stack(refined)
-    ad = _adjoint(corep)
+    ad = _FusedAdjoint(corep)
     legs = pi_u(corep, sigma.sigma_inv)
     images = ad.along(legs)(mats)
     # [D, rho(a)] against the leg-wise expansion sum_c [D, a_(0)^c] legs[c]
     # = D sum_c a_(0)^c legs[c] - sum_c a_(0)^c (D legs[c]), both sums taken
-    # over the coaction legs themselves, a few legs c at a time, apart from
-    # the images
-    pair = np.concatenate([legs, st.dirac @ legs], axis=-1)  # (c, k, 2N)
-    sums = np.zeros(images.shape[:-1] + (2 * st.hdim,), dtype=np.complex128)
-    for chunk in _chunks(host.dim, mats.size):
-        sums += np.tensordot(ad(mats, chunk), pair[chunk], axes=([-3, -1], [0, 1]))
+    # by one more contraction over the coaction legs, apart from the images
+    sums = ad.along(np.concatenate([legs, st.dirac @ legs], axis=-1))(mats)  # (., N, 2N)
     expanded = st.dirac @ sums[..., : st.hdim] - sums[..., st.hdim :]
     commutator = max_abs((st.dirac @ images - images @ st.dirac) - expanded)
     closure = operator_span_basis(list(images), st.hdim, ctx.loose_tolerance)
@@ -492,17 +476,16 @@ def intertwine_check(
     t has shape (..., N, N); the residual is the worst over the stack.
     """
     corep_sigma = _corep_sigma(corep, tw)
-    t = _operators(corep, t)
-    ad_sigma, ad = _adjoint(corep_sigma), _adjoint(corep)
-    rho = ad.along(pi_u(corep, tw.cocycle.sigma_inv))
-    images = rho(t)
-    # a few coaction legs c at a time: ad over the twisted corep of rho(t)
-    # against rho of ad(t), both as (..., c, i, j)
-    worst = [
-        max_abs(ad_sigma(images, legs) - rho(ad(t, legs)))
-        for legs in _chunks(corep.host.dim, t.size)
-    ]
-    return float(np.max(worst))
+    n_h = corep.hdim
+    t = _operators(corep, t).reshape(-1, n_h, n_h)
+    ad, legs = _FusedAdjoint(corep), pi_u(corep, tw.cocycle.sigma_inv)
+    # ad over the twisted corep of rho(t) against rho of ad(t), both [s, c,
+    # i, m] and compared one run of the stack at a time; rho meets each leg
+    # image ad(t)[s, c] as u -> z -> legs
+    left = _FusedAdjoint(corep_sigma).chain(ad(t, legs))
+    rho = (("sckl,pka->scpla", ad.u), ("scpla,alfq->scfpq", ad.z), ("scfpq,fqm->scpm", legs))
+    right = Chain(t, *ad.steps, *rho, dense=lambda lead: ad(ad.sliced(t[lead]), legs))
+    return identity_gap(left, right)
 
 
 def check_membership(

@@ -11,6 +11,7 @@ host.
 
 import collections
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,22 +315,58 @@ def test_regular_corep_moves_a_non_orthonormal_basis_to_an_orthonormal_one(ctx):
     assert report.passed, report.failing()
 
 
-def test_corep_layer_at_dimension_32(ctx):
+def _traced(fn):
+    """fn() and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corep_layer_at_dimension_32(ctx, rng):
+    """N = n = 32, where an (N, N, n, n) array has 2^20 entries (16 MiB):
+    every call agrees with a pairwise reference and peaks under 8 MiB."""
     group = direct_product(cyclic_group(4), cyclic_group(8))
     host = group_algebra(group)
     assert host.dim == 32
     corep = regular_corep(host, ctx)
-    report = verify_corep(corep, ctx)
-    assert report.passed, report.failing()
     identity = np.eye(corep.hdim, dtype=np.complex128)
-    verdict = check_volume_preservation(corep, RTwistedVolume(identity), ctx)
-    assert verdict["passed"] and verdict["residual"] <= ctx.tolerance
     # the bicharacter exp(2 pi i (g1 mod 4) h0 / 4); group index is 8 * g0 + g1
     g = np.arange(32)
     beta = np.exp(2j * np.pi * np.outer(g % 8 % 4, g // 8) / 4)
     sigma = DualCocycle(host, beta, ctx=ctx)
+    a, b = _complex(rng, 2, corep.hdim, corep.hdim)
+    calls = {
+        "verify_corep": lambda: verify_corep(corep, ctx),
+        "check_volume_preservation": lambda: check_volume_preservation(
+            corep, RTwistedVolume(identity), ctx
+        ),
+        "ad_v": lambda: ad_v(corep, a),
+        "rho_sigma": lambda: rho_sigma(corep, sigma, identity),
+        "twisted_operator_product": lambda: twisted_operator_product(corep, sigma, a, b),
+    }
+    got = {}
+    for name, call in calls.items():
+        got[name], peak = _traced(call)
+        assert peak <= 8 * 2**20, (name, peak)
+    assert got["verify_corep"].passed, got["verify_corep"].failing()
+    verdict = got["check_volume_preservation"]
+    assert verdict["passed"] and verdict["residual"] <= ctx.tolerance
     # a normalized cocycle has sigma^-1(1, .) = counit, so rho_sigma(1) = 1
-    assert np.abs(rho_sigma(corep, sigma, identity) - identity).max() <= ctx.tolerance
+    assert np.abs(got["rho_sigma"] - identity).max() <= ctx.tolerance
+
+    def ref_ad(t):
+        # ad(T)[i, j, c] = sum u[i, k, a] T[k, l] u*[j, l, b] mul[a, b, c], pairwise
+        x = np.einsum("ika,kl->ial", corep.u, t, optimize=False)
+        y = np.einsum("ial,jlb->iajb", x, _ref_star(corep), optimize=False)
+        return np.einsum("iajb,abc->ijc", y, host.mul, optimize=False)
+
+    ad_a, ad_b = ref_ad(a), ref_ad(b)
+    w = np.einsum("ijc,cd->ijd", ad_a, sigma.sigma_inv, optimize=False)
+    assert _relative_error(got["ad_v"], ad_a) <= REL
+    want = np.einsum("ijd,jkd->ik", w, ad_b, optimize=False)
+    assert _relative_error(got["twisted_operator_product"], want) <= REL
 
 
 # ------------------------------------------------ the corep layer on u's entries
@@ -347,13 +384,6 @@ def _dense_basis(corep, rng):
 # of d4-regular (a function algebra) and z4z4-torus (a group algebra) in a
 # random unitary basis
 ENTRY_COREPS = SCENE_COREPS + ("d4-regular~dense", "z4z4-torus~dense")
-# the contractions each case runs slice by slice; every other one is a join
-# over the nonzero entries
-_SLICED = {
-    "d4-regular^sigma": ("adjoint",),
-    "d4-regular~dense": ("adjoint", "corep-law"),
-    "z4z4-torus~dense": ("adjoint", "corep-law"),
-}
 
 
 def _entry_case(name, ctx, rng):
@@ -453,20 +483,34 @@ def test_intertwine_residual_matches_its_formula_on_every_corep(name, rng, ctx):
 
 
 @pytest.mark.parametrize("name", ENTRY_COREPS)
-def test_dense_coreps_take_the_slice_loop(name, rng, ctx, monkeypatch):
+def test_corep_layer_agrees_under_any_budget(name, rng, ctx, monkeypatch):
+    """_linalg.runs alone picks each run's form.  Under the default budget
+    these stacks are written out densely.  Under half of N^2 n a run of one
+    operator no longer fits, so the sparse coreps are joined; under 8 almost
+    every join is refused, so nearly every run is written out one slice a
+    at a time.  The results agree."""
     corep, sigma = _entry_case(name, ctx, rng)
-    gaps = []
-    gap = hopftwist.corep.max_gap
-    monkeypatch.setattr(
-        hopftwist.corep, "max_gap", lambda left, right: gaps.append(1) or gap(left, right)
-    )
-    assert verify_corep(corep, ctx).passed
-    sliced = _SLICED.get(name, ())
-    assert (gaps == []) == ("corep-law" in sliced)
-    adjoint = hopftwist.corep._adjoint(corep)
-    assert (adjoint.entries is None) == ("adjoint" in sliced)
-    along = adjoint.along(pi_u(corep, sigma.sigma_inv))
-    assert (along.func is hopftwist.corep._along_dense) == ("adjoint" in sliced)
+    tw = twist_algebra(corep.host, sigma, ctx)
+    stack = _complex(rng, 2, corep.hdim, corep.hdim)
+    # a volume that is not preserved, so the residual is far from rounding
+    root = _complex(rng, corep.hdim, corep.hdim)
+    rv = RTwistedVolume(root @ root.conj().T + np.eye(corep.hdim))
+
+    def results():
+        return (
+            ad_v(corep, stack),
+            rho_sigma(corep, sigma, stack),
+            twisted_operator_product(corep, sigma, stack[:, None], stack[None]),
+            intertwine_check(corep, tw, stack, ctx),
+            check_volume_preservation(corep, rv, ctx)["residual"],
+            np.array([r for _, r in verify_corep(corep, ctx).checks]),
+        )
+
+    want = results()
+    for budget in (corep.hdim**2 * corep.host.dim // 2, 8):
+        monkeypatch.setattr(linalg, "BUDGET", budget)
+        for got, ref in zip(results(), want):
+            assert np.abs(got - ref).max() <= REL * max(np.abs(ref).max(), 1.0)
 
 
 # ------------------------------------------------ core, cocycle, twist, peterweyl

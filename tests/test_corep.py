@@ -29,6 +29,18 @@ def test_regular_corep_is_unitary(name, ctx):
     assert report.passed, report.failing()
 
 
+@pytest.mark.parametrize("value", (np.inf, np.nan))
+def test_corep_residuals_fail_on_a_non_finite_entry(value, ctx):
+    corep = regular_corep(catalog.algebra("c-d4"), ctx)
+    u = np.array(corep.u)
+    u[-1, 0, 1] = value
+    report = verify_corep(UnitaryCorep(corep.host, corep.hdim, u), ctx)
+    assert not report.passed
+    for check in ("corep-law", "unitarity-right", "unitarity-left"):
+        residual = report.residual(check)
+        assert not np.isfinite(residual) or residual > ctx.tolerance, check
+
+
 def test_trivial_corep_and_direct_sum(ctx):
     host = catalog.algebra("c-s3")
     t = trivial_corep(host, 2)

@@ -343,8 +343,9 @@ def _peak(fn) -> int:
 
 def test_deform_and_intertwine_on_z4z4_torus_peak_under_3_mib(ctx):
     """deform_triple splits the span a few blocks at a time and
-    intertwine_check compares a few coaction legs at a time, each through
-    the nonzero entries of u: neither holds the coaction leg of its stack."""
+    intertwine_check compares its two sides one run of the stack at a time,
+    each through the nonzero entries of u: neither holds the coaction leg of
+    its whole stack."""
     scene = catalog.triple_scene("z4z4-torus", ctx)
     pw = _scene_pw(scene, ctx)
     tw = twist_algebra(scene["host"], scene["cocycle"], ctx)
@@ -478,7 +479,9 @@ def test_commutator_identity_catches_a_wrong_deformed_image(name, ctx, monkeypat
     along = corep_module._FusedAdjoint.along
 
     def corrupted(self, ops):
-        return along(self, np.roll(ops, 1, axis=0))
+        # only the images' legs, (c, N, N); the expansion meets (c, N, 2N)
+        square = ops.shape[-1] == ops.shape[-2]
+        return along(self, np.roll(ops, 1, axis=0) if square else ops)
 
     monkeypatch.setattr(corep_module._FusedAdjoint, "along", corrupted)
     assert deform_triple(*args, pw=pw).transcript["commutator_identity"] > 1e3 * ctx.tolerance
