@@ -345,14 +345,14 @@ class Chain:
     its shared letters, and first and the operands are arrays or Terms.  It
     is formed one run of the leading index of first at a time, densely or as
     terms, as runs chooses.  dense, when given, writes the contraction out
-    at a run of leading indices in place of the tensordots of dense().  What
+    at a run of leading indices in place of the products of dense().  What
     it reads off its specs is worked out once per their shapes (_plan)."""
 
     def __init__(self, first, *steps: tuple[str, object], dense=None):
         self.first = first if isinstance(first, Terms) else Terms.of(first)
         self.steps = steps
         self._dense = dense
-        self._tensordots, self._entries = _plan(
+        self._products, self._entries = _plan(
             self.first.shape, tuple((spec, operand.shape) for spec, operand in steps)
         )
 
@@ -381,16 +381,21 @@ class Chain:
         return terms
 
     def dense(self, lead: slice) -> np.ndarray:
-        """The same contraction at lead written out densely, one tensordot
-        per step, each operand read from the array it came from when there
-        is one."""
+        """The same contraction at lead written out densely, one 2-D product
+        per step, the sums of np.tensordot without its bookkeeping, each
+        operand read from the array it came from when there is one."""
         if self._dense is not None:
             return self._dense(lead)
         out = self.first.block(lead)
-        for (_, operand), (axes, order) in zip(self.steps, self._tensordots):
+        for (_, operand), (xs, ys, k, order) in zip(self.steps, self._products):
             if isinstance(operand, Terms):
                 operand = operand.block()
-            out = np.tensordot(out, operand, axes=axes).transpose(order)
+            # the kept axes of out, then the summed ones; the summed axes of
+            # the operand, then its kept ones
+            x, y = out.transpose(xs), operand.transpose(ys)
+            summed = math.prod(y.shape[:k])
+            out = np.dot(x.reshape(-1, summed), y.reshape(summed, -1))
+            out = out.reshape(x.shape[: x.ndim - k] + y.shape[k:]).transpose(order)
         return out
 
     def array(self) -> np.ndarray:
@@ -429,27 +434,30 @@ def _letters(spec: str) -> tuple[str, str, str]:
 @functools.cache
 def _plan(shape: tuple[int, ...], steps: tuple[tuple[str, tuple[int, ...]], ...]):
     """What a chain reads off its specs, once per first shape and (spec,
-    operand shape) steps: per step the axes and the transpose of its
-    tensordot; per partial result, the slice of first
-    and each step's output, whether it keeps the leading index of first,
-    and its entries per leading index, or in all when it does not."""
-    tensordots = []
+    operand shape) steps: per step the transposes that put the summed axes
+    of the running result last and those of the operand first, how many
+    they are, and the transpose of the product to the output; per partial
+    result, the slice of first and each step's output, whether it keeps the
+    leading index of first, and its entries per leading index, or in all
+    when it does not."""
+    products = []
     lead = 0
     entries = [(True, math.prod(shape[1:]))]
     for spec, operand in steps:
         xs, ys, out = _letters(spec)
         shared = [c for c in xs if c in ys]
-        rest = [c for c in xs + ys if c not in shared]
-        tensordots.append(
-            ((tuple(xs.index(c) for c in shared), tuple(ys.index(c) for c in shared)),
-             tuple(rest.index(c) for c in out))
+        x_kept = [c for c in xs if c not in shared]
+        y_kept = [c for c in ys if c not in shared]
+        products.append(
+            (tuple(map(xs.index, x_kept + shared)), tuple(map(ys.index, shared + y_kept)),
+             len(shared), tuple(map((x_kept + y_kept).index, out)))
         )
         size = dict(zip(xs + ys, shape + operand))
         lead = out.index(xs[lead]) if lead is not None and xs[lead] in out else None
         shape = tuple(size[c] for c in out)
         per = math.prod(shape) // shape[lead] if lead is not None else math.prod(shape)
         entries.append((lead is not None, per))
-    return tuple(tensordots), tuple(entries)
+    return tuple(products), tuple(entries)
 
 
 def runs(
