@@ -11,6 +11,8 @@ that give its minimal projections.  Each projection is read back as a dual
 element by the counit law, so no solve or polynomial in the random element
 enters.  Randomness comes only from the seeded context, so results are
 reproducible.
+The blocks of one dimension are refined and checked as stacks, each product
+shaped as for one block, so that a block is the same bytes in any stack.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import derived, max_abs, nullspace, uniform
+from ._linalg import batches, derived, max_abs, nullspace, uniform, worst
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -126,11 +128,19 @@ def _center(algebra: FiniteHopfStarAlgebra) -> Array:
     return derived((algebra.comul,), "center of the dual", compute)
 
 
+def _product(hat: FiniteHopfStarAlgebra, x: Array | None, y: Array) -> Array:
+    """x y in hat for stacks x and y (..., n), broadcast, or for x None the
+    matrices (..., n, n) of right multiplication by y; each the same bytes
+    as in hat.product(x, y)."""
+    right = (hat.mul.transpose(2, 0, 1) @ y[..., None, :, None])[..., 0]
+    return right if x is None else (right @ x[..., None])[..., 0]
+
+
 def _in_frame(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], z: Array) -> Array:
-    """z acting on the algebra, a -> a_(1) z(a_(2)), in the state frame: the
-    transpose of right multiplication by z in the dual."""
+    """z (..., n) acting on the algebra, a -> a_(1) z(a_(2)), in the state
+    frame: the transpose of right multiplication by z in the dual."""
     s, s_inv = frame
-    return s @ hat.product(np.eye(hat.dim), z).T @ s_inv
+    return s @ (_product(hat, None, z) @ np.eye(hat.dim)).swapaxes(-1, -2) @ s_inv
 
 
 def _gns_frame(
@@ -156,9 +166,10 @@ def _gns_frame(
     return s, s_inv
 
 
-def _eigen_split(m: Array, parts: int, size: int = 0) -> list[Array]:
-    """Eigenvector groups of the Hermitian matrix m, each a run of its sorted spectrum.
-
+def _eigen_split(m: Array, parts: int, size: int = 0) -> tuple[Array, Array, list[str | None]]:
+    """Eigenvectors of each Hermitian matrix of the stack m (k, N, N) by its
+    sorted spectrum, the bounds (k, parts + 1) of the runs of it that are
+    its groups, and per matrix the error that rejects the split, or None.
     The spectrum is cut at its parts - 1 widest gaps or, given size, into
     parts runs of size eigenvalues each.  The split is rejected unless the
     narrowest cut is SPLIT_MARGIN times wider than the widest run, counted
@@ -166,127 +177,140 @@ def _eigen_split(m: Array, parts: int, size: int = 0) -> list[Array]:
     Kojima & Kojima, "A numerical algorithm for block-diagonal decomposition
     of matrix *-algebras", Japan J. Indust. Appl. Math. 27 (2010).
     """
-    if max_abs(m - m.conj().T) > 1e-7 * (1.0 + max_abs(m)):
-        raise DecompositionError("element not Hermitian in the state frame")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    k, big_n = m.shape[:2]
+    m_h = m.conj().swapaxes(1, 2)
+    skew = max_abs(m - m_h, lead=(k,)) > 1e-7 * (1.0 + max_abs(m, lead=(k,)))
+    vals, vecs = np.linalg.eigh(0.5 * (m + m_h))
     gaps = np.diff(vals)
-    if size:
-        cuts = np.arange(size, vals.size, size)
-    else:
-        cuts = np.sort(np.argsort(gaps)[::-1][: parts - 1]) + 1
-    bounds = list(zip([0, *cuts], [*cuts, vals.size]))
-    spread = max(vals[hi - 1] - vals[lo] for lo, hi in bounds)
-    spread = max(spread, vals.size * np.finfo(float).eps * np.abs(vals).max())
-    if cuts.size and gaps[cuts - 1].min() <= SPLIT_MARGIN * spread:
-        raise DecompositionError(
-            f"spectrum does not split into {parts} groups: narrowest cut "
-            f"{gaps[cuts - 1].min():.3g}, widest group {spread:.3g}"
-        )
-    return [vecs[:, lo:hi] for lo, hi in bounds]
+    bounds = np.full((k, parts + 1), big_n)
+    bounds[:, 0] = 0
+    bounds[:, 1:-1] = np.arange(size, big_n, size) if size else np.sort(
+        np.argsort(gaps)[:, ::-1][:, : parts - 1]) + 1
+    rows = np.arange(k)[:, None]
+    spread = (vals[rows, bounds[:, 1:] - 1] - vals[rows, bounds[:, :-1]]).max(1)
+    spread = np.maximum(spread, big_n * np.finfo(float).eps * np.abs(vals).max(1))
+    cut = gaps[rows, bounds[:, 1:-1] - 1].min(1, initial=np.inf)
+    return vecs, bounds, [
+        "element not Hermitian in the state frame" if bad
+        else f"spectrum does not split into {parts} groups: narrowest cut {c:.3g}, "
+        f"widest group {w:.3g}" if c <= SPLIT_MARGIN * w else None
+        for bad, c, w in zip(skew, cut, spread)
+    ]
 
 
 def _projection_element(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], v: Array) -> Array:
     """The dual element e whose action is the orthogonal projection v v^H in
-    the state frame, for orthonormal columns v: e = 1 e, with 1 the dual's
-    unit, is read off that action, so no solve enters."""
+    the state frame, for orthonormal columns v (..., n, c): e = 1 e, with 1
+    the dual's unit, is read off that action, so no solve enters."""
     s, s_inv = frame
-    return (hat.unit @ s_inv @ v) @ (v.conj().T @ s)
+    return (((hat.unit @ s_inv) @ v)[..., None, :] @ (v.conj().swapaxes(-1, -2) @ s))[..., 0, :]
 
 
-def _retrying(what: str, attempt):
-    """attempt(), repeated up to MAX_RETRIES times while it raises DecompositionError."""
+def _split_center(hat: FiniteHopfStarAlgebra, center: Array, frame: tuple[Array, Array],
+                  ctx: ScalarContext, rng: random.Random) -> tuple[list[int], Array, list[Array]]:
+    """The dimension, central idempotent (a row of a (K, n) stack) and
+    isotypic basis in the state frame of each block, from the eigenvectors
+    of a random central element of hat, whose center has the orthonormal
+    columns center; drawn again up to MAX_RETRIES times."""
+    k, n = center.shape[1], hat.dim
     for _ in range(MAX_RETRIES):
-        try:
-            return attempt()
-        except DecompositionError as exc:
-            last_error = exc
-    raise DecompositionError(f"{what} failed: {last_error}")
-
-
-def _split_center(
-    hat: FiniteHopfStarAlgebra,
-    center: Array,
-    frame: tuple[Array, Array],
-    ctx: ScalarContext,
-    rng: random.Random,
-) -> list[tuple[int, Array, Array]]:
-    """(block dimension, central idempotent, isotypic basis in the state
-    frame) per block, from the eigenvectors of a random central element
-    of hat, whose center has the orthonormal columns center."""
-    k = center.shape[1]
-
-    def attempt():
         # a random self-adjoint central element
         z = center @ uniform(rng, (k,), np.complex128)
         z = 0.5 * (z + hat.star_of(z))
-        groups = _eigen_split(_in_frame(hat, frame, z), k)
+        vecs, bounds, (error,) = _eigen_split(_in_frame(hat, frame, z)[None], k)
+        groups = [vecs[0][:, lo:hi] for lo, hi in zip(bounds[0], bounds[0][1:])]
         dims = [math.isqrt(g.shape[1]) for g in groups]
-        if any(d * d != g.shape[1] for d, g in zip(dims, groups)):
-            raise DecompositionError("eigenvalue multiplicities are not perfect squares")
-        idems = [_projection_element(hat, frame, g) for g in groups]
-        resid = max(max_abs(hat.product(e, e) - e) for e in idems)
-        resid = max(resid, max_abs(sum(idems) - hat.unit))
-        if resid > ctx.loose_tolerance:
-            raise DecompositionError(f"central idempotent residual {resid:.3g}")
-        return list(zip(dims, idems, groups))
-
-    return _retrying("central splitting", attempt)
-
-
-def _block_matrix_units(
-    hat: FiniteHopfStarAlgebra,
-    frame: tuple[Array, Array],
-    e_alpha: Array,
-    basis: Array,
-    ctx: ScalarContext,
-    rng: random.Random,
-) -> Array:
-    """Matrix units (d, d, n) of the block with central idempotent e_alpha,
-    whose d^2-dimensional isotypic component has basis in the state frame.
-
-    A random element r has self-adjoint part z; z cut down to the block has
-    d eigenvalues, each d times over, whose eigenvector groups give the
-    minimal projections p_0, ..., p_{d-1}.  The partial isometry from p_q to
-    p_0 is p_0 r p_q, normalized.
-    """
-    n, d = hat.dim, math.isqrt(basis.shape[1])
-    if d == 1:
-        return e_alpha.reshape(1, 1, n)
-
-    def attempt():
-        r = uniform(rng, (n,), np.complex128)
-        z = 0.5 * (r + hat.star_of(r))
-        groups = _eigen_split(basis.conj().T @ _in_frame(hat, frame, z) @ basis, d, d)
-        projections = [_projection_element(hat, frame, basis @ g) for g in groups]
-        p0 = projections[0]
-        isometries = [p0]
-        for p in projections[1:]:
-            w = hat.product(p0, hat.product(r, p))
-            ww = hat.product(w, hat.star_of(w))
-            scale = complex(np.vdot(p0, ww)) / complex(np.vdot(p0, p0))
-            if scale.real <= 0 or abs(scale.imag) > 1e-6 * abs(scale.real):
-                raise DecompositionError(f"isometry normalizer {scale:.3g} not positive")
-            v = w / np.sqrt(scale.real)
-            pivot = int(np.argmax(np.abs(v)))
-            phase = v[pivot] / abs(v[pivot])
-            isometries.append(v / phase)
-        stars = [hat.star_of(v) for v in isometries]
-        units = np.array([[hat.product(a, b) for b in isometries] for a in stars])
-        resid = _matrix_unit_residual(hat, units)
-        if resid > ctx.loose_tolerance:
-            raise DecompositionError(f"matrix-unit residual {resid:.3g}")
-        return units
-
-    return _retrying("block refinement", attempt)
+        if not error and any(d * d != g.shape[1] for d, g in zip(dims, groups)):
+            error = "eigenvalue multiplicities are not perfect squares"
+        if not error:
+            idems = np.empty((k, n), dtype=np.complex128)
+            for d in set(dims):
+                which = [b for b, e in enumerate(dims) if e == d]
+                idems[which] = _projection_element(hat, frame, np.stack([groups[b] for b in which]))
+            # each idempotent is a 1 x 1 matrix unit: e* = e = e e
+            units = idems[:, None, None]
+            square = [_matrix_unit_residual(hat, units[part]) for part in batches(k, n * n)]
+            resid = worst([max_abs(idems.sum(0) - hat.unit), *np.concatenate(square)])
+            if resid <= ctx.loose_tolerance:
+                return dims, idems, groups
+            error = f"central idempotent residual {resid:.3g}"
+    raise DecompositionError(f"central splitting failed: {error}")
 
 
-def _matrix_unit_residual(hat: FiniteHopfStarAlgebra, units: Array) -> float:
-    # e[p, q]* = e[q, p]; e[p, q] e[r, s] = delta_qr e[p, s], all pairs as ((p q), i, (r s))
-    d, flat = len(units), units.reshape(-1, hat.dim)
-    stars = hat.star_of(flat).reshape(units.shape)
-    prods = np.stack([hat.product(flat.T, y) for y in flat], axis=-1).transpose(1, 0, 2)
-    want = np.einsum("qr,psi->pqirs", np.eye(d), units).reshape(d * d, hat.dim, d * d)
-    return max(max_abs(stars - units.transpose(1, 0, 2)), max_abs(prods - want))
+def _matrix_units(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], split: tuple,
+                  ctx: ScalarContext, rng: random.Random) -> list[Array]:
+    """Matrix units (d, d, n) of each block of the split (_split_center):
+    its idempotent where d = 1; else refined (_refine) from one random
+    element, drawn in the order of the split as one uniform stack, with the
+    blocks of its dimension in the batches of _linalg.batches.  Rejected
+    blocks draw again, up to MAX_RETRIES times."""
+    dims, idems, groups = split
+    n = hat.dim
+    units = [e.reshape(1, 1, n) if d == 1 else None for d, e in zip(dims, idems)]
+    todo = [b for b, d in enumerate(dims) if d > 1]
+    for _ in range(MAX_RETRIES):
+        draws = dict(zip(todo, uniform(rng, (len(todo), n), np.complex128)))
+        errors = {}
+        for d in sorted({dims[b] for b in todo}):
+            run = [b for b in todo if dims[b] == d]
+            for stack in (run[part] for part in batches(len(run), n * n)):
+                basis, r = np.stack([groups[b] for b in stack]), np.stack([draws[b] for b in stack])
+                for b, u, error in zip(stack, *_refine(hat, frame, basis, r, ctx)):
+                    units[b], errors[b] = u, error
+        todo = [b for b in todo if errors[b]]
+        if not todo:
+            return units
+    raise DecompositionError(f"block refinement failed: {errors[todo[0]]}")
+
+
+# what a rejected block computes is dropped, so it raises no warning
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _refine(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], basis: Array, r: Array,
+            ctx: ScalarContext) -> tuple[Array, list[str | None]]:
+    """Matrix units (k, d, d, n) of k blocks of dimension d, from their
+    isotypic bases (k, n, d^2) in the state frame and random elements r
+    (k, n), with per block the error that rejects them, or None.  The
+    self-adjoint part of r cut down to a block has d eigenvalues, each d
+    times over, whose eigenvectors give the minimal projections p_0, ...,
+    p_{d-1}; the partial isometry from p_q to p_0 is p_0 r p_q, normalized."""
+    k, n, dd = basis.shape
+    d = math.isqrt(dd)
+    z = 0.5 * (r + hat.star_of(r[:, None])[:, 0])
+    cut = basis.conj().swapaxes(1, 2) @ _in_frame(hat, frame, z) @ basis
+    vecs, _, errors = _eigen_split(cut, d, d)
+    p = _projection_element(hat, frame, basis[:, None] @ vecs.reshape(k, dd, d, d).swapaxes(1, 2))
+    w = _product(hat, p[:, :1], _product(hat, r[:, None], p[:, 1:]))
+    ww = _product(hat, w, hat.star_of(w[..., None, :])[..., 0, :])
+    # <p_0, ww> / <p_0, p_0>, each part over the real divisor, as Python divides
+    num = (p[:, :1, None].conj() @ ww[..., None])[..., 0, 0]
+    den = (p[:, :1, None].conj() @ p[:, :1, :, None])[..., 0, 0].real
+    re, im = num.real / den, num.imag / den
+    positive = (re > 0) & ~(np.abs(im) > 1e-6 * np.abs(re))
+    v = w / np.sqrt(np.where(positive, re, 1.0))[..., None]
+    pivot = np.take_along_axis(v, np.abs(v).argmax(-1)[..., None], -1)
+    # |pivot| by hypot, as abs() takes it of one entry; np.abs may round otherwise
+    iso = np.concatenate([p[:, :1], v / (pivot / np.hypot(pivot.real, pivot.imag))], axis=1)
+    units = _product(hat, hat.star_of(iso[..., None, :])[:, :, None, 0], iso[:, None])
+    resid = _matrix_unit_residual(hat, units)
+    for b, q in enumerate(np.argmin(positive, 1)):
+        if not errors[b] and not positive[b, q]:
+            errors[b] = f"isometry normalizer {complex(re[b, q], im[b, q]):.3g} not positive"
+        elif not errors[b] and not resid[b] <= ctx.loose_tolerance:
+            errors[b] = f"matrix-unit residual {resid[b]:.3g}"
+    return units, errors
+
+
+def _matrix_unit_residual(hat: FiniteHopfStarAlgebra, units: Array) -> Array:
+    """Per block of the stack units (k, d, d, n), the largest entry of
+    e[p, q]* - e[q, p] and of e[p, q] e[r, s] - delta_qr e[p, s]."""
+    k, d, _, n = units.shape
+    flat = units.reshape(k, d * d, n)
+    # x -> x y for every unit y at once, in one pass over the product tensor
+    right = hat.mul.transpose(2, 0, 1).reshape(n * n, n) @ flat.reshape(-1, n).T
+    prods = flat[:, None] @ right.reshape(n, n, k, d * d).transpose(2, 0, 1, 3)  # [b, i, pq, rs]
+    want = np.einsum("qr,bpsi->bipqrs", np.eye(d), units).reshape(prods.shape)
+    star = max_abs(hat.star_of(units) - units.swapaxes(1, 2), lead=(k,))
+    return np.maximum(star, max_abs(prods - want, lead=(k,)))
 
 
 def decompose(
@@ -299,24 +323,15 @@ def decompose(
     rng = ctx.rng()
     frame = _gns_frame(algebra, h, ctx)
     hat = dual(algebra)
-    staged = [
-        (d, e_alpha, _block_matrix_units(hat, frame, e_alpha, basis, ctx, rng))
-        for d, e_alpha, basis in _split_center(hat, _center(algebra), frame, ctx, rng)
-    ]
-
-    # deterministic order: by dimension, then by the idempotent's rounded vector
-    def sort_key(item):
-        d, e_alpha, _ = item
-        return (
-            d,
-            tuple(np.round(e_alpha.real, 6)),
-            tuple(np.round(e_alpha.imag, 6)),
-        )
-
-    staged.sort(key=sort_key)
+    dims, idems, _ = split = _split_center(hat, _center(algebra), frame, ctx, rng)
+    # deterministic order: by dimension, then by the idempotent, rounded as one array
+    real, imag = np.round(idems.real, 6), np.round(idems.imag, 6)
+    keys = [(d, tuple(re), tuple(im)) for d, re, im in zip(dims, real, imag)]
+    staged = sorted(zip(keys, idems, _matrix_units(hat, frame, split, ctx, rng)),
+                    key=lambda item: item[0])
 
     # dual basis: q elements are read off from the inverse of the stacked units
-    stack = np.vstack([units.reshape(d * d, n) for d, _, units in staged])
+    stack = np.vstack([units.reshape(-1, n) for _, _, units in staged])
     if stack.shape != (n, n):
         raise DecompositionError("matrix units do not fill the dual")
     q_cols = np.linalg.inv(stack)
@@ -325,7 +340,7 @@ def decompose(
     offset = 0
     # the blocks of one dimension are consecutive, and each run of them is
     # taken at once, as stacks
-    for d, run in itertools.groupby(staged, key=lambda item: item[0]):
+    for d, run in itertools.groupby(staged, key=lambda item: item[0][0]):
         run = list(run)
         k = len(run)
         q = q_cols[:, offset : offset + k * d * d].T.reshape(k, d, d, n)
@@ -352,9 +367,9 @@ def decompose(
             )
     if not any(b.is_trivial for b in blocks):
         raise DecompositionError("no block carries the unit as its coefficient")
-    blocks.sort(key=lambda b: (not b.is_trivial, b.dimension,
-                               tuple(np.round(b.central_idempotent.real, 6)),
-                               tuple(np.round(b.central_idempotent.imag, 6))))
+    # the trivial block first; the sort is stable, so the others keep the
+    # order of their keys
+    blocks.sort(key=lambda b: not b.is_trivial)
     data = PeterWeylData(host=algebra, haar=h, blocks=tuple(blocks))
     _validate(data, ctx)
     return data
@@ -412,12 +427,12 @@ def _rho_data(
 
 def _validate(data: PeterWeylData, ctx: ScalarContext) -> None:
     algebra, h = data.host, data.haar
+    # Tr F = Tr F^-1 = M, the blocks of one dimension as one stack
     resid = 0.0
-    for b in data.blocks:
-        f = b.f_matrix
-        f_inv = np.linalg.inv(f)
-        resid = max(resid, abs(np.trace(f).real - np.trace(f_inv).real))
-        resid = max(resid, abs(np.trace(f).real - b.m_value))
+    for _, run in itertools.groupby(data.blocks, key=lambda b: b.dimension):
+        f, m_value = map(np.array, zip(*[(b.f_matrix, b.m_value) for b in run]))
+        trace, trace_inv = (np.trace(a, axis1=1, axis2=2).real for a in (f, np.linalg.inv(f)))
+        resid = worst((resid, max_abs(trace - trace_inv), max_abs(trace - m_value)))
     # cross-block orthogonality of coefficients under h( . (.)* ), every
     # block's q as rows (block, i, j) of one pairing
     q = np.concatenate([b.q.reshape(-1, algebra.dim) for b in data.blocks])

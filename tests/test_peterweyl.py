@@ -97,21 +97,24 @@ def test_haar_state_equals_the_entrywise_system_solve(name, ctx):
 
 def test_eigen_split_cuts_at_the_widest_gaps_or_into_equal_runs():
     m = np.diag([3.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 3.0, 3.0]).astype(complex)
-    assert [g.shape[1] for g in _eigen_split(m, 3)] == [2, 4, 3]
-    assert [g.shape[1] for g in _eigen_split(np.diag([2.0, 0.0, 0.0, 2.0]), 2, 2)] == [2, 2]
-    groups = _eigen_split(m, 3)
-    assert np.allclose(sum(g @ g.conj().T for g in groups), np.eye(9))
+    vecs, bounds, errors = _eigen_split(m[None], 3)
+    assert np.diff(bounds[0]).tolist() == [2, 4, 3] and errors == [None]
+    assert np.allclose(vecs[0] @ vecs[0].conj().T, np.eye(9))
+    _, bounds, _ = _eigen_split(np.diag([2.0, 0.0, 0.0, 2.0])[None], 2, 2)
+    assert np.diff(bounds[0]).tolist() == [2, 2]
 
 
 def test_eigen_split_rejects_a_cut_not_clear_of_the_groups():
     # a cut inside rounding of the spectrum
-    with pytest.raises(DecompositionError, match="does not split"):
-        _eigen_split(np.diag([0.0, 1e-12, 1.0, 2.0]), 4)
-    # runs of two whose spread is not small against the cut between them
-    with pytest.raises(DecompositionError, match="does not split"):
-        _eigen_split(np.diag([0.0, 1e-3, 1.0, 1.0]), 2, 2)
-    with pytest.raises(DecompositionError, match="not Hermitian"):
-        _eigen_split(np.array([[0.0, 1.0], [0.0, 1.0]]), 2)
+    _, _, errors = _eigen_split(np.diag([0.0, 1e-12, 1.0, 2.0])[None], 4)
+    assert "does not split" in errors[0]
+    # runs of two whose spread is not small against the cut between them,
+    # in a stack with a matrix that splits
+    stack = np.stack([np.diag([0.0, 1e-3, 1.0, 1.0]), np.diag([0.0, 0.0, 1.0, 1.0])])
+    _, _, errors = _eigen_split(stack, 2, 2)
+    assert "does not split" in errors[0] and errors[1] is None
+    _, _, errors = _eigen_split(np.array([[[0.0, 1.0], [0.0, 1.0]]]), 2)
+    assert "not Hermitian" in errors[0]
 
 
 def test_s3_function_algebra_block_pattern(ctx):
@@ -248,7 +251,8 @@ def test_stacked_matrix_unit_residual_equals_the_pairwise_loop(name, ctx, rng):
         noisy = b.matrix_units + 1e-3 * rng.normal(size=b.matrix_units.shape)
         for units in (b.matrix_units, noisy):
             want = _reference_matrix_unit_residual(host, units)
-            assert abs(_matrix_unit_residual(dual(host), units) - want) <= 1e-15 + 1e-12 * want
+            got = _matrix_unit_residual(dual(host), units[None])[0]
+            assert abs(got - want) <= 1e-15 + 1e-12 * want
 
 
 # ------------------------------------------------------------- seed sweep
