@@ -287,7 +287,11 @@ def _refine(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], basis: Array
     re, im = num.real / den, num.imag / den
     positive = (re > 0) & ~(np.abs(im) > 1e-6 * np.abs(re))
     v = w / np.sqrt(np.where(positive, re, 1.0))[..., None]
-    pivot = np.take_along_axis(v, np.abs(v).argmax(-1)[..., None], -1)
+    # the phase is fixed at the first entry within a relative 1e-8 of the
+    # largest modulus, so that rounding in the last bit does not pick it
+    size = np.abs(v)
+    first = (size >= (1 - 1e-8) * size.max(-1, keepdims=True)).argmax(-1)
+    pivot = np.take_along_axis(v, first[..., None], -1)
     # |pivot| by hypot, as abs() takes it of one entry; np.abs may round otherwise
     iso = np.concatenate([p[:, :1], v / (pivot / np.hypot(pivot.real, pivot.imag))], axis=1)
     units = _product(hat, hat.star_of(iso[..., None, :])[:, :, None, 0], iso[:, None])
