@@ -387,15 +387,13 @@ class Chain:
         if self._dense is not None:
             return self._dense(lead)
         out = self.first.block(lead)
-        for (_, operand), (xs, ys, k, order) in zip(self.steps, self._products):
+        for (_, operand), (xs, ys, summed, shape, order) in zip(self.steps, self._products):
             if isinstance(operand, Terms):
                 operand = operand.block()
-            # the kept axes of out, then the summed ones; the summed axes of
-            # the operand, then its kept ones
-            x, y = out.transpose(xs), operand.transpose(ys)
-            summed = math.prod(y.shape[:k])
-            out = np.dot(x.reshape(-1, summed), y.reshape(summed, -1))
-            out = out.reshape(x.shape[: x.ndim - k] + y.shape[k:]).transpose(order)
+            # only out holds a step's input, so it is freed as the step is formed
+            out = np.dot(out.transpose(xs).reshape(-1, summed),
+                         operand.transpose(ys).reshape(summed, -1))
+            out = out.reshape(shape).transpose(order)
         return out
 
     def array(self) -> np.ndarray:
@@ -434,25 +432,26 @@ def _letters(spec: str) -> tuple[str, str, str]:
 @functools.cache
 def _plan(shape: tuple[int, ...], steps: tuple[tuple[str, tuple[int, ...]], ...]):
     """What a chain reads off its specs, once per first shape and (spec,
-    operand shape) steps: per step the transposes that put the summed axes
-    of the running result last and those of the operand first, how many
-    they are, and the transpose of the product to the output; per partial
-    result, the slice of first and each step's output, whether it keeps the
-    leading index of first, and its entries per leading index, or in all
-    when it does not."""
+    operand shape) steps: per step the transposes that put its summed axes
+    last and first, their size, and the shape and transpose of the product;
+    per partial result, the slice of first and each step's output, whether
+    it keeps the leading index of first, and its entries per leading index,
+    or in all when it does not."""
     products = []
     lead = 0
     entries = [(True, math.prod(shape[1:]))]
     for spec, operand in steps:
         xs, ys, out = _letters(spec)
-        shared = [c for c in xs if c in ys]
-        x_kept = [c for c in xs if c not in shared]
-        y_kept = [c for c in ys if c not in shared]
-        products.append(
-            (tuple(map(xs.index, x_kept + shared)), tuple(map(ys.index, shared + y_kept)),
-             len(shared), tuple(map((x_kept + y_kept).index, out)))
-        )
         size = dict(zip(xs + ys, shape + operand))
+        shared = [c for c in xs if c in ys]
+        kept = [c for c in xs + ys if c not in shared]
+        products.append((
+            tuple(map(xs.index, [c for c in kept if c in xs] + shared)),
+            tuple(map(ys.index, shared + [c for c in kept if c in ys])),
+            math.prod(size[c] for c in shared),
+            tuple(-1 if lead is not None and c == xs[lead] else size[c] for c in kept),
+            tuple(map(kept.index, out)),
+        ))
         lead = out.index(xs[lead]) if lead is not None and xs[lead] in out else None
         shape = tuple(size[c] for c in out)
         per = math.prod(shape) // shape[lead] if lead is not None else math.prod(shape)

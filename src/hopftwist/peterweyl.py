@@ -129,9 +129,8 @@ def _center(algebra: FiniteHopfStarAlgebra) -> Array:
 
 
 def _product(hat: FiniteHopfStarAlgebra, x: Array | None, y: Array) -> Array:
-    """x y in hat for stacks x and y (..., n), broadcast, or for x None the
-    matrices (..., n, n) of right multiplication by y; each the same bytes
-    as in hat.product(x, y)."""
+    """x y in hat for stacks x and y (..., n), or for x None the matrices of
+    right multiplication by y, each the same bytes as in hat.product(x, y)."""
     right = (hat.mul.transpose(2, 0, 1) @ y[..., None, :, None])[..., 0]
     return right if x is None else (right @ x[..., None])[..., 0]
 
@@ -228,9 +227,8 @@ def _split_center(hat: FiniteHopfStarAlgebra, center: Array, frame: tuple[Array,
                 which = [b for b, e in enumerate(dims) if e == d]
                 idems[which] = _projection_element(hat, frame, np.stack([groups[b] for b in which]))
             # each idempotent is a 1 x 1 matrix unit: e* = e = e e
-            units = idems[:, None, None]
-            square = [_matrix_unit_residual(hat, units[part]) for part in batches(k, n * n)]
-            resid = worst([max_abs(idems.sum(0) - hat.unit), *np.concatenate(square)])
+            square = _matrix_unit_residual(hat, idems[:, None, None])
+            resid = worst([max_abs(idems.sum(0) - hat.unit), *square])
             if resid <= ctx.loose_tolerance:
                 return dims, idems, groups
             error = f"central idempotent residual {resid:.3g}"
@@ -239,13 +237,11 @@ def _split_center(hat: FiniteHopfStarAlgebra, center: Array, frame: tuple[Array,
 
 def _matrix_units(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], split: tuple,
                   ctx: ScalarContext, rng: random.Random) -> list[Array]:
-    """Matrix units (d, d, n) of each block of the split (_split_center):
-    its idempotent where d = 1; else refined (_refine) from one random
-    element, drawn in the order of the split as one uniform stack, with the
-    blocks of its dimension in the batches of _linalg.batches.  Rejected
-    blocks draw again, up to MAX_RETRIES times."""
-    dims, idems, groups = split
-    n = hat.dim
+    """Matrix units (d, d, n) of each block of the split (_split_center): its
+    idempotent where d = 1; else refined with the others of its dimension in
+    the batches of _linalg.batches (_refine), from one random element drawn
+    in the order of the split.  Rejected blocks draw again, MAX_RETRIES times."""
+    (dims, idems, groups), n = split, hat.dim
     units = [e.reshape(1, 1, n) if d == 1 else None for d, e in zip(dims, idems)]
     todo = [b for b, d in enumerate(dims) if d > 1]
     for _ in range(MAX_RETRIES):
@@ -267,13 +263,12 @@ def _matrix_units(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], split:
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _refine(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], basis: Array, r: Array,
             ctx: ScalarContext) -> tuple[Array, list[str | None]]:
-    """Matrix units (k, d, d, n) of k blocks of dimension d, from their
-    isotypic bases (k, n, d^2) in the state frame and random elements r
-    (k, n), with per block the error that rejects them, or None.  The
-    self-adjoint part of r cut down to a block has d eigenvalues, each d
-    times over, whose eigenvectors give the minimal projections p_0, ...,
-    p_{d-1}; the partial isometry from p_q to p_0 is p_0 r p_q, normalized."""
-    k, n, dd = basis.shape
+    """Matrix units (k, d, d, n) of k blocks from their isotypic bases (k, n,
+    d^2) in the state frame and random elements r (k, n), with per block the
+    error that rejects them, or None.  r cut down to a block has d runs of d
+    eigenvalues, which give minimal projections p_0, ..., p_{d-1}; the
+    partial isometry from p_q to p_0 is p_0 r p_q, normalized."""
+    k, _, dd = basis.shape
     d = math.isqrt(dd)
     z = 0.5 * (r + hat.star_of(r[:, None])[:, 0])
     cut = basis.conj().swapaxes(1, 2) @ _in_frame(hat, frame, z) @ basis
@@ -287,8 +282,7 @@ def _refine(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], basis: Array
     re, im = num.real / den, num.imag / den
     positive = (re > 0) & ~(np.abs(im) > 1e-6 * np.abs(re))
     v = w / np.sqrt(np.where(positive, re, 1.0))[..., None]
-    # the phase is fixed at the first entry within a relative 1e-8 of the
-    # largest modulus, so that rounding in the last bit does not pick it
+    # the phase at the first entry within a relative 1e-8 of the largest modulus
     size = np.abs(v)
     first = (size >= (1 - 1e-8) * size.max(-1, keepdims=True)).argmax(-1)
     pivot = np.take_along_axis(v, first[..., None], -1)
@@ -308,13 +302,17 @@ def _matrix_unit_residual(hat: FiniteHopfStarAlgebra, units: Array) -> Array:
     """Per block of the stack units (k, d, d, n), the largest entry of
     e[p, q]* - e[q, p] and of e[p, q] e[r, s] - delta_qr e[p, s]."""
     k, d, _, n = units.shape
-    flat = units.reshape(k, d * d, n)
-    # x -> x y for every unit y at once, in one pass over the product tensor
-    right = hat.mul.transpose(2, 0, 1).reshape(n * n, n) @ flat.reshape(-1, n).T
-    prods = flat[:, None] @ right.reshape(n, n, k, d * d).transpose(2, 0, 1, 3)  # [b, i, pq, rs]
-    want = np.einsum("qr,bpsi->bipqrs", np.eye(d), units).reshape(prods.shape)
+    flat, tensor = units.reshape(k, d * d, n), hat.mul.transpose(2, 0, 1).reshape(n * n, n)
+    # x -> x y for every unit y of a batch, in one pass over the product tensor
+    prods = np.concatenate([
+        flat[s, None] @ (tensor @ flat[s].reshape(-1, n).T)
+        .reshape(n, n, -1, d * d).transpose(2, 0, 1, 3)
+        for s in batches(k, d * d * n * n)
+    ])
+    prods = prods.reshape(k, n, d, d, d, d)  # [b, i, p, q, r, s], less delta_qr e[p, s]
+    prods[:, :, :, range(d), range(d)] -= units.transpose(0, 3, 1, 2)[:, :, :, None]
     star = max_abs(hat.star_of(units) - units.swapaxes(1, 2), lead=(k,))
-    return np.maximum(star, max_abs(prods - want, lead=(k,)))
+    return np.maximum(star, max_abs(prods, lead=(k,)))
 
 
 def decompose(
@@ -330,7 +328,7 @@ def decompose(
     dims, idems, _ = split = _split_center(hat, _center(algebra), frame, ctx, rng)
     # deterministic order: by dimension, then by the idempotent, rounded as one array
     real, imag = np.round(idems.real, 6), np.round(idems.imag, 6)
-    keys = [(d, tuple(re), tuple(im)) for d, re, im in zip(dims, real, imag)]
+    keys = [(d, tuple(re), tuple(im)) for d, re, im in zip(dims, real.tolist(), imag.tolist())]
     staged = sorted(zip(keys, idems, _matrix_units(hat, frame, split, ctx, rng)),
                     key=lambda item: item[0])
 
@@ -371,8 +369,7 @@ def decompose(
             )
     if not any(b.is_trivial for b in blocks):
         raise DecompositionError("no block carries the unit as its coefficient")
-    # the trivial block first; the sort is stable, so the others keep the
-    # order of their keys
+    # the trivial block first; a stable sort keeps the others in key order
     blocks.sort(key=lambda b: not b.is_trivial)
     data = PeterWeylData(host=algebra, haar=h, blocks=tuple(blocks))
     _validate(data, ctx)
