@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +19,21 @@ from hopftwist import (
     haar_state,
     induce,
     klein_four_group,
+    peterweyl,
+    symmetric_group_3,
     twist_algebra,
 )
-from hopftwist._linalg import nullspace
+from hopftwist._linalg import nullspace, uniform
 from hopftwist.core import DualFunctional, dual
 from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
     PeterWeylData,
+    _center,
     _eigen_split,
+    _gns_frame,
     _matrix_unit_residual,
+    _matrix_units,
+    _split_center,
     _validate,
     gram_matrix,
     haar_invariance_residual,
@@ -315,6 +324,14 @@ def _sweep_hosts():
         hosts[f"G(D{m})"] = (lambda g=group: group_algebra(g), [1] * (2 * m))
     for m in (4, 8, 16):
         hosts[f"C(D{m}) twisted"] = (lambda m=m: _klein_induced(m), _dihedral_irrep_dims(m))
+    # two block dimensions above 1, so draws must keep the order of the
+    # split across the stacks of each dimension
+    s3 = symmetric_group_3()
+    hosts["C(S3xS3)"] = (lambda: function_algebra(direct_product(s3, s3)), [1] * 4 + [2] * 4 + [4])
+    hosts["C(D4xS3)"] = (
+        lambda: function_algebra(direct_product(dihedral_group(4), s3)),
+        [1] * 8 + [2] * 6 + [4],
+    )
     hosts["C(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("function"), [1] * 16)
     hosts["G(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("group"), [1] * 16)
     return hosts
@@ -339,3 +356,99 @@ def test_dimension_64_host_decomposes():
     host = function_algebra(group)
     pw = decompose(host, haar_state(host), ScalarContext(seed=3))
     assert sorted(pw.dimensions) == _dihedral_irrep_dims(32)
+
+
+def test_warm_decomposition_at_dimension_128_peaks_under_8_mib():
+    # each stack of blocks is sized by _linalg.batches, so at n = 128 a
+    # batch holds one block
+    host = function_algebra(dihedral_group(64))
+    h = haar_state(host)
+    decompose(host, h)  # finds the center of the dual, once per coproduct
+    tracemalloc.start()
+    try:
+        pw = decompose(host, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(pw.dimensions) == _dihedral_irrep_dims(64)
+    assert peak < 8 * 2**20
+
+
+# ------------------------------------------------- block-at-a-time reference
+
+
+def _reference_block_units(hat, frame, e_alpha, basis, rng):
+    """The matrix units of one block, refined on their own from one draw of
+    rng, with the phase of each isometry at the first entry whose modulus
+    is within a relative 1e-8 of the largest."""
+    n, d = hat.dim, math.isqrt(basis.shape[1])
+    if d == 1:
+        return e_alpha.reshape(1, 1, n)
+    s, s_inv = frame
+    r = uniform(rng, (n,), np.complex128)
+    z = 0.5 * (r + hat.star_of(r))
+    m = basis.conj().T @ (s @ hat.product(np.eye(n), z).T @ s_inv) @ basis
+    _, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    projections = []
+    for j in range(d):
+        v = basis @ vecs[:, j * d : (j + 1) * d]
+        projections.append((hat.unit @ s_inv @ v) @ (v.conj().T @ s))
+    p0 = projections[0]
+    isometries = [p0]
+    for p in projections[1:]:
+        w = hat.product(p0, hat.product(r, p))
+        scale = np.vdot(p0, hat.product(w, hat.star_of(w))) / np.vdot(p0, p0)
+        v = w / np.sqrt(scale.real)
+        size = np.abs(v)
+        pivot = int(np.argmax(size >= (1 - 1e-8) * size.max()))
+        isometries.append(v * abs(v[pivot]) / v[pivot])
+    return np.array([[hat.product(hat.star_of(a), b) for b in isometries] for a in isometries])
+
+
+def _split(host, seed):
+    ctx = ScalarContext(seed=seed)
+    hat = dual(host)
+    frame = _gns_frame(host, haar_state(host, ctx), ctx)
+    rng = ctx.rng()
+    return ctx, hat, frame, _split_center(hat, _center(host), frame, ctx, rng), rng
+
+
+@pytest.mark.parametrize("seed", (7, 31, 3))
+@pytest.mark.parametrize("name", ("C(D8)", "C(S3xS3)", "c-s3"))
+def test_stacked_refinement_equals_the_block_at_a_time_reference(name, seed):
+    host = catalog.algebra(name) if name == "c-s3" else SWEEP_HOSTS[name][0]()
+    ctx, hat, frame, split, rng = _split(host, seed)
+    ref_rng = random.Random()
+    ref_rng.setstate(rng.getstate())
+    got = _matrix_units(hat, frame, split, ctx, rng)
+    dims, idems, groups = split
+    for d, e_alpha, basis, units in zip(dims, idems, groups, got):
+        want = _reference_block_units(hat, frame, e_alpha, basis, ref_rng)
+        assert units.shape == (d, d, host.dim)
+        assert np.abs(units - want).max() <= 1e-12
+    # one draw per block of dimension above 1, in the order of the split
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_a_rejected_block_alone_draws_again(monkeypatch):
+    host = SWEEP_HOSTS["C(D8)"][0]()  # three blocks of dimension 2
+    ctx, hat, frame, split, rng = _split(host, 7)
+    state = rng.getstate()
+    plain = _matrix_units(hat, frame, split, ctx, rng)
+    shapes = []
+
+    def zero_second_draw(rng, shape, dtype=np.float64):
+        draws = uniform(rng, shape, dtype)
+        shapes.append(shape)
+        if len(shapes) == 1:
+            draws[1] = 0  # a zero element does not split its block
+        return draws
+
+    monkeypatch.setattr(peterweyl, "uniform", zero_second_draw)
+    rng.setstate(state)
+    got = _matrix_units(hat, frame, split, ctx, rng)
+    assert shapes == [(3, host.dim), (1, host.dim)]
+    second = [b for b, d in enumerate(split[0]) if d > 1][1]
+    for b, (units, before) in enumerate(zip(got, plain)):
+        assert np.array_equal(units, before) == (b != second)
+    assert _matrix_unit_residual(hat, got[second][None])[0] <= ctx.loose_tolerance
