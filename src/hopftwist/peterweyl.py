@@ -230,6 +230,7 @@ def _split_center(hat: FiniteHopfStarAlgebra, center: Array, frame: tuple[Array,
             square = _matrix_unit_residual(hat, idems[:, None, None])
             resid = worst([max_abs(idems.sum(0) - hat.unit), *square])
             if resid <= ctx.loose_tolerance:
+                idems.flags.writeable = False  # so the blocks hold views of it
                 return dims, idems, groups
             error = f"central idempotent residual {resid:.3g}"
     raise DecompositionError(f"central splitting failed: {error}")
@@ -267,7 +268,9 @@ def _refine(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], basis: Array
     d^2) in the state frame and random elements r (k, n), with per block the
     error that rejects them, or None.  r cut down to a block has d runs of d
     eigenvalues, which give minimal projections p_0, ..., p_{d-1}; the
-    partial isometry from p_q to p_0 is p_0 r p_q, normalized."""
+    partial isometry from p_q to p_0 is p_0 r p_q, normalized.  Each product
+    and star takes its operands as vectors ([..., None, :]), as for one
+    block alone, so a block's units are the same bytes in any stack."""
     k, _, dd = basis.shape
     d = math.isqrt(dd)
     z = 0.5 * (r + hat.star_of(r[:, None])[:, 0])
@@ -326,14 +329,13 @@ def decompose(
     frame = _gns_frame(algebra, h, ctx)
     hat = dual(algebra)
     dims, idems, _ = split = _split_center(hat, _center(algebra), frame, ctx, rng)
+    units = _matrix_units(hat, frame, split, ctx, rng)
     # deterministic order: by dimension, then by the idempotent, rounded as one array
-    real, imag = np.round(idems.real, 6), np.round(idems.imag, 6)
-    keys = [(d, tuple(re), tuple(im)) for d, re, im in zip(dims, real.tolist(), imag.tolist())]
-    staged = sorted(zip(keys, idems, _matrix_units(hat, frame, split, ctx, rng)),
-                    key=lambda item: item[0])
+    rounded = np.round(np.concatenate([idems.real, idems.imag], axis=1), 6).tolist()
+    staged = sorted(zip(dims, rounded, idems, units), key=lambda item: item[:2])
 
     # dual basis: q elements are read off from the inverse of the stacked units
-    stack = np.vstack([units.reshape(-1, n) for _, _, units in staged])
+    stack = np.vstack([units.reshape(-1, n) for *_, units in staged])
     if stack.shape != (n, n):
         raise DecompositionError("matrix units do not fill the dual")
     q_cols = np.linalg.inv(stack)
@@ -342,16 +344,18 @@ def decompose(
     offset = 0
     # the blocks of one dimension are consecutive, and each run of them is
     # taken at once, as stacks
-    for d, run in itertools.groupby(staged, key=lambda item: item[0][0]):
+    for d, run in itertools.groupby(staged, key=lambda item: item[0]):
         run = list(run)
         k = len(run)
         q = q_cols[:, offset : offset + k * d * d].T.reshape(k, d, d, n)
         offset += k * d * d
         f_matrix, m_value, errors = _f_matrices(algebra, h, q, ctx)
         _, rho = _rho_data(algebra, h, q, f_matrix, m_value)
-        resid = max_abs(rho - np.stack([units for _, _, units in run]), lead=(k,))
+        resid = max_abs(rho - np.stack([units for *_, units in run]), lead=(k,))
         trivial = max_abs(q[:, 0, 0] - algebra.unit, lead=(k,)) <= ctx.loose_tolerance
-        for b, (_, e_alpha, _) in enumerate(run):
+        for a in (q, rho, f_matrix):  # so the blocks hold views of them (core.freeze)
+            a.flags.writeable = False
+        for b, (_, _, e_alpha, _) in enumerate(run):
             if errors[b] is None and not ctx.close(resid[b]):
                 errors[b] = f"rho functionals disagree with matrix units, residual {resid[b]:.3g}"
             if errors[b] is not None:
