@@ -392,8 +392,7 @@ class Chain:
                 operand = operand.block()
             # only out holds a step's input, so it is freed as the step is formed
             out = np.dot(out.transpose(xs).reshape(-1, summed),
-                         operand.transpose(ys).reshape(summed, -1))
-            out = out.reshape(shape).transpose(order)
+                         operand.transpose(ys).reshape(summed, -1)).reshape(shape).transpose(order)
         return out
 
     def array(self) -> np.ndarray:
@@ -434,9 +433,8 @@ def _plan(shape: tuple[int, ...], steps: tuple[tuple[str, tuple[int, ...]], ...]
     """What a chain reads off its specs, once per first shape and (spec,
     operand shape) steps: per step the transposes that put its summed axes
     last and first, their size, and the shape and transpose of the product;
-    per partial result, the slice of first and each step's output, whether
-    it keeps the leading index of first, and its entries per leading index,
-    or in all when it does not."""
+    per partial result (the slice of first, each step's output) whether it
+    keeps the leading index of first, and its entries per leading index or in all."""
     products = []
     lead = 0
     entries = [(True, math.prod(shape[1:]))]
