@@ -139,7 +139,7 @@ def _in_frame(hat: FiniteHopfStarAlgebra, frame: tuple[Array, Array], z: Array) 
     """z (..., n) acting on the algebra, a -> a_(1) z(a_(2)), in the state
     frame: the transpose of right multiplication by z in the dual."""
     s, s_inv = frame
-    return s @ (_product(hat, None, z) @ np.eye(hat.dim)).swapaxes(-1, -2) @ s_inv
+    return s @ _product(hat, None, z).swapaxes(-1, -2) @ s_inv
 
 
 def _gns_frame(
@@ -353,24 +353,18 @@ def decompose(
         _, rho = _rho_data(algebra, h, q, f_matrix, m_value)
         resid = max_abs(rho - np.stack([units for *_, units in run]), lead=(k,))
         trivial = max_abs(q[:, 0, 0] - algebra.unit, lead=(k,)) <= ctx.loose_tolerance
-        for a in (q, rho, f_matrix):  # so the blocks hold views of them (core.freeze)
-            a.flags.writeable = False
-        for b, (_, _, e_alpha, _) in enumerate(run):
-            if errors[b] is None and not ctx.close(resid[b]):
-                errors[b] = f"rho functionals disagree with matrix units, residual {resid[b]:.3g}"
-            if errors[b] is not None:
-                raise DecompositionError(errors[b])
-            blocks.append(
-                PeterWeylBlock(
-                    dimension=d,
-                    matrix_units=rho[b],
-                    q=q[b],
-                    f_matrix=f_matrix[b],
-                    m_value=float(m_value[b]),
-                    central_idempotent=e_alpha,
-                    is_trivial=bool(d == 1 and trivial[b]),
-                )
-            )
+        rho.flags.writeable = f_matrix.flags.writeable = False  # blocks hold views (core.freeze)
+        for error, r in zip(errors, resid.tolist()):
+            if error is None and not ctx.close(r):
+                error = f"rho functionals disagree with matrix units, residual {r:.3g}"
+            if error is not None:
+                raise DecompositionError(error)
+        blocks += [
+            PeterWeylBlock(dimension=d, matrix_units=u, q=x, f_matrix=f, m_value=m,
+                           central_idempotent=e_alpha, is_trivial=d == 1 and t)
+            for (*_, e_alpha, _), u, x, f, m, t
+            in zip(run, rho, q, f_matrix, m_value.tolist(), trivial.tolist())
+        ]
     if not any(b.is_trivial for b in blocks):
         raise DecompositionError("no block carries the unit as its coefficient")
     # the trivial block first; a stable sort keeps the others in key order
