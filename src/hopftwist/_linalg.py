@@ -1,19 +1,18 @@
 """Small linear-algebra helpers used across modules: max norms, kernels,
 orthonormal extension of a row span, and sparse tensors held as terms
-(Terms), with join, the one contraction over their nonzero entries, and
+(Terms), with Join, the one contraction over their nonzero entries, and
 Chain, a contraction of several steps formed run by run, densely or by joins
 as runs decides; uniform turns a seeded random.Random into an array of
-draws.  What is derived from a frozen tensor (its terms, the keyed
-tables of its joins, a residual of it, the twist by the cocycle whose
-inverse it is) is derived once while the tensor lives (derived).  Only this
-module knows the flat key format of the terms."""
+draws.  Terms hold what is read off them (their keys and values, the keyed
+tables of their joins), so the owner of a tensor that holds its Terms
+reads each once; Terms of an array that no one holds are read afresh.
+Only this module knows the flat key format of the terms."""
 
 from __future__ import annotations
 
 import functools
 import math
 import random
-import weakref
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
@@ -25,44 +24,6 @@ T = TypeVar("T")
 # formed and summed, under 2 MiB), and the most entries of each dense partial
 # result of a run that runs writes out densely (256 KiB).
 BUDGET = 2**14
-
-
-def frozen(a) -> bool:
-    """Whether nothing can change the array a: it is read-only, and so is
-    every array it views, down to one that owns its memory.  A read-only
-    view can still change through a writeable base, and an array over a
-    buffer that is not an array through the buffer."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    return owner is None
-
-
-# what derived computed, by the id of the first of its arrays: a table from
-# (what, ids of the other arrays) to weak references to those arrays and the
-# value; a table is dropped when its array is
-_DERIVED: dict[int, dict] = {}
-
-
-def derived(arrays: tuple, what, compute: Callable[[], T]) -> T:
-    """compute(), a value that depends on the arrays and on the hashable
-    what alone, computed once while the arrays live when every one of them
-    is frozen, and afresh on every call otherwise.  The value must hold
-    none of the arrays, or they would never be dropped."""
-    if not all(frozen(a) for a in arrays):
-        return compute()
-    first, *rest = arrays
-    table = _DERIVED.get(id(first))
-    if table is None:
-        table = _DERIVED[id(first)] = {}
-        # nothing to drop when the process exits
-        weakref.finalize(first, _DERIVED.pop, id(first), None).atexit = False
-    key = (what, *map(id, rest))
-    held = table.get(key)
-    # one of the others may have died and its id gone to a new array
-    if held is None or any(ref() is not a for ref, a in zip(held[0], rest)):
-        held = table[key] = (tuple(map(weakref.ref, rest)), compute())
-    return held[1]
 
 
 def uniform(rng: random.Random, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -102,19 +63,20 @@ class Terms:
     summed() adds its terms up; summed terms have distinct, increasing keys.
 
     array is the dense array that Terms.of reads the terms from, on first
-    use of keys or values, and None for terms given outright; conjugated
-    says that they are the terms of conj(array).  block() reads a dense
-    slice from that array, so a tensor that is only written out densely is
-    never read as terms.  What is prepared from terms given outright (the
-    keyed tables of their joins) is held with them (_prepared).
+    use of keys or values, and None for terms given outright; the terms
+    that conj() makes read their keys and values off their source.
+    block() reads a dense slice from that array, so a tensor that is only
+    written out densely is never read as terms.  What is prepared from the
+    terms (the keyed tables of their joins) is held with them (_prepared).
     """
 
-    __slots__ = ("shape", "array", "conjugated", "_keys", "_values", "_prepared")
+    __slots__ = ("shape", "array", "_keys", "_values", "_prepared", "_source")
 
-    def __init__(self, shape, keys, values, array=None, conjugated=False):
+    def __init__(self, shape, keys, values, array=None):
         self.shape, self._keys, self._values = tuple(shape), keys, values
-        self.array, self.conjugated = array, conjugated
-        self._prepared: dict = {}
+        self.array, self._prepared = array, {}
+        # the terms that these conjugate (conj)
+        self._source: Terms | None = None
 
     @classmethod
     def of(cls, a: np.ndarray) -> "Terms":
@@ -133,23 +95,19 @@ class Terms:
         return self._values
 
     def _load(self) -> None:
-        if self._keys is None:
-            self._keys, self._values = derived(
-                (self.array,), ("terms", self.conjugated), self._read
-            )
-
-    def _read(self) -> tuple[np.ndarray, np.ndarray]:
-        """The keys and values of the nonzero entries of array, or of its
-        conjugate."""
-        if self.conjugated:
-            plain = Terms.of(self.array)
-            return plain.keys, plain.values.conj()
+        """Read the keys and values of the nonzero entries of array, or the
+        source's keys and conjugated values."""
+        if self._keys is not None:
+            return
+        if self._source is not None:
+            self._keys, self._values = self._source.keys, self._source.values.conj()
+            return
         a = self.array
         # a complex != 0 and a boolean flatnonzero take half the time of a
         # complex nonzero; the values are read in place, where a.take(keys)
         # would copy a strided a (a dual's transposes) whole
-        keys = np.flatnonzero(a != 0)
-        return keys, a[np.unravel_index(keys, a.shape)]
+        self._keys = np.flatnonzero(a != 0)
+        self._values = a[np.unravel_index(self._keys, a.shape)]
 
     @property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -157,9 +115,14 @@ class Terms:
         return np.unravel_index(self.keys, self.shape)
 
     def conj(self) -> "Terms":
-        """The complex conjugate tensor, read from the same array."""
-        values = None if self._keys is None else self._values.conj()
-        return Terms(self.shape, self._keys, values, self.array, not self.conjugated)
+        """The complex conjugate tensor, read from the same array.  It reads
+        its keys off these terms and shares their prepared tables, which
+        depend on the keys alone; its conj() is these terms again."""
+        if self._source is not None:
+            return self._source
+        out = Terms(self.shape, None, None, self.array)
+        out._source, out._prepared = self, self._prepared
+        return out
 
     def summed(self) -> "Terms":
         """The same tensor with one term per index, keys increasing: these
@@ -198,7 +161,7 @@ class Terms:
         read from array when there is one."""
         if self.array is None:
             return self[lead].dense()
-        return np.conj(self.array[lead]) if self.conjugated else self.array[lead]
+        return self.array[lead] if self._source is None else np.conj(self.array[lead])
 
     def apply(self, t: np.ndarray, k: int) -> np.ndarray:
         """The summed terms as a map from their last k axes to the others,
@@ -221,11 +184,6 @@ class Terms:
         return out.reshape(lead + self.shape[:split])
 
 
-def join(spec: str, x, y, limit: int) -> Terms | None:
-    """The terms of the einsum contraction spec of x and y (see Join)."""
-    return Join(spec, y)(x, limit)
-
-
 class Join:
     """The terms of the einsum contraction spec of x and y, two dense arrays
     or Terms, over their nonzero entries: one term x[..] y[..] for each pair
@@ -240,9 +198,11 @@ class Join:
     keyed on the shared letters, and y's are counted per key and stably
     sorted by key, so that an entry of x finds its partners at a place of
     the count table; each output index is the sum of a part read off the
-    entry of x and a part read off the entry of y.  That is prepared once
-    per frozen tensor (derived), and what depends on y alone once per Join,
-    so one Join serves every run of a chain.
+    entry of x and a part read off the entry of y.  What depends on the
+    keys of an operand alone is held by its Terms (_prepared), so it is
+    prepared once while the owner of a tensor holds the tensor's Terms, and
+    what depends on y alone once per Join, so one Join serves every run of
+    a chain.
     """
 
     def __init__(self, spec: str, y):
@@ -298,10 +258,7 @@ def _strides(shape) -> list[int]:
 
 def _prepared(terms: Terms, what, compute: Callable[[], T]) -> T:
     """compute(), a value that depends on the keys of terms alone, once per
-    frozen array they are read from (derived), or once per terms given
-    outright."""
-    if terms.array is not None:
-        return derived((terms.array,), what, compute)
+    terms: it is held by them."""
     if what not in terms._prepared:
         terms._prepared[what] = compute()
     return terms._prepared[what]

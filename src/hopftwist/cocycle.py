@@ -61,7 +61,7 @@ def convolve2_terms(host: FiniteHopfStarAlgebra, x, y) -> Terms:
     induced from a small quotient then costs a fraction of a dense one, and
     no temporary outgrows the budget."""
     tx, ty = "t" * (len(x.shape) - 2), "t" * (len(y.shape) - 2)
-    c = Terms.of(host.comul)
+    c = host._coalgebra.comul
     return Chain(
         c,
         (f"iab,ac{tx}->ibc{tx}", x),
@@ -76,7 +76,7 @@ def twisted_product(host: FiniteHopfStarAlgebra, sig: Array, sig_inv: Array) -> 
     of (id (x) Delta) Delta(e_i) it is
     sum d3[i,a,b,c] d3[j,d,e,f] sig[a,d] mul[b,e,t] sig_inv[c,f].  The
     half-twisted product mul * sigma^-1 is held as terms, not written out."""
-    return convolve2(host, sig, convolve2_terms(host, host.mul, sig_inv))
+    return convolve2(host, sig, convolve2_terms(host, host._terms["mul"], sig_inv))
 
 
 def identity2(host: FiniteHopfStarAlgebra) -> Array:
@@ -113,6 +113,8 @@ class DualCocycle:
     ctx: ScalarContext = DEFAULT_CONTEXT
     sigma_inv: Array = field(init=False)
     inverse_residual: float = field(init=False)
+    # the twisted algebra and its axiom residuals, made by twist_algebra
+    _twist: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         sig = freeze(self.sigma)
@@ -139,7 +141,7 @@ def verify_cocycle(
     checks = [("inverse-two-sided", cocycle.inverse_residual)]
 
     # both sides share p[j, k, t] = sigma(e_j(1), e_k(1)) (e_j(2) e_k(2))_t
-    s, p = Terms.of(sig), convolve2_terms(host, sig, host.mul)
+    s, p = Terms.of(sig), convolve2_terms(host, sig, host._terms["mul"])
     lhs, rhs = Chain(s, ("at,bct->abc", p)), Chain(p, ("abt,tc->abc", s))
     checks.append(("cocycle-identity", identity_gap(lhs, rhs)))
 

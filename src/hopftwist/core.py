@@ -21,19 +21,25 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import Chain, Terms, derived, frozen, identity_gap, max_abs, worst
-from .errors import DimensionMismatch, NotConvolutionInvertible
+from ._linalg import Chain, Terms, identity_gap, max_abs, worst
+from .errors import DimensionMismatch, HostMismatch, NotConvolutionInvertible
 
 Array = np.ndarray
 
 
 def freeze(a) -> Array:
     """a as a read-only complex128 array.  An array that is already both, and
-    that no writeable array it views can change (_linalg.frozen), is
-    returned as it is, so frozen tensors and their views (a dual's
-    transposes) are shared, and so is what is derived from them; anything
-    else is copied, so a caller who changes its own array later changes nothing."""
-    if frozen(a) and a.dtype == np.complex128:
+    that no writeable array it views can change, is returned as it is, so
+    frozen tensors and their views (a dual's transposes) are shared: a
+    twisted algebra takes its host's coproduct, unit and counit without a
+    copy.  Anything else is copied, so a caller who changes its own array
+    later changes nothing."""
+    # a read-only view can still change through a writeable base, and an
+    # array over a buffer that is not an array through the buffer
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and a.dtype == np.complex128:
         return a
     out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.flags.writeable = False
@@ -123,6 +129,25 @@ class FiniteHopfStarAlgebra:
         return np.conj(x @ np.conj(self.star.T))
 
     @cached_property
+    def _terms(self) -> dict[str, Terms]:
+        """The terms of mul, antipode and star, held with the keyed tables of
+        their joins; comul's are held by the coalgebra record."""
+        return {name: Terms.of(getattr(self, name)) for name in ("mul", "antipode", "star")}
+
+    @cached_property
+    def _coalgebra(self) -> _Coalgebra:
+        """What is derived from comul, unit and counit alone, made on first
+        use unless a twist is handed its host's (_share_coalgebra)."""
+        return _Coalgebra(self.comul, self.unit, self.counit)
+
+    def _share_coalgebra(self, host: FiniteHopfStarAlgebra) -> None:
+        """Hold host's coalgebra record; this algebra was made with host's
+        comul, unit and counit arrays, as a twist of host is."""
+        if not (self.comul is host.comul and self.unit is host.unit and self.counit is host.counit):
+            raise HostMismatch("only an algebra over its host's coalgebra arrays shares its record")
+        self.__dict__["_coalgebra"] = host._coalgebra
+
+    @cached_property
     def _dual(self) -> FiniteHopfStarAlgebra:
         """dual(self), made on first use."""
         # the star m^T, m = conj(star) antipode, is held as a view of m: a
@@ -164,8 +189,8 @@ def dual(algebra: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
     the convolution (phi psi)(a) = phi(a_(1)) psi(a_(2)), the counit as its
     unit, phi -> phi o kappa as its antipode and phi*(a) = conj(phi(kappa(a)*))
     as its star.  Its n^3-entry tensors are transposed views of algebra's.
-    It is made once and held by algebra, so its views are the same arrays
-    on every call, and what is derived from them is derived once."""
+    It is made once and held by algebra, so it is the same object on every
+    call, and so are the terms it holds."""
     return algebra._dual
 
 
@@ -215,6 +240,31 @@ class AxiomReport:
         return self
 
 
+class _Coalgebra:
+    """What an algebra derives from its coproduct, unit and counit alone: the
+    coproduct's terms, the residuals of the coalgebra identities and the
+    dual's center (peterweyl._center).  A twist keeps all three tensors, so
+    twist_algebra hands the host's record to the twisted algebra."""
+
+    def __init__(self, comul: Array, unit: Array, counit: Array):
+        self.comul, self.unit, self.counit = Terms.of(comul), unit, counit
+        self.center: Array | None = None
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """Residuals of coassociativity, the counit law and coproduct-unital."""
+        c, comul, unit, counit = self.comul, self.comul.array, self.unit, self.counit
+        eye = np.eye(len(unit), dtype=np.complex128)
+        coassoc = identity_gap(Chain(c, ("ipc,pab->iabc", c)), Chain(c, ("iap,pbc->iabc", c)))
+        left_counit = np.einsum("ijk,j->ik", comul, counit) - eye
+        right_counit = np.einsum("ijk,k->ij", comul, counit) - eye
+        return {
+            "coassociativity": coassoc,
+            "counit-law": max(max_abs(left_counit), max_abs(right_counit)),
+            "coproduct-unital": max_abs(np.einsum("i,ijk->jk", unit, comul) - np.outer(unit, unit)),
+        }
+
+
 # a NaN or inf entry reads as a non-finite residual, without a warning
 @np.errstate(invalid="ignore", over="ignore")
 def verify_hopf_axioms(
@@ -239,40 +289,30 @@ def verify_hopf_axioms(
     most n^2 entries is a dense BLAS product.
 
     A tensor is read as terms only for a run that is joined, once while the
-    tensor is frozen and alive (_linalg.derived).  The identities of the
-    coalgebra alone (coassociativity, the counit law, coproduct-unital) are
-    checked once per frozen coproduct, counit and unit: a twist keeps all
-    three, so the twisted algebras of a host share the host's residuals.
+    algebra that holds its Terms lives.  The identities of the coalgebra
+    alone (coassociativity, the counit law, coproduct-unital) are checked
+    once per coalgebra record: a twist keeps the coproduct, unit and counit
+    and is handed its host's record, so the twisted algebras of a host share
+    the host's residuals.
     """
     a = algebra
     n = a.dim
     nn = n * n
     mul, comul = a.mul, a.comul
+    m, c = a._terms["mul"], a._coalgebra.comul
     eye = np.eye(n, dtype=np.complex128)
     checks: list[tuple[str, float]] = []
 
-    assoc = identity_gap(Chain(mul, ("ijp,pkl->ijkl", mul)), Chain(mul, ("iql,jkq->ijkl", mul)))
+    assoc = identity_gap(Chain(m, ("ijp,pkl->ijkl", m)), Chain(m, ("iql,jkq->ijkl", m)))
     checks.append(("associativity", assoc))
 
     left_unit = np.einsum("i,ijk->jk", a.unit, mul) - eye
     right_unit = np.einsum("j,ijk->ik", a.unit, mul) - eye
     checks.append(("unit-law", max(max_abs(left_unit), max_abs(right_unit))))
 
-    coassoc = derived(
-        (comul,),
-        "coassociativity",
-        lambda: identity_gap(
-            Chain(comul, ("ipc,pab->iabc", comul)), Chain(comul, ("iap,pbc->iabc", comul))
-        ),
-    )
-    checks.append(("coassociativity", coassoc))
-
-    def counit_law() -> float:
-        left_counit = np.einsum("ijk,j->ik", comul, a.counit) - eye
-        right_counit = np.einsum("ijk,k->ij", comul, a.counit) - eye
-        return max(max_abs(left_counit), max_abs(right_counit))
-
-    checks.append(("counit-law", derived((comul, a.counit), "counit-law", counit_law)))
+    coalgebra = a._coalgebra.residuals
+    checks.append(("coassociativity", coalgebra["coassociativity"]))
+    checks.append(("counit-law", coalgebra["counit-law"]))
 
     # Delta(e_i) Delta(e_j) = sum comul[i, p, q] comul[j, r, s] mul[p, r, x]
     # mul[q, s, y], joined on q, then p, then (r, s).  Written out for a run
@@ -289,49 +329,43 @@ def verify_hopf_axioms(
         return (first.transpose(0, 2, 1) @ half[0]).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
 
     hom = identity_gap(
-        Chain(mul, ("ijc,cab->ijab", comul)),
+        Chain(m, ("ijc,cab->ijab", c)),
         Chain(
-            comul,
-            ("ipq,qsy->ipsy", mul),
-            ("ipsy,prx->isyrx", mul),
-            ("isyrx,jrs->ijxy", comul),
+            c,
+            ("ipq,qsy->ipsy", m),
+            ("ipsy,prx->isyrx", m),
+            ("isyrx,jrs->ijxy", c),
             dense=products,
         ),
     )
     checks.append(("coproduct-multiplicative", hom))
-
-    def coproduct_unital() -> float:
-        return max_abs(np.einsum("i,ijk->jk", a.unit, comul) - np.outer(a.unit, a.unit))
-
-    checks.append(
-        ("coproduct-unital", derived((comul, a.unit), "coproduct-unital", coproduct_unital))
-    )
+    checks.append(("coproduct-unital", coalgebra["coproduct-unital"]))
 
     counit_mul = np.einsum("ijk,k->ij", mul, a.counit) - np.outer(a.counit, a.counit)
     counit_unit = abs(complex(np.dot(a.counit, a.unit)) - 1.0)
     checks.append(("counit-multiplicative", max(max_abs(counit_mul), counit_unit)))
 
     # Delta(a*) = (* tensor *) Delta(a)
-    s, k = a.star, a.antipode
+    s, k = a._terms["star"], a._terms["antipode"]
     star_coprod = identity_gap(
-        Chain(s.T, ("ip,pjk->ijk", comul)),
-        Chain(Terms.of(comul).conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
+        Chain(a.star.T, ("ip,pjk->ijk", c)),
+        Chain(c.conj(), ("iab,ja->ijb", s), ("ijb,kb->ijk", s)),
     )
     target = Chain(np.outer(a.counit, a.unit))
     anti_law = worst(
         identity_gap(side, target)
         for side in (
-            Chain(comul, ("ipb,jp->ijb", k), ("ijb,jbk->ik", mul)),
-            Chain(comul, ("iap,jp->iaj", k), ("iaj,ajk->ik", mul)),
+            Chain(c, ("ipb,jp->ijb", k), ("ijb,jbk->ik", m)),
+            Chain(c, ("iap,jp->iaj", k), ("iaj,ajk->ik", m)),
         )
     )
     anti_hom = identity_gap(
-        Chain(mul, ("ijk,lk->ijl", k)), Chain(k.T, ("iq,pql->ipl", mul), ("ipl,pj->ijl", k))
+        Chain(m, ("ijk,lk->ijl", k)), Chain(a.antipode.T, ("iq,pql->ipl", m), ("ipl,pj->ijl", k))
     )
     # (e_i e_j)* = e_j* e_i*
     star_anti = identity_gap(
-        Chain(Terms.of(mul).conj(), ("ijk,lk->ijl", s)),
-        Chain(s.T, ("iq,pql->ipl", mul), ("ipl,pj->ijl", s)),
+        Chain(m.conj(), ("ijk,lk->ijl", s)),
+        Chain(a.star.T, ("iq,pql->ipl", m), ("ipl,pj->ijl", s)),
     )
     checks.append(("coproduct-star", star_coprod))
     checks.append(("antipode-law", anti_law))

@@ -18,7 +18,7 @@ are chains compared run by run in the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -61,9 +61,11 @@ class UnitaryCorep:
         star.flags.writeable = False  # a fresh array, so frozen without a copy
         object.__setattr__(self, "u_star", star.reshape(arr.shape))
 
-    def entry_star(self) -> Array:
-        """Entrywise star: (u*)[i, j] = u[i, j]*."""
-        return self.u_star
+    @cached_property
+    def _terms(self) -> dict[str, Terms]:
+        """The terms of u and u_star, read on first use and held with the
+        keyed tables of their joins while the corep lives."""
+        return {"u": Terms.of(self.u), "u_star": Terms.of(self.u_star)}
 
 
 def _operators(corep: UnitaryCorep, t) -> Array:
@@ -94,15 +96,16 @@ class _FusedAdjoint:
     """
 
     def __init__(self, corep: UnitaryCorep, rho: Array | None = None, transposed: bool = False):
-        mul = corep.host.mul
+        mul = corep.host._terms["mul"]
         if rho is not None and rho.shape[:1] != (corep.host.dim,):
             raise DimensionMismatch(
                 f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
             )
-        self.u, self.transposed = corep.u, transposed
+        self.u, self.transposed = corep._terms["u"], transposed
         # u*[j, l, b] meets the image at l, or at j when transposed
         spec = "abf,ljb->alfj" if transposed else "abf,jlb->alfj"
-        self.z = Chain(mul if rho is None else mul @ rho, (spec, corep.u_star)).whole()
+        mr = mul if rho is None else mul.array @ rho
+        self.z = Chain(mr, (spec, corep._terms["u_star"])).whole()
         uk = "kia" if transposed else "ika"
         self.steps = ((f"skl,{uk}->sila", self.u), ("sila,alfj->sfij", self.z))
 
@@ -120,7 +123,7 @@ class _FusedAdjoint:
         of it are never held; with ops, the images are then met with ops."""
         n, n_h, count = self.z.shape[:3]
         per = n_h * count * n_h
-        left = self.u.transpose(1, 0, 2) if self.transposed else self.u  # [i, k, a]
+        left = self.u.array.transpose(1, 0, 2) if self.transposed else self.u.array  # [i, k, a]
         rows = left.any(axis=1)  # [i, a]
         out = np.zeros((len(t), n_h, count, n_h), dtype=np.complex128)  # [s, i, f, j]
         for batch in batches(n, per):
@@ -188,17 +191,18 @@ def verify_corep(
     b], the counit law and unitarity on both sides, each side of an identity
     a chain compared one run of i at a time (_linalg.identity_gap).  A
     non-finite entry reads as a non-finite residual, without a warning."""
-    a, u, ustar = corep.host, corep.u, corep.u_star
+    a, m, c = corep.host, corep.host._terms["mul"], corep.host._coalgebra.comul
+    u, ustar = corep._terms["u"], corep._terms["u_star"]
     eye = np.eye(corep.hdim)
     # sum_k u_ik u*_jk = delta_ij 1 and sum_k u*_ki u_kj = delta_ij 1, each
     # side [i, j, c]
     target = Chain(np.einsum("ij,c->ijc", eye, a.unit))
-    row = Chain(u, ("ika,jkb->ijab", ustar), ("ijab,abc->ijc", a.mul))
-    col = Chain(ustar.transpose(1, 0, 2), ("ika,kjb->ijab", u), ("ijab,abc->ijc", a.mul))
-    law = identity_gap(Chain(u, ("ijc,cab->ijab", a.comul)), Chain(u, ("ika,kjb->ijab", u)))
+    row = Chain(u, ("ika,jkb->ijab", ustar), ("ijab,abc->ijc", m))
+    col = Chain(corep.u_star.transpose(1, 0, 2), ("ika,kjb->ijab", u), ("ijab,abc->ijc", m))
+    law = identity_gap(Chain(u, ("ijc,cab->ijab", c)), Chain(u, ("ika,kjb->ijab", u)))
     checks = (
         ("corep-law", law),
-        ("corep-counit", max_abs(np.einsum("ijc,c->ij", u, a.counit) - eye)),
+        ("corep-counit", max_abs(np.einsum("ijc,c->ij", corep.u, a.counit) - eye)),
         ("unitarity-right", identity_gap(row, target)),
         ("unitarity-left", identity_gap(col, target)),
     )
@@ -216,7 +220,7 @@ def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
         raise DimensionMismatch(
             f"functional coefficients have shape {coeffs.shape}, expected (..., {corep.host.dim})"
         )
-    return Terms.of(corep.u).apply(coeffs, 1)
+    return corep._terms["u"].apply(coeffs, 1)
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import batches, derived, max_abs, nullspace, uniform, worst
+from ._linalg import batches, max_abs, nullspace, uniform, worst
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -115,17 +115,16 @@ class PeterWeylData:
 def _center(algebra: FiniteHopfStarAlgebra) -> Array:
     """Orthonormal columns spanning the z of the dual with z e_k = e_k z for
     every k.  The dual's product is algebra's coproduct, which a twist
-    keeps, so it is found once per frozen coproduct (_linalg.derived)."""
-
-    def compute() -> Array:
+    keeps, so it is found once and held by the coalgebra record that the
+    algebra shares with its twists."""
+    record = algebra._coalgebra
+    if record.center is None:
         hat = dual(algebra)
         n = hat.dim
         commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [j, k, i]
-        center = nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
-        center.flags.writeable = False
-        return center
-
-    return derived((algebra.comul,), "center of the dual", compute)
+        record.center = nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
+        record.center.flags.writeable = False
+    return record.center
 
 
 def _product(hat: FiniteHopfStarAlgebra, x: Array | None, y: Array) -> Array:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Terms, derived, max_abs, max_gap
+from ._linalg import max_abs, max_gap
 from .cocycle import (
     DualCocycle,
     _v_from_w,
@@ -58,10 +58,11 @@ def twist_algebra(
     """Build the twisted Hopf *-algebra and verify every axiom on it.
 
     The twisted algebra and the residuals of every Hopf axiom on it are
-    made once while the cocycle lives (_linalg.derived); the report is
-    judged at the caller's tolerance on every call.  So they are dropped
-    with the cocycle, not with the TwistResult: a cocycle that is kept
-    keeps its twist, whose product has n^3 entries.
+    made once and held by the cocycle; the report is judged at the caller's
+    tolerance on every call.  So they are dropped with the cocycle, not
+    with the TwistResult: a cocycle that is kept keeps its twist, whose
+    product has n^3 entries.  The twisted algebra, which keeps the
+    coalgebra, is handed the host's coalgebra record and reads its residuals.
     """
     if cocycle.host is not algebra:
         raise HostMismatch("cocycle lives on a different host algebra")
@@ -70,7 +71,7 @@ def twist_algebra(
     w, w_inv = w_functional(cocycle, ctx)
     v, v_inv = _v_from_w(w, w_inv, ctx)
 
-    def twist() -> tuple[FiniteHopfStarAlgebra, tuple]:
+    if cocycle._twist is None:
         mul = twisted_product(a, cocycle.sigma, cocycle.sigma_inv)
         # no one else holds this array: frozen in place, it is taken by the
         # twisted algebra without a copy when it owns its memory
@@ -95,11 +96,10 @@ def twist_algebra(
             antipode_inv=antipode,
             star=star,
         )
-        return twisted, verify_hopf_axioms(twisted, ctx).checks
-
-    # the cocycle alone makes and holds sigma_inv, and fixes the host, whose
-    # tensors are frozen, and sigma
-    twisted, checks = derived((cocycle.sigma_inv,), "twist", twist)
+        twisted._share_coalgebra(a)
+        # the residuals alone, judged below at the caller's tolerance
+        object.__setattr__(cocycle, "_twist", (twisted, verify_hopf_axioms(twisted, ctx).checks))
+    twisted, checks = cocycle._twist
     transcript = AxiomReport(
         subject="twisted-algebra", checks=checks, tolerance=ctx.tolerance
     ).require(TheoremViolation, "twisted algebra fails")
@@ -144,8 +144,8 @@ def roundtrip(
     """Twist by sigma, re-validate sigma^{-1} on the result, twist back.
 
     The result holds the residuals, the verdict and, under "back", the back
-    twist itself.  twist_algebra makes each twist once while its cocycle
-    lives, so a forward twist made before is looked up; ``tw``, when given,
+    twist itself.  A cocycle holds its twist (twist_algebra), so a forward
+    twist made before is not made again; ``tw``, when given,
     is the forward twist of algebra by cocycle, and the back twist is then
     made on its twisted algebra, so that back.cocycle.host is tw.twisted.
     """
@@ -157,7 +157,7 @@ def roundtrip(
     b = back.twisted
     residual = max(
         # over the nonzero entries, so that no n^3-entry difference is formed
-        max_gap(Terms.of(b.mul), Terms.of(algebra.mul)),
+        max_gap(b._terms["mul"], algebra._terms["mul"]),
         max_abs(b.star - algebra.star),
         max_abs(b.antipode - algebra.antipode),
         max_abs(b.antipode_inv - algebra.antipode_inv),

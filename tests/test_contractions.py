@@ -50,7 +50,7 @@ from hopftwist import (
     w_functional,
 )
 import hopftwist._linalg as linalg
-from hopftwist._linalg import Terms, join, max_gap, nullspace
+from hopftwist._linalg import Join, Terms, max_gap, nullspace
 from hopftwist.cocycle import convolve2, dual_star2, identity2
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
@@ -706,12 +706,20 @@ def _force_path(monkeypatch, path):
     """Send every chain to its term joins, as if no run of it fit the budget
     of dense entries ("joins"); "slices" also cuts the budget to 7 terms, so
     that a run holds one element or a few and most elements fall back to
-    dense slices."""
+    dense slices.  Returns the joins made from then on, counted in a list.
+
+    A host keeps its coalgebra residuals while it lives, so each test takes
+    a host made after the path is forced, or one whose residuals were never
+    read."""
     monkeypatch.setattr(linalg.Chain, "fits", lambda chain, lead: False)
-    # nothing derived on the default path before is read on the forced one
-    monkeypatch.setattr(linalg, "_DERIVED", {})
     if path == "slices":
         monkeypatch.setattr(linalg, "BUDGET", 7)
+    joins = []
+    call = linalg.Join.__call__
+    monkeypatch.setattr(
+        linalg.Join, "__call__", lambda join, x, limit: joins.append(1) or call(join, x, limit)
+    )
+    return joins
 
 
 @pytest.mark.parametrize("path", ("joins", "slices"))
@@ -720,8 +728,9 @@ def test_axiom_residuals_match_their_formulas_over_nonzero_entries(
     name, path, rng, ctx, monkeypatch
 ):
     host = _axiom_case(name, rng, ctx)
-    _force_path(monkeypatch, path)
+    joins = _force_path(monkeypatch, path)
     _check_axiom_residuals(name, host, verify_hopf_axioms(host))
+    assert joins
 
 
 def _check_axiom_residuals(name, host, report):
@@ -763,9 +772,10 @@ def test_tensor_square_convolution_matches_its_formula(rng):
 def test_tensor_square_convolution_over_nonzero_entries_matches_its_formula(
     path, rng, monkeypatch
 ):
-    _force_path(monkeypatch, path)
+    joins = _force_path(monkeypatch, path)
     _check_convolutions(rng)
     _check_convolution_supports(rng)
+    assert joins
 
 
 def _check_convolutions(rng):
@@ -814,14 +824,16 @@ def test_cocycle_residuals_match_their_formulas_off_a_cocycle(name, rng, ctx):
 def test_cocycle_residuals_match_their_formulas_over_nonzero_entries(
     name, path, rng, ctx, monkeypatch
 ):
-    _force_path(monkeypatch, path)
+    joins = _force_path(monkeypatch, path)
     _check_cocycle_residuals(name, rng, ctx)
+    assert joins
 
 
 def _check_cocycle_residuals(name, rng, ctx):
     # c-d4 has a commutative product, g-d4 a cocommutative coproduct, so a
-    # swapped leg or input shows on one of them
-    host = catalog.algebra(name)
+    # swapped leg or input shows on one of them; a fresh host over the
+    # catalog's tensors holds nothing read on another path
+    host = dataclasses.replace(catalog.algebra(name))
     cocycle = DualCocycle(host, _unitary2(host, rng), ctx=ctx)
     comul, mul, sig, inv = host.comul, host.mul, cocycle.sigma, cocycle.sigma_inv
     report = verify_cocycle(cocycle, ctx)
@@ -1033,7 +1045,7 @@ def _join_operands(spec, rng):
 def test_join_matches_einsum_on_sparse_tensors(spec, rng):
     x, y = _join_operands(spec, rng)
     want = np.einsum(spec, x, y, optimize=False)
-    terms = join(spec, x, y, x.size * y.size)
+    terms = Join(spec, y)(x, x.size * y.size)
     # a pair of entries per term, summed by index only on request
     assert terms.values.size == _term_count(spec, x, y)
     summed = terms.summed()
@@ -1043,7 +1055,7 @@ def test_join_matches_einsum_on_sparse_tensors(spec, rng):
     out = spec.split("->")[1]
     chain = f"{out},{out[-1]}z->{out[:-1]}z"
     v = _sparse(rng, (want.shape[-1], 2))
-    chained = join(chain, summed, v, want.size * v.size).summed().dense()
+    chained = Join(chain, v)(summed, want.size * v.size).summed().dense()
     assert _relative_error(chained, np.einsum(chain, want, v, optimize=False)) <= REL
     assert np.array_equal(summed[1:2].dense(), summed.dense()[1:2])
     stack = _complex(rng, 2, *want.shape[-2:])
@@ -1053,7 +1065,7 @@ def test_join_matches_einsum_on_sparse_tensors(spec, rng):
 
 def test_join_sums_repeated_indices_only_when_asked(rng):
     x, y = _sparse(rng, (4, 5), 1.0), _sparse(rng, (5, 3), 1.0)
-    terms = join("ij,jk->ik", x, y, 60)
+    terms = Join("ij,jk->ik", y)(x, 60)
     assert terms.values.size == 60
     assert np.unique(terms.keys).size == 12
     summed = terms.summed()
@@ -1066,7 +1078,7 @@ def test_join_sums_repeated_indices_only_when_asked(rng):
 def test_join_keeps_nan_and_inf_entries():
     x = np.array([[np.nan, 0.0], [0.0, np.inf]])
     assert Terms.of(x).values.size == 2
-    got = join("ij,jk->ik", x, np.diag([1.0, 2.0]), 4).summed().dense()
+    got = Join("ij,jk->ik", np.diag([1.0, 2.0]))(x, 4).summed().dense()
     assert np.isnan(got[0, 0]) and got[1, 1] == np.inf
     assert np.count_nonzero(got) == 2
     assert np.isnan(max_gap(Terms.of(x), Terms.of(np.zeros((2, 2)))))
@@ -1074,7 +1086,7 @@ def test_join_keeps_nan_and_inf_entries():
 
 def test_join_of_an_empty_operand_has_no_terms(rng):
     x, y = np.zeros((3, 4)), _sparse(rng, (4, 2))
-    terms = join("ij,jk->ik", x, y, 0)
+    terms = Join("ij,jk->ik", y)(x, 0)
     assert terms.values.size == 0
     assert np.array_equal(terms.summed().dense(), np.zeros((3, 2)))
     assert np.array_equal(Terms.of(x).apply(_complex(rng, 5, 3, 4), 2), np.zeros((5,)))
@@ -1091,11 +1103,11 @@ def test_join_over_the_limit_forms_no_pair(spec, rng, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "pairs_by_count", refuse)
-        assert join(spec, x, y, count - 1) is None
+        assert Join(spec, y)(x, count - 1) is None
         # the count is exact: at the limit the pairs are formed
         with pytest.raises(AssertionError, match="over the limit"):
-            join(spec, x, y, count)
-    assert join(spec, x, y, count).values.size == count
+            Join(spec, y)(x, count)
+    assert Join(spec, y)(x, count).values.size == count
 
 
 def test_max_gap_merges_disjoint_and_repeated_keys():

@@ -1,13 +1,15 @@
-"""What is derived from a frozen tensor once, and the Peter-Weyl blocks
-taken as stacks.
+"""What is derived from a tensor is held by the object that owns it, and
+the Peter-Weyl blocks taken as stacks.
 
-_linalg.derived holds a value per frozen array only while the array lives,
-and never for an array that something can still change.  The twist ladder's
-hosts keep their coproduct, unit and counit through every twist, so the
-coalgebra identities are checked once per host.  A twist is made once while
-its cocycle lives, and dropped with it.  The stacked F-matrices and
-rho functionals of decompose and f_matrix_relation are compared, byte for
-byte, with the block-by-block computation they replaced, kept below.
+An algebra holds the terms of its tensors and a coalgebra record (the
+coproduct's terms, the coalgebra residuals and the dual's center), a corep
+the terms of its matrix, and a cocycle its twist; each goes with its owner.
+The twist ladder's hosts keep their coproduct, unit and counit through
+every twist, and a twisted algebra is handed its host's coalgebra record,
+so the coalgebra identities are checked once per host and the dual's center
+is found once.  The stacked F-matrices and rho functionals of decompose and
+f_matrix_relation are compared, byte for byte, with the block-by-block
+computation they replaced, kept below.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from hopftwist import (
     verify_hopf_axioms,
 )
 from hopftwist import _linalg as linalg
-from hopftwist._linalg import Terms, derived, frozen
+from hopftwist._linalg import Terms
 from hopftwist.core import FiniteHopfStarAlgebra
 from hopftwist.errors import BlockMismatch
 
@@ -61,77 +63,56 @@ def _copy(host):
     )
 
 
-def test_a_value_is_computed_once_per_frozen_array_and_dropped_with_it():
-    a = _read_only(np.arange(6).reshape(2, 3))
-    calls = []
-    for _ in range(2):
-        assert derived((a,), "sum", lambda: calls.append(1) or float(a.real.sum())) == 15.0
-    assert calls == [1]
-    # a view of a frozen array is frozen too, but another array
-    view = a.T
-    assert frozen(view)
-    derived((view,), "sum", lambda: calls.append(1) or 0.0)
-    assert len(calls) == 2
-    key = id(a)
-    del a, view
-    gc.collect()
-    assert key not in linalg._DERIVED
-
-
-def test_a_writeable_array_or_a_view_over_writeable_memory_is_never_held():
+def test_the_terms_of_a_writeable_array_are_read_afresh():
     mine = np.arange(4.0)
-    view = mine[::2]
-    view.flags.writeable = False
-    over_bytes = np.frombuffer(b"\x00" * 32)
-    assert not over_bytes.flags.writeable
-    for a in (mine, view, over_bytes):
-        assert not frozen(a)
-        calls = []
-        for _ in range(2):
-            derived((a,), "count", lambda: calls.append(1))
-        assert len(calls) == 2
-    assert linalg._DERIVED == {}
-    # the terms of a writeable array are read afresh: a change shows
     mine[:] = 0.0
     assert Terms.of(mine).keys.size == 0
     mine[1] = 2.0
     assert Terms.of(mine).keys.tolist() == [1]
 
 
-def test_a_value_of_two_arrays_is_recomputed_when_the_second_is_replaced():
-    a = _read_only(np.ones(3))
-    calls = []
-
-    def value(b):
-        return derived((a, b), "dot", lambda: calls.append(1) or complex(a @ b))
-
-    b = _read_only([1.0, 2.0, 3.0])
-    assert value(b) == value(b) == 6.0
-    del b
-    # a new array may take the id of the dead one; its value is its own
-    b = _read_only([0.0, 0.0, 1.0])
-    assert value(b) == 1.0
-    assert len(calls) == 2
+def test_conjugate_terms_share_their_source_keys_and_tables():
+    a = _read_only([[0.0, 1.0 + 2.0j], [3.0j, 0.0]])
+    plain = Terms.of(a)
+    conj = plain.conj()
+    assert conj.keys is plain.keys and conj._prepared is plain._prepared
+    assert conj.values.tolist() == [1.0 - 2.0j, -3.0j]
+    assert conj.conj().values.tolist() == plain.values.tolist()
 
 
-def test_coalgebra_residuals_are_the_same_cold_warm_and_after_a_drop():
+def _coalgebra_sides(monkeypatch):
+    """The coassociativity checks made from then on, counted in a list that
+    holds none of their chains."""
+    sides = []
+    gap = linalg.identity_gap
+
+    def counting(left, right):
+        if left.steps and left.steps[0][0] == COASSOCIATIVITY:
+            sides.append(1)
+        return gap(left, right)
+
+    monkeypatch.setattr(core, "identity_gap", counting)
+    return sides
+
+
+def test_coalgebra_residuals_are_the_same_cold_warm_and_after_a_drop(monkeypatch):
     cold = verify_hopf_axioms(function_algebra(dihedral_group(8)))
+    sides = _coalgebra_sides(monkeypatch)
     host = function_algebra(dihedral_group(8))
     first = verify_hopf_axioms(host)
-    assert id(host.comul) in linalg._DERIVED
     warm = verify_hopf_axioms(host)
-    # another algebra over the same coalgebra reads the held residuals
-    shared = FiniteHopfStarAlgebra(
-        host.dim, host.basis_labels, host.mul, host.unit, host.comul, host.counit,
-        host.antipode, host.antipode_inv, host.star,
-    )
+    assert len(sides) == 1
+    # another algebra over the same arrays holds its own record
+    shared = dataclasses.replace(host)
     again = verify_hopf_axioms(shared)
     copied = verify_hopf_axioms(_copy(host))
-    comul = weakref.ref(host.comul)
-    key = id(host.comul)
+    assert len(sides) == 3
+    held = [weakref.ref(x) for x in (host, host._coalgebra, host._coalgebra.comul.keys)]
+    held.append(weakref.ref(host._terms["mul"].keys))
+    assert all(ref() is not None for ref in held)
     del host, shared
     gc.collect()
-    assert comul() is None and key not in linalg._DERIVED
+    assert all(ref() is None for ref in held)
     dropped = verify_hopf_axioms(function_algebra(dihedral_group(8)))
     for report in (first, warm, again, copied, dropped):
         assert report.checks == cold.checks
@@ -143,19 +124,22 @@ def test_paper_suite_bytes_are_the_same_cold_warm_and_after_a_drop(capsys, monke
         assert cli.run(["verify", "--suite", "paper", "--seed", "7"]) == 0
         return capsys.readouterr().out
 
-    def forget_catalog():
-        for memo in ("_groups", "_algebras", "_cocycles", "_scenes"):
-            monkeypatch.setattr(catalog, memo, {})
-
-    forget_catalog()
+    memos = ("_groups", "_algebras", "_cocycles", "_scenes")
+    for memo in memos:
+        monkeypatch.setattr(catalog, memo, {})
     cold = suite()
-    held = len(linalg._DERIVED)
-    assert held
+    record = weakref.ref(catalog.algebra("c-d4")._coalgebra)
+    sides = _coalgebra_sides(monkeypatch)
     warm = suite()
-    assert len(linalg._DERIVED) == held
-    forget_catalog()
+    # the catalog's hosts and their twists check no coalgebra identity again
+    assert sides == []
+    # the memos are this test's own, so nothing else holds what they held
+    for memo in memos:
+        getattr(catalog, memo).clear()
     gc.collect()
+    assert record() is None
     dropped = suite()
+    assert sides
     assert cold == warm == dropped
 
 
@@ -219,12 +203,18 @@ def test_a_live_cocycle_twists_once_and_the_twist_is_dropped_with_it(ctx, monkey
     # without tw=, roundtrip reads the forward twist and makes the back twist
     assert roundtrip(host, sigma, ctx)["passed"]
     assert len(products) == 1
-    inverse = weakref.ref(sigma.sigma_inv)
-    key = id(inverse())
-    assert key in linalg._DERIVED
+    twisted = weakref.ref(first.twisted)
     del sigma, first, again
     gc.collect()
-    assert inverse() is None and key not in linalg._DERIVED
+    assert twisted() is None
+
+
+def _over(record):
+    """The live algebras that hold record as their coalgebra record."""
+    return [
+        a for a in gc.get_objects()
+        if isinstance(a, FiniteHopfStarAlgebra) and a.__dict__.get("_coalgebra") is record
+    ]
 
 
 def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
@@ -235,7 +225,7 @@ def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
     klein_fourier = catalog.fourier_transport(klein, _klein_table(), c_klein, ctx)
     mor = catalog.restriction_morphism(group, (0, 4, 8, 12), ctx, source=host, target=c_klein)
     # a cocycle that lives on, as a catalog one does: its back twists are
-    # made by a fresh cocycle each time, which shares its sigma_inv
+    # made by a fresh inverse cocycle each time
     kept = induce(klein_fourier, mor, ctx)
     held = []
     for _ in range(6):
@@ -245,8 +235,25 @@ def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
         assert roundtrip(host, kept, ctx)["passed"]
         del sigma
         gc.collect()
-        held.append((len(linalg._DERIVED), sum(map(len, linalg._DERIVED.values()))))
-    assert held == held[:1] * 6
+        held.append(_over(host._coalgebra))
+    # of every algebra over the host's coalgebra, only the host and the kept
+    # cocycle's twist are alive
+    (kept_twist, _) = kept._twist
+    assert all(len(alive) == 2 for alive in held)
+    assert all({id(a) for a in alive} == {id(host), id(kept_twist)} for alive in held)
+
+
+def test_a_twist_reads_the_center_of_the_dual_its_host_found(ctx, svd_calls):
+    _, host, sigma = next(_ladder(ctx))
+    tw = twist_algebra(host, sigma, ctx)
+    assert tw.twisted._coalgebra is host._coalgebra
+    n = host.dim
+    decompose(host, haar_state(host, ctx), ctx)
+    assert (n * n, n) in svd_calls
+    svd_calls.clear()
+    twisted = decompose(tw.twisted, haar_state(tw.twisted, ctx), ctx)
+    assert (n * n, n) not in svd_calls
+    assert twisted.dimensions == (1, 1, 1, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,10 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
     object is built once per run; a regular corep computes the Haar state
     it needs."""
     ctx = ScalarContext(seed=7)
+    # a fresh catalog: its cocycles hold their twists, and its hosts their
+    # coalgebra records, for as long as the catalog holds them
+    for memo in ("_groups", "_algebras", "_cocycles", "_scenes"):
+        monkeypatch.setattr(catalog, memo, {})
     for name in catalog.host_names():
         catalog.algebra(name)
     for name in catalog.cocycle_names():
