@@ -10,6 +10,7 @@ separators), so identical inputs and seeds produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -36,6 +37,7 @@ from .serialize import (
     morphism_from_doc,
     parse_document,
     peterweyl_to_doc,
+    text_hash,
     triple_from_doc,
     triple_to_doc,
     twist_transcript_to_doc,
@@ -163,11 +165,11 @@ def _cmd_twist(args, ctx: ScalarContext) -> int:
     host = _load_algebra(args.host)
     sigma = _load_cocycle(args.cocycle, host, ctx)
     tw = twist_algebra(host, sigma, ctx)
-    doc = {
-        "transcript": twist_transcript_to_doc(tw),
-        "twisted": algebra_to_doc(tw.twisted),
-    }
-    _emit(args, doc)
+    # the twisted host is encoded once: its hash is read off the text written
+    twisted = canonical_dumps(algebra_to_doc(tw.twisted))
+    transcript = canonical_dumps(twist_transcript_to_doc(tw, text_hash([twisted])))
+    # the canonical text of {"transcript": ..., "twisted": ...}
+    _emit(args, f'{{"transcript":{transcript},"twisted":{twisted}}}\n')
     return 0 if tw.transcript.passed else 1
 
 
@@ -392,4 +394,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # the import-time heap moves to the permanent generation, so the
+    # collections at interpreter exit skip what the OS takes back anyway
+    gc.freeze()
+    sys.exit(code)

@@ -15,6 +15,7 @@ too large to write out is summed over the nonzero entries only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,9 @@ def convolve2_terms(host: FiniteHopfStarAlgebra, x, y) -> Terms:
     ).whole()
 
 
-def twisted_product(host: FiniteHopfStarAlgebra, sig: Array, sig_inv: Array) -> Array:
+def twisted_product(
+    host: FiniteHopfStarAlgebra, sig: Array | Terms, sig_inv: Array | Terms
+) -> Array:
     """The twisted product m_sigma = sigma * m * sigma^-1, convolved on the
     tensor square: with d3[i, a, b, c] the (e_a (x) e_b (x) e_c)-coefficient
     of (id (x) Delta) Delta(e_i) it is
@@ -127,6 +130,25 @@ class DualCocycle:
         object.__setattr__(self, "sigma_inv", freeze(inv))
         object.__setattr__(self, "inverse_residual", resid)
 
+    @cached_property
+    def _sigma_terms(self) -> Terms:
+        """The terms of sigma, read on first use and held with the keyed
+        tables of their joins while the cocycle lives; the inverse cocycle
+        made by _inverse_on holds its source's terms of sigma_inv."""
+        return Terms.of(self.sigma)
+
+    @cached_property
+    def _sigma_inv_terms(self) -> Terms:
+        """The terms of sigma_inv, held as those of sigma are."""
+        return Terms.of(self.sigma_inv)
+
+    def _inverse_on(self, twisted: FiniteHopfStarAlgebra, ctx: ScalarContext) -> DualCocycle:
+        """sigma^-1 as a cocycle on twisted, the twist of the host by this
+        cocycle, holding these terms of sigma_inv as those of its sigma."""
+        inverse = DualCocycle(twisted, self.sigma_inv, ctx=ctx)
+        inverse.__dict__["_sigma_terms"] = self._sigma_inv_terms
+        return inverse
+
 
 def trivial_cocycle(host: FiniteHopfStarAlgebra) -> DualCocycle:
     return DualCocycle(host, identity2(host))
@@ -141,7 +163,8 @@ def verify_cocycle(
     checks = [("inverse-two-sided", cocycle.inverse_residual)]
 
     # both sides share p[j, k, t] = sigma(e_j(1), e_k(1)) (e_j(2) e_k(2))_t
-    s, p = Terms.of(sig), convolve2_terms(host, sig, host._terms["mul"])
+    s = cocycle._sigma_terms
+    p = convolve2_terms(host, s, host._terms["mul"])
     lhs, rhs = Chain(s, ("at,bct->abc", p)), Chain(p, ("abt,tc->abc", s))
     checks.append(("cocycle-identity", identity_gap(lhs, rhs)))
 

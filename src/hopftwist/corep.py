@@ -62,10 +62,23 @@ class UnitaryCorep:
         object.__setattr__(self, "u_star", star.reshape(arr.shape))
 
     @cached_property
-    def _terms(self) -> dict[str, Terms]:
-        """The terms of u and u_star, read on first use and held with the
-        keyed tables of their joins while the corep lives."""
-        return {"u": Terms.of(self.u), "u_star": Terms.of(self.u_star)}
+    def _u_terms(self) -> Terms:
+        """The terms of u, read on first use and held with the keyed tables
+        of their joins while the corep lives; a corep made by _over holds
+        its source's."""
+        return Terms.of(self.u)
+
+    @cached_property
+    def _u_star_terms(self) -> Terms:
+        """The terms of u_star, held as those of u are."""
+        return Terms.of(self.u_star)
+
+    def _over(self, host: FiniteHopfStarAlgebra) -> UnitaryCorep:
+        """The same matrix of elements read over host, holding these terms
+        of u; its u_star is taken with host's star, so its terms are its own."""
+        other = UnitaryCorep(host, self.hdim, self.u)
+        other.__dict__["_u_terms"] = self._u_terms
+        return other
 
 
 def _operators(corep: UnitaryCorep, t) -> Array:
@@ -101,11 +114,11 @@ class _FusedAdjoint:
             raise DimensionMismatch(
                 f"functionals have shape {rho.shape}, expected ({corep.host.dim}, ...)"
             )
-        self.u, self.transposed = corep._terms["u"], transposed
+        self.u, self.transposed = corep._u_terms, transposed
         # u*[j, l, b] meets the image at l, or at j when transposed
         spec = "abf,ljb->alfj" if transposed else "abf,jlb->alfj"
         mr = mul if rho is None else mul.array @ rho
-        self.z = Chain(mr, (spec, corep._terms["u_star"])).whole()
+        self.z = Chain(mr, (spec, corep._u_star_terms)).whole()
         uk = "kia" if transposed else "ika"
         self.steps = ((f"skl,{uk}->sila", self.u), ("sila,alfj->sfij", self.z))
 
@@ -192,7 +205,7 @@ def verify_corep(
     a chain compared one run of i at a time (_linalg.identity_gap).  A
     non-finite entry reads as a non-finite residual, without a warning."""
     a, m, c = corep.host, corep.host._terms["mul"], corep.host._coalgebra.comul
-    u, ustar = corep._terms["u"], corep._terms["u_star"]
+    u, ustar = corep._u_terms, corep._u_star_terms
     eye = np.eye(corep.hdim)
     # sum_k u_ik u*_jk = delta_ij 1 and sum_k u*_ki u_kj = delta_ij 1, each
     # side [i, j, c]
@@ -220,7 +233,7 @@ def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
         raise DimensionMismatch(
             f"functional coefficients have shape {coeffs.shape}, expected (..., {corep.host.dim})"
         )
-    return corep._terms["u"].apply(coeffs, 1)
+    return corep._u_terms.apply(coeffs, 1)
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:

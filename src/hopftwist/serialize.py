@@ -16,7 +16,7 @@ nested list of an n-dimensional host's product.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -158,12 +158,18 @@ def canonical_dumps(doc: dict) -> str:
 
 
 def document_hash(doc: dict) -> str:
+    return text_hash(canonical_chunks(doc))
+
+
+def text_hash(chunks: Iterable[str]) -> str:
+    """The SHA-256 hex digest of the UTF-8 text that chunks join to; of a
+    document's canonical text, that is its hash."""
     # imported here: hashlib loads OpenSSL, which a process that never hashes
     # need not load
     import hashlib
 
     digest = hashlib.sha256()
-    for chunk in canonical_chunks(doc):
+    for chunk in chunks:
         digest.update(chunk.encode("utf-8"))
     return digest.hexdigest()
 
@@ -339,14 +345,15 @@ def peterweyl_to_doc(pw: PeterWeylData) -> dict:
     }
 
 
-def twist_transcript_to_doc(tw: TwistResult) -> dict:
+def twist_transcript_to_doc(tw: TwistResult, twisted_hash: str | None = None) -> dict:
     """Each distinct host is hashed once: twist_algebra twists the host its
-    cocycle lives on, so the cocycle's document reuses the original's hash."""
+    cocycle lives on, so the cocycle's document reuses the original's hash.
+    A caller that has the twisted host's canonical text passes its hash."""
     original = host_hash(tw.original)
     return {
         "format": TWIST_TRANSCRIPT_FORMAT,
         "original": original,
-        "twisted": host_hash(tw.twisted),
+        "twisted": twisted_hash or host_hash(tw.twisted),
         "cocycle": document_hash(_cocycle_doc(tw.cocycle, original)),
         "report": axiom_report_to_doc(tw.transcript),
         "w": tw.w.coeffs,

@@ -72,7 +72,7 @@ def twist_algebra(
     v, v_inv = _v_from_w(w, w_inv, ctx)
 
     if cocycle._twist is None:
-        mul = twisted_product(a, cocycle.sigma, cocycle.sigma_inv)
+        mul = twisted_product(a, cocycle._sigma_terms, cocycle._sigma_inv_terms)
         # no one else holds this array: frozen in place, it is taken by the
         # twisted algebra without a copy when it owns its memory
         mul.flags.writeable = False
@@ -128,7 +128,7 @@ def _twist_back(
     tw: TwistResult, ctx: ScalarContext = DEFAULT_CONTEXT
 ) -> tuple[TwistResult, AxiomReport]:
     """Twist the twisted algebra by sigma^{-1}, once that passes as a cocycle there."""
-    inverse_cocycle = DualCocycle(tw.twisted, tw.cocycle.sigma_inv, ctx=ctx)
+    inverse_cocycle = tw.cocycle._inverse_on(tw.twisted, ctx)
     inverse_report = verify_cocycle(inverse_cocycle, ctx, subject="inverse-cocycle").require(
         TheoremViolation, "inverse fails cocycle checks on the twisted algebra"
     )
@@ -180,7 +180,7 @@ def _corep_sigma(corep: UnitaryCorep, tw: TwistResult) -> UnitaryCorep:
     """The same matrix of elements read over the twisted algebra."""
     if tw.original is not corep.host:
         raise HostMismatch("twist transcript belongs to a different host")
-    return UnitaryCorep(tw.twisted, corep.hdim, corep.u)
+    return corep._over(tw.twisted)
 
 
 def twist_corep(

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -5,9 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from hopftwist import catalog
+from hopftwist import catalog, cli, serialize
 from hopftwist.cli import run
-from hopftwist.serialize import algebra_from_doc, parse_document
+from hopftwist.serialize import (
+    algebra_from_doc,
+    algebra_to_doc,
+    canonical_dumps,
+    host_hash,
+    parse_document,
+    twist_transcript_to_doc,
+)
 
 
 def _capture(capsys):
@@ -307,6 +315,79 @@ def test_twist_subcommand_emits_transcript_and_algebra(capsys):
     assert doc["transcript"]["report"]["passed"] is True
     twisted = algebra_from_doc(doc["twisted"])
     assert twisted.dim == 8
+
+
+@pytest.mark.parametrize(
+    "host, cocycle", (("c-d4", "klein-induced"), ("g-z4z4", "order4-bicharacter"))
+)
+def test_twist_encodes_the_twisted_host_once(host, cocycle, monkeypatch, capsys):
+    twists, starts = [], []
+    twist_algebra, encode = cli.twist_algebra, serialize.encode_array
+    monkeypatch.setattr(
+        cli, "twist_algebra", lambda *a: twists.append(twist_algebra(*a)) or twists[-1]
+    )
+
+    def recorded(a):
+        # a large array is encoded in runs of leading slices: one encoding of
+        # it is one run at its first entry
+        if isinstance(a, np.ndarray):
+            starts.append(a.ctypes.data)
+        return encode(a)
+
+    monkeypatch.setattr(serialize, "encode_array", recorded)
+    assert run(["twist", "--host", host, "--cocycle", cocycle]) == 0
+    out, _ = _capture(capsys)
+    (tw,) = twists
+    assert starts.count(tw.twisted.mul.ctypes.data) == 1
+    # the bytes of the document made whole, the hash being that of the host
+    doc = {"transcript": twist_transcript_to_doc(tw), "twisted": algebra_to_doc(tw.twisted)}
+    assert out == canonical_dumps(doc) + "\n"
+    assert json.loads(out)["transcript"]["twisted"] == host_hash(tw.twisted)
+
+
+@pytest.mark.parametrize("code", (0, 1, 2))
+def test_main_exits_with_the_code_of_run_and_freezes_once_after_it(code, monkeypatch):
+    # both patched, so the test process's heap is never frozen
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "run", lambda argv=None: events.append("run") or code)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert events == ["run", "freeze"]
+
+
+def test_run_leaves_the_collector_alone(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(1))
+    codes = [
+        run(["catalog", "list"]),
+        run(["haar", "nosuch"]),
+        run(["--tolerance", "1e-18", "haar", "c-s3"]),
+        run(["twist", "--host", "c-d4", "--cocycle", "klein-induced"]),
+    ]
+    _capture(capsys)
+    assert codes == [0, 2, 1, 0]
+    assert frozen == [] and gc.isenabled()
+
+
+def test_the_frozen_exit_writes_every_byte_and_keeps_the_exit_codes(tmp_path):
+    def command(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hopftwist", *argv], capture_output=True, timeout=120
+        )
+
+    twist = ["twist", "--host", "c-d4", "--cocycle", "klein-induced"]
+    target = tmp_path / "twist.json"
+    written, printed = command(*twist, "--out", str(target)), command(*twist)
+    assert written.returncode == printed.returncode == 0
+    assert written.stdout == b""
+    assert target.read_bytes() == printed.stdout
+    assert printed.stdout.endswith(b"}\n")
+    unknown = command("haar", "nosuch")
+    assert unknown.returncode == 2 and unknown.stderr.startswith(b"error:")
+    strict = command("--tolerance", "1e-18", "haar", "c-s3")
+    assert strict.returncode == 1 and strict.stderr.startswith(b"check failed:")
 
 
 def test_deform_triple_accepts_a_scene_name(capsys):

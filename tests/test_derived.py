@@ -3,7 +3,10 @@ the Peter-Weyl blocks taken as stacks.
 
 An algebra holds the terms of its tensors and a coalgebra record (the
 coproduct's terms, the coalgebra residuals and the dual's center), a corep
-the terms of its matrix, and a cocycle its twist; each goes with its owner.
+the terms of its matrix, and a cocycle its twist and the terms of sigma and
+its inverse; each goes with its owner.  A twisted corep holds its source's
+terms of u, and the inverse cocycle of a round trip its source's terms of
+sigma_inv, the same arrays.
 The twist ladder's hosts keep their coproduct, unit and counit through
 every twist, and a twisted algebra is handed its host's coalgebra record,
 so the coalgebra identities are checked once per host and the dual's center
@@ -14,6 +17,8 @@ computation they replaced, kept below.
 
 import dataclasses
 import gc
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -35,14 +40,17 @@ from hopftwist import (
     haar_state,
     induce,
     klein_four_group,
+    regular_corep,
     roundtrip,
     twist,
     twist_algebra,
+    twist_corep,
     verify_hopf_axioms,
 )
 from hopftwist import _linalg as linalg
 from hopftwist._linalg import Terms
 from hopftwist.core import FiniteHopfStarAlgebra
+from hopftwist.corep import UnitaryCorep
 from hopftwist.errors import BlockMismatch
 
 COALGEBRA_CHECKS = ("coassociativity", "counit-law", "coproduct-unital")
@@ -241,6 +249,55 @@ def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
     (kept_twist, _) = kept._twist
     assert all(len(alive) == 2 for alive in held)
     assert all({id(a) for a in alive} == {id(host), id(kept_twist)} for alive in held)
+
+
+def test_a_twisted_corep_holds_the_terms_of_its_source_u(ctx):
+    host = catalog.algebra("c-d4")
+    tw = twist_algebra(host, catalog.cocycle("klein-induced", ctx), ctx)
+    corep = regular_corep(host, ctx)
+    first, second = twist._corep_sigma(corep, tw), twist._corep_sigma(corep, tw)
+    assert first.host is second.host is tw.twisted
+    assert first.u is corep.u and first._u_terms is second._u_terms is corep._u_terms
+    # u_star is taken with the twisted star, so its terms are each corep's own
+    assert first._u_star_terms is not corep._u_star_terms
+    assert first._u_star_terms is not second._u_star_terms
+    assert np.array_equal(first.u_star, UnitaryCorep(tw.twisted, corep.hdim, corep.u).u_star)
+    assert twist_corep(corep, tw, ctx)[1].passed
+
+
+def test_the_inverse_cocycle_holds_the_terms_of_sigma_inv(ctx):
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    host = group_algebra(group)
+    sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
+    result = roundtrip(host, sigma, ctx)
+    inverse = result["back"].cocycle
+    assert result["passed"] and inverse.host is twist_algebra(host, sigma, ctx).twisted
+    assert inverse.sigma is sigma.sigma_inv
+    assert inverse._sigma_terms is sigma._sigma_inv_terms
+    # its own inverse is found on the twisted algebra, so its terms are its own
+    assert inverse._sigma_inv_terms is not sigma._sigma_terms
+
+
+def test_the_paper_suite_reads_each_held_tensor_once():
+    # Terms reads the nonzero entries of an array by one np.flatnonzero; a
+    # fresh process, so that no catalog object is warm.  A twisted corep
+    # that reads the terms of u afresh, or an inverse cocycle those of its
+    # sigma, makes more than 490
+    script = (
+        "import contextlib, io\n"
+        "import numpy as np\n"
+        "calls, read = [], np.flatnonzero\n"
+        "np.flatnonzero = lambda *a, **k: calls.append(1) or read(*a, **k)\n"
+        "from hopftwist.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['verify', '--suite', 'paper', '--seed', '7'])\n"
+        "print(code, len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    code, reads = map(int, proc.stdout.split())
+    assert code == 0 and reads <= 490, proc.stderr
 
 
 def test_a_twist_reads_the_center_of_the_dual_its_host_found(ctx, svd_calls):
