@@ -1,4 +1,4 @@
-"""Small linear-algebra helpers used across modules: max norms, kernels,
+"""Small linear-algebra helpers used across modules: max norms,
 orthonormal extension of a row span, and sparse tensors held as terms
 (Terms), with Join, the one contraction over their nonzero entries, and
 Chain, a contraction of several steps formed run by run, densely or by joins
@@ -42,19 +42,6 @@ def max_abs(x, lead: tuple[int, ...] = ()) -> float | np.ndarray:
     if not lead:
         return float(a.max(initial=0.0))
     return a.max(axis=tuple(range(len(lead), a.ndim)), initial=0.0)
-
-
-def nullspace(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    # a tall or square m has all cols right singular vectors in the thin SVD;
-    # only a wide m needs the full vh to reach its kernel
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
 
 
 class Terms:

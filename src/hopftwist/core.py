@@ -136,9 +136,9 @@ class FiniteHopfStarAlgebra:
 
     @cached_property
     def _coalgebra(self) -> _Coalgebra:
-        """What is derived from comul, unit and counit alone, made on first
-        use unless a twist is handed its host's (_share_coalgebra)."""
-        return _Coalgebra(self.comul, self.unit, self.counit)
+        """The coalgebra record (_Coalgebra), made on first use unless a
+        twist is handed its host's (_share_coalgebra)."""
+        return _Coalgebra(self)
 
     def _share_coalgebra(self, host: FiniteHopfStarAlgebra) -> None:
         """Hold host's coalgebra record; this algebra was made with host's
@@ -241,14 +241,16 @@ class AxiomReport:
 
 
 class _Coalgebra:
-    """What an algebra derives from its coproduct, unit and counit alone: the
-    coproduct's terms, the residuals of the coalgebra identities and the
-    dual's center (peterweyl._center).  A twist keeps all three tensors, so
-    twist_algebra hands the host's record to the twisted algebra."""
+    """What an algebra derives from its coproduct, unit and counit, and the
+    projection of the dual onto its center (peterweyl._center).  A twist
+    keeps the coproduct, unit and counit, and with them the dual's center,
+    so twist_algebra hands the host's record to the twisted algebra.  The
+    projection is formed from the product and antipode of the algebra that
+    made the record, so it is the same bytes whichever algebra asks first."""
 
-    def __init__(self, comul: Array, unit: Array, counit: Array):
-        self.comul, self.unit, self.counit = Terms.of(comul), unit, counit
-        self.center: Array | None = None
+    def __init__(self, a: FiniteHopfStarAlgebra):
+        self.comul, self.unit, self.counit = Terms.of(a.comul), a.unit, a.counit
+        self.mul, self.antipode, self.center = a.mul, a.antipode, None
 
     @cached_property
     def residuals(self) -> dict[str, float]:

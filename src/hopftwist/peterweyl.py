@@ -9,8 +9,9 @@ element is a Hermitian matrix whose eigenspaces are the isotypic components,
 and a random self-adjoint element cut down to one component has eigenspaces
 that give its minimal projections.  Each projection is read back as a dual
 element by the counit law, so no solve or polynomial in the random element
-enters.  Randomness comes only from the seeded context, so results are
-reproducible.
+enters.  The central element is a random element projected onto the center
+by the adjoint action of the Haar state, the dual's integral (_center).
+Randomness comes only from the seeded context, so results are reproducible.
 The blocks of one dimension are refined and checked as stacks, each product
 shaped as for one block, so that a block is the same bytes in any stack.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import batches, max_abs, nullspace, uniform, worst
+from ._linalg import Chain, batches, max_abs, uniform, worst
 from .core import (
     DEFAULT_CONTEXT,
     DualFunctional,
@@ -52,11 +53,16 @@ def haar_state(algebra: FiniteHopfStarAlgebra, ctx: ScalarContext = DEFAULT_CONT
     representation.  A finite compact quantum group is of Kac type, and this
     trace is its Haar state (R. G. Larson, "Characters of Hopf algebras",
     J. Algebra 17, 1971); the invariance residual accepts it."""
-    state = HaarState(algebra, np.einsum("ijj->i", algebra.mul) / algebra.dim)
+    state = HaarState(algebra, _trace_state(algebra.mul))
     resid = haar_invariance_residual(state)
     if not ctx.close(resid):
         raise NotErgodic(f"invariance residual {resid:.3g} after normalization")
     return state
+
+
+def _trace_state(mul: Array) -> Array:
+    """Tr(L_a) / n on each basis element a, for the product tensor mul."""
+    return np.einsum("ijj->i", mul) / len(mul)
 
 
 def haar_invariance_residual(h: HaarState) -> float:
@@ -113,16 +119,17 @@ class PeterWeylData:
 
 
 def _center(algebra: FiniteHopfStarAlgebra) -> Array:
-    """Orthonormal columns spanning the z of the dual with z e_k = e_k z for
-    every k.  The dual's product is algebra's coproduct, which a twist
-    keeps, so it is found once and held by the coalgebra record that the
-    algebra shares with its twists."""
+    """P[m, k], the projection x -> h_(1) x S(h_(2)) of the dual onto its
+    center at the k-th dual basis element x, for h the trace state, the
+    dual's normalized integral (Larson & Radford, Amer. J. Math. 110, 1988);
+    trace(P) counts the blocks.  Formed once per coalgebra record, which a
+    twist shares with its host (core._Coalgebra)."""
     record = algebra._coalgebra
     if record.center is None:
-        hat = dual(algebra)
-        n = hat.dim
-        commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [j, k, i]
-        record.center = nullspace(commutator.transpose(2, 1, 0).reshape(n * n, n))
+        hat = dual(algebra).mul
+        form = record.mul @ _trace_state(record.mul)  # h(e_i e_j), the dual's coproduct of h
+        record.center = Chain(hat.transpose(1, 0, 2), ("kip,ij->kjp", form),
+                              ("kjp,qj->kpq", record.antipode.T), ("kpq,pqm->km", hat)).array().T
         record.center.flags.writeable = False
     return record.center
 
@@ -208,12 +215,15 @@ def _split_center(hat: FiniteHopfStarAlgebra, center: Array, frame: tuple[Array,
                   ctx: ScalarContext, rng: random.Random) -> tuple[list[int], Array, list[Array]]:
     """The dimension, central idempotent (a row of a (K, n) stack) and
     isotypic basis in the state frame of each block, from the eigenvectors
-    of a random central element of hat, whose center has the orthonormal
-    columns center; drawn again up to MAX_RETRIES times."""
-    k, n = center.shape[1], hat.dim
+    of a random central element of hat, the projection center (_center) of
+    a random element; drawn again up to MAX_RETRIES times."""
+    n, count = hat.dim, complex(np.trace(center))
+    k = int(np.rint(count.real)) if abs(count - np.rint(count.real)) <= ctx.loose_tolerance else 0
+    if k < 1:
+        raise DecompositionError(f"central projection has trace {count:.6g}, not a block count")
     for _ in range(MAX_RETRIES):
         # a random self-adjoint central element
-        z = center @ uniform(rng, (k,), np.complex128)
+        z = center @ uniform(rng, (n,), np.complex128)
         z = 0.5 * (z + hat.star_of(z))
         vecs, bounds, (error,) = _eigen_split(_in_frame(hat, frame, z)[None], k)
         groups = [vecs[0][:, lo:hi] for lo, hi in zip(bounds[0], bounds[0][1:])]

@@ -22,8 +22,10 @@ from hopftwist import (
     peterweyl,
     symmetric_group_3,
     twist_algebra,
+    verify_cocycle,
 )
-from hopftwist._linalg import nullspace, uniform
+from hopftwist._linalg import uniform
+from hopftwist.cocycle import DualCocycle
 from hopftwist.core import DualFunctional, dual
 from hopftwist.errors import DecompositionError, NotErgodic
 from hopftwist.peterweyl import (
@@ -38,6 +40,7 @@ from hopftwist.peterweyl import (
     gram_matrix,
     haar_invariance_residual,
 )
+from hopftwist.serialize import canonical_dumps, peterweyl_to_doc
 
 HOSTS = catalog.host_names()
 
@@ -91,8 +94,15 @@ def _reference_haar_coeffs(a):
         for j in range(n):
             m1[i * n + j, i] -= a.unit[j]
             m2[i * n + j, i] -= a.unit[j]
-    h = nullspace(np.vstack([m1, m2]))[:, 0]
+    h = _kernel(np.vstack([m1, m2]))[:, 0]
     return h / complex(np.dot(h, a.unit))
+
+
+def _kernel(m):
+    """Orthonormal columns spanning the kernel of a tall m, from its SVD at
+    a relative cutoff of 1e-10 on the singular values."""
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh[int(np.sum(s > 1e-10 * s[0])):].conj().T
 
 
 @pytest.mark.parametrize("name", ("c-s3", "c-d4", "g-d4", "g-z4z4"))
@@ -282,8 +292,8 @@ def _dihedral_irrep_dims(m):
     return [1] * ones + [2] * ((2 * m - ones) // 4)
 
 
-def _klein_induced(m):
-    """C(D_m) twisted by the Klein bicharacter pulled back along the
+def _klein_induced_cocycle(m):
+    """The Klein bicharacter on a fresh C(D_m), pulled back along the
     restriction to {e, r^(m/2), s, r^(m/2) s}."""
     group, klein = dihedral_group(m), klein_four_group()
     host, c_klein = function_algebra(group), function_algebra(klein)
@@ -293,7 +303,13 @@ def _klein_induced(m):
     mor = catalog.restriction_morphism(
         group, (0, m // 2, m, m + m // 2), source=host, target=c_klein
     )
-    return twist_algebra(host, induce(sigma, mor)).twisted
+    return induce(sigma, mor)
+
+
+def _klein_induced(m):
+    """C(D_m) twisted by _klein_induced_cocycle(m)."""
+    sigma = _klein_induced_cocycle(m)
+    return twist_algebra(sigma.host, sigma).twisted
 
 
 def _z4z4_twisted(kind):
@@ -372,6 +388,113 @@ def test_warm_decomposition_at_dimension_128_peaks_under_8_mib():
         tracemalloc.stop()
     assert sorted(pw.dimensions) == _dihedral_irrep_dims(64)
     assert peak < 8 * 2**20
+
+
+# ------------------------------------------------------ central projection
+
+PROJECTION_HOSTS = ("c-s3", "g-d4", "c-d4", "C(D16)", "C(S3xS3)", "C(D8) twisted")
+
+
+def _host(name):
+    return catalog.algebra(name) if name in HOSTS else SWEEP_HOSTS[name][0]()
+
+
+@pytest.mark.parametrize("name", PROJECTION_HOSTS)
+def test_the_central_projection_projects_onto_the_commutator_kernel(name, ctx):
+    host = _host(name)
+    hat, p = dual(host), _center(host)
+    n = host.dim
+    blocks = len(decompose(host, haar_state(host, ctx), ctx).blocks)
+    assert np.abs(p @ p - p).max() <= 1e-13
+    assert abs(np.trace(p) - blocks) <= 1e-12
+    # z e_j - e_j z for each image z of P and each dual basis element e_j
+    commutator = hat.mul - hat.mul.transpose(1, 0, 2)  # [i, j, m]
+    assert np.abs(np.tensordot(p, commutator, axes=([0], [0]))).max() <= 1e-13
+    # the kernel of the commutator system, as the center was once found
+    kernel = _kernel(commutator.transpose(2, 1, 0).reshape(n * n, n))
+    assert kernel.shape[1] == blocks
+    assert np.abs(p @ kernel - kernel).max() <= 1e-13
+    assert np.abs(p - kernel @ (kernel.conj().T @ p)).max() <= 1e-13
+
+
+def test_a_twist_forms_the_central_projection_of_its_host(ctx):
+    # the dual's center, and its projection, depend on the dual's product
+    # alone; a twist reads its host's, and an algebra over the twisted
+    # tensors that holds a record of its own forms the same to rounding
+    twisted = _host("C(D8) twisted")
+    own = dataclasses.replace(twisted)
+    assert own._coalgebra is not twisted._coalgebra
+    assert np.abs(_center(own) - _center(twisted)).max() <= 1e-14
+
+
+def _gauged(sigma, ctx):
+    """sigma^gamma = (gamma x gamma) sigma Delta(gamma^-1), a dense cocycle
+    cohomologous to sigma on C(D4), for gamma the product of the dual's
+    unitaries (1 + i g) / sqrt(2) over the involutions g of D4, scaled to
+    gamma(1) = 1."""
+    host = sigma.host
+    hat, comul = dual(host), host.comul
+    gamma = hat.unit
+    for g in (2, 4, 5, 6, 7):
+        gamma = hat.product(gamma, (hat.unit + 1j * np.eye(host.dim)[g]) / np.sqrt(2))
+    gamma = gamma / np.dot(gamma, host.unit)
+
+    def convolve(x, y):  # of functionals on H (x) H
+        return np.einsum("ipq,jrs,pr,qs->ij", comul, comul, x, y)
+
+    dense = convolve(convolve(np.outer(gamma, gamma), sigma.sigma), host.mul @ hat.star_of(gamma))
+    return DualCocycle(host, dense, ctx)
+
+
+def test_a_twist_decomposes_to_the_same_bytes_whether_or_not_its_host_went_first(ctx):
+    # a dense cocycle moves the twisted product by rounding, so a projection
+    # formed from the twisted product would differ from the host's in the
+    # last bits; the shared record forms it from the host's either way
+    got = []
+    for host_first in (True, False):
+        sigma = _gauged(_klein_induced_cocycle(4), ctx)
+        assert verify_cocycle(sigma, ctx).passed
+        host, twisted = sigma.host, twist_algebra(sigma.host, sigma, ctx).twisted
+        if host_first:
+            decompose(host, haar_state(host, ctx), ctx)
+        pw = decompose(twisted, haar_state(twisted, ctx), ctx)
+        got.append(canonical_dumps(peterweyl_to_doc(pw)))
+    assert got[0] == got[1]
+
+
+def test_a_trace_that_counts_no_blocks_is_rejected(ctx):
+    host = catalog.algebra("c-s3")
+    hat, p = dual(host), _center(host)
+    frame = _gns_frame(host, haar_state(host, ctx), ctx)
+    for bad in (0.5 * p, 0 * p, p + 1e-3 * np.eye(host.dim)):
+        with pytest.raises(DecompositionError, match="central projection has trace"):
+            _split_center(hat, bad, frame, ctx, ctx.rng())
+
+
+def test_decompose_after_a_state_that_is_not_invariant_equals_a_fresh_hosts(ctx):
+    def build():
+        return function_algebra(symmetric_group_3())
+
+    host = build()
+    h = haar_state(host, ctx)
+    # phi(x) = h(b* x b) for an invertible b: faithful, and not invariant
+    b = host.unit + 0.3 * np.arange(host.dim) / host.dim
+    phi = peterweyl.HaarState(host, np.array(
+        [h(host.product(host.product(host.star_of(b), e), b)) for e in np.eye(host.dim)]
+    ))
+    phi = peterweyl.HaarState(host, phi.coeffs / phi(host.unit))
+    assert haar_invariance_residual(phi) > 1e-3
+    try:
+        decompose(host, phi, ctx)
+    except DecompositionError:
+        pass
+    assert host._coalgebra.center is not None
+    fresh = build()
+    got, want = (
+        canonical_dumps(peterweyl_to_doc(decompose(a, haar_state(a, ctx), ctx)))
+        for a in (host, fresh)
+    )
+    assert got == want
 
 
 # ------------------------------------------------- block-at-a-time reference
