@@ -150,26 +150,6 @@ class Terms:
             return self[lead].dense()
         return self.array[lead] if self._source is None else np.conj(self.array[lead])
 
-    def apply(self, t: np.ndarray, k: int) -> np.ndarray:
-        """The summed terms as a map from their last k axes to the others,
-        applied to the stack t, whose last k axes are the inputs:
-        out[..., o] = sum_i self[o, i] t[..., i]."""
-        split = len(self.shape) - k
-        inner = math.prod(self.shape[split:])
-        rows, cols = np.divmod(self.keys, inner)
-        lead = t.shape[: t.ndim - k]
-        out = np.zeros(lead + (math.prod(self.shape[:split]),), dtype=np.complex128)
-        if rows.size:
-            # each run of terms on one output index, that index kept once
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            rows = rows[starts]
-            # the gathered inputs are multiplied in place, so no second
-            # array of their size is formed
-            terms = t.reshape(lead + (inner,))[..., cols].astype(np.complex128, copy=False)
-            terms *= self.values
-            out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
-        return out.reshape(lead + self.shape[:split])
-
 
 class Join:
     """The terms of the einsum contraction spec of x and y, two dense arrays

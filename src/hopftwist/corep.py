@@ -32,7 +32,7 @@ from .core import (
     freeze,
 )
 from .errors import DecompositionError, DimensionMismatch, HostMismatch
-from .peterweyl import PeterWeylData, gram_matrix, haar_state
+from .peterweyl import PeterWeylData, _gns_frame, gram_matrix, haar_state
 
 Array = np.ndarray
 
@@ -184,15 +184,12 @@ def regular_corep(
 ) -> UnitaryCorep:
     """The coproduct viewed as a corep on the state space of the Haar state."""
     u = host.comul.transpose(1, 0, 2)
-    gram = gram_matrix(host, haar_state(host, ctx))
-    scale = np.trace(gram) / host.dim
-    if max_abs(gram - scale * np.eye(host.dim)) > ctx.loose_tolerance:
-        # move to an orthonormal basis of the state space
-        evals, evecs = np.linalg.eigh(gram)
-        root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
-        root_inv = np.linalg.inv(root)
-        # root @ U_c @ root^-1 on every algebra leg c
-        u = (root @ u.transpose(2, 0, 1) @ root_inv).transpose(1, 2, 0)
+    h = haar_state(host, ctx)
+    gram = gram_matrix(host, h)
+    if max_abs(gram - np.trace(gram) / host.dim * np.eye(host.dim)) > ctx.loose_tolerance:
+        # s U_c s^-1 on every leg c: an orthonormal basis of the state space
+        s, s_inv = _gns_frame(host, h, ctx)
+        u = (s @ u.transpose(2, 0, 1) @ s_inv).transpose(1, 2, 0)
     return UnitaryCorep(host, host.dim, u)
 
 
@@ -226,14 +223,14 @@ def pi_u(corep: UnitaryCorep, omega: DualFunctional | Array) -> Array:
     """The dual acting on the carrier space: (id (x) omega)(U).
 
     omega is a functional or coefficients of shape (..., n); the result has
-    shape (..., N, N), summed over the nonzero entries of u.
+    shape (..., N, N), one dense product with u.
     """
     coeffs = omega.coeffs if isinstance(omega, DualFunctional) else np.asarray(omega)
     if coeffs.shape[-1:] != (corep.host.dim,):
         raise DimensionMismatch(
             f"functional coefficients have shape {coeffs.shape}, expected (..., {corep.host.dim})"
         )
-    return corep._u_terms.apply(coeffs, 1)
+    return np.tensordot(coeffs, corep.u, axes=([-1], [2]))
 
 
 def ad_v(corep: UnitaryCorep, t: Array) -> Array:

@@ -208,54 +208,53 @@ def f_matrix_relation(
     """Per-block comparison of the twisted F-matrix against a*Fa scaling.
 
     The twisted F-matrix is computed on the SAME matrix coefficients (they
-    remain a corep of the twisted algebra), so no basis relabeling enters;
-    the twisted Peter-Weyl data is used to confirm the coefficient subspaces
-    match block for block.  Each run of blocks of one dimension is taken at
-    once, as stacks.
+    remain a corep of the twisted algebra), so no basis relabeling enters.
+    A twist keeps the coproduct, so the dual keeps its product and central
+    idempotents: a block's partner is the twisted block of its dimension
+    with the nearest one, and their coefficient spans must hold each other.
+    Each run of blocks of one dimension is taken at once, as stacks.
     """
     if pw.host is not tw.original or pw_sigma.host is not tw.twisted:
         raise BlockMismatch("Peter-Weyl data does not match the twist endpoints")
     tol = ctx.loose_tolerance
-    rows, rank = _coefficient_rows(pw.blocks, tol)
-    rows_sigma, rank_sigma = _coefficient_rows(pw_sigma.blocks, tol)
-    # every pair of rows at once, then the squared overlaps summed per pair
-    # of blocks; the partner of a block is the twisted block of its
-    # dimension whose subspace overlaps most
-    overlap = rows.conj() @ rows_sigma.T
-    dims, dims_sigma = np.array(pw.dimensions), np.array(pw_sigma.dimensions)
-    first, first_sigma = (np.cumsum(d**2) - d**2 for d in (dims, dims_sigma))
-    per_pair = np.add.reduceat(np.abs(overlap) ** 2, first, axis=0)
-    per_pair = np.add.reduceat(per_pair, first_sigma, axis=1)
-    per_pair[dims[:, None] != dims_sigma[None, :]] = -1.0
-    partners = np.argmax(per_pair, axis=1)
-
+    idems = np.stack([b.central_idempotent for b in pw_sigma.blocks])
     out = []
-    for d, run in itertools.groupby(range(len(pw.blocks)), key=lambda bi: dims[bi]):
-        run = list(run)
-        # sine of the largest principal angle between each block's span and
-        # its partner's, from the overlap of their rows
-        pairs = np.stack([
-            overlap[first[bi] : first[bi] + d * d, first_sigma[p] : first_sigma[p] + d * d]
-            for bi, p in zip(run, partners[run])
-        ])
-        cosines = np.linalg.svd(pairs, compute_uv=False)
-        gaps = np.sqrt(np.maximum(0.0, 1.0 - cosines.min(axis=1) ** 2))
-        q = np.stack([pw.blocks[bi].q for bi in run])
+    for d, run in itertools.groupby(enumerate(pw.blocks), key=lambda item: item[1].dimension):
+        indices, blocks = zip(*run)
+        k = len(blocks)
+        distance = max_abs(np.stack([b.central_idempotent for b in blocks])[:, None] - idems,
+                           lead=(k, len(idems)))
+        distance[:, np.array(pw_sigma.dimensions) != d] = np.inf
+        apart = ~(distance.min(axis=1) <= tol)
+        if apart.any():
+            raise BlockMismatch(f"no twisted block of dimension {d} has the central "
+                                f"idempotent of block {indices[apart.argmax()]}")
+        partners = distance.argmin(axis=1).tolist()
+        # x -> x U^T Q, for the matrix units U of a block and its coefficients
+        # Q, their dual basis, fixes exactly the span of Q; so each span holds
+        # the other when each is fixed by the other's map
+        u, q, u_sigma, q_sigma = (
+            np.stack([getattr(b, name) for b in side]).reshape(k, d * d, -1)
+            for side in (blocks, [pw_sigma.blocks[p] for p in partners])
+            for name in ("matrix_units", "q")
+        )
+        gaps = np.maximum(max_abs(q_sigma - q_sigma @ u.swapaxes(1, 2) @ q, lead=(k,)),
+                          max_abs(q - q @ u_sigma.swapaxes(1, 2) @ q_sigma, lead=(k,)))
+        q = q.reshape(k, d, d, -1)
         f_twisted, m_twisted, errors = _f_matrices(tw.twisted, pw_sigma.haar, q, ctx)
-        for k, bi in enumerate(run):
-            b, partner = pw.blocks[bi], int(partners[bi])
-            if per_pair[bi, partner] < 0 or rank[bi] != rank_sigma[partner] or gaps[k] >= 1e-6:
+        for i, (bi, b, partner) in enumerate(zip(indices, blocks, partners)):
+            if not gaps[i] <= tol:
                 raise BlockMismatch(
                     f"no twisted block matches the coefficient subspace of block {bi}"
                 )
-            if errors[k] is not None:
-                raise DecompositionError(errors[k])
+            if errors[i] is not None:
+                raise DecompositionError(errors[i])
             a_mat = np.einsum("ijc,c->ij", b.q, tw.v.coeffs)
             target = a_mat.conj().T @ b.f_matrix @ a_mat
-            num = complex(np.vdot(target, f_twisted[k]))
+            num = complex(np.vdot(target, f_twisted[i]))
             den = complex(np.vdot(target, target))
             c_pi = (num / den).real
-            residual = max_abs(f_twisted[k] - c_pi * target)
+            residual = max_abs(f_twisted[i] - c_pi * target)
             out.append(
                 {
                     "block": bi,
@@ -263,25 +262,10 @@ def f_matrix_relation(
                     "dimension": int(d),
                     "a_matrix": a_mat,
                     "c": c_pi,
-                    "f_twisted": f_twisted[k],
-                    "m_twisted": float(m_twisted[k]),
+                    "f_twisted": f_twisted[i],
+                    "m_twisted": float(m_twisted[i]),
                     "residual": residual,
                     "passed": bool(c_pi > 0 and residual <= 1e-8),
                 }
             )
     return out
-
-
-def _coefficient_rows(blocks, tol: float) -> tuple[Array, Array]:
-    """Orthonormal rows spanning the coefficients of each block, in the
-    blocks' order, d^2 rows per block of dimension d, a direction of
-    singular value at most tol a row of zeros; and the number of rows
-    that are not, per block."""
-    rows, rank = [], []
-    for _, run in itertools.groupby(blocks, key=lambda c: c.dimension):
-        flat = np.stack([c.q.reshape(c.dimension**2, -1) for c in run])
-        _, s, vh = np.linalg.svd(flat, full_matrices=False)
-        keep = s > tol
-        rows.append((vh * keep[..., None]).reshape(-1, flat.shape[-1]))
-        rank += keep.sum(axis=1).tolist()
-    return np.concatenate(rows), np.array(rank)

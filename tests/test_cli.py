@@ -518,3 +518,81 @@ def test_deform_triple_without_generators_exits_0(tmp_path, capsys):
     assert result["spectral_dimension"] == result["generated_dimension"] == 1
     assert result["generator_blocks"] == []
     assert result["passed"] is True
+
+
+def test_haar_check_corep_and_roundtrip_pass_in_process(capsys):
+    assert run(["haar", "g-d4"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    # on a group algebra the Haar state is the counit at the identity
+    assert doc["coeffs"][0] == [1.0, 0.0] and doc["passed"] is True
+    assert doc["host"] == host_hash(catalog.algebra("g-d4"))
+    assert run(["check-corep", "--host", "c-s3"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    assert doc["subject"] == "regular-corep" and doc["passed"] is True
+    assert [name for name, _ in doc["checks"]] == [
+        "corep-law", "corep-counit", "unitarity-right", "unitarity-left"]
+    assert run(["roundtrip", "--host", "c-d4", "--cocycle", "klein-induced"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    assert doc["passed"] is True and doc["coalgebra_identical"] is True
+
+
+def test_catalog_list_text_indents_each_name_under_its_kind(capsys):
+    assert run(["catalog", "list", "--format", "text"]) == 0
+    lines = _capture(capsys)[0].splitlines()
+    want = []
+    for kind, names in (("hosts", catalog.host_names()), ("cocycles", catalog.cocycle_names()),
+                        ("triples", catalog.triple_names())):
+        want += [f"{kind}:", *(f"  {name}" for name in names)]
+    assert lines == want
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(canonical_dumps(doc))
+    return str(path)
+
+
+def test_induce_cocycle_writes_the_catalog_klein_induced_document(tmp_path, capsys, ctx):
+    mor = _write(tmp_path, "mor.json",
+                 serialize.morphism_to_doc(catalog.d4_klein_restriction(ctx)))
+    argv = ["induce-cocycle", mor, "--cocycle", "klein-fourier", "--source", "c-d4",
+            "--target", "c-z2z2"]
+    assert run(argv) == 0
+    induced = _capture(capsys)[0]
+    assert run(["catalog", "emit", "klein-induced"]) == 0
+    assert induced == _capture(capsys)[0]
+
+
+def test_a_triple_document_with_a_corep_document_deforms_as_its_scene(tmp_path, capsys, ctx):
+    corep = serialize.corep_to_doc(catalog.triple_scene("d4-regular", ctx)["corep"])
+    assert run(["catalog", "emit", "d4-regular"]) == 0
+    triple = tmp_path / "triple.json"
+    triple.write_text(_capture(capsys)[0])
+    argv = ["deform-triple", str(triple), "--host", "c-d4", "--cocycle", "klein-induced",
+            "--corep", _write(tmp_path, "corep.json", corep)]
+    assert run(argv) == 0
+    from_documents = _capture(capsys)[0]
+    assert run(["deform-triple", "d4-regular"]) == 0
+    assert from_documents == _capture(capsys)[0]
+
+
+def test_missing_or_unmatched_inputs_exit_2(tmp_path, capsys):
+    assert run(["catalog", "emit", "klein-fourier"]) == 0
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(_capture(capsys)[0])
+    assert run(["catalog", "emit", "z2z2-torus"]) == 0
+    triple = tmp_path / "triple.json"
+    triple.write_text(_capture(capsys)[0])
+    cases = {
+        "cannot read": ["check-corep", "--host", "c-s3", str(tmp_path / "missing.json")],
+        "needs --host": ["check-cocycle", str(sigma)],
+        "needs a name": ["catalog", "emit"],
+        "unknown catalog name": ["catalog", "emit", "no-such-name"],
+        "lives on 'c-d4'": ["twist", "--host", "c-s3", "--cocycle", "klein-induced"],
+        "neither a catalog cocycle": ["roundtrip", "--host", "c-s3", "--cocycle", "no-such"],
+        "needs --host and --cocycle": ["deform-triple", str(triple), "--host", "g-z2z2"],
+    }
+    for message, argv in cases.items():
+        assert run(argv) == 2, argv
+        out, err = _capture(capsys)
+        assert out == "" and err.startswith("error:") and message in err, (argv, err)

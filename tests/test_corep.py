@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from hopftwist import (
     verify_corep,
 )
 from hopftwist.corep import UnitaryCorep, ad_v, ad_v_tensor, e_map_matrix
-from hopftwist.errors import DimensionMismatch, HostMismatch
+from hopftwist.errors import DimensionMismatch, HostMismatch, NotFaithful
 
 HOSTS = catalog.host_names()
 
@@ -27,6 +29,14 @@ def test_regular_corep_is_unitary(name, ctx):
     corep = regular_corep(host, ctx)
     report = verify_corep(corep, ctx)
     assert report.passed, report.failing()
+
+
+def test_regular_corep_rejects_an_indefinite_state_space(ctx):
+    # with the star diag(1, -1) on C(Z2), h(e_i* e_j) = diag(1/2, -1/2) has
+    # no square root; the state frame refuses it
+    host = dataclasses.replace(catalog.algebra("c-z2"), star=np.diag([1.0, -1.0]))
+    with pytest.raises(NotFaithful, match="eigenvalue -0.5"):
+        regular_corep(host, ctx)
 
 
 @pytest.mark.parametrize("value", (np.inf, np.nan))

@@ -425,3 +425,78 @@ def test_a_block_whose_subspace_no_twisted_block_spans_is_rejected(ctx, rng):
     wrong = dataclasses.replace(pw_tw, blocks=tuple(blocks))
     with pytest.raises(BlockMismatch, match=f"subspace of block {bi}$"):
         f_matrix_relation(tw, pw, wrong, ctx)
+
+
+def _spanning_pairs(pw, pw_tw):
+    """For each block, the twisted block of its dimension whose coefficient
+    span overlaps its own most, by orthonormal bases of the two spans: the
+    pairing by principal angles that the central idempotents replaced."""
+    def basis(b):
+        return np.linalg.qr(b.q.reshape(b.dimension**2, -1).T)[0]
+
+    return [
+        max((k for k, c in enumerate(pw_tw.blocks) if c.dimension == b.dimension),
+            key=lambda k: np.linalg.norm(basis(b).conj().T @ basis(pw_tw.blocks[k])))
+        for b in pw.blocks
+    ]
+
+
+def _catalog_and_ladder(ctx):
+    for host_name, cocycle_name in catalog.cocycle_pairs():
+        yield cocycle_name, catalog.algebra(host_name), catalog.cocycle(cocycle_name, ctx)
+    yield from _ladder(ctx)
+
+
+def test_twisted_partners_are_found_by_central_idempotent_without_svd(ctx, svd_calls):
+    for name, host, sigma in _catalog_and_ladder(ctx):
+        tw = twist_algebra(host, sigma, ctx)
+        pw = decompose(host, haar_state(host, ctx), ctx)
+        pw_tw = decompose(tw.twisted, haar_state(tw.twisted, ctx), ctx)
+        del svd_calls[:]
+        rows = f_matrix_relation(tw, pw, pw_tw, ctx)
+        assert not svd_calls, name
+        partners = [row["twisted_block"] for row in rows]
+        assert partners == _spanning_pairs(pw, pw_tw), name
+        for b, k in zip(pw.blocks, partners):
+            gap = np.abs(b.central_idempotent - pw_tw.blocks[k].central_idempotent).max()
+            assert gap <= ctx.loose_tolerance, name
+
+
+def _corrupt(blocks, k, how):
+    """The twisted blocks with block k (of dimension 2) or, for swapped,
+    the first two one-dimensional blocks after the trivial one altered."""
+    blocks = list(blocks)
+    b = blocks[k]
+    if how == "zero":
+        blocks[k] = dataclasses.replace(b, q=np.zeros_like(b.q))
+    elif how == "rank-deficient":
+        q = np.array(b.q)
+        q[1, 1] = q[0, 0]
+        blocks[k] = dataclasses.replace(b, q=q)
+    elif how == "idempotent":
+        blocks[k] = dataclasses.replace(b, central_idempotent=b.central_idempotent + 1e-3)
+    else:
+        i, j = [i for i, c in enumerate(blocks) if c.dimension == 1][1:3]
+        blocks[i], blocks[j] = (dataclasses.replace(blocks[i], q=blocks[j].q),
+                                dataclasses.replace(blocks[j], q=blocks[i].q))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("how", ["zero", "rank-deficient", "swapped", "idempotent"])
+def test_a_twisted_block_that_does_not_match_is_rejected(how, ctx):
+    sigma = catalog.cocycle("klein-induced", ctx)
+    host = sigma.host
+    tw = twist_algebra(host, sigma, ctx)
+    pw = decompose(host, haar_state(host, ctx), ctx)
+    pw_tw = decompose(tw.twisted, haar_state(tw.twisted, ctx), ctx)
+    (k,) = [i for i, b in enumerate(pw_tw.blocks) if b.dimension == 2]
+    (bi,) = [i for i, b in enumerate(pw.blocks) if b.dimension == 2]
+    wrong = dataclasses.replace(pw_tw, blocks=_corrupt(pw_tw.blocks, k, how))
+    # a rank-deficient span lies inside the host block's, so only the
+    # second containment sees it
+    match = {
+        "idempotent": f"central idempotent of block {bi}$",
+        "swapped": r"subspace of block \d+$",
+    }.get(how, f"subspace of block {bi}$")
+    with pytest.raises(BlockMismatch, match=match):
+        f_matrix_relation(tw, pw, wrong, ctx)

@@ -6,6 +6,7 @@ and the commutator witness of check 05 takes all basis pairs at once.  The
 references below are the loops they replaced, kept verbatim.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -201,3 +202,19 @@ def test_paper_suite_solves_each_haar_state_and_twist_once(monkeypatch):
         # product is convolve2_terms
         "convolve2": 24,
     }
+
+
+def test_the_haar_check_reads_the_twisted_product(ctx):
+    # check 07 takes the twisted algebra's own trace state; scaling the
+    # twisted product scales that state, while the coproduct and unit, and
+    # with them the original's invariance residual, are untouched
+    d = _Derived(ctx)
+    sigma = d.cocycles["klein-induced"]
+    tw = d.twists[sigma]
+    d.twists[sigma] = dataclasses.replace(
+        tw, twisted=dataclasses.replace(tw.twisted, mul=2 * tw.twisted.mul)
+    )
+    (threshold,) = [t for prefix, _, t, _ in suite_module._CHECKS if prefix == "07.haar."]
+    residuals = dict(suite_module._haar(d))
+    assert residuals["klein-induced"] > threshold
+    assert all(r <= threshold for name, r in residuals.items() if name != "klein-induced")
