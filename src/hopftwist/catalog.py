@@ -110,12 +110,21 @@ def algebra(name: str) -> FiniteHopfStarAlgebra:
     raise UnknownCatalogName(f"unknown catalog host {name!r}")
 
 
+def _roots(k: Array, period: int) -> Array:
+    """exp(2 pi i k / period) for integers 0 <= k < period.  Where it is a
+    quarter turn (4k divisible by period) the entry is exactly
+    1j ** (4k / period), so the tables of 2-groups hold only +-1 and +-i."""
+    f = np.exp(2j * np.pi * k / period)
+    quarter = 4 * k % period == 0
+    f[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // period]
+    return f
+
+
 def fourier_matrix(group: FiniteGroupData) -> Array:
     """Character table of a product of cyclic groups, F[g, u] = chi_u(g).
 
-    Each phase is an integer k over the lcm L of the cyclic orders.  Where
-    it is a quarter turn (4k divisible by L) the entry is exactly
-    1j ** (4k / L), so the tables of 2-groups hold only +-1 and +-i.
+    Each phase is an integer k over the lcm L of the cyclic orders, with
+    exact quarter turns (_roots).
     """
     if group.cyclic_factors is None:
         raise InvalidMorphism("fourier matrix needs a product of cyclic groups")
@@ -124,10 +133,18 @@ def fourier_matrix(group: FiniteGroupData) -> Array:
     # digits[g] are the coordinates of g, the last factor varying fastest
     digits = np.indices(factors).reshape(len(factors), n).T
     k = digits @ (digits * (period // np.array(factors, dtype=int))).T % period
-    f = np.exp(2j * np.pi * k / period)
-    quarter = 4 * k % period == 0
-    f[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // period]
-    return f
+    return _roots(k, period)
+
+
+def bicharacter_table(group: FiniteGroupData) -> Array:
+    """beta(g, h) = zeta^(g_1 h_0) on a product of two cyclic groups, zeta
+    the primitive root of unity of the gcd of their orders, with exact
+    quarter turns (_roots): +-1 on Z2 x Z2, i^(g_1 h_0) on Z4 x Z4."""
+    if group.cyclic_factors is None or len(group.cyclic_factors) != 2:
+        raise InvalidMorphism("bicharacter table needs a product of two cyclic groups")
+    g0, g1 = np.divmod(np.arange(group.order), group.cyclic_factors[1])
+    period = math.gcd(*group.cyclic_factors)
+    return _roots(np.outer(g1, g0) % period, period)
 
 
 def fourier_transport(
@@ -189,8 +206,6 @@ def restriction_morphism(
     return mor
 
 
-_KLEIN_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 _COCYCLE_HOSTS = {
     "klein-bicharacter": "g-z2z2",
     "order4-bicharacter": "g-z4z4",
@@ -201,15 +216,6 @@ _COCYCLE_HOSTS = {
 
 # the Klein subgroup {e, r^2, s, r^2 s} of the dihedral group on 4 points
 _D4_KLEIN_INDICES = (0, 2, 4, 6)
-
-
-def _klein_bicharacter_table() -> Array:
-    return np.array(
-        [
-            [(-1.0 + 0j) ** (g[1] * h[0]) for h in _KLEIN_BITS]
-            for g in _KLEIN_BITS
-        ]
-    )
 
 
 def cocycle_names() -> tuple[str, ...]:
@@ -227,20 +233,14 @@ def cocycle(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> DualCocycle:
     if (name, ctx) in _cocycles:
         return _cocycles[name, ctx]
     if name == "klein-bicharacter":
-        built = from_bicharacter(
-            group_data("z2z2"), _klein_bicharacter_table(), ctx, host=algebra("g-z2z2")
-        )
+        klein = group_data("z2z2")
+        built = from_bicharacter(klein, bicharacter_table(klein), ctx, host=algebra("g-z2z2"))
     elif name == "order4-bicharacter":
         z4z4 = group_data("z4z4")
-        pairs = [(a, b) for a in range(4) for b in range(4)]
-        table = np.array(
-            [[1j ** (g[1] * h[0]) for h in pairs] for g in pairs]
-        )
-        built = from_bicharacter(z4z4, table, ctx, host=algebra("g-z4z4"))
+        built = from_bicharacter(z4z4, bicharacter_table(z4z4), ctx, host=algebra("g-z4z4"))
     elif name == "klein-fourier":
-        built = fourier_transport(
-            group_data("z2z2"), _klein_bicharacter_table(), algebra("c-z2z2"), ctx
-        )
+        klein = group_data("z2z2")
+        built = fourier_transport(klein, bicharacter_table(klein), algebra("c-z2z2"), ctx)
     elif name == "klein-induced":
         mor = d4_klein_restriction(ctx)
         built = induce(cocycle("klein-fourier", ctx), mor, ctx)
@@ -268,13 +268,6 @@ def d4_klein_restriction(ctx: ScalarContext = DEFAULT_CONTEXT) -> QuotientMorphi
     )
 
 
-def _translation_matrix(group: FiniteGroupData, g: int) -> Array:
-    t = np.zeros((group.order, group.order), dtype=np.complex128)
-    for h in range(group.order):
-        t[group.multiply(g, h), h] = 1.0
-    return t
-
-
 def _isotypic_dirac(
     corep: UnitaryCorep,
     values: tuple[float, ...],
@@ -293,72 +286,50 @@ def _isotypic_dirac(
     return 0.5 * (dirac + dirac.conj().T)
 
 
-_TRIPLE_COCYCLES = {
-    "trivial-4": None,
-    "z2z2-torus": "klein-bicharacter",
-    "d4-regular": "klein-induced",
-    "z4z4-torus": "order4-bicharacter",
+# each scene: its host and group, the basis elements whose left
+# multiplications generate its operators, their label prefix, and its
+# cocycle (None for the trivial one).  On Z4 x Z4, index 4a + b is (a, b),
+# so 1, 3, 4, 12 are the unit translations (0, +-1) and (+-1, 0)
+_SCENES = {
+    "trivial-4": ("g-z2z2", "z2z2", (0, 1, 2, 3), "t", None),
+    "z2z2-torus": ("g-z2z2", "z2z2", (1, 2, 3), "t", "klein-bicharacter"),
+    "d4-regular": ("c-d4", "d4", tuple(range(8)), "m", "klein-induced"),
+    "z4z4-torus": ("g-z4z4", "z4z4", (1, 3, 4, 12), "t", "order4-bicharacter"),
 }
 
 
 def triple_names() -> tuple[str, ...]:
-    return tuple(_TRIPLE_COCYCLES)
+    return tuple(_SCENES)
 
 
 def triple_scene(name: str, ctx: ScalarContext = DEFAULT_CONTEXT) -> dict:
     """Triple, carrier corep, cocycle, and volume matrix for a named scene.
 
-    Every scene is verified on its first build in a context: the corep passes
-    its checks and the Dirac matrix commutes with the corep.
+    The regular corep carries each scene, and its operators are left
+    multiplications on the host: translations on a group algebra, diagonal
+    matrices on a function algebra.  Every scene is verified on its first
+    build in a context: the corep passes its checks and the Dirac matrix
+    commutes with the corep.
     """
     if (name, ctx) in _scenes:
         return _scenes[name, ctx]
-    if name not in _TRIPLE_COCYCLES:
+    if name not in _SCENES:
         raise UnknownCatalogName(f"unknown catalog triple {name!r}")
+    host_name, group_name, picked, prefix, cocycle_name = _SCENES[name]
+    host, group = algebra(host_name), group_data(group_name)
+    corep = regular_corep(host, ctx)
+    gens = tuple(host.mul[i].T for i in picked)
+    labels = tuple(f"{prefix}[{group.labels[i]}]" for i in picked)
     if name == "trivial-4":
-        host = algebra("g-z2z2")
-        group = group_data("z2z2")
-        corep = regular_corep(host, ctx)
-        gens = tuple(_translation_matrix(group, g) for g in range(4))
-        labels = tuple(f"t[{lbl}]" for lbl in group.labels)
         dirac = np.zeros((4, 4), dtype=np.complex128)
-        sigma = trivial_cocycle(host)
-    elif name == "z2z2-torus":
-        host = algebra("g-z2z2")
-        group = group_data("z2z2")
-        corep = regular_corep(host, ctx)
-        gens = tuple(_translation_matrix(group, g) for g in range(1, 4))
-        labels = tuple(f"t[{lbl}]" for lbl in group.labels[1:])
-        dirac = np.diag([0.0, 1.0, 1.0, 2.0]).astype(np.complex128)
-        sigma = cocycle("klein-bicharacter", ctx)
     elif name == "d4-regular":
-        host = algebra("c-d4")
-        group = group_data("d4")
-        corep = regular_corep(host, ctx)
-        gens = tuple(
-            np.diag(np.eye(8)[h]).astype(np.complex128) for h in range(8)
-        )
-        labels = tuple(f"m[{lbl}]" for lbl in group.labels)
         dirac = _isotypic_dirac(corep, (0.0, 1.0, 1.0, 2.0, 3.0), ctx)
-        sigma = cocycle("klein-induced", ctx)
     else:
-        host = algebra("g-z4z4")
-        group = group_data("z4z4")
-        corep = regular_corep(host, ctx)
-        picked = []
-        for idx in range(16):
-            a, b = divmod(idx, 4)
-            if (a, b) in ((1, 0), (3, 0), (0, 1), (0, 3)):
-                picked.append(idx)
-        gens = tuple(_translation_matrix(group, g) for g in picked)
-        labels = tuple(f"t[{group.labels[g]}]" for g in picked)
-        degree = [
-            float(min(a, 4 - a) + min(b, 4 - b))
-            for idx in range(16)
-            for a, b in [divmod(idx, 4)]
-        ]
-        dirac = np.diag(degree).astype(np.complex128)
-        sigma = cocycle("order4-bicharacter", ctx)
+        # the word length of (a, b) in the unit translations of Z_m x Z_m
+        m = group.cyclic_factors[1]
+        a, b = np.divmod(np.arange(group.order), m)
+        dirac = np.diag(np.minimum(a, m - a) + np.minimum(b, m - b)).astype(np.complex128)
+    sigma = cocycle(cocycle_name, ctx) if cocycle_name else trivial_cocycle(host)
     verify_corep(corep, ctx, subject=f"{name} corep").require(
         TheoremViolation, "scene corep fails checks"
     )

@@ -1,9 +1,9 @@
 """Finite groups as multiplication tables, and their two Hopf *-algebras.
 
 ``function_algebra`` builds the commutative algebra of functions on G with
-pointwise product and delta-function basis.  ``group_algebra`` builds the
-cocommutative convolution algebra with group-element basis.  Both are Kac:
-the antipode squares to the identity.
+pointwise product and delta-function basis.  ``group_algebra`` reads the
+cocommutative convolution algebra, with group-element basis, off as the
+dual of that algebra.  Both are Kac: the antipode squares to the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .core import FiniteHopfStarAlgebra
+from .core import FiniteHopfStarAlgebra, dual
 from .errors import DimensionMismatch
 
 Array = np.ndarray
@@ -142,32 +142,18 @@ def function_algebra(group: FiniteGroupData) -> FiniteHopfStarAlgebra:
 
 
 def group_algebra(group: FiniteGroupData) -> FiniteHopfStarAlgebra:
-    """Group algebra with group-element basis: convolution product,
-    grouplike coproduct, star g -> g^{-1}."""
-    n = group.order
-    t = group.table
-    mul = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            mul[i, j, t[i, j]] = 1.0
-    comul = np.zeros((n, n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    comul[idx, idx, idx] = 1.0
-    unit = np.zeros(n, dtype=np.complex128)
-    unit[0] = 1.0
-    counit = np.ones(n, dtype=np.complex128)
-    flip = np.zeros((n, n), dtype=np.complex128)
-    flip[group.inverse, idx] = 1.0
+    """The group algebra, read off as the dual of the function algebra:
+    convolution product, grouplike coproduct, star g -> g^{-1}, with
+    group-element basis u[g]."""
+    hat = dual(function_algebra(group))
+    # C-ordered copies: the dual's tensors are transposed views, which would
+    # change the order in which later products sum
+    tensors = {
+        name: np.ascontiguousarray(getattr(hat, name))
+        for name in ("mul", "unit", "comul", "counit", "antipode", "antipode_inv", "star")
+    }
     return FiniteHopfStarAlgebra(
-        dim=n,
-        basis_labels=tuple(f"u[{s}]" for s in group.labels),
-        mul=mul,
-        unit=unit,
-        comul=comul,
-        counit=counit,
-        antipode=flip,
-        antipode_inv=flip.copy(),
-        star=flip.copy(),
+        dim=hat.dim, basis_labels=tuple(f"u[{s}]" for s in group.labels), **tensors
     )
 
 

@@ -159,3 +159,15 @@ def test_fourier_tables_of_2_groups_are_exact():
 def test_fourier_matrix_needs_cyclic_factors():
     with pytest.raises(InvalidMorphism):
         catalog.fourier_matrix(catalog.group_data("s3"))
+
+
+def test_bicharacter_tables_match_their_formula_bit_for_bit():
+    # 1j ** 3 is (-0-1j), and canonical JSON keeps the sign of a zero
+    for name, zeta in (("z2z2", -1.0 + 0j), ("z4z4", 1j)):
+        group = catalog.group_data(name)
+        pairs = [divmod(g, group.cyclic_factors[1]) for g in range(group.order)]
+        want = np.array([[zeta ** (g[1] * h[0]) for h in pairs] for g in pairs])
+        assert catalog.bicharacter_table(group).tobytes() == want.tobytes(), name
+    for name in ("z4", "s3"):
+        with pytest.raises(InvalidMorphism):
+            catalog.bicharacter_table(catalog.group_data(name))

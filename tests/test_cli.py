@@ -308,6 +308,17 @@ def test_text_format_renders_human_readable_lines(capsys):
     assert "associativity" in out
 
 
+def test_text_format_leaves_the_json_only_commands_as_they_are(capsys):
+    # only check-hopf, check-corep, check-cocycle, verify and catalog list
+    # render text; the other commands write their JSON either way
+    for cmd in (["haar", "g-d4"], ["catalog", "emit", "c-z2"]):
+        outputs = []
+        for extra in ([], ["--format", "text"]):
+            assert run([*cmd, *extra]) == 0
+            outputs.append(_capture(capsys)[0])
+        assert outputs[0] == outputs[1] == canonical_dumps(json.loads(outputs[0])) + "\n"
+
+
 def test_twist_subcommand_emits_transcript_and_algebra(capsys):
     assert run(["twist", "--host", "c-d4", "--cocycle", "klein-induced"]) == 0
     out, _ = _capture(capsys)

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import klein_induction, traced_peak, twist_ladder
 
 from hopftwist import (
     QuotientMorphism,
@@ -40,12 +39,7 @@ from hopftwist.errors import (
 )
 
 KLEIN_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _klein_beta():
-    return np.array(
-        [[(-1.0) ** (g[1] * h[0]) for h in KLEIN_BITS] for g in KLEIN_BITS]
-    )
+KLEIN_BETA = catalog.bicharacter_table(klein_four_group())
 
 
 def test_trivial_cocycle_is_valid(ctx):
@@ -56,7 +50,7 @@ def test_trivial_cocycle_is_valid(ctx):
 
 
 def test_bicharacter_gives_valid_cocycle(ctx):
-    sigma = from_bicharacter(klein_four_group(), _klein_beta(), ctx)
+    sigma = from_bicharacter(klein_four_group(), KLEIN_BETA, ctx)
     report = verify_cocycle(sigma, ctx)
     assert report.passed
     assert report.max_residual <= 1e-12
@@ -64,12 +58,12 @@ def test_bicharacter_gives_valid_cocycle(ctx):
 
 def test_from_bicharacter_accepts_shared_host(ctx):
     host = catalog.algebra("g-z2z2")
-    sigma = from_bicharacter(klein_four_group(), _klein_beta(), ctx, host=host)
+    sigma = from_bicharacter(klein_four_group(), KLEIN_BETA, ctx, host=host)
     assert sigma.host is host
 
 
 def test_from_bicharacter_rejects_nonbicharacter(ctx):
-    beta = _klein_beta().copy()
+    beta = KLEIN_BETA.copy()
     beta[1, 2] = 3.0
     with pytest.raises(InvalidBicharacter):
         from_bicharacter(klein_four_group(), beta, ctx)
@@ -78,7 +72,7 @@ def test_from_bicharacter_rejects_nonbicharacter(ctx):
 def test_from_bicharacter_rejects_a_nan_entry(ctx):
     # every comparison with a NaN is False, so the table must fail a
     # "not <= tol" test rather than slip through to invert2
-    beta = _klein_beta().astype(np.complex128)
+    beta = KLEIN_BETA.astype(np.complex128)
     beta[1, 2] = np.nan
     with pytest.raises(InvalidBicharacter, match="unimodular"):
         from_bicharacter(klein_four_group(), beta, ctx)
@@ -86,7 +80,7 @@ def test_from_bicharacter_rejects_a_nan_entry(ctx):
 
 @pytest.mark.parametrize("value", (-1.0, 1j))
 def test_from_bicharacter_names_a_finite_break_as_before(ctx, value):
-    beta = _klein_beta().astype(np.complex128)
+    beta = KLEIN_BETA.astype(np.complex128)
     beta[1, 2] = value * beta[1, 2]
     with pytest.raises(InvalidBicharacter) as exc:
         from_bicharacter(klein_four_group(), beta, ctx)
@@ -110,8 +104,7 @@ def _first_nonmultiplicative(group, beta, tol):
 @pytest.mark.parametrize("broken", ((1, 2), (0, 3), (3, 0), (2, 2), (5, 6)))
 def test_from_bicharacter_names_the_first_nonmultiplicative_triple(ctx, broken):
     group = direct_product(cyclic_group(2), cyclic_group(4))
-    pairs = [(a, b) for a in range(2) for b in range(4)]
-    beta = np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in pairs] for g in pairs])
+    beta = catalog.bicharacter_table(group)
     assert _first_nonmultiplicative(group, beta, ctx.tolerance) is None
     beta[broken] *= 1j
     want = _first_nonmultiplicative(group, beta, ctx.tolerance)
@@ -124,7 +117,7 @@ def test_from_bicharacter_names_the_first_nonmultiplicative_triple(ctx, broken):
 def test_from_bicharacter_rejects_wrong_host(ctx):
     with pytest.raises(InvalidBicharacter):
         from_bicharacter(
-            klein_four_group(), _klein_beta(), ctx, host=catalog.algebra("c-s3")
+            klein_four_group(), KLEIN_BETA, ctx, host=catalog.algebra("c-s3")
         )
 
 
@@ -267,30 +260,6 @@ def test_invert2_rejects_exactly_singular_operands(tol, rng):
             invert2(h, operand, ctx)
 
 
-def _bicharacter_z4z4():
-    pairs = [(a, b) for a in range(4) for b in range(4)]
-    return np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
-
-
-def _ladder_cocycles(ctx):
-    """The twist ladder's five hosts and cocycles, up to C(D16) at n = 32."""
-    klein = klein_four_group()
-    c_klein = function_algebra(klein)
-    klein_fourier = catalog.fourier_transport(klein, _klein_beta(), c_klein, ctx)
-    for m in (4, 8, 16):
-        group = dihedral_group(m)
-        # the Klein subgroup {e, r^(m/2), s, r^(m/2) s}; index k + m*f is r^k s^f
-        mor = catalog.restriction_morphism(
-            group, (0, m // 2, m, m + m // 2), ctx, target=c_klein
-        )
-        yield f"C(D{m})", induce(klein_fourier, mor, ctx)
-    z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
-    yield "G(Z4xZ4)", from_bicharacter(z4z4, _bicharacter_z4z4(), ctx)
-    yield "C(Z4xZ4)", catalog.fourier_transport(
-        z4z4, _bicharacter_z4z4(), function_algebra(z4z4), ctx
-    )
-
-
 def _convolution_operator(host, x):
     """The n^2 x n^2 matrix of y -> x * y on the tensor square, written out:
     entry [(i, j), (b, d)] is sum comul[i, a, b] x[a, c] comul[j, c, d],
@@ -302,8 +271,7 @@ def _convolution_operator(host, x):
 
 
 def test_invert2_matches_a_dense_solve_on_the_twist_ladder(ctx):
-    for name, sigma in _ladder_cocycles(ctx):
-        host = sigma.host
+    for name, (host, sigma) in twist_ladder(ctx).items():
         twisted = twist_algebra(host, sigma, ctx).twisted
         for label, h, x in ((name, host, sigma.sigma), (f"{name}^-1", twisted, sigma.sigma_inv)):
             n = h.dim
@@ -314,8 +282,10 @@ def test_invert2_matches_a_dense_solve_on_the_twist_ladder(ctx):
 def test_fourier_based_twists_carry_no_rounding_residue(ctx):
     # every entry is a Gaussian rational with a small power-of-2
     # denominator, computed exactly: nothing lies strictly between 0 and 1e-12
-    fourier = [(name, catalog.cocycle(name, ctx)) for name in ("klein-fourier", "klein-induced")]
-    for name, sigma in [*_ladder_cocycles(ctx), *fourier]:
+    cocycles = {name: sigma for name, (_, sigma) in twist_ladder(ctx).items()}
+    for name in ("klein-fourier", "klein-induced"):
+        cocycles[name] = catalog.cocycle(name, ctx)
+    for name, sigma in cocycles.items():
         twisted = twist_algebra(sigma.host, sigma, ctx).twisted
         tensors = {
             "sigma": sigma.sigma,
@@ -330,7 +300,7 @@ def test_fourier_based_twists_carry_no_rounding_residue(ctx):
 
 
 def test_invert2_on_c_d16_builds_no_dense_operator(ctx):
-    sigma = dict(_ladder_cocycles(ctx))["C(D16)"]
+    _, sigma = twist_ladder(ctx)["c-d16"]
     twisted = twist_algebra(sigma.host, sigma, ctx).twisted
     n = sigma.host.dim
     operators = (
@@ -338,12 +308,7 @@ def test_invert2_on_c_d16_builds_no_dense_operator(ctx):
         (twisted, sigma.sigma_inv, sigma.sigma),
     )
     for h, x, want in operators:
-        tracemalloc.start()
-        try:
-            inv, _ = invert2(h, x, ctx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (inv, _), peak = traced_peak(lambda: invert2(h, x, ctx))
         # one n^2 x n^2 complex array takes 16 n^4 bytes, 16 MiB; the
         # whole call stays under an eighth of that
         assert peak < 16 * n**4 / 8
@@ -357,24 +322,15 @@ def _klein_coboundary_beta():
     )
 
 
-def _peak(fn):
-    """fn() and its tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bicharacter_cocycle_on_g_z4z4_stays_under_1_mib(ctx):
     """n = 16: the convolution of the table with the vector-valued mul would
     form [i, c, d, t] partial results of n^4 entries, 1 MiB each, if it were
     written out densely.  Its joins keep from_bicharacter at about 0.6 MiB
     and twist_algebra at about 0.7 MiB."""
     z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
-    sigma, built = _peak(lambda: from_bicharacter(z4z4, _bicharacter_z4z4(), ctx))
-    _, twisted = _peak(lambda: twist_algebra(sigma.host, sigma, ctx))
+    table = catalog.bicharacter_table(z4z4)
+    sigma, built = traced_peak(lambda: from_bicharacter(z4z4, table, ctx))
+    _, twisted = traced_peak(lambda: twist_algebra(sigma.host, sigma, ctx))
     assert max(built, twisted) < 2**20, (built, twisted)
 
 
@@ -383,27 +339,22 @@ def _klein_induced_steps(m, beta, ctx, axioms=False):
     beta induced to it: induce, the axiom check when asked, twist_algebra
     and roundtrip with the forward twist."""
     klein = klein_four_group()
-    c_klein = function_algebra(klein)
-    fourier = catalog.fourier_transport(klein, beta, c_klein, ctx)
-    group = dihedral_group(m)
-    host = function_algebra(group)
-    # the Klein subgroup {e, r^(m/2), s, r^(m/2) s}; index k + m*f is r^k s^f
-    mor = catalog.restriction_morphism(
-        group, (0, m // 2, m, m + m // 2), ctx, source=host, target=c_klein
+    fourier, mor = klein_induction(
+        m, ctx, catalog.fourier_transport(klein, beta, function_algebra(klein), ctx)
     )
-    steps = {}
-    sigma, steps["induce"] = _peak(lambda: induce(fourier, mor, ctx))
+    host, steps = mor.source, {}
+    sigma, steps["induce"] = traced_peak(lambda: induce(fourier, mor, ctx))
     if axioms:
-        report, steps["verify_hopf_axioms"] = _peak(lambda: verify_hopf_axioms(host, ctx))
+        report, steps["verify_hopf_axioms"] = traced_peak(lambda: verify_hopf_axioms(host, ctx))
         assert report.passed
-    tw, steps["twist_algebra"] = _peak(lambda: twist_algebra(host, sigma, ctx))
-    result, steps["roundtrip"] = _peak(lambda: roundtrip(host, sigma, ctx, tw=tw))
+    tw, steps["twist_algebra"] = traced_peak(lambda: twist_algebra(host, sigma, ctx))
+    result, steps["roundtrip"] = traced_peak(lambda: roundtrip(host, sigma, ctx, tw=tw))
     assert result["passed"] and result["residual"] <= ctx.tolerance
     return steps
 
 
 @pytest.mark.parametrize(
-    "beta", (_klein_beta(), _klein_coboundary_beta()), ids=("klein", "coboundary")
+    "beta", (KLEIN_BETA, _klein_coboundary_beta()), ids=("klein", "coboundary")
 )
 def test_twist_steps_on_c_d32_stay_under_16_mib(beta, ctx):
     """n = 64: one n^2 x n^2 complex operator alone would take 256 MiB, and
@@ -417,7 +368,7 @@ def test_twist_steps_on_c_d64_stay_under_128_mib(ctx):
     takes 32 MiB and one n^4-entry side of an axiom 4 GiB.  The axiom check
     peaks at about 6 MiB, induce at about 3, twist_algebra and roundtrip at
     about 38 and 39 MiB."""
-    steps = _klein_induced_steps(64, _klein_beta(), ctx, axioms=True)
+    steps = _klein_induced_steps(64, KLEIN_BETA, ctx, axioms=True)
     assert max(steps.values()) < 128 * 2**20, steps
     # the back twist is compared with the host over nonzero entries
     assert steps["roundtrip"] < 64 * 2**20, steps

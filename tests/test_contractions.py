@@ -11,11 +11,11 @@ host.
 
 import collections
 import dataclasses
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import klein_induction, traced_peak, twist_ladder
 
 import hopftwist
 from hopftwist import (
@@ -315,15 +315,6 @@ def test_regular_corep_moves_a_non_orthonormal_basis_to_an_orthonormal_one(ctx):
     assert report.passed, report.failing()
 
 
-def _traced(fn):
-    """fn() and its tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_corep_layer_at_dimension_32(ctx, rng):
     """N = n = 32, where an (N, N, n, n) array has 2^20 entries (16 MiB):
     every call agrees with a pairwise reference and peaks under 8 MiB."""
@@ -348,7 +339,7 @@ def test_corep_layer_at_dimension_32(ctx, rng):
     }
     got = {}
     for name, call in calls.items():
-        got[name], peak = _traced(call)
+        got[name], peak = traced_peak(call)
         assert peak <= 8 * 2**20, (name, peak)
     assert got["verify_corep"].passed, got["verify_corep"].failing()
     verdict = got["check_volume_preservation"]
@@ -592,26 +583,6 @@ def _one_entry_off(host, tensor, rng):
     return dataclasses.replace(host, **{tensor: t})
 
 
-def _c_d8_klein_twist(host, ctx):
-    """C(D8) twisted by the cocycle induced from the Klein subgroup {e, r4, s, r4 s}."""
-    mor = catalog.restriction_morphism(
-        dihedral_group(8), (0, 4, 8, 12), ctx, source=host, target=catalog.algebra("c-z2z2")
-    )
-    return twist_algebra(host, induce(catalog.cocycle("klein-fourier", ctx), mor, ctx), ctx).twisted
-
-
-def _c_z4z4_fourier_twist(ctx):
-    """C(Z4 x Z4) twisted by the Fourier transport of the bicharacter i^(g1 h0).
-
-    The transported cocycle is exact, so its mul keeps 16 nonzero entries,
-    and its comul is that of a group."""
-    group = direct_product(cyclic_group(4), cyclic_group(4))
-    pairs = [(a, b) for a in range(4) for b in range(4)]
-    beta = np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
-    host = function_algebra(group)
-    return twist_algebra(host, catalog.fourier_transport(group, beta, host, ctx), ctx).twisted
-
-
 def _random_sparse_host(rng, n=16, density=0.04):
     """Random structure tensors with about density of their entries nonzero:
     sparse enough for every term join, and nothing cancels by symmetry."""
@@ -632,12 +603,14 @@ def _axiom_case(name, rng, ctx):
         return _perturbed(catalog.algebra(name), rng)
     host_name, tensor = name.split("+")
     if host_name == "c-z4z4^fourier":
-        host = _c_z4z4_fourier_twist(ctx)
+        host = twist_algebra(*twist_ladder(ctx)["c-z4z4"], ctx).twisted
+    elif host_name == "c-d8^klein":
+        # induced from the catalog's klein-fourier on c-z2z2
+        fourier, mor = klein_induction(8, ctx, catalog.cocycle("klein-fourier", ctx))
+        host = twist_algebra(mor.source, induce(fourier, mor, ctx), ctx).twisted
     else:
         host = function_algebra(dihedral_group(8))
-    if host_name == "c-d8^klein":
-        host = _c_d8_klein_twist(host, ctx)
-    elif host_name in ("c-d8-dense", "c-z4z4^fourier"):
+    if host_name in ("c-d8-dense", "c-z4z4^fourier"):
         host = _rebased(host, np.eye(host.dim) + 0.1 * _complex(rng, host.dim, host.dim))
         assert np.count_nonzero(host.mul) == host.mul.size
     return _one_entry_off(host, tensor, rng)
@@ -749,7 +722,7 @@ def _check_axiom_residuals(name, host, report):
 def test_exact_fourier_twist_takes_the_term_joins(ctx, rng, monkeypatch):
     # the Fourier transport is exact, so the twisted mul has only the 16
     # nonzero entries of a twisted group algebra, not n^3 rounding residues
-    twisted = _c_z4z4_fourier_twist(ctx)
+    twisted = twist_algebra(*twist_ladder(ctx)["c-z4z4"], ctx).twisted
     assert np.count_nonzero(twisted.mul) == twisted.dim
     slices = []
     dense = linalg.Chain.dense

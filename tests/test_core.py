@@ -1,10 +1,10 @@
 import dataclasses
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,20 +50,11 @@ def test_axiom_report_names_are_unique(ctx):
     assert "antipode-law" in names
 
 
-def _checked_with_peak(host, ctx):
-    tracemalloc.start()
-    try:
-        report = verify_hopf_axioms(host, ctx)
-        return report, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_axiom_check_at_dimension_32_holds_under_two_n4_arrays(ctx):
     host = function_algebra(dihedral_group(16))
     n = host.dim
     assert n == 32
-    report, peak = _checked_with_peak(host, ctx)
+    report, peak = traced_peak(lambda: verify_hopf_axioms(host, ctx))
     assert report.passed
     assert peak < 2 * n**4 * 16  # 32 MB of complex128
 
@@ -75,7 +66,7 @@ def test_axiom_check_at_dimension_64_holds_under_4_mib(ctx):
     # (4 MiB) is formed; the check peaks at about 2.4 MiB
     host = function_algebra(dihedral_group(32))
     assert host.dim == 64
-    report, peak = _checked_with_peak(host, ctx)
+    report, peak = traced_peak(lambda: verify_hopf_axioms(host, ctx))
     assert report.passed
     assert peak < 4 * 2**20
 
@@ -86,8 +77,9 @@ def test_axiom_check_reads_a_duals_transposed_tensors_in_place(ctx, monkeypatch)
     # at 4.1 MiB against 2.6 MiB for the C-ordered G(D32)
     host = dual(function_algebra(dihedral_group(32)))
     assert host.dim == 64 and not host.mul.flags.c_contiguous
-    report, peak = _checked_with_peak(host, ctx)
-    _, group_peak = _checked_with_peak(group_algebra(dihedral_group(32)), ctx)
+    report, peak = traced_peak(lambda: verify_hopf_axioms(host, ctx))
+    group = group_algebra(dihedral_group(32))
+    _, group_peak = traced_peak(lambda: verify_hopf_axioms(group, ctx))
     assert report.passed
     assert peak <= 1.25 * group_peak, (peak, group_peak)
 
@@ -347,9 +339,19 @@ def test_the_dual_of_the_dual_is_the_algebra(name):
 @pytest.mark.parametrize("group", ("1", "z2", "z3", "z4", "z2z2", "s3", "d4", "z4z4"))
 def test_the_dual_of_a_function_algebra_is_the_group_algebra(group):
     data = catalog.group_data(group)
-    got, want = dual(function_algebra(data)), group_algebra(data)
-    for field in FIELDS:
-        assert _same_bits(getattr(got, field), getattr(want, field)), field
+    n, g = data.order, np.arange(data.order)
+    ranks = zip(FIELDS, (3, 1, 3, 1, 2))
+    want = {name: np.zeros((n,) * rank, dtype=np.complex128) for name, rank in ranks}
+    want["mul"][g[:, None], g, data.table] = 1.0  # e_g e_h = e_gh
+    want["comul"][g, g, g] = 1.0  # grouplike
+    want["unit"][0] = 1.0  # delta_e
+    want["counit"][:] = 1.0
+    want["antipode"][data.inverse, g] = 1.0  # e_g -> e_g^-1
+    want["antipode_inv"] = want["star"] = want["antipode"]
+    for got in (dual(function_algebra(data)), group_algebra(data)):
+        for field in FIELDS:
+            assert _same_bits(getattr(got, field), want[field]), field
+    assert group_algebra(data).basis_labels == tuple(f"u[{s}]" for s in data.labels)
 
 
 def test_the_dual_passes_every_axiom_exactly(ctx):
@@ -377,11 +379,6 @@ def test_the_dual_product_and_star_match_their_formulas(ctx, rng):
 
 def test_the_dual_forms_no_n3_array():
     host = function_algebra(dihedral_group(64))
-    tracemalloc.start()
-    try:
-        hat = dual(host)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    hat, peak = traced_peak(lambda: dual(host))
     assert peak < 2**20
     assert np.shares_memory(hat.mul, host.comul) and np.shares_memory(hat.comul, host.mul)

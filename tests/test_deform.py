@@ -1,8 +1,8 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import hopftwist.corep as corep_module
 import hopftwist.deform as deform_module
@@ -322,23 +322,10 @@ def test_deform_triple_on_z4z4_torus_peaks_under_8_mib(ctx):
     (16 MiB at N = n = 16) nor any N^2 x N^2 projection is built."""
     scene = catalog.triple_scene("z4z4-torus", ctx)
     pw = _scene_pw(scene, ctx)
-    tracemalloc.start()
-    try:
-        deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=pw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: deform_triple(scene["triple"], scene["corep"], scene["cocycle"], ctx, pw=pw)
+    )
     assert peak < 8 * 2**20
-
-
-def _peak(fn) -> int:
-    """The tracemalloc peak of fn(), in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_deform_and_intertwine_on_z4z4_torus_peak_under_3_mib(ctx):
@@ -358,30 +345,24 @@ def test_deform_and_intertwine_on_z4z4_torus_peak_under_3_mib(ctx):
     )
     for call in calls:
         call()
-        assert _peak(call) <= 3 * 2**20
+        assert traced_peak(call)[1] <= 3 * 2**20
 
 
 def _torus_scene(m, ctx):
     """The quantum torus Z_m x Z_m, built like the catalog's z4z4-torus:
     G(Z_m^2) with its regular corep, the four unit translations, the degree
-    Dirac matrix, and the bicharacter zeta_m^(g1 h0), read off the character
-    table so that its quarter turns are exact."""
+    Dirac matrix, and the bicharacter zeta_m^(g1 h0)."""
     group = direct_product(cyclic_group(m), cyclic_group(m))
     host = group_algebra(group)
     corep = regular_corep(host, ctx)
     a, b = np.divmod(np.arange(m * m), m)
     units = {(1, 0), (m - 1, 0), (0, 1), (0, m - 1)}
     picked = [g for g in range(m * m) if (a[g], b[g]) in units]
-    gens = []
-    for g in picked:
-        t = np.zeros((m * m, m * m), dtype=np.complex128)
-        t[[group.multiply(g, h) for h in range(m * m)], range(m * m)] = 1.0
-        gens.append(t)
+    gens = [host.mul[g].T for g in picked]
     labels = tuple(f"t[{group.labels[g]}]" for g in picked)
     degree = np.minimum(a, m - a) + np.minimum(b, m - b)
     st = SpectralTriple(m * m, tuple(gens), np.diag(degree).astype(np.complex128), labels)
-    table = catalog.fourier_matrix(group)[np.ix_(b, a)]
-    sigma = from_bicharacter(group, table, ctx, host=host)
+    sigma = from_bicharacter(group, catalog.bicharacter_table(group), ctx, host=host)
     return st, corep, sigma, decompose(host, haar_state(host, ctx), ctx)
 
 
@@ -401,9 +382,8 @@ def test_deform_triple_on_the_z8z8_torus_in_bounded_memory(ctx):
     Through a dense (N, N, n, n) corep product this took 17.5 s and
     1568 MiB."""
     st, corep, sigma, pw = _torus_scene(8, ctx)
-    out = []
-    peak = _peak(lambda: out.append(deform_triple(st, corep, sigma, ctx, pw=pw)))
-    transcript = out[0].transcript
+    result, peak = traced_peak(lambda: deform_triple(st, corep, sigma, ctx, pw=pw))
+    transcript = result.transcript
     assert peak < 256 * 2**20
     assert transcript["spectral_dimension"] == transcript["generated_dimension"] == 64
     assert transcript["commutator_identity"] <= ctx.tolerance

@@ -24,23 +24,19 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import klein_induction, twist_ladder
 
 from hopftwist import (
     ScalarContext,
     catalog,
     cli,
     core,
-    cyclic_group,
     decompose,
     dihedral_group,
-    direct_product,
     f_matrix_relation,
-    from_bicharacter,
     function_algebra,
-    group_algebra,
     haar_state,
     induce,
-    klein_four_group,
     regular_corep,
     roundtrip,
     twist,
@@ -153,23 +149,11 @@ def test_paper_suite_bytes_are_the_same_cold_warm_and_after_a_drop(capsys, monke
     assert cold == warm == dropped
 
 
-def _klein_table():
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
-    return np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in bits] for g in bits])
-
-
-def _z4z4_bicharacter():
-    pairs = [(a, b) for a in range(4) for b in range(4)]
-    return np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
-
-
 def test_a_ladder_host_checks_its_coassociativity_once(ctx, monkeypatch):
     # host check, twist and the round trip's back twist (its forward twist
     # is the one already made): three checks of one comul, each chain formed
     # in the first only
-    group = direct_product(cyclic_group(4), cyclic_group(4))
-    host = group_algebra(group)
-    sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
+    host, sigma = twist_ladder(ctx)["g-z4z4"]
     sides = []
     gap = linalg.identity_gap
 
@@ -198,9 +182,7 @@ def _counted(monkeypatch, module, name):
 
 
 def test_a_live_cocycle_twists_once_and_the_twist_is_dropped_with_it(ctx, monkeypatch):
-    group = direct_product(cyclic_group(4), cyclic_group(4))
-    host = group_algebra(group)
-    sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
+    host, sigma = twist_ladder(ctx)["g-z4z4"]
     first = twist_algebra(host, sigma, ctx)
     products = _counted(monkeypatch, twist, "twisted_product")
     gaps = _counted(monkeypatch, core, "identity_gap")
@@ -228,12 +210,8 @@ def _over(record):
 
 
 def test_twists_by_fresh_cocycles_of_one_host_leave_nothing_held(ctx):
-    klein = klein_four_group()
-    c_klein = function_algebra(klein)
-    group = dihedral_group(8)
-    host = function_algebra(group)
-    klein_fourier = catalog.fourier_transport(klein, _klein_table(), c_klein, ctx)
-    mor = catalog.restriction_morphism(group, (0, 4, 8, 12), ctx, source=host, target=c_klein)
+    klein_fourier, mor = klein_induction(8, ctx)
+    host = mor.source
     # a cocycle that lives on, as a catalog one does: its back twists are
     # made by a fresh inverse cocycle each time
     kept = induce(klein_fourier, mor, ctx)
@@ -268,9 +246,7 @@ def test_a_twisted_corep_holds_the_terms_of_its_source_u(ctx):
 
 
 def test_the_inverse_cocycle_holds_the_terms_of_sigma_inv(ctx):
-    group = direct_product(cyclic_group(4), cyclic_group(4))
-    host = group_algebra(group)
-    sigma = from_bicharacter(group, _z4z4_bicharacter(), ctx, host=host)
+    host, sigma = twist_ladder(ctx)["g-z4z4"]
     result = roundtrip(host, sigma, ctx)
     inverse = result["back"].cocycle
     assert result["passed"] and inverse.host is twist_algebra(host, sigma, ctx).twisted
@@ -303,7 +279,7 @@ def test_the_paper_suite_reads_each_held_tensor_once():
 
 
 def test_a_twist_reads_the_center_of_the_dual_its_host_found(ctx, svd_calls):
-    _, host, sigma = next(_ladder(ctx))
+    host, sigma = twist_ladder(ctx)["c-d4"]
     tw = twist_algebra(host, sigma, ctx)
     assert tw.twisted._coalgebra is host._coalgebra
     n = host.dim
@@ -369,30 +345,9 @@ def test_stacked_blocks_match_the_block_by_block_reference(name, ctx):
     _check_blocks(decompose(host, haar_state(host, ctx), ctx))
 
 
-def _ladder(ctx):
-    """The hosts of the twist ladder with their cocycles: C(D_m) for m = 4,
-    8, 16 with the Klein-induced cocycle, G(Z4 x Z4) with a bicharacter and
-    C(Z4 x Z4) with its Fourier transport."""
-    klein = klein_four_group()
-    c_klein = function_algebra(klein)
-    for m in (4, 8, 16):
-        group = dihedral_group(m)
-        host = function_algebra(group)
-        sigma = catalog.fourier_transport(klein, _klein_table(), c_klein, ctx)
-        mor = catalog.restriction_morphism(
-            group, (0, m // 2, m, m + m // 2), ctx, source=host, target=c_klein
-        )
-        yield f"c-d{m}", host, induce(sigma, mor, ctx)
-    z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
-    host = group_algebra(z4z4)
-    yield "g-z4z4", host, from_bicharacter(z4z4, _z4z4_bicharacter(), ctx, host=host)
-    host = function_algebra(z4z4)
-    yield "c-z4z4", host, catalog.fourier_transport(z4z4, _z4z4_bicharacter(), host, ctx)
-
-
 def test_stacked_blocks_match_the_reference_on_the_twist_ladder(ctx):
     names = []
-    for name, host, sigma in _ladder(ctx):
+    for name, (host, sigma) in twist_ladder(ctx).items():
         names.append(name)
         tw = twist_algebra(host, sigma, ctx)
         pw = decompose(host, haar_state(host, ctx), ctx)
@@ -444,7 +399,8 @@ def _spanning_pairs(pw, pw_tw):
 def _catalog_and_ladder(ctx):
     for host_name, cocycle_name in catalog.cocycle_pairs():
         yield cocycle_name, catalog.algebra(host_name), catalog.cocycle(cocycle_name, ctx)
-    yield from _ladder(ctx)
+    for name, (host, sigma) in twist_ladder(ctx).items():
+        yield name, host, sigma
 
 
 def test_twisted_partners_are_found_by_central_idempotent_without_svd(ctx, svd_calls):

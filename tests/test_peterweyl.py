@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import twist_ladder
 
 from hopftwist import (
     ScalarContext,
@@ -13,12 +14,9 @@ from hopftwist import (
     decompose,
     dihedral_group,
     direct_product,
-    from_bicharacter,
     function_algebra,
     group_algebra,
     haar_state,
-    induce,
-    klein_four_group,
     peterweyl,
     symmetric_group_3,
     twist_algebra,
@@ -292,36 +290,9 @@ def _dihedral_irrep_dims(m):
     return [1] * ones + [2] * ((2 * m - ones) // 4)
 
 
-def _klein_induced_cocycle(m):
-    """The Klein bicharacter on a fresh C(D_m), pulled back along the
-    restriction to {e, r^(m/2), s, r^(m/2) s}."""
-    group, klein = dihedral_group(m), klein_four_group()
-    host, c_klein = function_algebra(group), function_algebra(klein)
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
-    table = np.array([[(-1.0 + 0j) ** (g[1] * h[0]) for h in bits] for g in bits])
-    sigma = catalog.fourier_transport(klein, table, c_klein)
-    mor = catalog.restriction_morphism(
-        group, (0, m // 2, m, m + m // 2), source=host, target=c_klein
-    )
-    return induce(sigma, mor)
-
-
-def _klein_induced(m):
-    """C(D_m) twisted by _klein_induced_cocycle(m)."""
-    sigma = _klein_induced_cocycle(m)
-    return twist_algebra(sigma.host, sigma).twisted
-
-
-def _z4z4_twisted(kind):
-    group = direct_product(cyclic_group(4), cyclic_group(4))
-    pairs = [(a, b) for a in range(4) for b in range(4)]
-    table = np.array([[1j ** (g[1] * h[0]) for h in pairs] for g in pairs])
-    if kind == "function":
-        host = function_algebra(group)
-        sigma = catalog.fourier_transport(group, table, host)
-    else:
-        host = group_algebra(group)
-        sigma = from_bicharacter(group, table, host=host)
+def _ladder_twist(name):
+    """The twisted algebra of a fresh rung of the twist ladder."""
+    host, sigma = twist_ladder(ScalarContext())[name]
     return twist_algebra(host, sigma).twisted
 
 
@@ -339,7 +310,7 @@ def _sweep_hosts():
         hosts[f"C(D{m})"] = (lambda g=group: function_algebra(g), _dihedral_irrep_dims(m))
         hosts[f"G(D{m})"] = (lambda g=group: group_algebra(g), [1] * (2 * m))
     for m in (4, 8, 16):
-        hosts[f"C(D{m}) twisted"] = (lambda m=m: _klein_induced(m), _dihedral_irrep_dims(m))
+        hosts[f"C(D{m}) twisted"] = (lambda m=m: _ladder_twist(f"c-d{m}"), _dihedral_irrep_dims(m))
     # two block dimensions above 1, so draws must keep the order of the
     # split across the stacks of each dimension
     s3 = symmetric_group_3()
@@ -348,8 +319,8 @@ def _sweep_hosts():
         lambda: function_algebra(direct_product(dihedral_group(4), s3)),
         [1] * 8 + [2] * 6 + [4],
     )
-    hosts["C(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("function"), [1] * 16)
-    hosts["G(Z4xZ4) twisted"] = (lambda: _z4z4_twisted("group"), [1] * 16)
+    hosts["C(Z4xZ4) twisted"] = (lambda: _ladder_twist("c-z4z4"), [1] * 16)
+    hosts["G(Z4xZ4) twisted"] = (lambda: _ladder_twist("g-z4z4"), [1] * 16)
     return hosts
 
 
@@ -452,7 +423,7 @@ def test_a_twist_decomposes_to_the_same_bytes_whether_or_not_its_host_went_first
     # last bits; the shared record forms it from the host's either way
     got = []
     for host_first in (True, False):
-        sigma = _gauged(_klein_induced_cocycle(4), ctx)
+        sigma = _gauged(twist_ladder(ctx)["c-d4"][1], ctx)
         assert verify_cocycle(sigma, ctx).passed
         host, twisted = sigma.host, twist_algebra(sigma.host, sigma, ctx).twisted
         if host_first:
